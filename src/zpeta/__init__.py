@@ -3,10 +3,8 @@ holonomy for compact flat manifolds with cyclic holonomy of odd prime order.
 """
 
 from .exact import (
-    Rational,
     RadicalValue,
     ResidueModZ,
-    radical_to_float,
     rational_str,
     reduce_mod_Z,
 )
@@ -45,7 +43,6 @@ __all__ = [
     "InvariantRecord",
     "OddPrime",
     "RadicalValue",
-    "Rational",
     "ResidueModZ",
     "SpinStructure",
     "ZpParams",
@@ -67,7 +64,6 @@ __all__ = [
     "legendre",
     "mult_diff",
     "mult_diff_oracle",
-    "radical_to_float",
     "rational_str",
     "reduce_mod_Z",
     "reduced_eta",

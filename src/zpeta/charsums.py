@@ -59,12 +59,6 @@ def _check_h(h: int) -> int:
     return h
 
 
-def gauss_G(l: int, p: int | OddPrime) -> RadicalValue:
-    """Quadratic Gauss sum G(l, p) = delta(p) (l/p) sqrt(p), exactly."""
-    P = as_prime(p)
-    return RadicalValue(Fraction(legendre(l, P)), delta_p(P), P.p)
-
-
 def gauss_direct(h: int, chi: CharacterChoice, l: int, p: int | OddPrime) -> complex:
     """Literal floating summation of G_h, ascending k."""
     P = as_prime(p)

@@ -12,12 +12,11 @@ import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import charsums, eta, numtheory, spectrum
 from .eta import DomainError, FailureEntry, Report
-from .exact import radical_to_float, rational_str
+from .exact import rational_str
 from .manifold import (
     EvenDimensionError,
     NotOddError,
@@ -43,18 +42,6 @@ _USAGE_ERRORS = (
     DomainError,
     ValueError,
 )
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Parameter sweep bounds; enumerates valid params ordered by (p,a,b,c)."""
-
-    p_max: int
-    n_max: int
-    include_even_n: bool = False
-
-    def params(self) -> list[ZpParams]:
-        return enumerate_params(self.p_max, self.n_max, self.include_even_n)
 
 
 # ---------------------------------------------------------------------------
@@ -150,20 +137,20 @@ def _appendix_charsum_checks(report: Report, p: int, tol: float, trig_tol: float
                 _tol_fail(f"gauss-trivial(h={h},l={l})", f"p={p}", closed, direct, tol),
             )
             direct = charsums.gauss_direct(h, charsums.CHIP, l, P)
-            closed = radical_to_float(charsums.G_h_chip(h, l, P))
+            closed = charsums.G_h_chip(h, l, P).to_complex()
             report.record(
                 abs(direct - closed) < tol,
                 _tol_fail(f"gauss-quadratic(h={h},l={l})", f"p={p}", closed, direct, tol),
             )
             for c in range(1, 2 * p + 1):
                 direct = charsums.F_direct(h, charsums.CHI0, l, c, P)
-                closed = radical_to_float(charsums.F_h_chi0(h, l, c, P))
+                closed = charsums.F_h_chi0(h, l, c, P).to_complex()
                 report.record(
                     abs(direct - closed) < tol,
                     _tol_fail(f"sine-trivial(h={h},l={l},c={c})", f"p={p}", closed, direct, tol),
                 )
                 direct = charsums.F_direct(h, charsums.CHIP, l, c, P)
-                closed = radical_to_float(charsums.F_h_chip(h, l, c, P))
+                closed = charsums.F_h_chip(h, l, c, P).to_complex()
                 report.record(
                     abs(direct - closed) < tol,
                     _tol_fail(
@@ -173,7 +160,7 @@ def _appendix_charsum_checks(report: Report, p: int, tol: float, trig_tol: float
     for kind in ("sin", "cos"):
         for k in range(1, 3 * p + 1):
             direct = charsums.trig_prod_direct(kind, k, P)
-            closed = radical_to_float(charsums.trig_prod(kind, k, P)).real
+            closed = charsums.trig_prod(kind, k, P).to_complex().real
             report.record(
                 abs(direct - closed) < trig_tol,
                 _tol_fail(f"trig-product({kind},k={k})", f"p={p}", closed, direct, trig_tol),
@@ -282,13 +269,17 @@ def _merge_reports(suite: str, parts: list[Report]) -> Report:
 def run_suite(suite: str, p_max: int | None, n_max: int | None, jobs: int = 1) -> Report:
     if suite in _SWEEP_SUITES:
         fn, def_p, def_n = _SWEEP_SUITES[suite]
-        sweep = SweepSpec(p_max or def_p, n_max or def_n).params()
+        sweep = enumerate_params(
+            def_p if p_max is None else p_max, def_n if n_max is None else n_max
+        )
         parts = _pmap(fn, _chunks(sweep, jobs), jobs)
         return _merge_reports(suite, parts)
     if suite == "appendix":
-        return suite_appendix(p_max or 97, jobs=jobs)
+        return suite_appendix(97 if p_max is None else p_max, jobs=jobs)
     if suite == "oracles":
-        return suite_oracles(p_max or 31, n_max or 60, jobs=jobs)
+        return suite_oracles(
+            31 if p_max is None else p_max, 60 if n_max is None else n_max, jobs=jobs
+        )
     raise ValueError(f"unknown suite {suite!r}")
 
 
@@ -376,6 +367,10 @@ def cmd_invariants(args) -> int:
 
 def cmd_verify(args) -> int:
     report = run_suite(args.suite, args.p_max, args.n_max, args.jobs)
+    if report.cases == 0:
+        print(f"error: suite {args.suite} checked no cases; widen --p-max or --n-max",
+              file=sys.stderr)
+        return 2
     _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
     return 0 if report.ok else 1
 
@@ -418,6 +413,13 @@ def cmd_classnumber(args) -> int:
     return 0
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zpeta",
@@ -444,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--p-max", dest="p_max", type=int)
     sp.add_argument("--n-max", dest="n_max", type=int)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_jobs, default=1)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_verify)
 

@@ -3,7 +3,8 @@
 Every quantity of interest is either rational or of the form
 (rational) * u * sqrt(d) with u in {1, i} and d a squarefree positive
 integer (an odd prime or 1 in practice).  Values stay exact until a
-float is explicitly requested.
+float is explicitly requested.  Rationals are stdlib Fractions: always in
+lowest terms with a positive denominator.
 """
 
 from __future__ import annotations
@@ -11,10 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-# Rationals are stdlib Fractions: arbitrary precision, always in lowest
-# terms with a positive denominator, which is exactly the contract needed.
-Rational = Fraction
 
 UNIT_ONE = "1"
 UNIT_I = "i"
@@ -26,11 +23,6 @@ def rational_str(x: Fraction | int) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Inverse of rational_str."""
-    return Fraction(text)
 
 
 @dataclass(frozen=True)
@@ -132,8 +124,3 @@ class RadicalValue:
         if self.radicand != 1:
             parts.append(f"sqrt({self.radicand})")
         return "*".join(parts)
-
-
-def radical_to_float(v: RadicalValue) -> complex:
-    """Numeric value of a RadicalValue as a complex double."""
-    return v.to_complex()

@@ -66,10 +66,6 @@ class ZpParams:
     def n_odd(self) -> bool:
         return self.n % 2 == 1
 
-    @property
-    def even_dimension_warning(self) -> bool:
-        return not self.n_odd
-
     def key(self) -> tuple[int, int, int, int]:
         return (self.p, self.a, self.b, self.c)
 
@@ -80,18 +76,20 @@ class ZpParams:
 def validate(p: int, a: int, b: int, c: int, ideal_label: str = "principal") -> ZpParams:
     """Check (p, a, b, c) and return the validated parameter record.
 
-    Even total dimension is allowed (flagged on the record, not an
+    Even total dimension is allowed (flagged by ``n_odd``, not an
     error); downstream spectral operations refuse it themselves.
     """
+    if type(p) is not int:  # bool is an int subclass and is refused too
+        raise ValueError(f"p must be an integer, got {p!r}")
     as_prime(p)  # raises NotPrimeError / NotOddError
     for name, v in (("a", a), ("b", b), ("c", c)):
-        if not isinstance(v, int) or v < 0:
+        if type(v) is not int or v < 0:
             raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
     if a + b == 0:
         raise ZeroHolonomyBlockError("a + b must be positive")
     if c == 0:
         raise TorsionViolationError("c must be >= 1")
-    return ZpParams(int(p), a, b, c, ideal_label)
+    return ZpParams(p, a, b, c, ideal_label)
 
 
 @dataclass(frozen=True)
@@ -207,38 +205,18 @@ class IntMatrix:
             k >>= 1
         return result
 
-    def det(self) -> int:
-        """Fraction-free Bareiss determinant."""
+    def _eliminate(self) -> tuple[int, int]:
+        """(rank, det) by fraction-free Bareiss elimination, skipping pivot-less columns."""
         a = [list(r) for r in self.rows]
         n = self.n
-        sign, prev = 1, 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if piv is None:
-                    return 0
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                    q, rem = divmod(num, prev)
-                    assert rem == 0
-                    a[i][j] = q
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
-    def rank(self) -> int:
-        """Exact rank over Q via fraction-free elimination."""
-        a = [list(r) for r in self.rows]
-        n = self.n
-        rank, r, prev = 0, 0, 1
+        r, sign, prev = 0, 1, 1
         for c in range(n):
             piv = next((i for i in range(r, n) if a[i][c] != 0), None)
             if piv is None:
                 continue
-            a[r], a[piv] = a[piv], a[r]
+            if piv != r:
+                a[r], a[piv] = a[piv], a[r]
+                sign = -sign
             for i in range(r + 1, n):
                 for j in range(c + 1, n):
                     num = a[i][j] * a[r][c] - a[i][c] * a[r][j]
@@ -247,11 +225,16 @@ class IntMatrix:
                     a[i][j] = q
                 a[i][c] = 0
             prev = a[r][c]
-            rank += 1
             r += 1
-            if r == n:
-                break
-        return rank
+        return r, (sign * prev if r == n else 0)
+
+    def det(self) -> int:
+        """Exact determinant."""
+        return self._eliminate()[1]
+
+    def rank(self) -> int:
+        """Exact rank over Q."""
+        return self._eliminate()[0]
 
     def charpoly(self) -> tuple[int, ...]:
         """det(xI - M) by Faddeev-LeVerrier, ascending coefficients."""

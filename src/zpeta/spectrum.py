@@ -23,12 +23,12 @@ with a literal character-sum oracle in floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
+from .charsums import _phase_table, _sine_table
 from .manifold import EvenDimensionError, SpinStructure, ZpParams
 from .numtheory import as_prime
 
@@ -46,46 +46,22 @@ _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 _LD_PI = np.longdouble("3.141592653589793238462643383279502884197")
 
 
-@dataclass(frozen=True)
-class SpectralIndex:
-    """Twist ell, structure type h, and eigenvalue parameter mu.
-
-    mu is held as the exact integer two_mu = 2 mu; h = 1 requires two_mu
-    even positive, h = 2 requires it odd positive.
-    """
-
-    ell: int
-    h: int
-    two_mu: int
-
-    def __post_init__(self) -> None:
-        if self.h not in (1, 2):
-            raise ValueError(f"h must be 1 or 2, got {self.h}")
-        if self.two_mu < 1:
-            raise ValueError(f"mu must be positive, got 2*mu = {self.two_mu}")
-        if self.two_mu % 2 != (0 if self.h == 1 else 1):
-            raise ValueError(
-                f"mu = {self.two_mu}/2 incompatible with h = {self.h}:"
-                " need mu in N for h=1, mu in N0+1/2 for h=2"
-            )
-
-    @property
-    def mu(self) -> Fraction:
-        return Fraction(self.two_mu, 2)
-
-    @property
-    def c_index(self) -> int:
-        """mu - [h=2]/2, the non-negative integer series index."""
-        return (self.two_mu + (1 if self.h == 2 else 0)) // 2
-
-
 def _as_two_mu(mu, h: int) -> int:
-    frac = Fraction(mu)
-    two_mu = frac * 2
+    """The exact integer 2 mu: even positive for h = 1, odd positive for h = 2."""
+    two_mu = Fraction(mu) * 2
     if two_mu.denominator != 1:
         raise ValueError(f"mu must be a half-integer, got {mu}")
-    SpectralIndex(0, h, int(two_mu))  # reuse the compatibility validation
-    return int(two_mu)
+    two_mu = int(two_mu)
+    if h not in (1, 2):
+        raise ValueError(f"h must be 1 or 2, got {h}")
+    if two_mu < 1:
+        raise ValueError(f"mu must be positive, got 2*mu = {two_mu}")
+    if two_mu % 2 != (0 if h == 1 else 1):
+        raise ValueError(
+            f"mu = {two_mu}/2 incompatible with h = {h}:"
+            " need mu in N for h=1, mu in N0+1/2 for h=2"
+        )
+    return two_mu
 
 
 def mult_diff(params: ZpParams, h: int, ell: int, mu) -> int:
@@ -120,22 +96,6 @@ def _mult_diff_two_mu(params: ZpParams, ell: int, two_mu: int) -> int:
     return (-1) ** (P.q + r) * diff * p ** ((a - 1) // 2)
 
 
-@lru_cache(maxsize=None)
-def _sin2_table(p: int) -> tuple[float, ...]:
-    # sin(pi m / p) for m in 0..2p-1
-    import math
-
-    return tuple(math.sin(math.pi * m / p) for m in range(2 * p))
-
-
-@lru_cache(maxsize=None)
-def _exp2_table(p: int) -> tuple[complex, ...]:
-    import cmath
-    import math
-
-    return tuple(cmath.exp(1j * math.pi * m / p) for m in range(2 * p))
-
-
 def mult_diff_oracle(params: ZpParams, h: int, ell: int, mu) -> float:
     """Literal character-sum evaluation of d+ - d-, as a float.
 
@@ -151,8 +111,8 @@ def mult_diff_oracle(params: ZpParams, h: int, ell: int, mu) -> float:
     P = as_prime(params.p)
     p, a = P.p, params.a
     m = (params.n - 1) // 2
-    sines = _sin2_table(p)
-    phases = _exp2_table(p)
+    sines = _sine_table(p)
+    phases = _phase_table(p)
     tab = P.legendre_table()
     total = 0.0 + 0.0j
     for k in range(1, p):

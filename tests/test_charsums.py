@@ -10,22 +10,22 @@ from zpeta.charsums import (
     F_h_chip,
     G_h_chi0,
     G_h_chip,
-    gauss_G,
     gauss_direct,
     trig_prod,
     trig_prod_direct,
 )
-from zpeta.exact import UNIT_I, UNIT_ONE, RadicalValue, radical_to_float
+from zpeta.exact import UNIT_I, UNIT_ONE, RadicalValue
 from zpeta.numtheory import odd_primes_upto
 
 ORACLE_PRIMES = odd_primes_upto(19)
 
 
 def test_gauss_G_examples():
-    assert gauss_G(1, 5) == RadicalValue(Fraction(1), UNIT_ONE, 5)
-    assert gauss_G(1, 3) == RadicalValue(Fraction(1), UNIT_I, 3)
-    assert gauss_G(5, 5).is_zero()
-    assert gauss_G(2, 5) == RadicalValue(Fraction(-1), UNIT_ONE, 5)
+    # h = 1 is the quadratic Gauss sum G(l) = delta(p) (l/p) sqrt(p)
+    assert G_h_chip(1, 1, 5) == RadicalValue(Fraction(1), UNIT_ONE, 5)
+    assert G_h_chip(1, 1, 3) == RadicalValue(Fraction(1), UNIT_I, 3)
+    assert G_h_chip(1, 5, 5).is_zero()
+    assert G_h_chip(1, 2, 5) == RadicalValue(Fraction(-1), UNIT_ONE, 5)
 
 
 def test_gauss_direct_examples():
@@ -87,7 +87,7 @@ def test_gauss_closed_forms_match_direct_sums(h, chi):
             if chi is CHI0:
                 closed = complex(G_h_chi0(h, l, p))
             else:
-                closed = radical_to_float(G_h_chip(h, l, p))
+                closed = G_h_chip(h, l, p).to_complex()
             assert abs(direct - closed) < 1e-8, (p, h, chi, l)
 
 
@@ -99,7 +99,7 @@ def test_F_closed_forms_match_direct_sums(h, chi):
             for c in range(1, 2 * p + 1):
                 direct = F_direct(h, chi, l, c, p)
                 fn = F_h_chi0 if chi is CHI0 else F_h_chip
-                closed = radical_to_float(fn(h, l, c, p))
+                closed = fn(h, l, c, p).to_complex()
                 assert abs(direct - closed) < 1e-8, (p, h, chi, l, c)
 
 
@@ -122,7 +122,7 @@ def test_trig_prod_matches_direct():
     for p in odd_primes_upto(97):
         for kind in ("sin", "cos"):
             for k in range(1, 3 * p + 1):
-                closed = radical_to_float(trig_prod(kind, k, p)).real
+                closed = trig_prod(kind, k, p).to_complex().real
                 direct = trig_prod_direct(kind, k, p)
                 assert abs(closed - direct) < 1e-9, (p, kind, k)
 

@@ -2,8 +2,11 @@ import csv
 import io
 import json
 
-from zpeta.cli import SweepSpec, invariant_rows, main, render_rows, run_suite
-from zpeta.manifold import validate
+import pytest
+
+from zpeta import cli
+from zpeta.cli import invariant_rows, main, render_rows, run_suite
+from zpeta.manifold import enumerate_params, validate
 
 
 def run(capsys, *argv):
@@ -129,8 +132,37 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_sweep_spec_enumeration():
-    bounds = SweepSpec(p_max=5, n_max=12)
-    params = bounds.params()
+    params = enumerate_params(5, 12)
     assert params == sorted(params, key=lambda q: q.key())
     assert all(q.p <= 5 and q.n <= 12 and q.beta1 % 2 == 1 for q in params)
-    assert SweepSpec(5, 12, include_even_n=True).params() != params
+    assert enumerate_params(5, 12, include_even_n=True) != params
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    (
+        ("--suite", "parity", "--p-max", "0", "--n-max", "9"),  # not the default p <= 13
+        ("--suite", "integrality", "--p-max", "2"),  # no odd prime
+        ("--suite", "untwisted", "--n-max", "0"),
+        ("--suite", "appendix", "--p-max", "2"),
+    ),
+)
+def test_verify_empty_sweep_is_a_usage_error(capsys, bounds):
+    code, out, err = run(capsys, "verify", *bounds)
+    assert code == 2
+    assert out == ""
+    assert "checked no cases" in err
+
+
+@pytest.mark.parametrize("jobs", ("0", "-3", "two"))
+def test_verify_rejects_jobs_below_one(capsys, monkeypatch, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    code, out, err = run(
+        capsys, "verify", "--suite", "parity", "--p-max", "3", "--n-max", "3", "--jobs", jobs
+    )
+    assert code == 2
+    assert out == ""
+    assert "--jobs" in err

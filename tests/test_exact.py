@@ -9,8 +9,6 @@ from zpeta.exact import (
     UNIT_I,
     UNIT_ONE,
     RadicalValue,
-    parse_rational,
-    radical_to_float,
     rational_str,
     reduce_mod_Z,
 )
@@ -48,8 +46,8 @@ def test_rational_arithmetic_is_exact():
 def test_rational_serialization():
     assert rational_str(Fraction(-2, 3)) == "-2/3"
     assert rational_str(Fraction(4, 1)) == "4"
-    assert parse_rational("-2/3") == Fraction(-2, 3)
-    assert parse_rational("4") == 4
+    assert Fraction(rational_str(Fraction(-2, 3))) == Fraction(-2, 3)
+    assert Fraction(rational_str(4)) == 4
 
 
 def test_residue_rejects_out_of_range():
@@ -61,14 +59,14 @@ def test_residue_rejects_out_of_range():
         ResidueModZ(Fraction(-1, 2))
 
 
-def test_radical_to_float_examples():
-    assert radical_to_float(RadicalValue(Fraction(1), UNIT_ONE, 5)) == pytest.approx(
+def test_radical_to_complex_examples():
+    assert RadicalValue(Fraction(1), UNIT_ONE, 5).to_complex() == pytest.approx(
         2.2360679774997896
     )
-    v = radical_to_float(RadicalValue(Fraction(1, 2), UNIT_I, 3))
+    v = RadicalValue(Fraction(1, 2), UNIT_I, 3).to_complex()
     assert v.real == 0
     assert v.imag == pytest.approx(0.8660254037844386)
-    assert radical_to_float(RadicalValue(Fraction(0), UNIT_ONE, 7)) == 0
+    assert RadicalValue(Fraction(0), UNIT_ONE, 7).to_complex() == 0
 
 
 def test_radical_zero_is_normalized():
@@ -98,8 +96,8 @@ def test_radical_unit_and_radicand_reduction():
 def test_radical_mul_matches_float(c1, c2, u1, u2, p):
     x = RadicalValue(c1, u1, p)
     y = RadicalValue(c2, u2, p)
-    want = radical_to_float(x) * radical_to_float(y)
-    got = radical_to_float(x * y)
+    want = x.to_complex() * y.to_complex()
+    got = (x * y).to_complex()
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 

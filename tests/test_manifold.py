@@ -1,4 +1,9 @@
+import itertools
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zpeta.manifold import (
     IntMatrix,
@@ -35,10 +40,17 @@ def test_validate_examples():
         validate(2, 1, 0, 1)
 
 
+@given(st.integers(0, 3), st.one_of(st.floats(), st.booleans()))
+def test_validate_rejects_floats_and_bools(position, bad):
+    args = [3, 1, 0, 1]
+    args[position] = bad
+    with pytest.raises(ValueError, match=f"^{'pabc'[position]} must be"):
+        validate(*args)
+
+
 def test_even_dimension_is_flagged_not_rejected():
     params = validate(5, 1, 1, 1)  # b + c even, n = 10
     assert params.n == 10
-    assert params.even_dimension_warning
     assert not params.n_odd
 
 
@@ -151,6 +163,32 @@ def test_intmatrix_det_rank_charpoly():
     assert singular.rank() == 1
 
 
+def _leibniz_det(rows) -> int:
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+_SQUARE_MATRICES = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SQUARE_MATRICES)
+def test_intmatrix_elimination_matches_leibniz(rows):
+    # zero leading entries force row swaps and pivot-less columns
+    m = IntMatrix(rows)
+    assert m.det() == _leibniz_det(rows)
+    assert (m.rank() == m.n) == (m.det() != 0)
+    assert m.rank() == IntMatrix(zip(*rows)).rank()
+
+
 def test_intmatrix_power_and_order():
     j = build_holonomy(validate(3, 0, 1, 1)).submatrix((0, 1, 2))
     assert j.power(3) == IntMatrix.identity(3)
@@ -170,7 +208,7 @@ def test_enumerate_params_ordering_and_validity():
     for params in sweep:
         assert params.a + params.b > 0
         assert params.c >= 1
-        assert params.n <= 20
+        assert params.p <= 5 and params.n <= 20
         assert params.beta1 % 2 == 1
     # even dimensions appear only on request
     assert any(q.beta1 % 2 == 0 for q in enumerate_params(5, 20, include_even_n=True))

@@ -6,7 +6,6 @@ from zpeta.manifold import EvenDimensionError, SpinStructure, enumerate_params, 
 from zpeta.eta import structure_classes
 from zpeta.numtheory import odd_primes_upto
 from zpeta.spectrum import (
-    SpectralIndex,
     dim_ker,
     dim_ker_oracle,
     mult_diff,
@@ -15,19 +14,6 @@ from zpeta.spectrum import (
 )
 
 TRICOSM = validate(3, 1, 0, 1)
-
-
-def test_spectral_index_validation():
-    SpectralIndex(0, 1, 2)  # mu = 1
-    SpectralIndex(0, 2, 1)  # mu = 1/2
-    with pytest.raises(ValueError):
-        SpectralIndex(0, 1, 1)  # h=1 needs integer mu
-    with pytest.raises(ValueError):
-        SpectralIndex(0, 2, 2)  # h=2 needs half-odd mu
-    with pytest.raises(ValueError):
-        SpectralIndex(0, 1, 0)
-    assert SpectralIndex(0, 2, 3).c_index == 2
-    assert SpectralIndex(0, 1, 4).c_index == 2
 
 
 def test_mult_diff_examples():
@@ -49,13 +35,31 @@ def test_mult_diff_nonexceptional_is_zero():
             assert mult_diff(params, h, ell, mu) == 0
 
 
+def test_spectral_index_validation():
+    mult_diff(TRICOSM, 1, 0, 1)
+    mult_diff(TRICOSM, 2, 0, Fraction(1, 2))
+    with pytest.raises(ValueError, match="need mu in N for h=1"):
+        mult_diff(TRICOSM, 1, 0, Fraction(1, 2))
+    with pytest.raises(ValueError, match="incompatible with h = 2"):
+        mult_diff(TRICOSM, 2, 0, 1)
+    with pytest.raises(ValueError, match="must be positive, got 2\\*mu = 0"):
+        mult_diff(TRICOSM, 1, 0, 0)
+    # mu = 3/2 (h = 2) and mu = 2 (h = 1) both have index c = 2
+    for ell in range(3):
+        by_index = mult_diff_by_index(TRICOSM, 2, ell, 2)
+        assert mult_diff(TRICOSM, 2, ell, Fraction(3, 2)) == by_index
+        assert mult_diff(TRICOSM, 1, ell, 2) == mult_diff_by_index(TRICOSM, 1, ell, 2)
+
+
 def test_mult_diff_mu_validation():
     with pytest.raises(ValueError):
         mult_diff(TRICOSM, 1, 0, Fraction(1, 2))
     with pytest.raises(ValueError):
         mult_diff(TRICOSM, 2, 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="half-integer"):
         mult_diff(TRICOSM, 1, 0, Fraction(1, 3))
+    with pytest.raises(ValueError, match="h must be 1 or 2"):
+        mult_diff(TRICOSM, 3, 0, 1)
 
 
 def test_mult_diff_by_index_matches_mu_form():
