@@ -19,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add, mul
 
 from .numtheory import NotOddError, NotPrimeError, as_prime
 
@@ -152,16 +153,33 @@ def nontrivial_structure(params: ZpParams) -> SpinStructure:
 
 
 class IntMatrix:
-    """Dense square matrix of Python integers with exact operations."""
+    """Square matrix of Python integers with exact operations.
+
+    Storage is dense (``rows`` is a tuple of row tuples), but the product
+    skips zeros: row i of ``A @ B`` is the sum of B's rows j scaled by the
+    nonzero A[i][j] only, so a left factor with at most k nonzeros per row
+    (such as C_p or J_p) costs O(k n^2) instead of O(n^3).
+    """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(r) for r in rows)
         n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("matrix must be square")
+        for r in rows:
+            if len(r) != n:
+                raise ValueError("matrix must be square")
+            for x in r:
+                if type(x) is not int:  # bool is an int subclass and is refused too
+                    raise ValueError(f"matrix entries must be integers, got {x!r}")
         self.rows = rows
+
+    @classmethod
+    def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """Wrap rows that are already a square tuple of int tuples, unchecked."""
+        m = object.__new__(cls)
+        m.rows = rows
+        return m
 
     @property
     def n(self) -> int:
@@ -169,7 +187,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls._from_rows(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and other.rows == self.rows
@@ -178,24 +196,28 @@ class IntMatrix:
         return hash(self.rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        n = self.n
-        bt = tuple(zip(*other.rows))
-        return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.rows)
-        )
+        zero = (0,) * self.n
+        out = []
+        for row in self.rows:
+            acc = None
+            for a, b in zip(row, other.rows):
+                if a:
+                    term = b if a == 1 else tuple(map(mul, itertools.repeat(a), b))
+                    acc = term if acc is None else tuple(map(add, acc, term))
+            out.append(zero if acc is None else acc)
+        return IntMatrix._from_rows(tuple(out))
 
     def add_scalar_identity(self, s: int) -> "IntMatrix":
-        return IntMatrix(
-            tuple(
-                tuple(x + s if i == j else x for j, x in enumerate(row))
-                for i, row in enumerate(self.rows)
-            )
+        return IntMatrix._from_rows(
+            tuple(row[:i] + (row[i] + s,) + row[i + 1 :] for i, row in enumerate(self.rows))
         )
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.n))
 
     def power(self, k: int) -> "IntMatrix":
+        if k < 0:
+            raise ValueError(f"power needs k >= 0, got {k}")
         result = IntMatrix.identity(self.n)
         base = self
         while k:
@@ -260,9 +282,9 @@ class IntMatrix:
                 x = parent[x]
             return x
 
-        for i in range(n):
-            for j in range(n):
-                if i != j and (self.rows[i][j] != 0 or self.rows[j][i] != 0):
+        for i, row in enumerate(self.rows):
+            for j in itertools.compress(range(n), row):
+                if i != j:
                     parent[find(i)] = find(j)
         groups: dict[int, list[int]] = {}
         for i in range(n):
@@ -270,7 +292,7 @@ class IntMatrix:
         return [tuple(sorted(g)) for g in sorted(groups.values())]
 
     def submatrix(self, idx: tuple[int, ...]) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(self.rows[i][j] for j in idx) for i in idx))
+        return IntMatrix._from_rows(tuple(tuple(self.rows[i][j] for j in idx) for i in idx))
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
@@ -333,7 +355,7 @@ def build_holonomy(params: ZpParams) -> IntMatrix:
         off += blk.n
     for i in range(off, n):
         rows[i][i] = 1
-    return IntMatrix(rows)
+    return IntMatrix._from_rows(tuple(map(tuple, rows)))
 
 
 @lru_cache(maxsize=None)
@@ -343,7 +365,7 @@ def _component_analysis(rows: tuple[tuple[int, ...], ...], p: int):
     p is prime, so an order dividing p is 1 or p: it suffices to test
     M = I and M^p = I.  Matrices whose order does not divide p report 0.
     """
-    comp = IntMatrix(rows)
+    comp = IntMatrix._from_rows(rows)
     ident = IntMatrix.identity(comp.n)
     if comp == ident:
         order = 1
@@ -394,6 +416,8 @@ def holonomy_checks(m: IntMatrix, params: ZpParams) -> HolonomyReport:
     per-component analyses are cached, which keeps large parameter sweeps
     cheap.  All arithmetic is exact.
     """
+    if m.n != params.n:
+        raise ValueError(f"matrix is {m.n}x{m.n}, but {params} has n = {params.n}")
     p = params.p
     analyses = [_component_analysis(m.submatrix(idx).rows, p) for idx in m.components()]
 

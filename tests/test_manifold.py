@@ -128,6 +128,12 @@ def test_holonomy_fixed_space_dimension():
     assert report.all_ok
 
 
+def test_holonomy_checks_reject_size_mismatch():
+    params = validate(5, 1, 0, 1)
+    with pytest.raises(ValueError, match="n = 5"):
+        holonomy_checks(IntMatrix.identity(3), params)
+
+
 def test_holonomy_checks_detect_wrong_matrix():
     params = validate(3, 1, 0, 1)
     bad = IntMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 2)))
@@ -150,6 +156,14 @@ def test_holonomy_checks_large_prime_blocks():
         assert params.n <= 60
         report = holonomy_checks(build_holonomy(params), params)
         assert report.all_ok, (key, report.failures)
+
+
+def test_holonomy_checks_past_n_60():
+    # the exact path has no oracle bound; n = 483
+    params = validate(97, 3, 2, 1)
+    report = holonomy_checks(build_holonomy(params), params)
+    assert report.all_ok, report.failures
+    assert report.fixed_space_dim == 3
 
 
 def test_intmatrix_det_rank_charpoly():
@@ -193,6 +207,122 @@ def test_intmatrix_power_and_order():
     j = build_holonomy(validate(3, 0, 1, 1)).submatrix((0, 1, 2))
     assert j.power(3) == IntMatrix.identity(3)
     assert j.power(2) != IntMatrix.identity(3)
+
+
+def test_intmatrix_power_rejects_negative_exponent():
+    with pytest.raises(ValueError):
+        IntMatrix.identity(2).power(-1)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((1.7, 0), (0, 1)),
+        ((1.0, 0), (0, 1)),
+        ((True, 0), (0, 1)),
+        ((1, False), (0, 1)),
+        (("1", 0), (0, 1)),
+        ("ab", "cd"),
+    ],
+)
+def test_intmatrix_rejects_non_int_entries(rows):
+    with pytest.raises(ValueError):
+        IntMatrix(rows)
+
+
+def _triple_loop_product(x, y):
+    n = len(x)
+    return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _all_pairs_components(rows):
+    n = len(rows)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(n):
+            if i != j and (rows[i][j] or rows[j][i]):
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(tuple(g) for g in groups.values())
+
+
+def _assert_canonical(m: IntMatrix):
+    # a kernel result must be indistinguishable from a validated matrix
+    rebuilt = IntMatrix(m.to_lists())
+    assert m == rebuilt and hash(m) == hash(rebuilt)
+    assert all(type(r) is tuple for r in m.rows)
+
+
+def _kernel_matrices(n):
+    # sparse (mostly zero, zero rows likely) and dense entries in [-3, 3]
+    sparse = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, -3))
+    dense = st.integers(-3, 3)
+    entries = st.one_of(sparse, dense)
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+_KERNEL_PAIRS = st.integers(1, 5).flatmap(lambda n: st.tuples(_kernel_matrices(n), _kernel_matrices(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_KERNEL_PAIRS)
+def test_intmatrix_product_matches_triple_loop(pair):
+    x, y = pair
+    prod = IntMatrix(x) @ IntMatrix(y)
+    assert prod.to_lists() == _triple_loop_product(x, y)
+    _assert_canonical(prod)
+    shifted = IntMatrix(x).add_scalar_identity(-2)
+    assert shifted.to_lists() == [
+        [v - 2 if i == j else v for j, v in enumerate(r)] for i, r in enumerate(x)
+    ]
+    _assert_canonical(shifted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(_kernel_matrices))
+def test_intmatrix_charpoly_matches_leibniz(rows):
+    m = IntMatrix(rows)
+    coeffs = m.charpoly()
+    assert len(coeffs) == m.n + 1
+    for x in range(m.n + 1):
+        shifted = [[(x if i == j else 0) - v for j, v in enumerate(r)] for i, r in enumerate(rows)]
+        assert sum(c * x**k for k, c in enumerate(coeffs)) == _leibniz_det(shifted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(_kernel_matrices), st.integers(0, 5))
+def test_intmatrix_power_matches_repeated_product(rows, k):
+    expected = [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+    for _ in range(k):
+        expected = _triple_loop_product(expected, rows)
+    got = IntMatrix(rows).power(k)
+    assert got.to_lists() == expected
+    _assert_canonical(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(_kernel_matrices))
+def test_intmatrix_components_match_all_pairs(rows):
+    # the sparse strategy often leaves a nonzero in one direction only
+    m = IntMatrix(rows)
+    comps = m.components()
+    assert comps == _all_pairs_components(rows)
+    for idx in comps:
+        _assert_canonical(m.submatrix(idx))
+
+
+def test_intmatrix_components_one_directional_link():
+    rows = ((1, 0, 0, 5), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert IntMatrix(rows).components() == [(0, 3), (1,), (2,)]
+    assert IntMatrix(tuple(zip(*rows))).components() == [(0, 3), (1,), (2,)]
 
 
 def test_poly_helpers():
