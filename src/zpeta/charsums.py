@@ -13,6 +13,12 @@ cosine analogue, q = (p-1)/2.
 Each sum has two faces: an exact closed form (RadicalValue) and a literal
 floating-point summation in fixed ascending-k order.  The two sides are
 kept strictly separate so each can serve as the other's oracle.
+
+F_h(l, c) depends only on l mod p and c mod p, so its direct sum is
+evaluated for a whole p x p grid at once (one numpy outer product per k,
+accumulated in ascending k) and cached for the last four (h, chi, p);
+each grid cell is the same literal sum, in the same order, as a scalar
+loop over k.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ import enum
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .exact import UNIT_I, UNIT_ONE, RadicalValue
 from .numtheory import OddPrime, as_prime, delta_p, legendre
@@ -48,15 +56,19 @@ def _sine_table(p: int) -> tuple[float, ...]:
 
 
 def _char_values(chi: CharacterChoice, P: OddPrime) -> tuple[int, ...]:
-    if chi is CHI0:
-        return tuple(0 if k % P.p == 0 else 1 for k in range(P.p))
-    return P.legendre_table()
+    return P.trivial_table() if chi is CHI0 else P.legendre_table()
 
 
 def _check_h(h: int) -> int:
     if h not in (1, 2):
         raise ValueError(f"h must be 1 or 2, got {h}")
     return h
+
+
+def _check_c(c: int) -> int:
+    if c < 1:
+        raise ValueError(f"c must be a positive integer, got {c}")
+    return c
 
 
 def gauss_direct(h: int, chi: CharacterChoice, l: int, p: int | OddPrime) -> complex:
@@ -96,8 +108,7 @@ def F_h_chi0(h: int, l: int, c: int, p: int | OddPrime) -> RadicalValue:
     """F_h for the trivial character: 0 or a purely imaginary +-i p/2."""
     P = as_prime(p)
     _check_h(h)
-    if c < 1:
-        raise ValueError(f"c must be a positive integer, got {c}")
+    _check_c(c)
     if l % P.p == 0:
         return RadicalValue.zero()
     if h == 1:
@@ -124,8 +135,7 @@ def F_h_chip(h: int, l: int, c: int, p: int | OddPrime) -> RadicalValue:
     """
     P = as_prime(p)
     _check_h(h)
-    if c < 1:
-        raise ValueError(f"c must be a positive integer, got {c}")
+    _check_c(c)
     if h == 1:
         diff = legendre(l - c, P) - legendre(l + c, P)
     else:
@@ -135,24 +145,45 @@ def F_h_chip(h: int, l: int, c: int, p: int | OddPrime) -> RadicalValue:
     return RadicalValue(Fraction(-diff, 2), UNIT_ONE, P.p)
 
 
+@lru_cache(maxsize=4)
+def _F_grid(h: int, chi: CharacterChoice, p: int) -> tuple[tuple[complex, ...], ...]:
+    """F_h(l, c) by direct summation for l, c in 0..p-1, indexed [l][c].
+
+    Cell (l, c) accumulates sign * chi(k) * e^{2 pi i l k / p} * sin(...)
+    for k = 1..p-1 in ascending order, with real and imaginary parts kept
+    apart so that each product and each addition rounds exactly as the
+    scalar complex loop does.  A matrix product would let BLAS reorder
+    the sum, so the grid is built one k at a time.
+    """
+    P = as_prime(p)
+    phases = np.array(_phase_table(p))
+    sines = np.array(_sine_table(p))
+    chars = _char_values(chi, P)
+    residues = np.arange(p)
+    sin_steps = 2 * residues + (1 if h == 2 else 0)
+    real = np.zeros((p, p))
+    imag = np.zeros((p, p))
+    for k in range(1, p):
+        weight = (-1 if (h == 2 and k % 2 == 1) else 1) * chars[k]
+        phase_row = phases[(2 * k * residues) % (2 * p)]
+        sine_row = sines[(k * sin_steps) % (2 * p)]
+        real += np.multiply.outer(weight * phase_row.real, sine_row)
+        imag += np.multiply.outer(weight * phase_row.imag, sine_row)
+    grid = real.astype(complex)
+    grid.imag = imag
+    return tuple(map(tuple, grid.tolist()))
+
+
 def F_direct(h: int, chi: CharacterChoice, l: int, c: int, p: int | OddPrime) -> complex:
-    """Literal floating summation of F_h, ascending k."""
+    """Literal floating summation of F_h, ascending k, for any l and c >= 1.
+
+    The value is read from the cached grid of its (h, chi, p) at
+    (l mod p, c mod p); the summation order is that of the scalar loop.
+    """
     P = as_prime(p)
     _check_h(h)
-    phases = _phase_table(P.p)
-    sines = _sine_table(P.p)
-    chars = _char_values(chi, P)
-    sin_step = 2 * c + (1 if h == 2 else 0)
-    total = 0.0 + 0.0j
-    for k in range(1, P.p):
-        sign = -1 if (h == 2 and k % 2 == 1) else 1
-        total += (
-            sign
-            * chars[k % P.p]
-            * phases[(2 * k * l) % (2 * P.p)]
-            * sines[(k * sin_step) % (2 * P.p)]
-        )
-    return total
+    _check_c(c)
+    return _F_grid(h, chi, P.p)[l % P.p][c % P.p]
 
 
 def trig_prod(kind: str, k: int, p: int | OddPrime) -> RadicalValue:

@@ -48,8 +48,28 @@ _USAGE_ERRORS = (
 # verification suites beyond the eta module's own
 
 
-def _tol_fail(name: str, where: str, expected, got, tol: float) -> FailureEntry | None:
-    return FailureEntry(where, name, None, f"{expected}", f"{got} (tol {tol})")
+def _check_equal(report: Report, p: int, name: str, ell: int, want: int, got: int) -> None:
+    # the failure entry is built only when the check fails
+    if got == want:
+        report.record(True)
+    else:
+        report.record(False, FailureEntry(f"p={p}", name, ell, str(want), str(got)))
+
+
+def _check_close(
+    report: Report, p: int, tol: float, direct, closed, name: str, *name_args
+) -> None:
+    """Record |direct - closed| < tol.  The failure entry, named by
+    name.format(*name_args), is built only when the check fails."""
+    if abs(direct - closed) < tol:
+        report.record(True)
+    else:
+        report.record(
+            False,
+            FailureEntry(
+                f"p={p}", name.format(*name_args), None, f"{closed}", f"{direct} (tol {tol})"
+            ),
+        )
 
 
 def _appendix_legendre_checks(report: Report, p: int) -> None:
@@ -66,15 +86,9 @@ def _appendix_legendre_checks(report: Report, p: int) -> None:
         for sign in (1, -1):
             for k in range(1, p + 1):
                 got = numtheory.sum_legendre_shift(ell, k, sign, P)
-                want = -tab[(k * ell) % p]
-                report.record(
-                    got == want,
-                    FailureEntry(f"p={p}", "shifted-sum", ell, str(want), str(got)),
-                )
+                _check_equal(report, p, "shifted-sum", ell, -tab[(k * ell) % p], got)
             got = numtheory.sum_legendre_odd_shift(ell, sign, P)
-            report.record(
-                got == 0, FailureEntry(f"p={p}", "odd-shifted-sum", ell, "0", str(got))
-            )
+            _check_equal(report, p, "odd-shifted-sum", ell, 0, got)
 
             # weighted sums against their split closed forms (empty prefix = 0)
             fold = (2 * ell) // p * p
@@ -86,22 +100,14 @@ def _appendix_legendre_checks(report: Report, p: int) -> None:
             }
             for factor in (1, 2):
                 got = numtheory.weighted_legendre_sum(ell, factor, sign, P)
-                want = closed[(factor, sign)]
-                report.record(
-                    got == want,
-                    FailureEntry(
-                        f"p={p}", f"weighted-sum(factor={factor})", ell, str(want), str(got)
-                    ),
-                )
+                name = f"weighted-sum(factor={factor})"
+                _check_equal(report, p, name, ell, closed[(factor, sign)], got)
             # odd-index weighted identity
             got = sum(tab[(2 * ell + sign * (2 * j + 1)) % p] * j for j in range(p))
             want = numtheory.weighted_legendre_sum(ell, 2, sign, P) - l2 * (
                 numtheory.weighted_legendre_sum(ell, 1, sign, P)
             )
-            report.record(
-                got == want,
-                FailureEntry(f"p={p}", "odd-weighted-sum", ell, str(want), str(got)),
-            )
+            _check_equal(report, p, "odd-weighted-sum", ell, want, got)
 
         # difference sums against the split forms
         s1 = numtheory.S_direct(1, ell, P)
@@ -118,12 +124,8 @@ def _appendix_legendre_checks(report: Report, p: int) -> None:
                 * (numtheory.S_h_pm(2, 1, ell, P) - l2 * numtheory.S_h_pm(1, 1, ell, P))
                 + 2 * (l2 - 1) * w
             )
-        report.record(
-            s1 == want1, FailureEntry(f"p={p}", "difference-sum-1", ell, str(want1), str(s1))
-        )
-        report.record(
-            s2 == want2, FailureEntry(f"p={p}", "difference-sum-2", ell, str(want2), str(s2))
-        )
+        _check_equal(report, p, "difference-sum-1", ell, want1, s1)
+        _check_equal(report, p, "difference-sum-2", ell, want2, s2)
 
 
 def _appendix_charsum_checks(report: Report, p: int, tol: float, trig_tol: float) -> None:
@@ -132,39 +134,26 @@ def _appendix_charsum_checks(report: Report, p: int, tol: float, trig_tol: float
         for l in range(p):
             direct = charsums.gauss_direct(h, charsums.CHI0, l, P)
             closed = complex(charsums.G_h_chi0(h, l, P))
-            report.record(
-                abs(direct - closed) < tol,
-                _tol_fail(f"gauss-trivial(h={h},l={l})", f"p={p}", closed, direct, tol),
-            )
+            _check_close(report, p, tol, direct, closed, "gauss-trivial(h={},l={})", h, l)
             direct = charsums.gauss_direct(h, charsums.CHIP, l, P)
             closed = charsums.G_h_chip(h, l, P).to_complex()
-            report.record(
-                abs(direct - closed) < tol,
-                _tol_fail(f"gauss-quadratic(h={h},l={l})", f"p={p}", closed, direct, tol),
-            )
+            _check_close(report, p, tol, direct, closed, "gauss-quadratic(h={},l={})", h, l)
             for c in range(1, 2 * p + 1):
                 direct = charsums.F_direct(h, charsums.CHI0, l, c, P)
                 closed = charsums.F_h_chi0(h, l, c, P).to_complex()
-                report.record(
-                    abs(direct - closed) < tol,
-                    _tol_fail(f"sine-trivial(h={h},l={l},c={c})", f"p={p}", closed, direct, tol),
+                _check_close(
+                    report, p, tol, direct, closed, "sine-trivial(h={},l={},c={})", h, l, c
                 )
                 direct = charsums.F_direct(h, charsums.CHIP, l, c, P)
                 closed = charsums.F_h_chip(h, l, c, P).to_complex()
-                report.record(
-                    abs(direct - closed) < tol,
-                    _tol_fail(
-                        f"sine-quadratic(h={h},l={l},c={c})", f"p={p}", closed, direct, tol
-                    ),
+                _check_close(
+                    report, p, tol, direct, closed, "sine-quadratic(h={},l={},c={})", h, l, c
                 )
     for kind in ("sin", "cos"):
         for k in range(1, 3 * p + 1):
             direct = charsums.trig_prod_direct(kind, k, P)
             closed = charsums.trig_prod(kind, k, P).to_complex().real
-            report.record(
-                abs(direct - closed) < trig_tol,
-                _tol_fail(f"trig-product({kind},k={k})", f"p={p}", closed, direct, trig_tol),
-            )
+            _check_close(report, p, trig_tol, direct, closed, "trig-product({},k={})", kind, k)
 
 
 def _appendix_for_prime(args: tuple[int, float, float]) -> Report:

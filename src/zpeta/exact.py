@@ -65,14 +65,16 @@ class RadicalValue:
             raise ValueError(f"unit must be '1' or 'i', got {self.unit!r}")
         if not isinstance(self.radicand, int) or self.radicand < 1:
             raise ValueError(f"radicand must be a positive integer, got {self.radicand!r}")
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        if not isinstance(self.coeff, Fraction):
+            object.__setattr__(self, "coeff", Fraction(self.coeff))
         if self.coeff == 0:
             object.__setattr__(self, "unit", UNIT_ONE)
             object.__setattr__(self, "radicand", 1)
 
     @classmethod
     def zero(cls) -> "RadicalValue":
-        return cls(Fraction(0))
+        """The shared zero value (instances are immutable)."""
+        return _ZERO
 
     def is_zero(self) -> bool:
         return self.coeff == 0
@@ -124,3 +126,6 @@ class RadicalValue:
         if self.radicand != 1:
             parts.append(f"sqrt({self.radicand})")
         return "*".join(parts)
+
+
+_ZERO = RadicalValue(Fraction(0))

@@ -58,7 +58,7 @@ def is_prime(n: int) -> bool:
 class OddPrime:
     """An odd prime p with the derived quantities q = (p-1)/2 and t = [p/4]."""
 
-    __slots__ = ("p", "q", "t", "_table", "_weighted")
+    __slots__ = ("p", "q", "t", "_table", "_trivial", "_weighted")
 
     def __init__(self, p: int):
         p = int(p)
@@ -70,6 +70,7 @@ class OddPrime:
         self.q = (p - 1) // 2
         self.t = p // 4
         self._table = None
+        self._trivial = None
         self._weighted = None
 
     def legendre_table(self) -> tuple[int, ...]:
@@ -79,6 +80,12 @@ class OddPrime:
                 0 if k == 0 else (1 if k in squares else -1) for k in range(self.p)
             )
         return self._table
+
+    def trivial_table(self) -> tuple[int, ...]:
+        """Values of the trivial character mod p at k = 0..p-1."""
+        if self._trivial is None:
+            self._trivial = (0,) + (1,) * (self.p - 1)
+        return self._trivial
 
     def legendre(self, k: int) -> int:
         return self.legendre_table()[k % self.p]
@@ -170,16 +177,18 @@ def sum_legendre_shift(ell: int, k: int, sign: int, p: int | OddPrime) -> int:
     """sum_{j=1}^{p-1} ((k*ell +- j)/p), by direct summation."""
     P = as_prime(p)
     _check_sign(sign)
-    base = k * (ell % P.p)
-    return sum(P.legendre(base + sign * j) for j in range(1, P.p))
+    tab, p = P.legendre_table(), P.p
+    base = k * (ell % p)
+    return sum(tab[(base + sign * j) % p] for j in range(1, p))
 
 
 def sum_legendre_odd_shift(ell: int, sign: int, p: int | OddPrime) -> int:
     """sum_{j=0}^{p-1} ((2*ell +- (2j+1))/p), by direct summation."""
     P = as_prime(p)
     _check_sign(sign)
-    base = 2 * (ell % P.p)
-    return sum(P.legendre(base + sign * (2 * j + 1)) for j in range(P.p))
+    tab, p = P.legendre_table(), P.p
+    base = 2 * (ell % p)
+    return sum(tab[(base + sign * (2 * j + 1)) % p] for j in range(p))
 
 
 def weighted_legendre_sum(ell: int, factor: int, sign: int, p: int | OddPrime) -> int:
@@ -191,8 +200,9 @@ def weighted_legendre_sum(ell: int, factor: int, sign: int, p: int | OddPrime) -
     _check_sign(sign)
     if factor not in (1, 2):
         raise ValueError(f"factor must be 1 or 2, got {factor}")
-    base = factor * (ell % P.p)
-    return sum(P.legendre(base + sign * j) * j for j in range(1, P.p))
+    tab, p = P.legendre_table(), P.p
+    base = factor * (ell % p)
+    return sum(tab[(base + sign * j) % p] * j for j in range(1, p))
 
 
 def S_h_pm(h: int, sign: int, ell: int, p: int | OddPrime) -> int:
@@ -224,13 +234,14 @@ def S_direct(which: int, ell: int, p: int | OddPrime) -> int:
     S_2(ell,p) = sum_{j=0}^{p-1} (((2ell-(2j+1))/p) - ((2ell+(2j+1))/p)) j
     """
     P = as_prime(p)
-    e = ell % P.p
+    tab, p = P.legendre_table(), P.p
+    e = ell % p
     if which == 1:
-        return sum((P.legendre(e - j) - P.legendre(e + j)) * j for j in range(1, P.p))
+        return sum((tab[(e - j) % p] - tab[(e + j) % p]) * j for j in range(1, p))
     if which == 2:
         return sum(
-            (P.legendre(2 * e - (2 * j + 1)) - P.legendre(2 * e + (2 * j + 1))) * j
-            for j in range(P.p)
+            (tab[(2 * e - (2 * j + 1)) % p] - tab[(2 * e + (2 * j + 1)) % p]) * j
+            for j in range(p)
         )
     raise ValueError(f"which must be 1 or 2, got {which}")
 

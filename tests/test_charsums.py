@@ -1,7 +1,10 @@
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
 
+from zpeta import charsums, numtheory
 from zpeta.charsums import (
     CHI0,
     CHIP,
@@ -14,8 +17,9 @@ from zpeta.charsums import (
     trig_prod,
     trig_prod_direct,
 )
+from zpeta.cli import suite_appendix
 from zpeta.exact import UNIT_I, UNIT_ONE, RadicalValue
-from zpeta.numtheory import odd_primes_upto
+from zpeta.numtheory import legendre, odd_primes_upto
 
 ORACLE_PRIMES = odd_primes_upto(19)
 
@@ -76,6 +80,83 @@ def test_F_direct_examples():
     v = F_direct(1, CHIP, 1, 1, 5)
     assert v.imag == pytest.approx(1.118033988749895, abs=1e-9)
     assert abs(F_direct(1, CHI0, 1, 2, 5)) == pytest.approx(0.0, abs=1e-9)
+
+
+def _F_scalar_loop(h, chi, l, c, p):
+    """F_h(l, c) summed one k at a time, in ascending k."""
+    total = 0.0 + 0.0j
+    for k in range(1, p):
+        sign = -1 if (h == 2 and k % 2 == 1) else 1
+        char = 1 if chi is CHI0 else legendre(k, p)
+        phase = cmath.exp(1j * math.pi * ((2 * k * l) % (2 * p)) / p)
+        sine = math.sin(math.pi * ((k * (2 * c + (h == 2))) % (2 * p)) / p)
+        total += sign * char * phase * sine
+    return total
+
+
+@pytest.mark.parametrize("h", (1, 2))
+@pytest.mark.parametrize("chi", (CHI0, CHIP))
+def test_F_direct_is_bitwise_the_ascending_k_loop(h, chi):
+    # negative l, l >= p and c >= p all read the grid at (l mod p, c mod p)
+    for p in odd_primes_upto(43):
+        for l in range(-1, p + 2):
+            for c in range(1, 2 * p + 2):
+                got = F_direct(h, chi, l, c, p)
+                want = _F_scalar_loop(h, chi, l, c, p)
+                assert got == want, (p, h, chi, l, c)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+@pytest.mark.parametrize("c", (0, -1, -7))
+def test_F_sums_reject_c_below_one(c):
+    message = f"c must be a positive integer, got {c}"
+    for chi in (CHI0, CHIP):
+        with pytest.raises(ValueError, match=message):
+            F_direct(1, chi, 1, c, 5)
+    for closed in (F_h_chi0, F_h_chip):
+        with pytest.raises(ValueError, match=message):
+            closed(2, 1, c, 5)
+
+
+def test_appendix_reports_a_wrong_closed_form_cell(monkeypatch):
+    right = charsums.F_h_chip
+
+    def wrong_at_one_cell(h, l, c, p):
+        value = right(h, l, c, p)
+        return -value if (h, l, c, int(p)) == (2, 3, 4, 5) else value
+
+    monkeypatch.setattr(charsums, "F_h_chip", wrong_at_one_cell)
+    report = suite_appendix(5)
+    assert report.cases == 500
+    assert [f.to_dict() for f in report.failures] == [
+        {
+            "params": "p=5",
+            "structure": "sine-quadratic(h=2,l=3,c=4)",
+            "ell": None,
+            "expected": "-1.118033988749895j",
+            "got": "(-1.1102230246251565e-16+1.118033988749895j) (tol 1e-08)",
+        }
+    ]
+
+
+def test_appendix_reports_a_wrong_legendre_sum(monkeypatch):
+    right = numtheory.S_direct
+
+    def wrong_at_one_cell(which, ell, p):
+        value = right(which, ell, p)
+        return value + 1 if (which, ell, int(p)) == (2, 3, 5) else value
+
+    monkeypatch.setattr(numtheory, "S_direct", wrong_at_one_cell)
+    report = suite_appendix(5)
+    assert [f.to_dict() for f in report.failures] == [
+        {
+            "params": "p=5",
+            "structure": "difference-sum-2",
+            "ell": 3,
+            "expected": "0",
+            "got": "1",
+        }
+    ]
 
 
 @pytest.mark.parametrize("h", (1, 2))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -79,6 +80,17 @@ def test_verify_jobs_matches_serial():
     serial = run_suite("integrality", 5, 16, jobs=1)
     parallel = run_suite("integrality", 5, 16, jobs=2)
     assert serial.to_dict() == parallel.to_dict()
+
+
+# stdout SHA-256 recorded with the scalar F_direct loop; the grid must not change it
+APPENDIX_P13_SHA256 = "f667fa8f10044b28aa654cd238c17207d57bed664d741dcb4052f54b8e0b6fdb"
+
+
+@pytest.mark.parametrize("jobs", ("1", "2"))
+def test_verify_appendix_certificate_is_byte_identical(capsys, jobs):
+    code, out, _ = run(capsys, "verify", "--suite", "appendix", "--p-max", "13", "--jobs", jobs)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == APPENDIX_P13_SHA256
 
 
 def test_series_command(capsys):
