@@ -30,6 +30,7 @@ from .eta import (
     eta_spectral_partial,
     hurwitz_zeta,
     reduced_eta,
+    structure_records,
     untwisted_closed_form,
     verify_integrality,
     verify_parity,
@@ -67,6 +68,7 @@ __all__ = [
     "rational_str",
     "reduce_mod_Z",
     "reduced_eta",
+    "structure_records",
     "untwisted_closed_form",
     "validate",
     "verify_integrality",

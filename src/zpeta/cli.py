@@ -175,33 +175,29 @@ def suite_appendix(p_max: int = 97, jobs: int = 1, tol: float = 1e-8, trig_tol: 
 def _oracles_for_prime(args: tuple[int, int]) -> Report:
     p, n_max = args
     report = Report("oracles")
+    # failure names, one per (h, c), so a passing case formats nothing
+    names = {h: [f"mult-diff(h={h},c={c})" for c in range(1, 3 * p + 1)] for h in (1, 2)}
     # multiplicity differences, exceptional manifolds, a <= 5
     for a in range(1, 6):
         params = ZpParams(p, a, 0, 1)
+        desc = str(params)
         for h in (1, 2):
             for ell in range(p):
-                for c in range(1, 3 * p + 1):
+                for c, name in enumerate(names[h], 1):
                     exact = spectrum.mult_diff_by_index(params, h, ell, c)
                     mu = Fraction(2 * c - (1 if h == 2 else 0), 2)
                     approx = spectrum.mult_diff_oracle(params, h, ell, mu)
-                    report.record(
-                        abs(exact - approx) < 1e-6,
-                        FailureEntry(
-                            str(params), f"mult-diff(h={h},c={c})", ell, str(exact), str(approx)
-                        ),
-                    )
+                    report.check(abs(exact - approx) < 1e-6, desc, name, ell, exact, approx)
     # kernel dimensions across the sweep restricted to this prime
     for params in enumerate_params(p, n_max):
         if params.p != p:
             continue
+        desc = str(params)
         triv = eta.structure_classes(params)[0]
         for ell in range(p):
             exact = spectrum.dim_ker(params, triv, ell)
             approx = spectrum.dim_ker_oracle(params, ell)
-            report.record(
-                abs(exact - approx) < 1e-6,
-                FailureEntry(str(params), "dim-ker", ell, str(exact), str(approx)),
-            )
+            report.check(abs(exact - approx) < 1e-6, desc, "dim-ker", ell, exact, approx)
     return report
 
 
@@ -224,18 +220,42 @@ def _untwisted_chunk(params: list[ZpParams]) -> Report:
     return eta.verify_untwisted(params)
 
 
+def _twists(params: ZpParams) -> int:
+    return params.p
+
+
+def _one(params: ZpParams) -> int:
+    return 1
+
+
+# suite: (chunk function, default p_max, default n_max, cost of one manifold);
+# integrality and parity check every twist, untwisted only ell = 0
 _SWEEP_SUITES = {
-    "integrality": (_integrality_chunk, 13, 60),
-    "parity": (_parity_chunk, 13, 60),
-    "untwisted": (_untwisted_chunk, 13, 60),
+    "integrality": (_integrality_chunk, 13, 60, _twists),
+    "parity": (_parity_chunk, 13, 60, _twists),
+    "untwisted": (_untwisted_chunk, 13, 60, _one),
 }
 
 
-def _chunks(items: list, count: int) -> list[list]:
+def _chunks(items: list[ZpParams], count: int, cost) -> list[list[ZpParams]]:
+    """At most count contiguous chunks of the sweep, cut by cumulative cost.
+
+    Chunk k ends at the first item whose running cost reaches k/count of
+    the total, so no chunk costs more than sum(cost)/count + max(cost).
+    The chunks stay in sweep order because the merge concatenates them.
+    """
     if count <= 1 or len(items) <= 1:
         return [items]
-    size = max(1, (len(items) + count - 1) // count)
-    return [items[i : i + size] for i in range(0, len(items), size)]
+    weights = [cost(q) for q in items]
+    total = sum(weights)
+    out, start, acc, cut = [], 0, 0, 1
+    for i, w in enumerate(weights, 1):
+        acc += w
+        if cut < count and acc * count >= cut * total and i < len(items):
+            out.append(items[start:i])
+            start, cut = i, cut + 1
+    out.append(items[start:])
+    return out
 
 
 def _pmap(fn, work: list, jobs: int) -> list:
@@ -257,11 +277,11 @@ def _merge_reports(suite: str, parts: list[Report]) -> Report:
 
 def run_suite(suite: str, p_max: int | None, n_max: int | None, jobs: int = 1) -> Report:
     if suite in _SWEEP_SUITES:
-        fn, def_p, def_n = _SWEEP_SUITES[suite]
+        fn, def_p, def_n, cost = _SWEEP_SUITES[suite]
         sweep = enumerate_params(
             def_p if p_max is None else p_max, def_n if n_max is None else n_max
         )
-        parts = _pmap(fn, _chunks(sweep, jobs), jobs)
+        parts = _pmap(fn, _chunks(sweep, jobs, cost), jobs)
         return _merge_reports(suite, parts)
     if suite == "appendix":
         return suite_appendix(97 if p_max is None else p_max, jobs=jobs)
@@ -285,8 +305,7 @@ def invariant_rows(params: ZpParams) -> list[dict]:
     """One row per (structure, ell), structures in enumeration order."""
     rows = []
     for structure in enumerate_spin_structures(params):
-        for ell in range(params.p):
-            rec = eta.reduced_eta(params, structure, ell)
+        for rec in eta.structure_records(params, structure):
             rows.append(
                 {
                     "p": params.p,
@@ -297,7 +316,7 @@ def invariant_rows(params: ZpParams) -> list[dict]:
                     "exceptional": params.exceptional,
                     "structure": structure.label,
                     "h": structure.h,
-                    "ell": ell,
+                    "ell": rec.ell,
                     "eta": rational_str(rec.eta),
                     "dim_ker": str(rec.dim_ker),
                     "eta_bar": rational_str(rec.eta_bar),

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import ResidueModZ, rational_str, reduce_mod_Z
+from .exact import ResidueModZ, reduce_mod_Z
 from .manifold import (
     EvenDimensionError,
     SpinStructure,
@@ -254,21 +254,23 @@ class InvariantRecord:
     relative_mod_Z: ResidueModZ
 
 
-def reduced_eta(params: ZpParams, structure: SpinStructure, ell: int) -> InvariantRecord:
-    """eta, dim ker, etabar = (eta + dim ker)/2, and the mod-Z residues.
-
-    relative_mod_Z is the residue of etabar_ell - etabar_0 for the same
-    structure.  Needs odd n.
-    """
+def _need_odd(params: ZpParams) -> None:
     if not params.n_odd:
         raise EvenDimensionError(f"invariants need odd n, got n = {params.n}")
-    ell %= params.p
+
+
+def _eta_bar(
+    params: ZpParams, structure: SpinStructure, ell: int
+) -> tuple[Fraction, int, Fraction]:
+    """(eta, dim ker, etabar = (eta + dim ker)/2) at the twist ell."""
     eta_l = eta_invariant(params, structure.h, ell)
     d_l = dim_ker(params, structure, ell)
-    bar_l = (eta_l + d_l) / 2
-    eta_0 = eta_invariant(params, structure.h, 0)
-    d_0 = dim_ker(params, structure, 0)
-    bar_0 = (eta_0 + d_0) / 2
+    return eta_l, d_l, (eta_l + d_l) / 2
+
+
+def _record(
+    structure: SpinStructure, ell: int, eta_l: Fraction, d_l: int, bar_l: Fraction, bar_0: Fraction
+) -> InvariantRecord:
     return InvariantRecord(
         ell=ell,
         structure=structure,
@@ -278,6 +280,34 @@ def reduced_eta(params: ZpParams, structure: SpinStructure, ell: int) -> Invaria
         eta_bar_mod_Z=reduce_mod_Z(bar_l),
         relative_mod_Z=reduce_mod_Z(bar_l - bar_0),
     )
+
+
+def reduced_eta(params: ZpParams, structure: SpinStructure, ell: int) -> InvariantRecord:
+    """eta, dim ker, etabar = (eta + dim ker)/2, and the mod-Z residues.
+
+    relative_mod_Z is the residue of etabar_ell - etabar_0 for the same
+    structure.  Needs odd n.
+    """
+    _need_odd(params)
+    ell %= params.p
+    bar_0 = _eta_bar(params, structure, 0)[2]
+    return _record(structure, ell, *_eta_bar(params, structure, ell), bar_0)
+
+
+def structure_records(params: ZpParams, structure: SpinStructure) -> list[InvariantRecord]:
+    """reduced_eta(params, structure, ell) for ell = 0, ..., p - 1.
+
+    etabar_0 is computed once, and dim ker twice: it depends on ell only
+    through whether p divides ell.  Needs odd n.
+    """
+    _need_odd(params)
+    eta_0, d_0, bar_0 = _eta_bar(params, structure, 0)
+    records = [_record(structure, 0, eta_0, d_0, bar_0, bar_0)]
+    d_1 = dim_ker(params, structure, 1)
+    for ell in range(1, params.p):
+        eta_l = eta_invariant(params, structure.h, ell)
+        records.append(_record(structure, ell, eta_l, d_1, (eta_l + d_1) / 2, bar_0))
+    return records
 
 
 def untwisted_closed_form(params: ZpParams, structure: SpinStructure) -> Fraction:
@@ -361,11 +391,22 @@ class Report:
         return not self.failures
 
     def record(self, ok: bool, entry: FailureEntry | None = None) -> None:
-        self.cases += 1
+        """Count one case; a failed case must come with its FailureEntry."""
         if ok:
             self.passed += 1
-        elif entry is not None:
+        elif entry is None:
+            raise ValueError("a failed case needs a FailureEntry")
+        else:
             self.failures.append(entry)
+        self.cases += 1
+
+    def check(self, ok: bool, params: str, structure: str, ell: int | None, expected, got) -> None:
+        """Record one comparison.  expected and got go through str (for a
+        Fraction that is its rational_str) only when the check fails."""
+        if ok:
+            self.record(True)
+        else:
+            self.record(False, FailureEntry(params, structure, ell, str(expected), str(got)))
 
     def to_dict(self) -> dict:
         return {
@@ -403,42 +444,26 @@ def verify_integrality(sweep: list[ZpParams]) -> Report:
     vanishing of every relative residue etabar_ell - etabar_0."""
     report = Report("integrality")
     for params in sorted(sweep, key=ZpParams.key):
+        name = str(params)
         is_tricosm = params.key() == _TRICOSM_KEY
         expected = Fraction(2, 3) if is_tricosm else Fraction(0)
         for structure in structure_classes(params):
-            for ell in range(params.p):
-                rec = reduced_eta(params, structure, ell)
+            desc = _structure_desc(structure)
+            for rec in structure_records(params, structure):
                 residue_ok = rec.eta_bar_mod_Z.value == expected
                 if is_tricosm and residue_ok:
                     report.expected_exceptions.append(
                         {
-                            "params": str(params),
-                            "structure": _structure_desc(structure),
-                            "ell": ell,
+                            "params": name,
+                            "structure": desc,
+                            "ell": rec.ell,
                             "residue": str(rec.eta_bar_mod_Z),
                             "note": "expected-exception",
                         }
                     )
-                report.record(
-                    residue_ok,
-                    FailureEntry(
-                        str(params),
-                        _structure_desc(structure),
-                        ell,
-                        rational_str(expected),
-                        str(rec.eta_bar_mod_Z),
-                    ),
-                )
-                report.record(
-                    rec.relative_mod_Z.is_zero(),
-                    FailureEntry(
-                        str(params),
-                        _structure_desc(structure),
-                        ell,
-                        "0",
-                        str(rec.relative_mod_Z),
-                    ),
-                )
+                report.check(residue_ok, name, desc, rec.ell, expected, rec.eta_bar_mod_Z)
+                relative = rec.relative_mod_Z
+                report.check(relative.is_zero(), name, desc, rec.ell, 0, relative)
     return report
 
 
@@ -449,7 +474,9 @@ def verify_parity(sweep: list[ZpParams]) -> Report:
     for params in sorted(sweep, key=ZpParams.key):
         if not params.exceptional or (params.p, params.a) == (3, 1):
             continue
+        name = str(params)
         for h in (1, 2):
+            desc = f"h={h}"
             for ell in range(params.p):
                 eta = eta_invariant(params, h, ell)
                 if eta.denominator != 1:
@@ -461,12 +488,7 @@ def verify_parity(sweep: list[ZpParams]) -> Report:
                 else:
                     ok = eta.numerator % 2 == 1
                     expected = "odd integer"
-                report.record(
-                    ok,
-                    FailureEntry(
-                        str(params), f"h={h}", ell, expected, rational_str(eta)
-                    ),
-                )
+                report.check(ok, name, desc, ell, expected, eta)
     return report
 
 
@@ -476,15 +498,8 @@ def verify_untwisted(sweep: list[ZpParams]) -> Report:
     for params in sorted(sweep, key=ZpParams.key):
         for structure in structure_classes(params):
             closed = untwisted_closed_form(params, structure)
-            assembled = reduced_eta(params, structure, 0).eta_bar
-            report.record(
-                closed == assembled,
-                FailureEntry(
-                    str(params),
-                    _structure_desc(structure),
-                    0,
-                    rational_str(assembled),
-                    rational_str(closed),
-                ),
+            assembled = _eta_bar(params, structure, 0)[2]
+            report.check(
+                closed == assembled, str(params), _structure_desc(structure), 0, assembled, closed
             )
     return report

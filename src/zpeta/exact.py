@@ -32,7 +32,8 @@ class ResidueModZ:
     value: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", Fraction(self.value))
+        if not isinstance(self.value, Fraction):
+            object.__setattr__(self, "value", Fraction(self.value))
         if not 0 <= self.value < 1:
             raise ValueError(f"residue out of [0, 1): {self.value}")
 
@@ -45,7 +46,7 @@ class ResidueModZ:
 
 def reduce_mod_Z(x: Fraction | int) -> ResidueModZ:
     """The unique r in [0, 1) with x - r an integer."""
-    return ResidueModZ(Fraction(x) % 1)
+    return ResidueModZ((x if isinstance(x, Fraction) else Fraction(x)) % 1)
 
 
 @dataclass(frozen=True)

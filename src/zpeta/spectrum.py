@@ -48,10 +48,11 @@ _LD_PI = np.longdouble("3.141592653589793238462643383279502884197")
 
 def _as_two_mu(mu, h: int) -> int:
     """The exact integer 2 mu: even positive for h = 1, odd positive for h = 2."""
-    two_mu = Fraction(mu) * 2
-    if two_mu.denominator != 1:
+    # an int or a Fraction carries its numerator and denominator already
+    q = mu if isinstance(mu, (int, Fraction)) else Fraction(mu)
+    if 2 % q.denominator:
         raise ValueError(f"mu must be a half-integer, got {mu}")
-    two_mu = int(two_mu)
+    two_mu = q.numerator * (2 // q.denominator)
     if h not in (1, 2):
         raise ValueError(f"h must be 1 or 2, got {h}")
     if two_mu < 1:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from zpeta import cli
+from zpeta import cli, spectrum
 from zpeta.cli import invariant_rows, main, render_rows, run_suite
 from zpeta.manifold import enumerate_params, validate
 
@@ -91,6 +91,110 @@ def test_verify_appendix_certificate_is_byte_identical(capsys, jobs):
     code, out, _ = run(capsys, "verify", "--suite", "appendix", "--p-max", "13", "--jobs", jobs)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == APPENDIX_P13_SHA256
+
+
+# stdout SHA-256 of the sweep certificates, recorded before the per-structure
+# eta records and the lazy failure entries; they must not change it
+SWEEP_SHA256 = {
+    ("integrality", "7", "30"): "116794de7708110c6508406bf0520845f108630ca70e3a7c960cbf1f28f58eb4",
+    ("parity", "7", "30"): "4eb3737a0d1f99f878ba1b7aebe5be985ec775184e87cc121ac74cfbe6856f44",
+    ("untwisted", "7", "30"): "8bb32fe4942538c7d8ff946d962aed5db1f70bc441d13db42c3788ad45121241",
+    ("oracles", "7", "20"): "b961df49c5740413b6dd97531d7902c7ffba1f0084548d495d4526d7e8aed4a9",
+}
+
+
+@pytest.mark.parametrize("jobs", ("1", "2"))
+@pytest.mark.parametrize("suite, p_max, n_max", sorted(SWEEP_SHA256))
+def test_verify_sweep_certificate_is_byte_identical(capsys, suite, p_max, n_max, jobs):
+    code, out, err = run(
+        capsys, "verify", "--suite", suite, "--p-max", p_max, "--n-max", n_max, "--jobs", jobs
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[suite, p_max, n_max]
+
+
+def test_oracles_report_a_wrong_multiplicity_oracle(monkeypatch):
+    right = spectrum.mult_diff_oracle
+
+    def wrong_at_one_cell(params, h, ell, mu):
+        value = right(params, h, ell, mu)
+        wrong = (params.key(), h, ell, mu) == ((5, 3, 0, 1), 2, 4, 7 / 2)
+        return value + 0.5 if wrong else value
+
+    monkeypatch.setattr(spectrum, "mult_diff_oracle", wrong_at_one_cell)
+    report = run_suite("oracles", 5, 12)
+    assert [f.to_dict() for f in report.failures] == [
+        {
+            "params": "(5,3,0,1)",
+            "structure": "mult-diff(h=2,c=4)",
+            "ell": 4,
+            "expected": "-5",
+            "got": "-4.500000000000001",
+        }
+    ]
+
+
+def test_oracles_report_a_wrong_kernel_oracle(monkeypatch):
+    right = spectrum.dim_ker_oracle
+
+    def wrong_at_one_cell(params, ell):
+        value = right(params, ell)
+        return value - 1e-3 if (params.key(), ell) == ((3, 2, 1, 2), 1) else value
+
+    monkeypatch.setattr(spectrum, "dim_ker_oracle", wrong_at_one_cell)
+    report = run_suite("oracles", 5, 12)
+    assert [f.to_dict() for f in report.failures] == [
+        {"params": "(3,2,1,2)", "structure": "dim-ker", "ell": 1, "expected": "6", "got": "5.999"},
+    ]
+
+
+@pytest.mark.parametrize("cost", (cli._twists, cli._one))
+@pytest.mark.parametrize("p_max, n_max", ((3, 3), (7, 13), (13, 40), (31, 60)))
+@pytest.mark.parametrize("jobs", (2, 3, 5))
+def test_sweep_chunks_are_contiguous_and_balanced(cost, p_max, n_max, jobs):
+    sweep = enumerate_params(p_max, n_max)
+    chunks = cli._chunks(sweep, jobs, cost)
+    assert [q for chunk in chunks for q in chunk] == sweep
+    assert all(chunks) and len(chunks) <= jobs
+    if len(sweep) >= 2 * jobs:
+        assert len(chunks) == jobs
+    weights = [cost(q) for q in sweep]
+    bound = sum(weights) / jobs + max(weights)
+    assert all(sum(cost(q) for q in chunk) <= bound for chunk in chunks)
+
+
+def test_run_suite_cuts_each_sweep_by_its_own_cost(monkeypatch):
+    work = {}
+
+    def capture(fn, chunks, jobs):
+        work[fn] = chunks
+        return []
+
+    monkeypatch.setattr(cli, "_pmap", capture)
+    sweep = enumerate_params(13, 40)
+    by_p, by_count = cli._chunks(sweep, 2, cli._twists), cli._chunks(sweep, 2, cli._one)
+    assert by_p != by_count
+    for suite in ("integrality", "parity", "untwisted"):
+        run_suite(suite, 13, 40, jobs=2)
+    assert work[cli._integrality_chunk] == work[cli._parity_chunk] == by_p
+    assert work[cli._untwisted_chunk] == by_count
+
+
+def test_sweep_chunks_around_a_heavy_item():
+    def heavy(at):
+        return lambda q: 10 if q == at else 1
+
+    assert cli._chunks(list("abcdef"), 3, heavy("f")) == [list("abcde"), ["f"]]
+    assert cli._chunks(list("abcdef"), 3, heavy("a")) == [["a"], ["b"], list("cdef")]
+    assert cli._chunks(list("abcdef"), 3, heavy("c")) == [list("abc"), ["d"], list("ef")]
+
+
+def test_sweep_chunks_split_by_cumulative_p():
+    sweep = enumerate_params(13, 40)
+    halves = cli._chunks(sweep, 2, cli._twists)
+    assert [sum(q.p for q in half) for half in halves] == [3697, 3696]
+    assert [len(half) for half in cli._chunks(sweep, 2, cli._one)] == [821, 820]
+    assert cli._chunks(sweep, 1, cli._twists) == [sweep]
 
 
 def test_series_command(capsys):

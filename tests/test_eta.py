@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from zpeta import eta
 from zpeta.eta import (
     DomainError,
     EtaClosedForm,
+    Report,
     eta_invariant,
     eta_invariant_via_series,
     eta_series_closed_form,
@@ -15,6 +17,7 @@ from zpeta.eta import (
     hurwitz_zeta,
     reduced_eta,
     structure_classes,
+    structure_records,
     untwisted_closed_form,
     verify_integrality,
     verify_parity,
@@ -224,6 +227,18 @@ def test_reduced_eta_rejects_even_dimension():
 
     with pytest.raises(EvenDimensionError):
         reduced_eta(params, SpinStructure((1,), 1), 0)
+    with pytest.raises(EvenDimensionError):
+        structure_records(params, SpinStructure((1,), 1))
+
+
+def test_structure_records_match_reduced_eta():
+    for params in enumerate_params(7, 30):
+        for structure in structure_classes(params):
+            records = structure_records(params, structure)
+            assert len(records) == params.p
+            for ell, rec in enumerate(records):
+                assert rec == reduced_eta(params, structure, ell)
+                assert rec.ell == ell and rec.structure == structure
 
 
 def test_untwisted_closed_form_examples():
@@ -276,3 +291,65 @@ def test_report_json_schema():
     assert set(payload) == {"suite", "cases", "passed", "failures", "expected_exceptions"}
     assert payload["suite"] == "integrality"
     assert payload["cases"] == payload["passed"] + len(payload["failures"])
+
+
+def test_report_refuses_a_failure_without_an_entry():
+    report = Report("x")
+    with pytest.raises(ValueError, match="FailureEntry"):
+        report.record(False)
+    assert (report.cases, report.passed, report.failures) == (0, 0, [])
+    report.record(True)
+    assert report.ok and report.cases == report.passed == 1
+
+
+FAILURE_KEYS = ("params", "structure", "ell", "expected", "got")
+
+
+def _wrong_eta_cell(monkeypatch, cell, shift):
+    right = eta.eta_invariant
+
+    def wrong_at_one_cell(params, h, ell):
+        value = right(params, h, ell)
+        return value + shift if (params.key(), h, ell % params.p) == cell else value
+
+    monkeypatch.setattr(eta, "eta_invariant", wrong_at_one_cell)
+
+
+def test_integrality_reports_a_wrong_eta_cell(monkeypatch):
+    # etabar moves by 1/2: the cell's residue and its relative residue both fail
+    _wrong_eta_cell(monkeypatch, ((3, 1, 0, 1), 2, 1), 1)
+    report = verify_integrality(enumerate_params(5, 12))
+    assert report.cases == 2 * sum(2 * q.p for q in enumerate_params(5, 12))
+    assert [f.to_dict() for f in report.failures] == [
+        dict(zip(FAILURE_KEYS, ("(3,1,0,1)", "nontrivial,h=2", 1, "2/3", "1/6"))),
+        dict(zip(FAILURE_KEYS, ("(3,1,0,1)", "nontrivial,h=2", 1, "0", "1/2"))),
+    ]
+    assert len(report.expected_exceptions) == 5
+
+
+@pytest.mark.parametrize(
+    "cell, shift, entry",
+    (
+        (((5, 2, 0, 1), 1, 1), 1, ("(5,2,0,1)", "h=1", 1, "odd integer", "4")),
+        (((7, 1, 0, 1), 2, 3), Fraction(1, 2), ("(7,1,0,1)", "h=2", 3, "integer", "-3/2")),
+    ),
+)
+def test_parity_reports_a_wrong_eta_cell(monkeypatch, cell, shift, entry):
+    _wrong_eta_cell(monkeypatch, cell, shift)
+    report = verify_parity(enumerate_params(7, 30))
+    assert [f.to_dict() for f in report.failures] == [dict(zip(FAILURE_KEYS, entry))]
+
+
+def test_untwisted_reports_a_wrong_closed_form(monkeypatch):
+    right = eta.untwisted_closed_form
+
+    def wrong_at_one_cell(params, structure):
+        value = right(params, structure)
+        wrong = (params.key(), structure.h) == ((5, 1, 1, 2), 1)
+        return value + Fraction(1, 3) if wrong else value
+
+    monkeypatch.setattr(eta, "untwisted_closed_form", wrong_at_one_cell)
+    report = verify_untwisted(enumerate_params(7, 30))
+    assert [f.to_dict() for f in report.failures] == [
+        dict(zip(FAILURE_KEYS, ("(5,1,1,2)", "trivial,h=1,deltas=++", 0, "4", "13/3")))
+    ]

@@ -59,6 +59,17 @@ def test_residue_rejects_out_of_range():
         ResidueModZ(Fraction(-1, 2))
 
 
+def test_residue_keeps_a_fraction_and_wraps_an_int():
+    from zpeta.exact import ResidueModZ
+
+    x = Fraction(2, 3)
+    assert ResidueModZ(x).value is x
+    zero = ResidueModZ(0)
+    assert type(zero.value) is Fraction and zero.is_zero() and str(zero) == "0"
+    assert reduce_mod_Z(Fraction(-7, 3)).value == Fraction(2, 3)
+    assert type(reduce_mod_Z(-4).value) is Fraction
+
+
 def test_radical_to_complex_examples():
     assert RadicalValue(Fraction(1), UNIT_ONE, 5).to_complex() == pytest.approx(
         2.2360679774997896

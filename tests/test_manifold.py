@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zpeta import manifold
 from zpeta.manifold import (
     IntMatrix,
     NotOddError,
@@ -13,6 +14,7 @@ from zpeta.manifold import (
     TorsionViolationError,
     UnsupportedIdealError,
     ZeroHolonomyBlockError,
+    ZpParams,
     build_holonomy,
     cyclotomic_prime,
     enumerate_params,
@@ -329,6 +331,103 @@ def test_poly_helpers():
     assert cyclotomic_prime(3) == (1, 1, 1)
     assert poly_mul((1, 1, 1), (-1, 1)) == (-1, 0, 0, 1)
     assert poly_pow((-1, 1), 2) == (1, -2, 1)
+
+
+def _block_rows(kind: str, p: int):
+    if kind == "C":
+        return manifold._cp_block(p).to_lists()
+    if kind == "J":
+        return manifold._jp_block(p).to_lists()
+    return [[1]]
+
+
+@st.composite
+def _block_diagonal(draw):
+    """(matrix rows, p, the a, b, c to test against, the true a, b, c).
+
+    Blocks C_p, J_p and 1 in any order; some are linked to the next block
+    by an entry above the diagonal (one merged component, same charpoly
+    product), and one diagonal entry may be perturbed (a different
+    charpoly).  Both reach the full-product fallback.
+    """
+    p = draw(st.sampled_from((3, 5, 7)))
+    kinds = draw(st.lists(st.sampled_from("CJ1"), min_size=1, max_size=5))
+    blocks = [_block_rows(k, p) for k in kinds]
+    n = sum(len(b) for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    starts = []
+    off = 0
+    for blk in blocks:
+        starts.append(off)
+        for i, r in enumerate(blk):
+            rows[off + i][off : off + len(r)] = r
+        off += len(blk)
+    for k in range(len(blocks) - 1):
+        if draw(st.integers(0, 3)) == 0:
+            rows[starts[k]][starts[k + 1]] = draw(st.sampled_from((1, -2)))
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, n - 1))
+        rows[i][i] += draw(st.sampled_from((1, -1)))
+    true_abc = (kinds.count("C"), kinds.count("J"), kinds.count("1"))
+    claimed = tuple(max(0, v + draw(st.sampled_from((0, 0, 0, 1, -1)))) for v in true_abc)
+    return rows, p, claimed, true_abc
+
+
+def _full_product_test(charpolys, p, a, b, c):
+    product = (1,)
+    for cp in charpolys:
+        product = poly_mul(product, cp)
+    x_p = (-1,) + (0,) * (p - 1) + (1,)
+    expected = poly_mul(
+        poly_pow(cyclotomic_prime(p), a), poly_mul(poly_pow(x_p, b), poly_pow((-1, 1), c))
+    )
+    return product == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_diagonal())
+def test_charpoly_factor_count_matches_the_full_product(case):
+    rows, p, (a, b, c), _ = case
+    m = IntMatrix(rows)
+    charpolys = [m.submatrix(idx).charpoly() for idx in m.components()]
+    want = _full_product_test(charpolys, p, a, b, c)
+    assert manifold._charpoly_ok(charpolys, ZpParams(p, a, b, c)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_block_diagonal())
+def test_holonomy_charpoly_ok_matches_the_full_product(case):
+    rows, p, _, (a, b, c) = case
+    m = IntMatrix(rows)
+    params = ZpParams(p, a, b, c)
+    report = holonomy_checks(m, params)
+    assert report.charpoly_ok == _full_product_test([m.charpoly()], p, a, b, c)
+    assert ("charpoly" in report.failures) == (not report.charpoly_ok)
+
+
+def test_charpoly_factor_count_skips_the_product(monkeypatch):
+    calls = []
+    right = manifold.poly_mul
+
+    def counted(x, y):
+        calls.append(1)
+        return right(x, y)
+
+    monkeypatch.setattr(manifold, "poly_mul", counted)
+    for key in ((3, 1, 0, 1), (7, 2, 1, 3), (13, 0, 2, 1)):
+        params = validate(*key)
+        assert holonomy_checks(build_holonomy(params), params).charpoly_ok
+    assert not calls
+    # two C_3 blocks linked into one component with charpoly Phi_3^2: the fallback
+    merged = [list(r) for r in build_holonomy(validate(3, 2, 0, 1)).rows]
+    merged[0][2] = 1
+    report = holonomy_checks(IntMatrix(merged), validate(3, 2, 0, 1))
+    assert report.charpoly_ok and calls
+    # three x - 1 factors against Phi_3 (x - 1): refused without the product
+    calls.clear()
+    report = holonomy_checks(IntMatrix.identity(3), validate(3, 1, 0, 1))
+    assert not report.charpoly_ok and "charpoly" in report.failures
+    assert not calls
 
 
 def test_enumerate_params_ordering_and_validity():

@@ -62,6 +62,21 @@ def test_mult_diff_mu_validation():
         mult_diff(TRICOSM, 3, 0, 1)
 
 
+def test_mult_diff_mu_of_every_rational_type():
+    # int, Fraction, float and str give the same 2 mu and the same messages
+    oracle = mult_diff_oracle(TRICOSM, 2, 1, Fraction(5, 2))
+    for mu in (Fraction(5, 2), 2.5, "5/2"):
+        assert mult_diff(TRICOSM, 2, 1, mu) == mult_diff_by_index(TRICOSM, 2, 1, 3)
+        assert mult_diff_oracle(TRICOSM, 2, 1, mu) == oracle
+    for mu in (3, Fraction(6, 2), 3.0):
+        assert mult_diff(TRICOSM, 1, 2, mu) == mult_diff_by_index(TRICOSM, 1, 2, 3)
+    for mu, shown in ((0.3, "0.3"), (Fraction(1, 3), "1/3"), ("5/4", "5/4")):
+        with pytest.raises(ValueError, match=f"mu must be a half-integer, got {shown}$"):
+            mult_diff(TRICOSM, 1, 0, mu)
+    with pytest.raises(ValueError, match="must be positive, got 2\\*mu = -3"):
+        mult_diff(TRICOSM, 2, 0, Fraction(-3, 2))
+
+
 def test_mult_diff_by_index_matches_mu_form():
     for h in (1, 2):
         for c in range(1, 10):
