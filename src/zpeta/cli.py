@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -258,8 +259,18 @@ def _chunks(items: list[ZpParams], count: int, cost) -> list[list[ZpParams]]:
     return out
 
 
+def _workers(jobs: int, items: int) -> int:
+    """Worker processes for a sweep of items: --jobs, capped by the CPUs and the items.
+
+    The fork-based pool starts all its workers on the first submit, so an
+    uncapped --jobs would fork that many processes.
+    """
+    return max(1, min(jobs, os.cpu_count() or 1, items))
+
+
 def _pmap(fn, work: list, jobs: int) -> list:
-    if jobs <= 1:
+    jobs = _workers(jobs, len(work))
+    if jobs == 1:
         return [fn(item) for item in work]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, work))
@@ -281,7 +292,7 @@ def run_suite(suite: str, p_max: int | None, n_max: int | None, jobs: int = 1) -
         sweep = enumerate_params(
             def_p if p_max is None else p_max, def_n if n_max is None else n_max
         )
-        parts = _pmap(fn, _chunks(sweep, jobs, cost), jobs)
+        parts = _pmap(fn, _chunks(sweep, _workers(jobs, len(sweep)), cost), jobs)
         return _merge_reports(suite, parts)
     if suite == "appendix":
         return suite_appendix(97 if p_max is None else p_max, jobs=jobs)
@@ -353,11 +364,18 @@ def render_rows(rows: list[dict], fmt: str) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    """Write text to the file out, or to stdout when out is not given.
+
+    An unwritable out is a usage error (exit 2), not a traceback.
+    """
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def cmd_invariants(args) -> int:

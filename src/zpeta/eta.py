@@ -44,26 +44,37 @@ class DomainError(ValueError):
 _EM_TERMS = 50  # leading direct terms before the Euler-Maclaurin tail
 
 
+def _check_s(s: float, what: str) -> None:
+    # nan fails every comparison, so this also refuses it
+    if not 1 < s < math.inf:
+        raise DomainError(f"{what} needs finite s > 1, got s = {s}")
+
+
 def hurwitz_zeta(s: float, alpha) -> float:
     """zeta(s, alpha) = sum_{n>=0} (n + alpha)^{-s} for real s > 1.
 
     Direct summation of the first 50 terms plus the Euler-Maclaurin
     tail: integral, half-term, and the first two Bernoulli corrections.
-    Absolute error is far below 1e-10 for 2 <= s <= 10.
+    Absolute error is far below 1e-10 for 2 <= s <= 10.  An s so large
+    that a term leaves the range of a double is a DomainError.
     """
-    if s <= 1:
-        raise DomainError(f"hurwitz_zeta needs s > 1, got s = {s}")
+    _check_s(s, "hurwitz_zeta")
     a = float(alpha)
     if not 0 < a <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    total = 0.0
-    for n in range(_EM_TERMS):
-        total += (n + a) ** -s
-    x = _EM_TERMS + a
-    total += x ** (1.0 - s) / (s - 1.0)
-    total += 0.5 * x**-s
-    total += (s / 12.0) * x ** (-s - 1.0)
-    total -= (s * (s + 1.0) * (s + 2.0) / 720.0) * x ** (-s - 3.0)
+    try:
+        total = 0.0
+        for n in range(_EM_TERMS):
+            total += (n + a) ** -s
+        x = _EM_TERMS + a
+        total += x ** (1.0 - s) / (s - 1.0)
+        total += 0.5 * x**-s
+        total += (s / 12.0) * x ** (-s - 1.0)
+        total -= (s * (s + 1.0) * (s + 2.0) / 720.0) * x ** (-s - 3.0)
+    except OverflowError:  # raised by **; * and + overflow to inf or nan instead
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(f"hurwitz_zeta overflows a double at s = {s}")
     return total
 
 
@@ -152,34 +163,42 @@ def eta_series_closed_form(params: ZpParams, h: int, ell: int) -> EtaClosedForm:
 
 
 def eta_series_eval(form: EtaClosedForm, s: float) -> float:
-    """Numeric value of a closed form at real s > 1."""
+    """Numeric value of a closed form at finite real s > 1."""
     if form.is_zero:
         return 0.0
-    if s <= 1:
-        raise DomainError(f"eta series evaluation needs s > 1, got s = {s}")
+    _check_s(s, "eta series evaluation")
     acc = sum(coeff * hurwitz_zeta(s, alpha) for alpha, coeff in form.terms)
-    return form.sign * form.scale * (2.0 * math.pi * form.p) ** (-s) * acc
+    value = form.sign * form.scale * (2.0 * math.pi * form.p) ** (-s) * acc
+    if not math.isfinite(value):
+        raise DomainError(f"eta series evaluation overflows a double at s = {s}")
+    return value
 
 
 def eta_spectral_partial(params: ZpParams, h: int, ell: int, s: float, terms: int) -> float:
     """Truncated spectral eta sum (1/pi^s) sum_c (d+ - d-) / (2c - [h=2])^s.
 
-    The first `terms` admissible eigenvalue parameters in ascending
-    order; identically 0 for non-exceptional manifolds.
+    The first `terms` (at least 1) admissible eigenvalue parameters in
+    ascending order; identically 0 for non-exceptional manifolds.  An s
+    so large that (2c - [h=2])^s or pi^s overflows a double is a
+    DomainError.
     """
     if h not in (1, 2):
         raise ValueError(f"h must be 1 or 2, got {h}")
-    if s <= 1:
-        raise DomainError(f"spectral partial sum needs s > 1, got s = {s}")
+    _check_s(s, "spectral partial sum")
+    if type(terms) is not int or terms < 1:
+        raise ValueError(f"terms must be a positive integer, got {terms!r}")
     if not params.exceptional:
         return 0.0
     delta = 1 if h == 2 else 0
     total = 0.0
-    for c in range(1, terms + 1):
-        d = mult_diff_by_index(params, h, ell, c)
-        if d:
-            total += d / float(2 * c - delta) ** s
-    return total / math.pi**s
+    try:
+        for c in range(1, terms + 1):
+            d = mult_diff_by_index(params, h, ell, c)
+            if d:
+                total += d / float(2 * c - delta) ** s
+        return total / math.pi**s
+    except OverflowError:
+        raise DomainError(f"spectral partial sum overflows a double at s = {s}") from None
 
 
 def _weighted_over_p(P) -> Fraction:

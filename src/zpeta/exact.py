@@ -80,9 +80,6 @@ class RadicalValue:
     def is_zero(self) -> bool:
         return self.coeff == 0
 
-    def is_real(self) -> bool:
-        return self.unit == UNIT_ONE or self.is_zero()
-
     def __neg__(self) -> "RadicalValue":
         return RadicalValue(-self.coeff, self.unit, self.radicand)
 

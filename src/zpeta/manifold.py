@@ -227,18 +227,16 @@ class IntMatrix:
             k >>= 1
         return result
 
-    def _eliminate(self) -> tuple[int, int]:
-        """(rank, det) by fraction-free Bareiss elimination, skipping pivot-less columns."""
+    def rank(self) -> int:
+        """Exact rank over Q by fraction-free Bareiss elimination, skipping pivot-less columns."""
         a = [list(r) for r in self.rows]
         n = self.n
-        r, sign, prev = 0, 1, 1
+        r, prev = 0, 1
         for c in range(n):
             piv = next((i for i in range(r, n) if a[i][c] != 0), None)
             if piv is None:
                 continue
-            if piv != r:
-                a[r], a[piv] = a[piv], a[r]
-                sign = -sign
+            a[r], a[piv] = a[piv], a[r]
             for i in range(r + 1, n):
                 for j in range(c + 1, n):
                     num = a[i][j] * a[r][c] - a[i][c] * a[r][j]
@@ -248,15 +246,7 @@ class IntMatrix:
                 a[i][c] = 0
             prev = a[r][c]
             r += 1
-        return r, (sign * prev if r == n else 0)
-
-    def det(self) -> int:
-        """Exact determinant."""
-        return self._eliminate()[1]
-
-    def rank(self) -> int:
-        """Exact rank over Q."""
-        return self._eliminate()[0]
+        return r
 
     def charpoly(self) -> tuple[int, ...]:
         """det(xI - M) by Faddeev-LeVerrier, ascending coefficients."""
@@ -298,27 +288,6 @@ class IntMatrix:
         return [list(r) for r in self.rows]
 
 
-def poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def poly_pow(a: tuple[int, ...], k: int) -> tuple[int, ...]:
-    out = (1,)
-    for _ in range(k):
-        out = poly_mul(out, a)
-    return out
-
-
-def cyclotomic_prime(p: int) -> tuple[int, ...]:
-    """Phi_p(x) = 1 + x + ... + x^{p-1} for prime p, ascending coefficients."""
-    return (1,) * p
-
-
 def _cp_block(p: int) -> IntMatrix:
     # companion of Phi_p: subdiagonal ones, last column all -1
     n = p - 1
@@ -358,12 +327,29 @@ def build_holonomy(params: ZpParams) -> IntMatrix:
     return IntMatrix._from_rows(tuple(map(tuple, rows)))
 
 
+def _divide_monic(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...] | None:
+    """num / den for a monic den (ascending coefficients), or None if it does not divide."""
+    d = len(den) - 1
+    rem = list(num)
+    quot = [0] * (len(num) - d)
+    for i in reversed(range(len(quot))):
+        q = quot[i] = rem[i + d]
+        if q:
+            for j, v in enumerate(den):
+                rem[i + j] -= q * v
+    return tuple(quot) if quot and not any(rem[:d]) else None
+
+
 @lru_cache(maxsize=None)
 def _component_analysis(rows: tuple[tuple[int, ...], ...], p: int):
-    """(order or 0 if not dividing p, det, dim ker(M - I), charpoly).
+    """(order or 0 if not dividing p, det, dim ker(M - I), exponents).
 
     p is prime, so an order dividing p is 1 or p: it suffices to test
     M = I and M^p = I.  Matrices whose order does not divide p report 0.
+    det(M) is (-1)^n times the charpoly's constant term, so rank(M - I) is
+    the only elimination.  exponents is (e, f) with charpoly
+    Phi_p^e (x - 1)^f, found by exact division, or None when any other
+    factor remains.
     """
     comp = IntMatrix._from_rows(rows)
     ident = IntMatrix.identity(comp.n)
@@ -373,45 +359,16 @@ def _component_analysis(rows: tuple[tuple[int, ...], ...], p: int):
         order = p
     else:
         order = 0
-    det = comp.det()
+    cp = comp.charpoly()
+    det = (-1) ** comp.n * cp[0]
     ker = comp.n - comp.add_scalar_identity(-1).rank()
-    return order, det, ker, comp.charpoly()
-
-
-def _charpoly_ok(charpolys: list[tuple[int, ...]], params: ZpParams) -> bool:
-    """Whether the product of the component charpolys is
-    Phi_p^a (x^p - 1)^b (x - 1)^c.
-
-    When every factor is Phi_p, x^p - 1 = Phi_p (x - 1) or x - 1, the
-    product is Phi_p^e (x - 1)^f, and by unique factorisation in Z[x]
-    (Phi_p and x - 1 are distinct irreducibles) it is the expected
-    polynomial exactly when e = a + b and f = b + c.  Any other factor
-    (blocks merged into one component, say) takes the full product.
-    """
-    p = params.p
-    phi = cyclotomic_prime(p)
-    x_p = (-1,) + (0,) * (p - 1) + (1,)
-    x_1 = (-1, 1)
-    e = f = 0
-    for cp in charpolys:
-        if cp == phi:
-            e += 1
-        elif cp == x_p:
-            e += 1
-            f += 1
-        elif cp == x_1:
-            f += 1
-        else:
-            break
-    else:
-        return e == params.a + params.b and f == params.b + params.c
-    product = (1,)
-    for cp in charpolys:
-        product = poly_mul(product, cp)
-    expected = poly_mul(
-        poly_pow(phi, params.a), poly_mul(poly_pow(x_p, params.b), poly_pow(x_1, params.c))
-    )
-    return product == expected
+    exponents = []
+    for factor in ((1,) * p, (-1, 1)):  # Phi_p, x - 1
+        k = 0
+        while (q := _divide_monic(cp, factor)) is not None:
+            cp, k = q, k + 1
+        exponents.append(k)
+    return order, det, ker, (tuple(exponents) if cp == (1,) else None)
 
 
 @dataclass(frozen=True)
@@ -465,7 +422,15 @@ def holonomy_checks(m: IntMatrix, params: ZpParams) -> HolonomyReport:
     det = math.prod(a[1] for a in analyses)
     ker = sum(a[2] for a in analyses)
 
-    charpoly_ok = _charpoly_ok([a[3] for a in analyses], params)
+    # Phi_p and x - 1 are distinct irreducibles of Z[x], so by unique
+    # factorisation the product of the component charpolys is
+    # Phi_p^a (x^p - 1)^b (x - 1)^c = Phi_p^(a+b) (x - 1)^(b+c) exactly
+    # when no component has another factor and the exponents add up.
+    exponents = [a[3] for a in analyses]
+    charpoly_ok = None not in exponents and (
+        sum(e for e, _ in exponents) == params.a + params.b
+        and sum(f for _, f in exponents) == params.b + params.c
+    )
 
     failures = []
     if not power_identity:
@@ -532,14 +497,11 @@ __all__ = [
     "ZeroHolonomyBlockError",
     "ZpParams",
     "build_holonomy",
-    "cyclotomic_prime",
     "enumerate_params",
     "enumerate_spin_structures",
     "holonomy_checks",
     "homology_h1",
     "nontrivial_structure",
-    "poly_mul",
-    "poly_pow",
     "trivial_structure",
     "validate",
 ]

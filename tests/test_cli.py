@@ -4,6 +4,8 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from zpeta import cli, spectrum
 from zpeta.cli import invariant_rows, main, render_rows, run_suite
@@ -113,6 +115,17 @@ def test_verify_sweep_certificate_is_byte_identical(capsys, suite, p_max, n_max,
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[suite, p_max, n_max]
 
 
+# stdout SHA-256 recorded with the det/rank eliminations and the product
+# charpoly test; the charpoly-only certificate must not change it
+HOLONOMY_53_3_2_1_SHA256 = "3375bf4fcd683200b824eea3d540d8d79b7c1a118f30f904c09dc5e133abcff5"
+
+
+def test_holonomy_certificate_is_byte_identical(capsys):
+    code, out, err = run(capsys, "holonomy", "--p", "53", "--a", "3", "--b", "2", "--c", "1")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HOLONOMY_53_3_2_1_SHA256
+
+
 def test_oracles_report_a_wrong_multiplicity_oracle(monkeypatch):
     right = spectrum.mult_diff_oracle
 
@@ -171,6 +184,7 @@ def test_run_suite_cuts_each_sweep_by_its_own_cost(monkeypatch):
         return []
 
     monkeypatch.setattr(cli, "_pmap", capture)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # two workers on any machine
     sweep = enumerate_params(13, 40)
     by_p, by_count = cli._chunks(sweep, 2, cli._twists), cli._chunks(sweep, 2, cli._one)
     assert by_p != by_count
@@ -222,6 +236,85 @@ def test_series_rejects_bad_s(capsys):
         capsys, "series", "--p", "3", "--a", "1", "--h", "1", "--ell", "0", "--s", "0.5"
     )
     assert code == 2
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.one_of(
+        st.tuples(
+            st.one_of(
+                st.sampled_from((float("nan"), float("inf"), float("-inf"))),
+                st.floats(max_value=1.0),
+                st.floats(min_value=400.0),
+            ),
+            st.just(10000),
+        ),
+        st.tuples(st.just(4.0), st.integers(max_value=0)),
+    ),
+    st.sampled_from(("1", "2")),
+)
+def test_series_rejects_s_and_terms_outside_the_domain(capsys, case, h):
+    s, terms = case
+    code, out, err = run(
+        capsys, "series", "--p", "3", "--a", "1", "--h", h, "--ell", "0",
+        f"--s={s!r}", f"--terms={terms}",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", (
+    ("invariants", "--p", "3", "--a", "1", "--b", "0", "--c", "1"),
+    ("holonomy", "--p", "3", "--a", "1", "--b", "0", "--c", "1"),
+    ("verify", "--suite", "parity", "--p-max", "5", "--n-max", "9"),
+))
+@pytest.mark.parametrize("target", ("", "missing/x"))
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, command, target):
+    # the directory itself, or a file in a directory that does not exist
+    code, out, err = run(capsys, *command, "--out", str(tmp_path / target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "suite, p_max, n_max, jobs, cpus, pools",
+    (
+        ("appendix", "5", "9", 10**6, 64, [(2, 2)]),  # capped by the two primes
+        ("parity", "7", "13", 10**6, 3, [(3, 3)]),  # capped by the CPUs, before chunking
+        ("parity", "7", "13", 10**6, None, []),  # CPU count unknown: serial
+        ("oracles", "3", "9", 10**6, 64, []),  # one prime: serial
+        ("untwisted", "7", "13", 2, 64, [(2, 2)]),  # --jobs below both caps stands
+    ),
+)
+def test_verify_caps_the_worker_count(capsys, monkeypatch, suite, p_max, n_max, jobs, cpus, pools):
+    started = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records the worker and task counts, runs serially."""
+
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            work = list(work)
+            started.append((self.max_workers, len(work)))
+            return map(fn, work)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code, out, _ = run(
+        capsys, "verify", "--suite", suite, "--p-max", p_max, "--n-max", n_max, "--jobs", str(jobs)
+    )
+    assert code == 0
+    assert started == pools
+    serial = run(capsys, "verify", "--suite", suite, "--p-max", p_max, "--n-max", n_max)
+    assert serial[1] == out
 
 
 def test_holonomy_command(capsys):

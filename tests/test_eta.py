@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zpeta import eta
 from zpeta.eta import (
@@ -122,6 +124,47 @@ def test_spectral_partial_nonexceptional_and_domain():
     assert eta_spectral_partial(validate(5, 1, 1, 2), 1, 1, 4.0, 100) == 0.0
     with pytest.raises(DomainError):
         eta_spectral_partial(TRICOSM, 1, 1, 0.5, 100)
+
+
+_NOT_ABOVE_ONE = st.one_of(st.sampled_from((math.nan, math.inf)), st.floats(max_value=1.0))
+
+
+@given(_NOT_ABOVE_ONE, st.sampled_from((1, 2)), st.integers(0, 2))
+def test_series_functions_refuse_s_outside_the_domain(s, h, ell):
+    # nan fails every comparison, so a plain s <= 1 test let it through
+    form = eta_series_closed_form(TRICOSM, h, ell)
+    with pytest.raises(DomainError):
+        hurwitz_zeta(s, Fraction(1, 2))
+    with pytest.raises(DomainError):
+        eta_series_eval(form, s)
+    with pytest.raises(DomainError):
+        eta_spectral_partial(TRICOSM, h, ell, s, 100)
+
+
+@given(st.floats(min_value=400.0, allow_infinity=False), st.sampled_from((1, 2)), st.integers(0, 2))
+def test_series_functions_refuse_s_that_overflows(s, h, ell):
+    # 6^s and (2c - [h=2])^s for c >= 4 leave the range of a double
+    with pytest.raises(DomainError, match="overflows"):
+        hurwitz_zeta(s, Fraction(1, 6))
+    with pytest.raises(DomainError, match="overflows"):
+        eta_spectral_partial(TRICOSM, h, ell, s, 100)
+
+
+def test_series_functions_refuse_an_overflow_between_finite_powers():
+    # alpha = 1 keeps every power finite, but s^3 in the Bernoulli term does not
+    assert hurwitz_zeta(1e100, 1) == 1.0
+    with pytest.raises(DomainError, match="overflows"):
+        hurwitz_zeta(1e200, 1)
+    # zeta(s, 1/6) is finite, but the closed form's -2 zeta(s, 1/6) is not
+    assert math.isfinite(hurwitz_zeta(396.1, Fraction(1, 6)))
+    with pytest.raises(DomainError, match="overflows"):
+        eta_series_eval(eta_series_closed_form(TRICOSM, 2, 0), 396.1)
+
+
+@given(st.integers(max_value=0))
+def test_spectral_partial_refuses_no_terms(terms):
+    with pytest.raises(ValueError, match="terms"):
+        eta_spectral_partial(TRICOSM, 1, 0, 4.0, terms)
 
 
 def test_eta_invariant_tricosm():

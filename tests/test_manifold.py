@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import pytest
@@ -16,13 +18,10 @@ from zpeta.manifold import (
     ZeroHolonomyBlockError,
     ZpParams,
     build_holonomy,
-    cyclotomic_prime,
     enumerate_params,
     enumerate_spin_structures,
     holonomy_checks,
     homology_h1,
-    poly_mul,
-    poly_pow,
     validate,
 )
 
@@ -168,14 +167,22 @@ def test_holonomy_checks_past_n_60():
     assert report.fixed_space_dim == 3
 
 
+# SHA-256 of json.dumps of the reports, recorded with the det/rank
+# eliminations and the product charpoly test
+CHECKS_13_40_SHA256 = "c49a1c31ccf8d0ee52412abd15f31445121453527a0a0635220d8549fed0d9c0"
+
+
+def test_holonomy_checks_sweep_is_byte_identical():
+    reports = [holonomy_checks(build_holonomy(q), q).to_dict() for q in enumerate_params(13, 40)]
+    assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == CHECKS_13_40_SHA256
+
+
 def test_intmatrix_det_rank_charpoly():
     m = IntMatrix(((2, 1), (1, 1)))
-    assert m.det() == 1
     assert m.rank() == 2
     # det(xI - m) = x^2 - 3x + 1
     assert m.charpoly() == (1, -3, 1)
     singular = IntMatrix(((1, 2), (2, 4)))
-    assert singular.det() == 0
     assert singular.rank() == 1
 
 
@@ -200,9 +207,15 @@ _SQUARE_MATRICES = st.integers(1, 4).flatmap(
 def test_intmatrix_elimination_matches_leibniz(rows):
     # zero leading entries force row swaps and pivot-less columns
     m = IntMatrix(rows)
-    assert m.det() == _leibniz_det(rows)
-    assert (m.rank() == m.n) == (m.det() != 0)
+    assert (m.rank() == m.n) == (_leibniz_det(rows) != 0)
     assert m.rank() == IntMatrix(zip(*rows)).rank()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SQUARE_MATRICES, st.sampled_from((3, 5, 7)))
+def test_component_analysis_det_matches_leibniz(rows, p):
+    # det is read off the charpoly's constant term, not eliminated
+    assert manifold._component_analysis(IntMatrix(rows).rows, p)[1] == _leibniz_det(rows)
 
 
 def test_intmatrix_power_and_order():
@@ -327,10 +340,25 @@ def test_intmatrix_components_one_directional_link():
     assert IntMatrix(tuple(zip(*rows))).components() == [(0, 3), (1,), (2,)]
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _poly_pow(a, k):
+    out = (1,)
+    for _ in range(k):
+        out = _poly_mul(out, a)
+    return out
+
+
 def test_poly_helpers():
-    assert cyclotomic_prime(3) == (1, 1, 1)
-    assert poly_mul((1, 1, 1), (-1, 1)) == (-1, 0, 0, 1)
-    assert poly_pow((-1, 1), 2) == (1, -2, 1)
+    assert _poly_mul((1, 1, 1), (-1, 1)) == (-1, 0, 0, 1)
+    assert _poly_pow((-1, 1), 2) == (1, -2, 1)
+    assert _poly_pow((1, 1), 0) == (1,)
 
 
 def _block_rows(kind: str, p: int):
@@ -348,7 +376,7 @@ def _block_diagonal(draw):
     Blocks C_p, J_p and 1 in any order; some are linked to the next block
     by an entry above the diagonal (one merged component, same charpoly
     product), and one diagonal entry may be perturbed (a different
-    charpoly).  Both reach the full-product fallback.
+    charpoly, often with a factor other than Phi_p and x - 1).
     """
     p = draw(st.sampled_from((3, 5, 7)))
     kinds = draw(st.lists(st.sampled_from("CJ1"), min_size=1, max_size=5))
@@ -376,12 +404,22 @@ def _block_diagonal(draw):
 def _full_product_test(charpolys, p, a, b, c):
     product = (1,)
     for cp in charpolys:
-        product = poly_mul(product, cp)
+        product = _poly_mul(product, cp)
     x_p = (-1,) + (0,) * (p - 1) + (1,)
-    expected = poly_mul(
-        poly_pow(cyclotomic_prime(p), a), poly_mul(poly_pow(x_p, b), poly_pow((-1, 1), c))
+    expected = _poly_mul(
+        _poly_pow((1,) * p, a), _poly_mul(_poly_pow(x_p, b), _poly_pow((-1, 1), c))
     )
     return product == expected
+
+
+def _exponents_by_search(cp, p):
+    """The (e, f) with Phi_p^e (x - 1)^f == cp, by trying every split of the degree."""
+    deg = len(cp) - 1
+    for e in range(deg // (p - 1) + 1):
+        f = deg - e * (p - 1)
+        if _poly_mul(_poly_pow((1,) * p, e), _poly_pow((-1, 1), f)) == cp:
+            return e, f
+    return None
 
 
 @settings(max_examples=300, deadline=None)
@@ -389,9 +427,15 @@ def _full_product_test(charpolys, p, a, b, c):
 def test_charpoly_factor_count_matches_the_full_product(case):
     rows, p, (a, b, c), _ = case
     m = IntMatrix(rows)
-    charpolys = [m.submatrix(idx).charpoly() for idx in m.components()]
-    want = _full_product_test(charpolys, p, a, b, c)
-    assert manifold._charpoly_ok(charpolys, ZpParams(p, a, b, c)) == want
+    subs = [m.submatrix(idx) for idx in m.components()]
+    charpolys = [sub.charpoly() for sub in subs]
+    exponents = [manifold._component_analysis(sub.rows, p)[3] for sub in subs]
+    assert exponents == [_exponents_by_search(cp, p) for cp in charpolys]
+    # unique factorisation: the exponent sums decide the full product test
+    by_count = None not in exponents and (
+        sum(e for e, _ in exponents) == a + b and sum(f for _, f in exponents) == b + c
+    )
+    assert by_count == _full_product_test(charpolys, p, a, b, c)
 
 
 @settings(max_examples=100, deadline=None)
@@ -405,29 +449,14 @@ def test_holonomy_charpoly_ok_matches_the_full_product(case):
     assert ("charpoly" in report.failures) == (not report.charpoly_ok)
 
 
-def test_charpoly_factor_count_skips_the_product(monkeypatch):
-    calls = []
-    right = manifold.poly_mul
-
-    def counted(x, y):
-        calls.append(1)
-        return right(x, y)
-
-    monkeypatch.setattr(manifold, "poly_mul", counted)
-    for key in ((3, 1, 0, 1), (7, 2, 1, 3), (13, 0, 2, 1)):
-        params = validate(*key)
-        assert holonomy_checks(build_holonomy(params), params).charpoly_ok
-    assert not calls
-    # two C_3 blocks linked into one component with charpoly Phi_3^2: the fallback
+def test_charpoly_of_merged_blocks_and_of_the_identity():
+    # two C_3 blocks linked into one component with charpoly Phi_3^2
     merged = [list(r) for r in build_holonomy(validate(3, 2, 0, 1)).rows]
     merged[0][2] = 1
-    report = holonomy_checks(IntMatrix(merged), validate(3, 2, 0, 1))
-    assert report.charpoly_ok and calls
-    # three x - 1 factors against Phi_3 (x - 1): refused without the product
-    calls.clear()
+    assert holonomy_checks(IntMatrix(merged), validate(3, 2, 0, 1)).charpoly_ok
+    # three x - 1 factors against Phi_3 (x - 1)
     report = holonomy_checks(IntMatrix.identity(3), validate(3, 1, 0, 1))
     assert not report.charpoly_ok and "charpoly" in report.failures
-    assert not calls
 
 
 def test_enumerate_params_ordering_and_validity():
