@@ -176,17 +176,19 @@ def suite_appendix(p_max: int = 97, jobs: int = 1, tol: float = 1e-8, trig_tol: 
 def _oracles_for_prime(args: tuple[int, int]) -> Report:
     p, n_max = args
     report = Report("oracles")
-    # failure names, one per (h, c), so a passing case formats nothing
-    names = {h: [f"mult-diff(h={h},c={c})" for c in range(1, 3 * p + 1)] for h in (1, 2)}
+    # (mu, failure name) once per (h, c), so a passing case builds and formats nothing
+    cases = {
+        h: [(Fraction(2 * c + 1 - h, 2), f"mult-diff(h={h},c={c})") for c in range(1, 3 * p + 1)]
+        for h in (1, 2)
+    }
     # multiplicity differences, exceptional manifolds, a <= 5
     for a in range(1, 6):
         params = ZpParams(p, a, 0, 1)
         desc = str(params)
         for h in (1, 2):
             for ell in range(p):
-                for c, name in enumerate(names[h], 1):
+                for c, (mu, name) in enumerate(cases[h], 1):
                     exact = spectrum.mult_diff_by_index(params, h, ell, c)
-                    mu = Fraction(2 * c - (1 if h == 2 else 0), 2)
                     approx = spectrum.mult_diff_oracle(params, h, ell, mu)
                     report.check(abs(exact - approx) < 1e-6, desc, name, ell, exact, approx)
     # kernel dimensions across the sweep restricted to this prime

@@ -22,6 +22,7 @@ three-dimensional one with p = 3, where the residue is 2/3.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -163,14 +164,21 @@ def eta_series_closed_form(params: ZpParams, h: int, ell: int) -> EtaClosedForm:
 
 
 def eta_series_eval(form: EtaClosedForm, s: float) -> float:
-    """Numeric value of a closed form at finite real s > 1."""
+    """Numeric value of a closed form at finite real s > 1.
+
+    An s so large that the value overflows, or that it or (2 pi p)^{-s}
+    is below the smallest normal double (too few bits left), is a DomainError.
+    """
     if form.is_zero:
         return 0.0
     _check_s(s, "eta series evaluation")
     acc = sum(coeff * hurwitz_zeta(s, alpha) for alpha, coeff in form.terms)
-    value = form.sign * form.scale * (2.0 * math.pi * form.p) ** (-s) * acc
+    factor = (2.0 * math.pi * form.p) ** (-s)
+    value = form.sign * form.scale * factor * acc
     if not math.isfinite(value):
         raise DomainError(f"eta series evaluation overflows a double at s = {s}")
+    if factor < sys.float_info.min or abs(value) < sys.float_info.min:
+        raise DomainError(f"eta series evaluation underflows a double at s = {s}")
     return value
 
 

@@ -261,50 +261,8 @@ class IntMatrix:
                 mk = self @ mk.add_scalar_identity(ck)
         return tuple(reversed(desc))
 
-    def components(self) -> list[tuple[int, ...]]:
-        """Index blocks under the symmetric nonzero adjacency pattern."""
-        n = self.n
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, row in enumerate(self.rows):
-            for j in itertools.compress(range(n), row):
-                if i != j:
-                    parent[find(i)] = find(j)
-        groups: dict[int, list[int]] = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(i)
-        return [tuple(sorted(g)) for g in sorted(groups.values())]
-
-    def submatrix(self, idx: tuple[int, ...]) -> "IntMatrix":
-        return IntMatrix._from_rows(tuple(tuple(self.rows[i][j] for j in idx) for i in idx))
-
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
-
-
-def _cp_block(p: int) -> IntMatrix:
-    # companion of Phi_p: subdiagonal ones, last column all -1
-    n = p - 1
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][n - 1] = -1
-        if i >= 1:
-            rows[i][i - 1] = 1
-    return IntMatrix(rows)
-
-
-def _jp_block(p: int) -> IntMatrix:
-    rows = [[0] * p for _ in range(p)]
-    rows[0][p - 1] = 1
-    for i in range(1, p):
-        rows[i][i - 1] = 1
-    return IntMatrix(rows)
 
 
 def build_holonomy(params: ZpParams) -> IntMatrix:
@@ -313,18 +271,40 @@ def build_holonomy(params: ZpParams) -> IntMatrix:
         raise UnsupportedIdealError(
             f"no matrix model for ideal class {params.ideal_label!r}"
         )
-    p = params.p
-    blocks = [_cp_block(p)] * params.a + [_jp_block(p)] * params.b
-    n = params.n
+    p, n = params.p, params.n
     rows = [[0] * n for _ in range(n)]
     off = 0
-    for blk in blocks:
-        for i in range(blk.n):
-            rows[off + i][off : off + blk.n] = [blk.rows[i][j] for j in range(blk.n)]
-        off += blk.n
+    for _ in range(params.a):  # C_p, companion of Phi_p: subdiagonal ones, last column -1
+        for i in range(p - 1):
+            rows[off + i][off + p - 2] = -1
+            if i:
+                rows[off + i][off + i - 1] = 1
+        off += p - 1
+    for _ in range(params.b):  # J_p, the cyclic shift
+        rows[off][off + p - 1] = 1
+        for i in range(1, p):
+            rows[off + i][off + i - 1] = 1
+        off += p
     for i in range(off, n):
         rows[i][i] = 1
     return IntMatrix._from_rows(tuple(map(tuple, rows)))
+
+
+def _diagonal_blocks(rows: tuple[tuple[int, ...], ...]) -> list[tuple[int, int]]:
+    """(start, stop) of each block of the finest contiguous block-diagonal split.
+
+    A nonzero (i, j) spans every k with min(i, j) <= k < max(i, j), and the
+    split cuts after each k that no nonzero spans.
+    """
+    n = len(rows)
+    reach = list(range(n))  # reach[k]: the furthest index a nonzero spans from k
+    for i, row in enumerate(rows):
+        for j in itertools.compress(range(n), row):
+            lo, hi = (i, j) if i < j else (j, i)
+            if hi > reach[lo]:
+                reach[lo] = hi
+    stops = [k + 1 for k, end in enumerate(itertools.accumulate(reach, max)) if end == k]
+    return list(zip([0] + stops[:-1], stops))
 
 
 def _divide_monic(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -404,15 +384,17 @@ class HolonomyReport:
 def holonomy_checks(m: IntMatrix, params: ZpParams) -> HolonomyReport:
     """Verify order, determinant, fixed space, and characteristic polynomial.
 
-    The matrix is split into connected components of its nonzero pattern
-    (a generic decomposition, exact by block multiplicativity), and the
-    per-component analyses are cached, which keeps large parameter sweeps
-    cheap.  All arithmetic is exact.
+    The matrix is cut into its finest contiguous diagonal blocks (exact by
+    block multiplicativity), and the per-block analyses are cached, which
+    keeps large parameter sweeps cheap.  All arithmetic is exact.
     """
     if m.n != params.n:
         raise ValueError(f"matrix is {m.n}x{m.n}, but {params} has n = {params.n}")
     p = params.p
-    analyses = [_component_analysis(m.submatrix(idx).rows, p) for idx in m.components()]
+    analyses = [
+        _component_analysis(tuple(row[start:stop] for row in m.rows[start:stop]), p)
+        for start, stop in _diagonal_blocks(m.rows)
+    ]
 
     orders = [a[0] for a in analyses]
     power_identity = all(o != 0 and p % o == 0 for o in orders)
@@ -423,9 +405,9 @@ def holonomy_checks(m: IntMatrix, params: ZpParams) -> HolonomyReport:
     ker = sum(a[2] for a in analyses)
 
     # Phi_p and x - 1 are distinct irreducibles of Z[x], so by unique
-    # factorisation the product of the component charpolys is
+    # factorisation the product of the block charpolys is
     # Phi_p^a (x^p - 1)^b (x - 1)^c = Phi_p^(a+b) (x - 1)^(b+c) exactly
-    # when no component has another factor and the exponents add up.
+    # when no block has another factor and the exponents add up.
     exponents = [a[3] for a in analyses]
     charpoly_ok = None not in exponents and (
         sum(e for e, _ in exponents) == params.a + params.b

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .charsums import _phase_table, _sine_table
+from .charsums import CHI0, CHIP, F_direct
 from .manifold import EvenDimensionError, SpinStructure, ZpParams
 from .numtheory import as_prime
 
@@ -102,6 +102,8 @@ def mult_diff_oracle(params: ZpParams, h: int, ell: int, mu) -> float:
 
     prefactor (-1)^{((p^2-1)/8) a + 1} i^{m+1} 2 p^{a/2 - 1} against
     sum_k (-1)^{k(h+1)} (k/p)^a e^{2 pi i k ell / p} sin(2 pi mu k / p).
+    Term for term that sum is the direct sine-weighted Gauss sum
+    F_h(ell, c), 2 mu = 2c + [h=2], so it is read from charsums.F_direct.
 
     The result must be within 1e-6 of an integer with imaginary part
     below 1e-6, otherwise OracleResidualError is raised.
@@ -112,14 +114,8 @@ def mult_diff_oracle(params: ZpParams, h: int, ell: int, mu) -> float:
     P = as_prime(params.p)
     p, a = P.p, params.a
     m = (params.n - 1) // 2
-    sines = _sine_table(p)
-    phases = _phase_table(p)
-    tab = P.legendre_table()
-    total = 0.0 + 0.0j
-    for k in range(1, p):
-        sign = -1 if (h == 2 and k % 2 == 1) else 1
-        chi = tab[k % p] if a % 2 == 1 else 1
-        total += sign * chi * phases[(2 * k * ell) % (2 * p)] * sines[(k * two_mu) % (2 * p)]
+    # F is p-periodic in c, so c is taken in 1..p
+    total = F_direct(h, CHIP if a % 2 == 1 else CHI0, ell, (two_mu // 2 - 1) % p + 1, P)
     eps = ((p * p - 1) // 8) * a + 1
     pref = (-1) ** (eps % 2) * _I_POW[(m + 1) % 4] * 2.0 * float(p) ** (a / 2 - 1)
     value = pref * total

@@ -263,6 +263,29 @@ def test_series_rejects_s_and_terms_outside_the_domain(capsys, case, h):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_SERIES_P3 = ("--p", "3", "--a", "1", "--h", "1", "--ell", "0", "--terms", "3")
+_SERIES_P97 = ("--p", "97", "--a", "1", "--h", "1", "--ell", "1", "--terms", "3")
+
+
+@pytest.mark.parametrize("args, s", [
+    (_SERIES_P3, "250"), (_SERIES_P3, "300"), (_SERIES_P97, "115"), (_SERIES_P97, "130"),
+])
+def test_series_rejects_s_whose_closed_form_underflows(capsys, args, s):
+    # (2 pi p)^(-s) is subnormal: the closed form lost digits (s = 250, 115)
+    # or read -0 (s = 300, 130) while the spectral sum was still normal
+    code, out, err = run(capsys, "series", *args, "--s", s)
+    assert (code, out) == (2, "")
+    assert err == f"error: eta series evaluation underflows a double at s = {float(s)}\n"
+
+
+@pytest.mark.parametrize("args, s", [(_SERIES_P3, "240"), (_SERIES_P97, "110")])
+def test_series_keeps_s_whose_factor_is_normal(capsys, args, s):
+    code, out, _ = run(capsys, "series", *args, "--s", s)
+    assert code == 0
+    closed, partial = (float(line.split()[-1]) for line in out.splitlines()[:2])
+    assert closed != 0 and abs(closed - partial) <= 1e-11 * abs(partial)  # 12 digits printed
+
+
 @pytest.mark.parametrize("command", (
     ("invariants", "--p", "3", "--a", "1", "--b", "0", "--c", "1"),
     ("holonomy", "--p", "3", "--a", "1", "--b", "0", "--c", "1"),

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,16 @@ def test_series_functions_refuse_an_overflow_between_finite_powers():
     assert math.isfinite(hurwitz_zeta(396.1, Fraction(1, 6)))
     with pytest.raises(DomainError, match="overflows"):
         eta_series_eval(eta_series_closed_form(TRICOSM, 2, 0), 396.1)
+
+
+def test_series_eval_refuses_a_subnormal_factor():
+    # (6 pi)^(-s) is the last normal double power at s = 241
+    form = eta_series_closed_form(TRICOSM, 1, 0)
+    assert (6 * math.pi) ** -241.0 >= sys.float_info.min > (6 * math.pi) ** -242.0
+    assert abs(eta_series_eval(form, 241.0)) >= sys.float_info.min
+    for s in (242.0, 250.0, 300.0, 600.0):
+        with pytest.raises(DomainError, match="underflows"):
+            eta_series_eval(form, s)
 
 
 @given(st.integers(max_value=0))

@@ -1,0 +1,80 @@
+"""No module of the package reaches into a sibling module's private names.
+
+A table or cache lives in one module; the others go through its public
+functions, so a second copy of a table cannot grow behind an import of
+``_name`` (``from .x import _y``) or an attribute read (``x._y``).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import zpeta
+
+PACKAGE = Path(zpeta.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_sibling_uses(tree: ast.Module) -> list[str]:
+    """Each `module._name` this tree imports or reads from a sibling module."""
+    siblings = {}  # local name -> sibling module name
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            relative = node.level == 1
+            if relative and node.module is None:  # from . import x
+                for alias in node.names:
+                    siblings[alias.asname or alias.name] = alias.name
+                continue
+            if relative:
+                source = node.module
+            elif node.module and node.module.startswith("zpeta."):
+                source = node.module.removeprefix("zpeta.")
+            elif node.module == "zpeta":
+                for alias in node.names:
+                    siblings[alias.asname or alias.name] = alias.name
+                continue
+            else:
+                continue
+            uses += [f"{source}.{a.name}" for a in node.names if _private(a.name)]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("zpeta.") and alias.asname:
+                    siblings[alias.asname] = alias.name.removeprefix("zpeta.")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in siblings
+            and _private(node.attr)
+        ):
+            uses.append(f"{siblings[node.value.id]}.{node.attr}")
+    return uses
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_uses_a_private_name_of_a_sibling(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert private_sibling_uses(tree) == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from .charsums import _phase_table, F_direct", ["charsums._phase_table"]),
+        ("from zpeta.charsums import _sine_table as s", ["charsums._sine_table"]),
+        ("from . import charsums\nx = charsums._F_grid(1, 2, 3)", ["charsums._F_grid"]),
+        ("from . import charsums as cs\ncs._phase_table(3)", ["charsums._phase_table"]),
+        ("import zpeta.manifold as m\nm._component_analysis", ["manifold._component_analysis"]),
+        ("from . import charsums\ncharsums.F_direct; charsums.__name__", []),
+        ("from __future__ import annotations\nfrom fractions import _gcd", []),
+        ("def f(self):\n    return self._rows", []),
+    ],
+)
+def test_private_sibling_uses_finds_both_forms(source, found):
+    assert private_sibling_uses(ast.parse(source)) == found

@@ -103,8 +103,13 @@ def test_spin_structure_validation():
 def test_holonomy_blocks():
     m = build_holonomy(validate(3, 1, 0, 1))
     assert m.rows == ((0, -1, 0), (1, -1, 0), (0, 0, 1))
-    j3 = build_holonomy(validate(3, 0, 1, 1)).submatrix((0, 1, 2))
-    assert j3.rows == ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+    j3 = build_holonomy(validate(3, 0, 1, 1)).rows[:3]
+    assert [r[:3] for r in j3] == [(0, 0, 1), (1, 0, 0), (0, 1, 0)]
+    # every block in its place: diag(C_p x a, J_p x b, 1 x c)
+    for p, a, b, c in ((3, 2, 1, 2), (5, 1, 2, 1), (7, 3, 0, 1), (5, 0, 1, 4)):
+        kinds = "C" * a + "J" * b + "1" * c
+        want = _block_diagonal_rows([_block_rows(k, p) for k in kinds])[0]
+        assert build_holonomy(validate(p, a, b, c)).to_lists() == want
 
 
 def test_holonomy_rejects_nonprincipal_ideal():
@@ -219,7 +224,7 @@ def test_component_analysis_det_matches_leibniz(rows, p):
 
 
 def test_intmatrix_power_and_order():
-    j = build_holonomy(validate(3, 0, 1, 1)).submatrix((0, 1, 2))
+    j = IntMatrix(_block_rows("J", 3))
     assert j.power(3) == IntMatrix.identity(3)
     assert j.power(2) != IntMatrix.identity(3)
 
@@ -248,25 +253,6 @@ def test_intmatrix_rejects_non_int_entries(rows):
 def _triple_loop_product(x, y):
     n = len(x)
     return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
-def _all_pairs_components(rows):
-    n = len(rows)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(n):
-            if i != j and (rows[i][j] or rows[j][i]):
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(tuple(g) for g in groups.values())
 
 
 def _assert_canonical(m: IntMatrix):
@@ -323,23 +309,6 @@ def test_intmatrix_power_matches_repeated_product(rows, k):
     _assert_canonical(got)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 5).flatmap(_kernel_matrices))
-def test_intmatrix_components_match_all_pairs(rows):
-    # the sparse strategy often leaves a nonzero in one direction only
-    m = IntMatrix(rows)
-    comps = m.components()
-    assert comps == _all_pairs_components(rows)
-    for idx in comps:
-        _assert_canonical(m.submatrix(idx))
-
-
-def test_intmatrix_components_one_directional_link():
-    rows = ((1, 0, 0, 5), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    assert IntMatrix(rows).components() == [(0, 3), (1,), (2,)]
-    assert IntMatrix(tuple(zip(*rows))).components() == [(0, 3), (1,), (2,)]
-
-
 def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -362,11 +331,26 @@ def test_poly_helpers():
 
 
 def _block_rows(kind: str, p: int):
+    """C_p (companion of Phi_p), J_p (cyclic shift) or the 1 x 1 block 1."""
     if kind == "C":
-        return manifold._cp_block(p).to_lists()
+        return [[int(j == i - 1) - int(j == p - 2) for j in range(p - 1)] for i in range(p - 1)]
     if kind == "J":
-        return manifold._jp_block(p).to_lists()
+        return [[int(j == (i - 1) % p) for j in range(p)] for i in range(p)]
     return [[1]]
+
+
+def _block_diagonal_rows(blocks):
+    """The block-diagonal matrix of the given blocks, and each block's first index."""
+    n = sum(len(b) for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    starts = []
+    off = 0
+    for blk in blocks:
+        starts.append(off)
+        for i, r in enumerate(blk):
+            rows[off + i][off : off + len(r)] = r
+        off += len(blk)
+    return rows, starts
 
 
 @st.composite
@@ -381,15 +365,8 @@ def _block_diagonal(draw):
     p = draw(st.sampled_from((3, 5, 7)))
     kinds = draw(st.lists(st.sampled_from("CJ1"), min_size=1, max_size=5))
     blocks = [_block_rows(k, p) for k in kinds]
-    n = sum(len(b) for b in blocks)
-    rows = [[0] * n for _ in range(n)]
-    starts = []
-    off = 0
-    for blk in blocks:
-        starts.append(off)
-        for i, r in enumerate(blk):
-            rows[off + i][off : off + len(r)] = r
-        off += len(blk)
+    rows, starts = _block_diagonal_rows(blocks)
+    n = len(rows)
     for k in range(len(blocks) - 1):
         if draw(st.integers(0, 3)) == 0:
             rows[starts[k]][starts[k + 1]] = draw(st.sampled_from((1, -2)))
@@ -426,8 +403,10 @@ def _exponents_by_search(cp, p):
 @given(_block_diagonal())
 def test_charpoly_factor_count_matches_the_full_product(case):
     rows, p, (a, b, c), _ = case
-    m = IntMatrix(rows)
-    subs = [m.submatrix(idx) for idx in m.components()]
+    subs = [
+        IntMatrix(r[start:stop] for r in rows[start:stop])
+        for start, stop in manifold._diagonal_blocks(IntMatrix(rows).rows)
+    ]
     charpolys = [sub.charpoly() for sub in subs]
     exponents = [manifold._component_analysis(sub.rows, p)[3] for sub in subs]
     assert exponents == [_exponents_by_search(cp, p) for cp in charpolys]
@@ -447,6 +426,38 @@ def test_holonomy_charpoly_ok_matches_the_full_product(case):
     report = holonomy_checks(m, params)
     assert report.charpoly_ok == _full_product_test([m.charpoly()], p, a, b, c)
     assert ("charpoly" in report.failures) == (not report.charpoly_ok)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(_kernel_matrices))
+def test_diagonal_blocks_match_their_definition(rows):
+    # the sparse strategy often leaves a nonzero in one direction only
+    n = len(rows)
+    blocks = manifold._diagonal_blocks(IntMatrix(rows).rows)
+    # the blocks tile 0..n in order
+    assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+    assert blocks[-1][1] == n and all(start < stop for start, stop in blocks)
+    # a cut falls after k exactly when no nonzero (i, j) spans k
+    spanned = {
+        k for i in range(n) for j in range(n) if rows[i][j] for k in range(min(i, j), max(i, j))
+    }
+    assert [stop - 1 for _, stop in blocks] == [k for k in range(n) if k not in spanned]
+    # so every nonzero lies in a diagonal block
+    block_of = [b for b, (start, stop) in enumerate(blocks) for _ in range(start, stop)]
+    assert all(block_of[i] == block_of[j] for i in range(n) for j in range(n) if rows[i][j])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_block_diagonal(), st.randoms(use_true_random=False))
+def test_holonomy_checks_invariant_under_conjugation_by_a_permutation(case, rnd):
+    # P M P^T interleaves the blocks, so a contiguous block may hold several
+    rows, p, _, (a, b, c) = case
+    sigma = list(range(len(rows)))
+    rnd.shuffle(sigma)
+    permuted = [[rows[i][j] for j in sigma] for i in sigma]
+    params = ZpParams(p, a, b, c)
+    report = holonomy_checks(IntMatrix(rows), params)
+    assert holonomy_checks(IntMatrix(permuted), params).to_dict() == report.to_dict()
 
 
 def test_charpoly_of_merged_blocks_and_of_the_identity():

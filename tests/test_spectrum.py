@@ -1,10 +1,13 @@
+import cmath
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from zpeta.manifold import EvenDimensionError, SpinStructure, enumerate_params, validate
 from zpeta.eta import structure_classes
-from zpeta.numtheory import odd_primes_upto
+from zpeta.numtheory import as_prime, odd_primes_upto
 from zpeta.spectrum import (
     dim_ker,
     dim_ker_oracle,
@@ -195,3 +198,43 @@ def test_oracle_suite_full_range():
     report = suite_oracles(31, 60)
     assert report.ok, report.failures[:5]
     assert report.cases > 100_000
+
+
+@lru_cache(maxsize=None)
+def _loop_character_sum(p: int, a_odd: bool, h: int, ell: int, two_mu: int) -> complex:
+    # the oracle's former per-call loop over k, with its own tables
+    phases = [cmath.exp(1j * math.pi * m / p) for m in range(2 * p)]
+    sines = [math.sin(math.pi * m / p) for m in range(2 * p)]
+    tab = as_prime(p).legendre_table()
+    total = 0.0 + 0.0j
+    for k in range(1, p):
+        sign = -1 if (h == 2 and k % 2 == 1) else 1
+        chi = tab[k % p] if a_odd else 1
+        total += sign * chi * phases[(2 * k * ell) % (2 * p)] * sines[(k * two_mu) % (2 * p)]
+    return total
+
+
+def _loop_oracle(params, h: int, ell: int, two_mu: int) -> float:
+    p, a = params.p, params.a
+    m = (params.n - 1) // 2
+    total = _loop_character_sum(p, a % 2 == 1, h, ell, two_mu % (2 * p))
+    eps = ((p * p - 1) // 8) * a + 1
+    pref = (-1) ** (eps % 2) * (1 + 0j, 1j, -1 + 0j, -1j)[(m + 1) % 4] * 2.0 * float(p) ** (a / 2 - 1)
+    return (pref * total).real
+
+
+def test_mult_diff_oracle_is_the_literal_loop_bit_for_bit():
+    # p <= 31, a <= 5, both h, every ell, c <= 3p: 100,620 cells
+    cells = 0
+    for p in odd_primes_upto(31):
+        for a in range(1, 6):
+            params = validate(p, a, 0, 1)
+            for h in (1, 2):
+                for ell in range(p):
+                    for c in range(1, 3 * p + 1):
+                        two_mu = 2 * c - (1 if h == 2 else 0)
+                        got = mult_diff_oracle(params, h, ell, Fraction(two_mu, 2))
+                        want = _loop_oracle(params, h, ell, two_mu)
+                        assert got.hex() == want.hex(), (p, a, h, ell, c)
+                        cells += 1
+    assert cells == 100_620
