@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exact import UNIT_I, UNIT_ONE, RadicalValue
-from .numtheory import OddPrime, as_prime, delta_p, legendre
+from .numtheory import OddPrime, as_prime, delta_p
 
 
 class CharacterChoice(enum.Enum):
@@ -98,9 +98,9 @@ def G_h_chip(h: int, l: int, p: int | OddPrime) -> RadicalValue:
     P = as_prime(p)
     _check_h(h)
     if h == 1:
-        coeff = legendre(l, P)
+        coeff = P.legendre(l)
     else:
-        coeff = legendre(2, P) * legendre(2 * l + 1, P)
+        coeff = P.legendre(2) * P.legendre(2 * l + 1)
     return RadicalValue(Fraction(coeff), delta_p(P), P.p)
 
 
@@ -137,9 +137,9 @@ def F_h_chip(h: int, l: int, c: int, p: int | OddPrime) -> RadicalValue:
     _check_h(h)
     _check_c(c)
     if h == 1:
-        diff = legendre(l - c, P) - legendre(l + c, P)
+        diff = P.legendre(l - c) - P.legendre(l + c)
     else:
-        diff = legendre(2, P) * (legendre(2 * (l - c) - 1, P) - legendre(2 * (l + c) + 1, P))
+        diff = P.legendre(2) * (P.legendre(2 * (l - c) - 1) - P.legendre(2 * (l + c) + 1))
     if P.p % 4 == 1:
         return RadicalValue(Fraction(diff, 2), UNIT_I, P.p)
     return RadicalValue(Fraction(-diff, 2), UNIT_ONE, P.p)
@@ -198,7 +198,7 @@ def trig_prod(kind: str, k: int, p: int | OddPrime) -> RadicalValue:
         raise ValueError(f"k must be >= 1, got {k}")
     eps = (P.p * P.p - 1) // 8
     if kind == "sin":
-        sym = legendre(k, P)
+        sym = P.legendre(k)
         if sym == 0:
             return RadicalValue.zero()
         sign = -1 if ((k - 1) * eps) % 2 else 1

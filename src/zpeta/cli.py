@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import charsums, eta, numtheory, spectrum
-from .eta import DomainError, FailureEntry, Report
+from .eta import DomainError, Report
 from .exact import rational_str
 from .manifold import (
     EvenDimensionError,
@@ -48,29 +48,18 @@ _USAGE_ERRORS = (
 # ---------------------------------------------------------------------------
 # verification suites beyond the eta module's own
 
-
-def _check_equal(report: Report, p: int, name: str, ell: int, want: int, got: int) -> None:
-    # the failure entry is built only when the check fails
-    if got == want:
-        report.record(True)
-    else:
-        report.record(False, FailureEntry(f"p={p}", name, ell, str(want), str(got)))
+# closed form against direct float summation: character sums, trig products
+_TOL, _TRIG_TOL = 1e-8, 1e-9
 
 
-def _check_close(
-    report: Report, p: int, tol: float, direct, closed, name: str, *name_args
-) -> None:
+def _check_close(report: Report, p: int, tol: float, direct, closed, name: str, *name_args) -> None:
     """Record |direct - closed| < tol.  The failure entry, named by
     name.format(*name_args), is built only when the check fails."""
     if abs(direct - closed) < tol:
         report.record(True)
     else:
-        report.record(
-            False,
-            FailureEntry(
-                f"p={p}", name.format(*name_args), None, f"{closed}", f"{direct} (tol {tol})"
-            ),
-        )
+        name = name.format(*name_args)
+        report.check(False, f"p={p}", name, None, closed, f"{direct} (tol {tol})")
 
 
 def _appendix_legendre_checks(report: Report, p: int) -> None:
@@ -82,14 +71,16 @@ def _appendix_legendre_checks(report: Report, p: int) -> None:
     prefix = [0] * p  # prefix[u] = sum_{j=1}^{u} (j/p)
     for j in range(1, p):
         prefix[j] = prefix[j - 1] + tab[j]
+    desc = f"p={p}"
 
     for ell in range(p):
         for sign in (1, -1):
             for k in range(1, p + 1):
                 got = numtheory.sum_legendre_shift(ell, k, sign, P)
-                _check_equal(report, p, "shifted-sum", ell, -tab[(k * ell) % p], got)
+                want = -tab[(k * ell) % p]
+                report.check(got == want, desc, "shifted-sum", ell, want, got)
             got = numtheory.sum_legendre_odd_shift(ell, sign, P)
-            _check_equal(report, p, "odd-shifted-sum", ell, 0, got)
+            report.check(got == 0, desc, "odd-shifted-sum", ell, 0, got)
 
             # weighted sums against their split closed forms (empty prefix = 0)
             fold = (2 * ell) // p * p
@@ -101,14 +92,14 @@ def _appendix_legendre_checks(report: Report, p: int) -> None:
             }
             for factor in (1, 2):
                 got = numtheory.weighted_legendre_sum(ell, factor, sign, P)
-                name = f"weighted-sum(factor={factor})"
-                _check_equal(report, p, name, ell, closed[(factor, sign)], got)
+                want = closed[(factor, sign)]
+                report.check(got == want, desc, f"weighted-sum(factor={factor})", ell, want, got)
             # odd-index weighted identity
             got = sum(tab[(2 * ell + sign * (2 * j + 1)) % p] * j for j in range(p))
             want = numtheory.weighted_legendre_sum(ell, 2, sign, P) - l2 * (
                 numtheory.weighted_legendre_sum(ell, 1, sign, P)
             )
-            _check_equal(report, p, "odd-weighted-sum", ell, want, got)
+            report.check(got == want, desc, "odd-weighted-sum", ell, want, got)
 
         # difference sums against the split forms
         s1 = numtheory.S_direct(1, ell, P)
@@ -125,8 +116,8 @@ def _appendix_legendre_checks(report: Report, p: int) -> None:
                 * (numtheory.S_h_pm(2, 1, ell, P) - l2 * numtheory.S_h_pm(1, 1, ell, P))
                 + 2 * (l2 - 1) * w
             )
-        _check_equal(report, p, "difference-sum-1", ell, want1, s1)
-        _check_equal(report, p, "difference-sum-2", ell, want2, s2)
+        report.check(s1 == want1, desc, "difference-sum-1", ell, want1, s1)
+        report.check(s2 == want2, desc, "difference-sum-2", ell, want2, s2)
 
 
 def _appendix_charsum_checks(report: Report, p: int, tol: float, trig_tol: float) -> None:
@@ -157,24 +148,26 @@ def _appendix_charsum_checks(report: Report, p: int, tol: float, trig_tol: float
             _check_close(report, p, trig_tol, direct, closed, "trig-product({},k={})", kind, k)
 
 
-def _appendix_for_prime(args: tuple[int, float, float]) -> Report:
-    p, tol, trig_tol = args
+def _appendix_for_prime(item: tuple, tol: float = _TOL, trig_tol: float = _TRIG_TOL) -> Report:
+    """The appendix identities at the prime of the work item (p, n_max)."""
+    p = item[0]
     report = Report("appendix")
     _appendix_legendre_checks(report, p)
     _appendix_charsum_checks(report, p, tol, trig_tol)
     return report
 
 
-def suite_appendix(p_max: int = 97, jobs: int = 1, tol: float = 1e-8, trig_tol: float = 1e-9) -> Report:
-    """Every auxiliary identity: trig products, twisted Gauss sums, and
-    Legendre-weighted sums, closed forms against direct summation."""
+def suite_appendix(p_max: int, tol: float = _TOL, trig_tol: float = _TRIG_TOL) -> Report:
+    """Every auxiliary identity up to p_max, serially: trig products, twisted
+    Gauss sums and Legendre-weighted sums, closed forms against direct summation."""
     primes = numtheory.odd_primes_upto(p_max)
-    work = [(p, tol, trig_tol) for p in primes]
-    return _merge_reports("appendix", _pmap(_appendix_for_prime, work, jobs))
+    parts = [_appendix_for_prime((p, None), tol, trig_tol) for p in primes]
+    return _merge_reports("appendix", parts)
 
 
-def _oracles_for_prime(args: tuple[int, int]) -> Report:
-    p, n_max = args
+def _oracles_for_prime(item: tuple[int, int]) -> Report:
+    """The spectral oracles at the prime of the work item (p, n_max)."""
+    p, n_max = item
     report = Report("oracles")
     # (mu, failure name) once per (h, c), so a passing case builds and formats nothing
     cases = {
@@ -204,25 +197,6 @@ def _oracles_for_prime(args: tuple[int, int]) -> Report:
     return report
 
 
-def suite_oracles(p_max: int = 31, n_max: int = 60, jobs: int = 1) -> Report:
-    """Exact spectral quantities against their floating character-sum oracles."""
-    primes = numtheory.odd_primes_upto(p_max)
-    work = [(p, n_max) for p in primes]
-    return _merge_reports("oracles", _pmap(_oracles_for_prime, work, jobs))
-
-
-def _integrality_chunk(params: list[ZpParams]) -> Report:
-    return eta.verify_integrality(params)
-
-
-def _parity_chunk(params: list[ZpParams]) -> Report:
-    return eta.verify_parity(params)
-
-
-def _untwisted_chunk(params: list[ZpParams]) -> Report:
-    return eta.verify_untwisted(params)
-
-
 def _twists(params: ZpParams) -> int:
     return params.p
 
@@ -231,13 +205,25 @@ def _one(params: ZpParams) -> int:
     return 1
 
 
-# suite: (chunk function, default p_max, default n_max, cost of one manifold);
-# integrality and parity check every twist, untwisted only ell = 0
-_SWEEP_SUITES = {
-    "integrality": (_integrality_chunk, 13, 60, _twists),
-    "parity": (_parity_chunk, 13, 60, _twists),
-    "untwisted": (_untwisted_chunk, 13, 60, _one),
+# suite: (checker of one work item, default p_max, default n_max, cost of one
+# manifold).  A cost of None makes one item (p, n_max) per odd prime; else the
+# items are chunks of enumerate_params(p_max, n_max) cut by that cost.  The eta
+# checkers look up cli.eta when they run: the pool pickles only _run_item and
+# the suite name, and a rebound cli.eta (the benchmark's tracing proxy, a
+# monkeypatch) must reach every worker.
+_SUITES = {
+    "integrality": (lambda chunk: eta.verify_integrality(chunk), 13, 60, _twists),
+    "parity": (lambda chunk: eta.verify_parity(chunk), 13, 60, _twists),
+    "appendix": (_appendix_for_prime, 97, None, None),
+    "oracles": (_oracles_for_prime, 31, 60, None),
+    "untwisted": (lambda chunk: eta.verify_untwisted(chunk), 13, 60, _one),
 }
+
+
+def _run_item(task: tuple[str, object]) -> Report:
+    """One pool task: the checker of the suite on one work item."""
+    suite, item = task
+    return _SUITES[suite][0](item)
 
 
 def _chunks(items: list[ZpParams], count: int, cost) -> list[list[ZpParams]]:
@@ -282,27 +268,22 @@ def _merge_reports(suite: str, parts: list[Report]) -> Report:
     merged = Report(suite)
     for part in parts:
         merged.cases += part.cases
-        merged.passed += part.passed
         merged.failures.extend(part.failures)
         merged.expected_exceptions.extend(part.expected_exceptions)
     return merged
 
 
 def run_suite(suite: str, p_max: int | None, n_max: int | None, jobs: int = 1) -> Report:
-    if suite in _SWEEP_SUITES:
-        fn, def_p, def_n, cost = _SWEEP_SUITES[suite]
-        sweep = enumerate_params(
-            def_p if p_max is None else p_max, def_n if n_max is None else n_max
-        )
-        parts = _pmap(fn, _chunks(sweep, _workers(jobs, len(sweep)), cost), jobs)
-        return _merge_reports(suite, parts)
-    if suite == "appendix":
-        return suite_appendix(97 if p_max is None else p_max, jobs=jobs)
-    if suite == "oracles":
-        return suite_oracles(
-            31 if p_max is None else p_max, 60 if n_max is None else n_max, jobs=jobs
-        )
-    raise ValueError(f"unknown suite {suite!r}")
+    _, default_p, default_n, cost = _SUITES[suite]
+    p_max = default_p if p_max is None else p_max
+    n_max = default_n if n_max is None else n_max
+    if cost is None:
+        items = [(p, n_max) for p in numtheory.odd_primes_upto(p_max)]
+    else:
+        sweep = enumerate_params(p_max, n_max)
+        items = _chunks(sweep, _workers(jobs, len(sweep)), cost)
+    parts = _pmap(_run_item, [(suite, item) for item in items], jobs)
+    return _merge_reports(suite, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--suite",
         required=True,
-        choices=("integrality", "parity", "appendix", "oracles", "untwisted"),
+        choices=tuple(_SUITES),
     )
     sp.add_argument("--p-max", dest="p_max", type=int)
     sp.add_argument("--n-max", dest="n_max", type=int)

@@ -34,7 +34,7 @@ from .manifold import (
     nontrivial_structure,
     trivial_structure,
 )
-from .numtheory import S_h_pm, as_prime, class_number, legendre
+from .numtheory import S_h_pm, as_prime, class_number
 from .spectrum import dim_ker, mult_diff_by_index
 
 
@@ -254,7 +254,7 @@ def eta_invariant(params: ZpParams, h: int, ell: int) -> Fraction:
             return Fraction(sgn * scale * S_h_pm(1, -1, ell, P))
         sgn = -1 if (P.t + r) % 2 else 1
         return sgn * scale * (S_h_pm(1, 1, ell, P) + two_w_over_p)
-    two_p = legendre(2, P)
+    two_p = P.legendre(2)
     if p % 4 == 1:
         sgn = -1 if (P.q + r + 1) % 2 else 1
         return Fraction(sgn * scale * (S_h_pm(2, -1, ell, P) - two_p * S_h_pm(1, -1, ell, P)))
@@ -362,7 +362,7 @@ def untwisted_closed_form(params: ZpParams, structure: SpinStructure) -> Fractio
             sgn = -1 if ((a - 1) // 2) % 2 else 1
             return (
                 sgn
-                * (1 - legendre(2, P))
+                * (1 - P.legendre(2))
                 * 2
                 * p ** ((a - 1) // 2)
                 * Fraction(class_number(P), omega)
@@ -409,7 +409,6 @@ class Report:
 
     suite: str
     cases: int = 0
-    passed: int = 0
     failures: list[FailureEntry] = field(default_factory=list)
     expected_exceptions: list[dict] = field(default_factory=list)
 
@@ -417,13 +416,15 @@ class Report:
     def ok(self) -> bool:
         return not self.failures
 
+    @property
+    def passed(self) -> int:
+        return self.cases - len(self.failures)
+
     def record(self, ok: bool, entry: FailureEntry | None = None) -> None:
         """Count one case; a failed case must come with its FailureEntry."""
-        if ok:
-            self.passed += 1
-        elif entry is None:
-            raise ValueError("a failed case needs a FailureEntry")
-        else:
+        if not ok:
+            if entry is None:
+                raise ValueError("a failed case needs a FailureEntry")
             self.failures.append(entry)
         self.cases += 1
 

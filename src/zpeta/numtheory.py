@@ -28,13 +28,17 @@ class NotOddError(ValueError):
     pass
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981  # least strong pseudoprime to all of _MR_BASES
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for all n below 3.3e24)."""
+    """Deterministic Miller-Rabin, exact below psi_13 (about 3.3e24); a
+    larger n raises ValueError rather than risk a pseudoprime."""
     if n < 2:
         return False
+    if n >= _PSI_13:
+        raise ValueError(f"primality is certified only below {_PSI_13}, got {n}")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -116,7 +120,12 @@ def _prime_cache(p: int) -> OddPrime:
 
 
 def as_prime(p: int | OddPrime) -> OddPrime:
-    return p if isinstance(p, OddPrime) else _prime_cache(int(p))
+    """p as an OddPrime; a float, string or bool raises ValueError, not truncated."""
+    if isinstance(p, OddPrime):
+        return p
+    if type(p) is not int:
+        raise ValueError(f"p must be an int, got {p!r}")
+    return _prime_cache(p)
 
 
 def legendre(k: int, p: int | OddPrime) -> int:

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import pickle
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from zpeta import cli, spectrum
 from zpeta.cli import invariant_rows, main, render_rows, run_suite
 from zpeta.manifold import enumerate_params, validate
+from zpeta.numtheory import odd_primes_upto
 
 
 def run(capsys, *argv):
@@ -176,22 +178,72 @@ def test_sweep_chunks_are_contiguous_and_balanced(cost, p_max, n_max, jobs):
     assert all(sum(cost(q) for q in chunk) <= bound for chunk in chunks)
 
 
-def test_run_suite_cuts_each_sweep_by_its_own_cost(monkeypatch):
+SUITES = ("integrality", "parity", "appendix", "oracles", "untwisted")
+
+
+def _capture_work(monkeypatch) -> dict:
+    """Replace the pool by a recorder: suite -> the work items of its tasks."""
     work = {}
 
-    def capture(fn, chunks, jobs):
-        work[fn] = chunks
+    def capture(fn, tasks, jobs):
+        assert fn is cli._run_item
+        for suite, item in tasks:
+            work.setdefault(suite, []).append(item)
         return []
 
     monkeypatch.setattr(cli, "_pmap", capture)
+    return work
+
+
+def test_run_suite_cuts_each_sweep_by_its_own_cost(monkeypatch):
+    work = _capture_work(monkeypatch)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # two workers on any machine
     sweep = enumerate_params(13, 40)
     by_p, by_count = cli._chunks(sweep, 2, cli._twists), cli._chunks(sweep, 2, cli._one)
     assert by_p != by_count
     for suite in ("integrality", "parity", "untwisted"):
         run_suite(suite, 13, 40, jobs=2)
-    assert work[cli._integrality_chunk] == work[cli._parity_chunk] == by_p
-    assert work[cli._untwisted_chunk] == by_count
+    assert work["integrality"] == work["parity"] == by_p
+    assert work["untwisted"] == by_count
+
+
+def test_run_suite_defaults_give_the_documented_work(monkeypatch):
+    work = _capture_work(monkeypatch)
+    assert tuple(cli._SUITES) == SUITES
+    for suite in SUITES:
+        run_suite(suite, None, None)
+    sweep = enumerate_params(13, 60)
+    assert work == {
+        "integrality": [sweep],
+        "parity": [sweep],
+        "appendix": [(p, None) for p in odd_primes_upto(97)],
+        "oracles": [(p, 60) for p in odd_primes_upto(31)],
+        "untwisted": [sweep],
+    }
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_a_pool_task_of_every_suite_pickles(monkeypatch, suite):
+    work = _capture_work(monkeypatch)
+    run_suite(suite, 5, 9)
+    task = (suite, work[suite][0])
+    sent = pickle.loads(pickle.dumps(task))
+    assert sent == task
+    assert pickle.loads(pickle.dumps(cli._run_item)) is cli._run_item
+    assert cli._run_item(sent).to_dict() == cli._run_item(task).to_dict()
+
+
+def test_invalid_suite_message(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, "verify", "--suite", "nope")
+    assert (code, out) == (2, "")
+    assert err == (
+        "usage: zpeta verify [-h] --suite\n"
+        "                    {integrality,parity,appendix,oracles,untwisted}\n"
+        "                    [--p-max P_MAX] [--n-max N_MAX] [--jobs JOBS] [--out OUT]\n"
+        "zpeta verify: error: argument --suite: invalid choice: 'nope' (choose from "
+        "'integrality', 'parity', 'appendix', 'oracles', 'untwisted')\n"
+    )
 
 
 def test_sweep_chunks_around_a_heavy_item():
@@ -356,6 +408,19 @@ def test_classnumber_command(capsys):
     code, _, err = run(capsys, "classnumber", "--p", "13")
     assert code == 2
     assert "3 mod 4" in err
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    (
+        ("318665857834031151167461", "must be prime"),  # psi_12 = 399165290221 * 798330580441
+        ("3317044064679887385961981", "certified only below"),  # psi_13
+    ),
+)
+def test_classnumber_rejects_a_strong_pseudoprime(capsys, p, message):
+    code, out, err = run(capsys, "classnumber", "--p", p)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_usage_error_exit_code(capsys):

@@ -49,6 +49,39 @@ def test_is_prime_spot_checks():
     assert not nt.is_prime(561)  # Carmichael
 
 
+def test_is_prime_is_exact_below_psi13():
+    psi12 = 318_665_857_834_031_151_167_461  # least strong pseudoprime to the bases 2..37
+    assert psi12 == 399_165_290_221 * 798_330_580_441
+    assert not nt.is_prime(psi12)
+    assert nt.is_prime(399_165_290_221) and nt.is_prime(798_330_580_441)
+    with pytest.raises(NotPrimeError):
+        as_prime(psi12)
+    with pytest.raises(ValueError, match="certified"):
+        nt.is_prime(3_317_044_064_679_887_385_961_981)  # psi13: bases 2..41
+
+
+NOT_INTS = st.one_of(
+    st.floats(allow_nan=True),
+    st.sampled_from(SMALL_PRIMES).map(float),
+    st.text(max_size=4),
+    st.sampled_from(SMALL_PRIMES).map(str),
+    st.booleans(),
+)
+
+
+@given(NOT_INTS)
+def test_as_prime_refuses_anything_but_an_int(p):
+    for call in (as_prime, lambda q: legendre(2, q), class_number):
+        with pytest.raises(ValueError):
+            call(p)
+
+
+@given(st.sampled_from(odd_primes_upto(97)))
+def test_as_prime_accepts_odd_primes(p):
+    P = as_prime(p)
+    assert P.p == p and as_prime(P) is P is as_prime(p)
+
+
 def test_legendre_examples():
     assert legendre(1, 3) == 1
     assert legendre(2, 3) == -1

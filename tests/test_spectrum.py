@@ -193,9 +193,9 @@ def test_dim_ker_matches_oracle():
 
 def test_oracle_suite_full_range():
     # p <= 31, a <= 5, all h and ell, first 3p eigenvalue indices
-    from zpeta.cli import suite_oracles
+    from zpeta.cli import run_suite
 
-    report = suite_oracles(31, 60)
+    report = run_suite("oracles", 31, 60)
     assert report.ok, report.failures[:5]
     assert report.cases > 100_000
 
