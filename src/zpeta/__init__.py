@@ -18,8 +18,8 @@ from .manifold import (
     homology_h1,
     validate,
 )
-from .numtheory import OddPrime, class_number, delta_p, legendre
-from .spectrum import dim_ker, dim_ker_oracle, mult_diff, mult_diff_oracle
+from .numtheory import OddPrime, class_number
+from .spectrum import dim_ker, dim_ker_oracle, mult_diff_by_index, mult_diff_oracle
 from .eta import (
     EtaClosedForm,
     InvariantRecord,
@@ -29,7 +29,6 @@ from .eta import (
     eta_series_eval,
     eta_spectral_partial,
     hurwitz_zeta,
-    reduced_eta,
     structure_records,
     untwisted_closed_form,
     verify_integrality,
@@ -49,7 +48,6 @@ __all__ = [
     "ZpParams",
     "build_holonomy",
     "class_number",
-    "delta_p",
     "dim_ker",
     "dim_ker_oracle",
     "enumerate_params",
@@ -62,12 +60,10 @@ __all__ = [
     "holonomy_checks",
     "homology_h1",
     "hurwitz_zeta",
-    "legendre",
-    "mult_diff",
+    "mult_diff_by_index",
     "mult_diff_oracle",
     "rational_str",
     "reduce_mod_Z",
-    "reduced_eta",
     "structure_records",
     "untwisted_closed_form",
     "validate",

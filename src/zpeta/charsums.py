@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exact import UNIT_I, UNIT_ONE, RadicalValue
-from .numtheory import OddPrime, as_prime, delta_p
+from .numtheory import OddPrime, as_prime
 
 
 class CharacterChoice(enum.Enum):
@@ -101,7 +101,8 @@ def G_h_chip(h: int, l: int, p: int | OddPrime) -> RadicalValue:
         coeff = P.legendre(l)
     else:
         coeff = P.legendre(2) * P.legendre(2 * l + 1)
-    return RadicalValue(Fraction(coeff), delta_p(P), P.p)
+    # delta(p): 1 for p = 1 mod 4, i for p = 3 mod 4
+    return RadicalValue(Fraction(coeff), UNIT_ONE if P.p % 4 == 1 else UNIT_I, P.p)
 
 
 def F_h_chi0(h: int, l: int, c: int, p: int | OddPrime) -> RadicalValue:

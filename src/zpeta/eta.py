@@ -309,20 +309,12 @@ def _record(
     )
 
 
-def reduced_eta(params: ZpParams, structure: SpinStructure, ell: int) -> InvariantRecord:
-    """eta, dim ker, etabar = (eta + dim ker)/2, and the mod-Z residues.
-
-    relative_mod_Z is the residue of etabar_ell - etabar_0 for the same
-    structure.  Needs odd n.
-    """
-    _need_odd(params)
-    ell %= params.p
-    bar_0 = _eta_bar(params, structure, 0)[2]
-    return _record(structure, ell, *_eta_bar(params, structure, ell), bar_0)
-
-
 def structure_records(params: ZpParams, structure: SpinStructure) -> list[InvariantRecord]:
-    """reduced_eta(params, structure, ell) for ell = 0, ..., p - 1.
+    """The invariants of one structure at the twists ell = 0, ..., p - 1.
+
+    Record ell holds eta, dim ker, etabar = (eta + dim ker)/2, its
+    residue mod Z, and relative_mod_Z, the residue of etabar_ell -
+    etabar_0 for the same structure.
 
     etabar_0 is computed once, and dim ker twice: it depends on ell only
     through whether p divides ell.  Needs odd n.

@@ -53,8 +53,7 @@ def reduce_mod_Z(x: Fraction | int) -> ResidueModZ:
 class RadicalValue:
     """coeff * unit * sqrt(radicand), with unit in {1, i}.
 
-    A single radicand per value; products of mixed radicands > 1 are
-    rejected.  Zero is normalized to coeff 0, unit 1, radicand 1.
+    Zero is normalized to coeff 0, unit 1, radicand 1.
     """
 
     coeff: Fraction
@@ -79,37 +78,6 @@ class RadicalValue:
 
     def is_zero(self) -> bool:
         return self.coeff == 0
-
-    def __neg__(self) -> "RadicalValue":
-        return RadicalValue(-self.coeff, self.unit, self.radicand)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RadicalValue(self.coeff * other, self.unit, self.radicand)
-        if not isinstance(other, RadicalValue):
-            return NotImplemented
-        coeff = self.coeff * other.coeff
-        # i * i = -1
-        if self.unit == UNIT_I and other.unit == UNIT_I:
-            unit, coeff = UNIT_ONE, -coeff
-        elif UNIT_I in (self.unit, other.unit):
-            unit = UNIT_I
-        else:
-            unit = UNIT_ONE
-        # sqrt(d) * sqrt(d) = d
-        if self.radicand == other.radicand:
-            coeff, radicand = coeff * self.radicand, 1
-        elif self.radicand == 1:
-            radicand = other.radicand
-        elif other.radicand == 1:
-            radicand = self.radicand
-        else:
-            raise ValueError(
-                f"mixed radicands {self.radicand} and {other.radicand} are not representable"
-            )
-        return RadicalValue(coeff, unit, radicand)
-
-    __rmul__ = __mul__
 
     def to_complex(self) -> complex:
         mag = float(self.coeff) * math.sqrt(self.radicand)

@@ -3,7 +3,6 @@
 Conventions for an odd prime p = 2q + 1:
 
     (k/p)   Legendre symbol, p-periodic, 0 iff p | k
-    delta   1 for p = 1 mod 4, i for p = 3 mod 4
     h(-p)   class number of Q(sqrt(-p)), via the Dirichlet value
             h = -(w / 2p) * sum_j (j/p) j   with w = 6 for p = 3, else 2
 
@@ -16,8 +15,6 @@ executable side stays the naive one.
 from __future__ import annotations
 
 from functools import lru_cache
-
-from .exact import UNIT_I, UNIT_ONE
 
 
 class NotPrimeError(ValueError):
@@ -65,7 +62,8 @@ class OddPrime:
     __slots__ = ("p", "q", "t", "_table", "_trivial", "_weighted")
 
     def __init__(self, p: int):
-        p = int(p)
+        if type(p) is not int:
+            raise ValueError(f"p must be an int, got {p!r}")
         if not is_prime(p):
             raise NotPrimeError(f"p must be prime, got {p}")
         if p == 2:
@@ -123,19 +121,9 @@ def as_prime(p: int | OddPrime) -> OddPrime:
     """p as an OddPrime; a float, string or bool raises ValueError, not truncated."""
     if isinstance(p, OddPrime):
         return p
-    if type(p) is not int:
+    if type(p) is not int:  # before the cache, where 7.0 would hit the cached 7
         raise ValueError(f"p must be an int, got {p!r}")
     return _prime_cache(p)
-
-
-def legendre(k: int, p: int | OddPrime) -> int:
-    """Legendre symbol (k/p) in {-1, 0, 1}."""
-    return as_prime(p).legendre(k)
-
-
-def delta_p(p: int | OddPrime) -> str:
-    """1 if p = 1 mod 4, i if p = 3 mod 4 (as a RadicalValue unit tag)."""
-    return UNIT_ONE if as_prime(p).p % 4 == 1 else UNIT_I
 
 
 def class_number(p: int | OddPrime) -> int:

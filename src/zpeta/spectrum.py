@@ -23,7 +23,6 @@ with a literal character-sum oracle in floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -46,40 +45,20 @@ _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 _LD_PI = np.longdouble("3.141592653589793238462643383279502884197")
 
 
-def _as_two_mu(mu, h: int) -> int:
-    """The exact integer 2 mu: even positive for h = 1, odd positive for h = 2."""
-    # an int or a Fraction carries its numerator and denominator already
-    q = mu if isinstance(mu, (int, Fraction)) else Fraction(mu)
-    if 2 % q.denominator:
-        raise ValueError(f"mu must be a half-integer, got {mu}")
-    two_mu = q.numerator * (2 // q.denominator)
+def _check_index(h: int, c: int) -> None:
     if h not in (1, 2):
         raise ValueError(f"h must be 1 or 2, got {h}")
-    if two_mu < 1:
-        raise ValueError(f"mu must be positive, got 2*mu = {two_mu}")
-    if two_mu % 2 != (0 if h == 1 else 1):
-        raise ValueError(
-            f"mu = {two_mu}/2 incompatible with h = {h}:"
-            " need mu in N for h=1, mu in N0+1/2 for h=2"
-        )
-    return two_mu
-
-
-def mult_diff(params: ZpParams, h: int, ell: int, mu) -> int:
-    """Exact d+ - d- at eigenvalue 2 pi mu; 0 for non-exceptional params."""
-    return _mult_diff_two_mu(params, ell, _as_two_mu(mu, h))
+    if c < 1:
+        raise ValueError(f"series index must be >= 1, got {c}")
 
 
 def mult_diff_by_index(params: ZpParams, h: int, ell: int, c: int) -> int:
-    """mult_diff at the c-th admissible mu (mu = c for h=1, c - 1/2 for h=2)."""
-    if c < 1:
-        raise ValueError(f"series index must be >= 1, got {c}")
-    return _mult_diff_two_mu(params, ell, 2 * c - (1 if h == 2 else 0))
-
-
-def _mult_diff_two_mu(params: ZpParams, ell: int, two_mu: int) -> int:
+    """Exact d+ - d- at the c-th admissible mu (mu = c for h=1, c - 1/2 for
+    h=2), eigenvalue 2 pi mu; 0 for non-exceptional params."""
+    _check_index(h, c)
     if not params.exceptional:
         return 0
+    two_mu = 2 * c - (1 if h == 2 else 0)
     P = as_prime(params.p)
     p, a = P.p, params.a
     ell %= p
@@ -97,31 +76,32 @@ def _mult_diff_two_mu(params: ZpParams, ell: int, two_mu: int) -> int:
     return (-1) ** (P.q + r) * diff * p ** ((a - 1) // 2)
 
 
-def mult_diff_oracle(params: ZpParams, h: int, ell: int, mu) -> float:
-    """Literal character-sum evaluation of d+ - d-, as a float.
+def mult_diff_oracle(params: ZpParams, h: int, ell: int, c: int) -> float:
+    """Literal character-sum evaluation of mult_diff_by_index, as a float.
 
     prefactor (-1)^{((p^2-1)/8) a + 1} i^{m+1} 2 p^{a/2 - 1} against
     sum_k (-1)^{k(h+1)} (k/p)^a e^{2 pi i k ell / p} sin(2 pi mu k / p).
     Term for term that sum is the direct sine-weighted Gauss sum
-    F_h(ell, c), 2 mu = 2c + [h=2], so it is read from charsums.F_direct.
+    F_h(ell, c'), 2 mu = 2c' + [h=2], so it is read from charsums.F_direct
+    at c' = c - h + 1 (mod p).
 
     The result must be within 1e-6 of an integer with imaginary part
     below 1e-6, otherwise OracleResidualError is raised.
     """
-    two_mu = _as_two_mu(mu, h)
+    _check_index(h, c)
     if not params.exceptional:
         return 0.0
     P = as_prime(params.p)
     p, a = P.p, params.a
     m = (params.n - 1) // 2
-    # F is p-periodic in c, so c is taken in 1..p
-    total = F_direct(h, CHIP if a % 2 == 1 else CHI0, ell, (two_mu // 2 - 1) % p + 1, P)
+    # F is p-periodic in c', so c' is taken in 1..p
+    total = F_direct(h, CHIP if a % 2 == 1 else CHI0, ell, (c - h) % p + 1, P)
     eps = ((p * p - 1) // 8) * a + 1
     pref = (-1) ** (eps % 2) * _I_POW[(m + 1) % 4] * 2.0 * float(p) ** (a / 2 - 1)
     value = pref * total
     if abs(value.imag) > 1e-6 or abs(value.real - round(value.real)) > 1e-6:
         raise OracleResidualError(
-            f"multiplicity oracle residual for {params}, h={h}, ell={ell}, mu={mu}: {value}"
+            f"multiplicity oracle residual for {params}, h={h}, ell={ell}, c={c}: {value}"
         )
     return value.real
 

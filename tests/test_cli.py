@@ -131,9 +131,9 @@ def test_holonomy_certificate_is_byte_identical(capsys):
 def test_oracles_report_a_wrong_multiplicity_oracle(monkeypatch):
     right = spectrum.mult_diff_oracle
 
-    def wrong_at_one_cell(params, h, ell, mu):
-        value = right(params, h, ell, mu)
-        wrong = (params.key(), h, ell, mu) == ((5, 3, 0, 1), 2, 4, 7 / 2)
+    def wrong_at_one_cell(params, h, ell, c):
+        value = right(params, h, ell, c)
+        wrong = (params.key(), h, ell, c) == ((5, 3, 0, 1), 2, 4, 4)
         return value + 0.5 if wrong else value
 
     monkeypatch.setattr(spectrum, "mult_diff_oracle", wrong_at_one_cell)

@@ -18,7 +18,6 @@ from zpeta.eta import (
     eta_series_eval,
     eta_spectral_partial,
     hurwitz_zeta,
-    reduced_eta,
     structure_classes,
     structure_records,
     untwisted_closed_form,
@@ -26,8 +25,10 @@ from zpeta.eta import (
     verify_parity,
     verify_untwisted,
 )
+from zpeta.exact import reduce_mod_Z
 from zpeta.manifold import EvenDimensionError, enumerate_params, validate
 from zpeta.numtheory import class_number, odd_primes_upto
+from zpeta.spectrum import dim_ker
 
 TRICOSM = validate(3, 1, 0, 1)
 
@@ -252,26 +253,25 @@ def test_eta_invariant_via_series_examples():
 
 def test_reduced_eta_examples():
     triv = structure_classes(TRICOSM)[0]
-    rec = reduced_eta(TRICOSM, triv, 0)
+    rec = structure_records(TRICOSM, triv)[0]
     assert rec.eta_bar == Fraction(-1, 3)
     assert rec.eta_bar_mod_Z.value == Fraction(2, 3)
     assert rec.relative_mod_Z.is_zero()
 
     p51 = validate(5, 1, 0, 1)
-    rec = reduced_eta(p51, structure_classes(p51)[0], 1)
+    rec = structure_records(p51, structure_classes(p51)[0])[1]
     assert rec.eta == 1 and rec.dim_ker == 1
     assert rec.eta_bar == 1 and rec.eta_bar_mod_Z.is_zero()
 
     p512 = validate(5, 1, 1, 2)
-    rec = reduced_eta(p512, structure_classes(p512)[0], 0)
+    rec = structure_records(p512, structure_classes(p512)[0])[0]
     assert rec.eta_bar == 4
 
 
 def test_reduced_eta_consistency():
     for params in (TRICOSM, validate(7, 1, 0, 1), validate(5, 1, 1, 2)):
         for structure in structure_classes(params):
-            for ell in range(params.p):
-                rec = reduced_eta(params, structure, ell)
+            for rec in structure_records(params, structure):
                 assert rec.eta_bar == (rec.eta + rec.dim_ker) / 2
 
 
@@ -279,20 +279,25 @@ def test_reduced_eta_rejects_even_dimension():
     params = validate(5, 1, 1, 1)
     from zpeta.manifold import SpinStructure
 
-    with pytest.raises(EvenDimensionError):
-        reduced_eta(params, SpinStructure((1,), 1), 0)
-    with pytest.raises(EvenDimensionError):
-        structure_records(params, SpinStructure((1,), 1))
+    for h in (1, 2):
+        with pytest.raises(EvenDimensionError):
+            structure_records(params, SpinStructure((1,), h))
 
 
 def test_structure_records_match_reduced_eta():
+    # each record is eta and dim ker at its own twist, reduced on its own
     for params in enumerate_params(7, 30):
         for structure in structure_classes(params):
             records = structure_records(params, structure)
             assert len(records) == params.p
+            bar_0 = records[0].eta_bar
             for ell, rec in enumerate(records):
-                assert rec == reduced_eta(params, structure, ell)
                 assert rec.ell == ell and rec.structure == structure
+                assert rec.eta == eta_invariant(params, structure.h, ell)
+                assert rec.dim_ker == dim_ker(params, structure, ell)
+                assert rec.eta_bar == (rec.eta + rec.dim_ker) / 2
+                assert rec.eta_bar_mod_Z == reduce_mod_Z(rec.eta_bar)
+                assert rec.relative_mod_Z == reduce_mod_Z(rec.eta_bar - bar_0)
 
 
 def test_untwisted_closed_form_examples():

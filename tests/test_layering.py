@@ -1,8 +1,11 @@
-"""No module of the package reaches into a sibling module's private names.
+"""No module of the package reaches into a sibling module's private names,
+and none imports a name it does not use.
 
 A table or cache lives in one module; the others go through its public
 functions, so a second copy of a table cannot grow behind an import of
-``_name`` (``from .x import _y``) or an attribute read (``x._y``).
+``_name`` (``from .x import _y``) or an attribute read (``x._y``).  An
+import left behind by a deleted function is caught by the second check,
+since no linter runs over the package.
 """
 
 import ast
@@ -78,3 +81,44 @@ def test_no_module_uses_a_private_name_of_a_sibling(module):
 )
 def test_private_sibling_uses_finds_both_forms(source, found):
     assert private_sibling_uses(ast.parse(source)) == found
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Each name this tree imports but never reads and does not list in
+    ``__all__``; ``from __future__`` imports are directives, not names."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_has_an_unused_import(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert unused_imports(tree) == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from fractions import Fraction\nx = 1", ["Fraction"]),
+        ("from .exact import UNIT_I, UNIT_ONE\nu = UNIT_I", ["UNIT_ONE"]),
+        ("import numpy as np\nimport os.path", ["np", "os"]),
+        ("import os.path\nos.path.join('a')", []),
+        ("from .x import f as g\ndef h() -> g: ...", []),
+        ("from .numtheory import NotOddError\n__all__ = ['NotOddError']", []),
+        ("from __future__ import annotations", []),
+        ("def f():\n    from .numtheory import odd_primes_upto\n    return 0", ["odd_primes_upto"]),
+    ],
+)
+def test_unused_imports_finds_each_form(source, found):
+    assert unused_imports(ast.parse(source)) == found

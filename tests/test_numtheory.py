@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zpeta.charsums import G_h_chip
 from zpeta.exact import UNIT_I, UNIT_ONE
 from zpeta import numtheory as nt
 from zpeta.numtheory import (
@@ -15,8 +16,6 @@ from zpeta.numtheory import (
     as_prime,
     class_number,
     class_number_reduced_forms,
-    delta_p,
-    legendre,
     odd_primes_upto,
     sum_legendre_odd_shift,
     sum_legendre_shift,
@@ -71,9 +70,15 @@ NOT_INTS = st.one_of(
 
 @given(NOT_INTS)
 def test_as_prime_refuses_anything_but_an_int(p):
-    for call in (as_prime, lambda q: legendre(2, q), class_number):
+    for call in (as_prime, lambda q: sum_legendre_shift(1, 1, 1, q), class_number):
         with pytest.raises(ValueError):
             call(p)
+
+
+@given(NOT_INTS)
+def test_odd_prime_refuses_anything_but_an_int(p):
+    with pytest.raises(ValueError, match="p must be an int, got "):
+        OddPrime(p)
 
 
 @given(st.sampled_from(odd_primes_upto(97)))
@@ -83,12 +88,12 @@ def test_as_prime_accepts_odd_primes(p):
 
 
 def test_legendre_examples():
-    assert legendre(1, 3) == 1
-    assert legendre(2, 3) == -1
-    assert legendre(0, 5) == 0
-    assert legendre(2, 7) == 1  # 3^2 = 2 mod 7
-    assert legendre(-1, 5) == 1
-    assert legendre(-1, 7) == -1
+    assert as_prime(3).legendre(1) == 1
+    assert as_prime(3).legendre(2) == -1
+    assert as_prime(5).legendre(0) == 0
+    assert as_prime(7).legendre(2) == 1  # 3^2 = 2 mod 7
+    assert as_prime(5).legendre(-1) == 1
+    assert as_prime(7).legendre(-1) == -1
 
 
 def test_legendre_against_square_enumeration():
@@ -96,34 +101,38 @@ def test_legendre_against_square_enumeration():
         squares = {k * k % p for k in range(1, p)}
         for k in range(p):
             want = 0 if k == 0 else (1 if k in squares else -1)
-            assert legendre(k, p) == want
+            assert as_prime(p).legendre(k) == want
 
 
 def test_legendre_supplementary_laws():
     for p in odd_primes_upto(97):
-        assert legendre(2, p) == (-1) ** ((p * p - 1) // 8)
-        assert legendre(-1, p) == (-1) ** ((p - 1) // 2)
+        P = as_prime(p)
+        assert P.legendre(2) == (-1) ** ((p * p - 1) // 8)
+        assert P.legendre(-1) == (-1) ** ((p - 1) // 2)
 
 
 def test_legendre_multiplicativity_random():
     rng = random.Random(97)
     for p in SMALL_PRIMES:
+        P = as_prime(p)
         for _ in range(500):
             a = rng.randint(-3 * p, 3 * p)
             b = rng.randint(-3 * p, 3 * p)
-            assert legendre(a * b, p) == legendre(a, p) * legendre(b, p)
+            assert P.legendre(a * b) == P.legendre(a) * P.legendre(b)
 
 
 @settings(deadline=None)
 @given(st.integers(), st.integers(), st.sampled_from(odd_primes_upto(31)))
 def test_legendre_multiplicativity_hypothesis(a, b, p):
-    assert legendre(a * b, p) == legendre(a, p) * legendre(b, p)
+    P = as_prime(p)
+    assert P.legendre(a * b) == P.legendre(a) * P.legendre(b)
 
 
 def test_delta_p():
-    assert delta_p(5) == UNIT_ONE
-    assert delta_p(3) == UNIT_I
-    assert delta_p(13) == UNIT_ONE
+    # delta(p), the unit of the quadratic Gauss sum: 1 for p = 1 mod 4, i for 3 mod 4
+    assert G_h_chip(1, 1, 5).unit == UNIT_ONE
+    assert G_h_chip(1, 1, 3).unit == UNIT_I
+    assert G_h_chip(1, 1, 13).unit == UNIT_ONE
 
 
 def test_class_number_examples():

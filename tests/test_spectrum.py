@@ -1,6 +1,5 @@
 import cmath
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -11,7 +10,6 @@ from zpeta.numtheory import as_prime, odd_primes_upto
 from zpeta.spectrum import (
     dim_ker,
     dim_ker_oracle,
-    mult_diff,
     mult_diff_by_index,
     mult_diff_oracle,
 )
@@ -20,74 +18,42 @@ TRICOSM = validate(3, 1, 0, 1)
 
 
 def test_mult_diff_examples():
-    assert mult_diff(TRICOSM, 1, 0, 1) == -2
-    assert mult_diff(validate(5, 2, 0, 1), 1, 1, 1) == 5
-    for mu in (1, 2, 3, 4):
-        assert mult_diff(validate(5, 2, 0, 1), 1, 0, mu) == 0
+    assert mult_diff_by_index(TRICOSM, 1, 0, 1) == -2
+    assert mult_diff_by_index(validate(5, 2, 0, 1), 1, 1, 1) == 5
+    for c in (1, 2, 3, 4):
+        assert mult_diff_by_index(validate(5, 2, 0, 1), 1, 0, c) == 0
 
 
 def test_mult_diff_vanishes_at_p_dividing_mu():
-    assert mult_diff(TRICOSM, 1, 1, 3) == 0
+    assert mult_diff_by_index(TRICOSM, 1, 1, 3) == 0
 
 
 def test_mult_diff_nonexceptional_is_zero():
     params = validate(5, 1, 1, 2)
     assert not params.exceptional
-    for h, mu in ((1, 4), (2, Fraction(7, 2))):
+    for h in (1, 2):  # mu = 4 and mu = 7/2
         for ell in range(5):
-            assert mult_diff(params, h, ell, mu) == 0
+            assert mult_diff_by_index(params, h, ell, 4) == 0
 
 
 def test_spectral_index_validation():
-    mult_diff(TRICOSM, 1, 0, 1)
-    mult_diff(TRICOSM, 2, 0, Fraction(1, 2))
-    with pytest.raises(ValueError, match="need mu in N for h=1"):
-        mult_diff(TRICOSM, 1, 0, Fraction(1, 2))
-    with pytest.raises(ValueError, match="incompatible with h = 2"):
-        mult_diff(TRICOSM, 2, 0, 1)
-    with pytest.raises(ValueError, match="must be positive, got 2\\*mu = 0"):
-        mult_diff(TRICOSM, 1, 0, 0)
+    mult_diff_by_index(TRICOSM, 1, 0, 1)
+    mult_diff_by_index(TRICOSM, 2, 0, 1)
+    for entry in (mult_diff_by_index, mult_diff_oracle):
+        for c in (0, -1):
+            with pytest.raises(ValueError, match=f"series index must be >= 1, got {c}$"):
+                entry(TRICOSM, 1, 0, c)
     # mu = 3/2 (h = 2) and mu = 2 (h = 1) both have index c = 2
-    for ell in range(3):
-        by_index = mult_diff_by_index(TRICOSM, 2, ell, 2)
-        assert mult_diff(TRICOSM, 2, ell, Fraction(3, 2)) == by_index
-        assert mult_diff(TRICOSM, 1, ell, 2) == mult_diff_by_index(TRICOSM, 1, ell, 2)
+    assert [mult_diff_by_index(TRICOSM, 2, ell, 2) for ell in range(3)] == [0, 0, 0]
+    assert [mult_diff_by_index(TRICOSM, 1, ell, 2) for ell in range(3)] == [2, -1, -1]
 
 
-def test_mult_diff_mu_validation():
-    with pytest.raises(ValueError):
-        mult_diff(TRICOSM, 1, 0, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        mult_diff(TRICOSM, 2, 0, 1)
-    with pytest.raises(ValueError, match="half-integer"):
-        mult_diff(TRICOSM, 1, 0, Fraction(1, 3))
-    with pytest.raises(ValueError, match="h must be 1 or 2"):
-        mult_diff(TRICOSM, 3, 0, 1)
-
-
-def test_mult_diff_mu_of_every_rational_type():
-    # int, Fraction, float and str give the same 2 mu and the same messages
-    oracle = mult_diff_oracle(TRICOSM, 2, 1, Fraction(5, 2))
-    for mu in (Fraction(5, 2), 2.5, "5/2"):
-        assert mult_diff(TRICOSM, 2, 1, mu) == mult_diff_by_index(TRICOSM, 2, 1, 3)
-        assert mult_diff_oracle(TRICOSM, 2, 1, mu) == oracle
-    for mu in (3, Fraction(6, 2), 3.0):
-        assert mult_diff(TRICOSM, 1, 2, mu) == mult_diff_by_index(TRICOSM, 1, 2, 3)
-    for mu, shown in ((0.3, "0.3"), (Fraction(1, 3), "1/3"), ("5/4", "5/4")):
-        with pytest.raises(ValueError, match=f"mu must be a half-integer, got {shown}$"):
-            mult_diff(TRICOSM, 1, 0, mu)
-    with pytest.raises(ValueError, match="must be positive, got 2\\*mu = -3"):
-        mult_diff(TRICOSM, 2, 0, Fraction(-3, 2))
-
-
-def test_mult_diff_by_index_matches_mu_form():
-    for h in (1, 2):
-        for c in range(1, 10):
-            mu = Fraction(2 * c - (1 if h == 2 else 0), 2)
-            for ell in range(3):
-                assert mult_diff_by_index(TRICOSM, h, ell, c) == mult_diff(
-                    TRICOSM, h, ell, mu
-                )
+@pytest.mark.parametrize("params", (TRICOSM, validate(5, 1, 1, 2)), ids=("exceptional", "not"))
+@pytest.mark.parametrize("entry", (mult_diff_by_index, mult_diff_oracle))
+@pytest.mark.parametrize("h", (0, 3, -1))
+def test_h_outside_one_two_is_refused(h, entry, params):
+    with pytest.raises(ValueError, match=f"h must be 1 or 2, got {h}$"):
+        entry(params, h, 1, 1)
 
 
 def test_mult_diff_oracle_examples():
@@ -104,8 +70,7 @@ def test_mult_diff_matches_oracle():
                 for ell in range(p):
                     for c in range(1, 2 * p + 1):
                         exact = mult_diff_by_index(params, h, ell, c)
-                        mu = Fraction(2 * c - (1 if h == 2 else 0), 2)
-                        approx = mult_diff_oracle(params, h, ell, mu)
+                        approx = mult_diff_oracle(params, h, ell, c)
                         assert abs(exact - approx) < 1e-6, (p, a, h, ell, c)
 
 
@@ -117,8 +82,7 @@ def test_mult_diff_oracle_twist_sum_rule():
             params = validate(p, a, 0, 1)
             for h in (1, 2):
                 for c in range(1, 2 * p + 1):
-                    mu = Fraction(2 * c - (1 if h == 2 else 0), 2)
-                    total = sum(mult_diff_oracle(params, h, ell, mu) for ell in range(p))
+                    total = sum(mult_diff_oracle(params, h, ell, c) for ell in range(p))
                     assert abs(total) < 1e-9, (p, a, h, c, total)
 
 
@@ -233,7 +197,7 @@ def test_mult_diff_oracle_is_the_literal_loop_bit_for_bit():
                 for ell in range(p):
                     for c in range(1, 3 * p + 1):
                         two_mu = 2 * c - (1 if h == 2 else 0)
-                        got = mult_diff_oracle(params, h, ell, Fraction(two_mu, 2))
+                        got = mult_diff_oracle(params, h, ell, c)
                         want = _loop_oracle(params, h, ell, two_mu)
                         assert got.hex() == want.hex(), (p, a, h, ell, c)
                         cells += 1
