@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .exact import ResidueModZ, reduce_mod_Z
@@ -317,7 +317,9 @@ def structure_records(params: ZpParams, structure: SpinStructure) -> list[Invari
     etabar_0 for the same structure.
 
     etabar_0 is computed once, and dim ker twice: it depends on ell only
-    through whether p divides ell.  Needs odd n.
+    through whether p divides ell.  So for ell >= 2 a record whose eta
+    equals the previous twist's is that record with ell changed.  Needs
+    odd n.
     """
     _need_odd(params)
     eta_0, d_0, bar_0 = _eta_bar(params, structure, 0)
@@ -325,7 +327,11 @@ def structure_records(params: ZpParams, structure: SpinStructure) -> list[Invari
     d_1 = dim_ker(params, structure, 1)
     for ell in range(1, params.p):
         eta_l = eta_invariant(params, structure.h, ell)
-        records.append(_record(structure, ell, eta_l, d_1, (eta_l + d_1) / 2, bar_0))
+        last = records[-1]
+        if ell > 1 and eta_l == last.eta:
+            records.append(replace(last, ell=ell))
+        else:
+            records.append(_record(structure, ell, eta_l, d_1, (eta_l + d_1) / 2, bar_0))
     return records
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
 
@@ -212,9 +213,6 @@ class IntMatrix:
             tuple(row[:i] + (row[i] + s,) + row[i + 1 :] for i, row in enumerate(self.rows))
         )
 
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.n))
-
     def power(self, k: int) -> "IntMatrix":
         if k < 0:
             raise ValueError(f"power needs k >= 0, got {k}")
@@ -228,50 +226,135 @@ class IntMatrix:
         return result
 
     def rank(self) -> int:
-        """Exact rank over Q by fraction-free Bareiss elimination, skipping pivot-less columns."""
+        """Exact rank over Q by fraction-free Bareiss elimination with lazily scaled rows.
+
+        A Bareiss step multiplies a row whose pivot-column entry is 0 by
+        pivot/prev; over consecutive such steps the factors telescope to
+        prev_now/prev_then, since each pivot becomes the next prev.  So each
+        row keeps the prev at which it was last written (its stamp) and is
+        brought up to date, by one exact division, only when it is next
+        touched: as the pivot row or with a nonzero in the pivot column.
+        Rows with a zero there are skipped, so a matrix with k nonzeros
+        per row and little fill-in costs about O(k n^2).
+        """
         a = [list(r) for r in self.rows]
         n = self.n
+        stamp = [1] * n
         r, prev = 0, 1
+
+        def catch_up(i: int, c: int) -> None:
+            s = stamp[i]
+            if s != prev:
+                row = a[i]
+                for j in range(c, n):
+                    if row[j]:
+                        q, rem = divmod(row[j] * prev, s)
+                        assert rem == 0
+                        row[j] = q
+                stamp[i] = prev
+
         for c in range(n):
             piv = next((i for i in range(r, n) if a[i][c] != 0), None)
             if piv is None:
                 continue
             a[r], a[piv] = a[piv], a[r]
+            stamp[r], stamp[piv] = stamp[piv], stamp[r]
+            catch_up(r, c)
+            top = a[r]
+            pivot = top[c]
             for i in range(r + 1, n):
+                if a[i][c] == 0:
+                    continue
+                catch_up(i, c)
+                row = a[i]
+                f = row[c]
                 for j in range(c + 1, n):
-                    num = a[i][j] * a[r][c] - a[i][c] * a[r][j]
-                    q, rem = divmod(num, prev)
+                    q, rem = divmod(row[j] * pivot - f * top[j], prev)
                     assert rem == 0
-                    a[i][j] = q
-                a[i][c] = 0
-            prev = a[r][c]
+                    row[j] = q
+                row[c] = 0
+                stamp[i] = pivot
+            prev = pivot
             r += 1
         return r
 
     def charpoly(self) -> tuple[int, ...]:
-        """det(xI - M) by Faddeev-LeVerrier, ascending coefficients."""
+        """det(xI - M), ascending coefficients, by the Hessenberg recurrence.
+
+        M is first brought to upper Hessenberg form H by an exact similarity
+        over Q: for each column c a nonzero entry below the diagonal is
+        swapped into row and column c + 1, and the entries below it are
+        cleared by a row operation and the inverse column operation.  A
+        matrix that is already upper Hessenberg, as C_p and J_p are, is only
+        scanned, so its entries stay int.  Then, with p_0 = 1,
+
+            p_{k+1} = (x - h_kk) p_k - sum_{i<k} h_ik (prod_{j=i+1}^{k} h_{j,j-1}) p_i
+
+        (Cohen, A Course in Computational Algebraic Number Theory, Alg.
+        2.2.9), skipping zero h_ik and stopping once the product is 0.
+        """
         n = self.n
-        desc = [1]
-        mk = self
-        for k in range(1, n + 1):
-            ck, rem = divmod(-mk.trace(), k)
-            assert rem == 0
-            desc.append(ck)
-            if k < n:
-                mk = self @ mk.add_scalar_identity(ck)
-        return tuple(reversed(desc))
+        h = [list(r) for r in self.rows]
+        for c in range(n - 2):
+            piv = next((i for i in range(c + 1, n) if h[i][c] != 0), None)
+            if piv is None:
+                continue
+            k = c + 1
+            if piv != k:
+                h[k], h[piv] = h[piv], h[k]
+                for row in h:
+                    row[k], row[piv] = row[piv], row[k]
+            for i in range(k + 1, n):
+                if h[i][c] != 0:
+                    u = Fraction(h[i][c], h[k][c])
+                    h[i] = [x - u * y for x, y in zip(h[i], h[k])]
+                    for row in h:
+                        if row[i]:
+                            row[k] += u * row[i]
+        polys = [[1]]
+        for k in range(n):
+            nxt = [0] + polys[k]
+            if h[k][k]:
+                for d, v in enumerate(polys[k]):
+                    nxt[d] -= h[k][k] * v
+            t = 1
+            for i in range(k - 1, -1, -1):
+                t *= h[i + 1][i]
+                if t == 0:
+                    break
+                if h[i][k]:
+                    s = h[i][k] * t
+                    for d, v in enumerate(polys[i]):
+                        nxt[d] -= s * v
+            polys.append(nxt)
+        coeffs = []
+        for v in polys[n]:
+            assert v.denominator == 1
+            coeffs.append(int(v))
+        return tuple(coeffs)
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
 
 
+MAX_HOLONOMY_N = 2000
+
+
 def build_holonomy(params: ZpParams) -> IntMatrix:
-    """Block-diagonal generator matrix diag(C_p x a, J_p x b, 1 x c)."""
+    """Block-diagonal generator matrix diag(C_p x a, J_p x b, 1 x c).
+
+    The matrix is stored dense, so n above MAX_HOLONOMY_N is refused with
+    ValueError before anything is allocated.
+    """
     if params.ideal_label != "principal":
         raise UnsupportedIdealError(
             f"no matrix model for ideal class {params.ideal_label!r}"
         )
     p, n = params.p, params.n
+    if n > MAX_HOLONOMY_N:
+        raise ValueError(
+            f"holonomy matrix of {params} would be {n} x {n}; n is limited to {MAX_HOLONOMY_N}"
+        )
     rows = [[0] * n for _ in range(n)]
     off = 0
     for _ in range(params.a):  # C_p, companion of Phi_p: subdiagonal ones, last column -1
@@ -326,10 +409,12 @@ def _component_analysis(rows: tuple[tuple[int, ...], ...], p: int):
 
     p is prime, so an order dividing p is 1 or p: it suffices to test
     M = I and M^p = I.  Matrices whose order does not divide p report 0.
-    det(M) is (-1)^n times the charpoly's constant term, so rank(M - I) is
-    the only elimination.  exponents is (e, f) with charpoly
-    Phi_p^e (x - 1)^f, found by exact division, or None when any other
-    factor remains.
+    The charpoly comes from the Hessenberg recurrence (``IntMatrix.charpoly``)
+    and det(M) is (-1)^n times its constant term, so rank(M - I), the lazily
+    scaled Bareiss elimination of ``IntMatrix.rank``, is the only
+    elimination; on C_p and J_p blocks both cost O(p^2).  exponents is
+    (e, f) with charpoly Phi_p^e (x - 1)^f, found by exact division, or
+    None when any other factor remains.
     """
     comp = IntMatrix._from_rows(rows)
     ident = IntMatrix.identity(comp.n)
@@ -471,6 +556,7 @@ __all__ = [
     "HolonomyReport",
     "HomologyH1",
     "IntMatrix",
+    "MAX_HOLONOMY_N",
     "NotOddError",
     "NotPrimeError",
     "SpinStructure",

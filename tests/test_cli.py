@@ -2,15 +2,20 @@ import csv
 import hashlib
 import io
 import json
+import os
 import pickle
+import resource
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import zpeta
 from zpeta import cli, spectrum
 from zpeta.cli import invariant_rows, main, render_rows, run_suite
-from zpeta.manifold import enumerate_params, validate
+from zpeta.manifold import MAX_HOLONOMY_N, enumerate_params, validate
 from zpeta.numtheory import odd_primes_upto
 
 
@@ -400,6 +405,29 @@ def test_holonomy_command(capsys):
     assert payload["blocks"] == ["C3", "1"]
     assert payload["matrix"] == [[0, -1, 0], [1, -1, 0], [0, 0, 1]]
     assert payload["checks"]["failures"] == []
+
+
+SRC_DIR = os.path.dirname(os.path.dirname(zpeta.__file__))
+
+
+def test_holonomy_refuses_a_matrix_above_the_size_bound():
+    # n = 90,003: a dense matrix would need tens of GB, so the refusal must
+    # come before anything is built; the child runs under a 1 GB address-space
+    # limit and a short timeout, so a regression fails here instead of swapping
+    assert MAX_HOLONOMY_N >= 483  # the (97,3,2,1) reference size
+    limit = 1024**3
+    proc = subprocess.run(
+        [sys.executable, "-m", "zpeta.cli", "holonomy", "--p", "3", "--a", "1", "--b", "30000",
+         "--c", "1"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": SRC_DIR},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert f"limited to {MAX_HOLONOMY_N}" in proc.stderr
 
 
 def test_classnumber_command(capsys):

@@ -24,6 +24,7 @@ from zpeta.manifold import (
     homology_h1,
     validate,
 )
+from zpeta.numtheory import odd_primes_upto
 
 
 def test_validate_examples():
@@ -207,11 +208,39 @@ _SQUARE_MATRICES = st.integers(1, 4).flatmap(
 )
 
 
+def _rank_by_minors(rows) -> int:
+    n = len(rows)
+    for k in range(n, 0, -1):
+        for sub_rows in itertools.combinations(range(n), k):
+            for sub_cols in itertools.combinations(range(n), k):
+                if _leibniz_det([[rows[i][j] for j in sub_cols] for i in sub_rows]):
+                    return k
+    return 0
+
+
+@st.composite
+def _lazily_scaled_matrices(draw):
+    # the last row is zero in the first two pivot columns, whose pivots are
+    # not units, so it is skipped while prev moves away from 1 and is
+    # rescaled when it is next touched
+    n = draw(st.integers(3, 5))
+    rows = draw(_kernel_matrices(n))
+    rows[0][0] = draw(st.sampled_from((2, -2, 3)))
+    rows[1][1] = draw(st.sampled_from((2, 3, -3)))
+    rows[-1][0] = rows[-1][1] = 0
+    if draw(st.booleans()):  # rank-deficient: one row a combination of two others
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[k] = [s * x + t * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
 @settings(max_examples=300, deadline=None)
-@given(_SQUARE_MATRICES)
+@given(st.one_of(_SQUARE_MATRICES, _lazily_scaled_matrices()))
 def test_intmatrix_elimination_matches_leibniz(rows):
     # zero leading entries force row swaps and pivot-less columns
     m = IntMatrix(rows)
+    assert m.rank() == _rank_by_minors(rows)
     assert (m.rank() == m.n) == (_leibniz_det(rows) != 0)
     assert m.rank() == IntMatrix(zip(*rows)).rank()
 
@@ -287,15 +316,50 @@ def test_intmatrix_product_matches_triple_loop(pair):
     _assert_canonical(shifted)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 5).flatmap(_kernel_matrices))
+@st.composite
+def _hessenberg_matrices(draw):
+    # zero below the subdiagonal; zero subdiagonal entries split the recurrence
+    n = draw(st.integers(1, 5))
+    rows = draw(_kernel_matrices(n))
+    return [[v if i <= j + 1 else 0 for j, v in enumerate(r)] for i, r in enumerate(rows)]
+
+
+@st.composite
+def _matrices_needing_a_fraction_reduction(draw):
+    # column 0 is zero on the subdiagonal, so the reduction swaps a lower row up,
+    # and that pivot is not a unit, so clearing the row below it divides
+    n = draw(st.integers(4, 5))
+    rows = draw(_kernel_matrices(n))
+    rows[1][0] = 0
+    rows[2][0] = draw(st.sampled_from((2, -2, 3, -3)))
+    rows[3][0] = draw(st.sampled_from((1, -1, 2, 3, -3)))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(1, 5).flatmap(_kernel_matrices),
+        _hessenberg_matrices(),
+        _matrices_needing_a_fraction_reduction(),
+    )
+)
 def test_intmatrix_charpoly_matches_leibniz(rows):
-    m = IntMatrix(rows)
-    coeffs = m.charpoly()
-    assert len(coeffs) == m.n + 1
-    for x in range(m.n + 1):
+    coeffs = IntMatrix(rows).charpoly()
+    assert len(coeffs) == len(rows) + 1 and coeffs[-1] == 1
+    assert all(type(v) is int for v in coeffs)
+    for x in range(len(rows) + 1):
         shifted = [[(x if i == j else 0) - v for j, v in enumerate(r)] for i, r in enumerate(rows)]
         assert sum(c * x**k for k, c in enumerate(coeffs)) == _leibniz_det(shifted)
+
+
+@pytest.mark.parametrize("p", odd_primes_upto(97))
+def test_holonomy_block_charpolys_and_ranks(p):
+    c_p, j_p = IntMatrix(_block_rows("C", p)), IntMatrix(_block_rows("J", p))
+    assert c_p.charpoly() == (1,) * p  # Phi_p
+    assert j_p.charpoly() == (-1,) + (0,) * (p - 1) + (1,)  # x^p - 1
+    assert c_p.add_scalar_identity(-1).rank() == p - 1
+    assert j_p.add_scalar_identity(-1).rank() == p - 1
 
 
 @settings(max_examples=200, deadline=None)
