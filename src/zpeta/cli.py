@@ -94,7 +94,7 @@ def _appendix_legendre_checks(report: Report, p: int) -> None:
                 want = closed[(factor, sign)]
                 report.check(got == want, desc, f"weighted-sum(factor={factor})", ell, want, got)
             # odd-index weighted identity
-            got = sum(tab[(2 * ell + sign * (2 * j + 1)) % p] * j for j in range(p))
+            got = numtheory.odd_weighted_legendre_sum(ell, sign, P)
             want = numtheory.weighted_legendre_sum(ell, 2, sign, P) - l2 * (
                 numtheory.weighted_legendre_sum(ell, 1, sign, P)
             )

@@ -10,6 +10,12 @@ All the structured sums here (shifted, weighted, split) are evaluated by
 literal direct summation.  Their closed forms are deliberately *not* used
 in this module; the test suite asserts sum == closed form, so the
 executable side stays the naive one.
+
+The shifted and weighted sums depend only on their base (k*ell, 2*ell or
+factor*ell, taken mod p) and their sign.  ``OddPrime`` keeps each such sum
+in a memo keyed by (kind, base mod p, sign): the literal ascending-j loop
+fills a cell on its first read, once per prime, so a sweep over every
+(ell, k) costs O(p^2) per prime and one call costs O(p).
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ def is_prime(n: int) -> bool:
 class OddPrime:
     """An odd prime p with the derived quantities q = (p-1)/2 and t = [p/4]."""
 
-    __slots__ = ("p", "q", "t", "_table", "_trivial", "_weighted")
+    __slots__ = ("p", "q", "t", "_table", "_trivial", "_sums")
 
     def __init__(self, p: int):
         if type(p) is not int:
@@ -73,7 +79,7 @@ class OddPrime:
         self.t = p // 4
         self._table = None
         self._trivial = None
-        self._weighted = None
+        self._sums = {}
 
     def legendre_table(self) -> tuple[int, ...]:
         if self._table is None:
@@ -92,12 +98,18 @@ class OddPrime:
     def legendre(self, k: int) -> int:
         return self.legendre_table()[k % self.p]
 
+    def literal_sum(self, kind: str, base: int, sign: int) -> int:
+        """The Legendre sum of the kind at (base mod p, sign).  Its literal
+        loop runs on the first read of the cell; later reads return it."""
+        key = (kind, base % self.p, sign)
+        value = self._sums.get(key)
+        if value is None:
+            value = self._sums[key] = _LOOPS[kind](self.legendre_table(), self.p, key[1], sign)
+        return value
+
     def weighted_sum(self) -> int:
         """sum_{j=1}^{p-1} (j/p) j"""
-        if self._weighted is None:
-            tab = self.legendre_table()
-            self._weighted = sum(tab[j] * j for j in range(1, self.p))
-        return self._weighted
+        return self.literal_sum("weighted", 0, 1)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, OddPrime) and other.p == self.p
@@ -164,6 +176,28 @@ def class_number_reduced_forms(p: int | OddPrime) -> int:
     return count
 
 
+# The literal loops behind OddPrime.literal_sum, by kind; base is reduced mod p.
+_LOOPS = {
+    "shift": lambda tab, p, base, sign: sum(tab[(base + sign * j) % p] for j in range(1, p)),
+    "odd-shift": lambda tab, p, base, sign: sum(
+        tab[(base + sign * (2 * j + 1)) % p] for j in range(p)
+    ),
+    "weighted": lambda tab, p, base, sign: sum(
+        tab[(base + sign * j) % p] * j for j in range(1, p)
+    ),
+    "odd-weighted": lambda tab, p, base, sign: sum(
+        tab[(base + sign * (2 * j + 1)) % p] * j for j in range(p)
+    ),
+}
+
+
+def _check_ints(**args) -> None:
+    """Refuse a float, bool, Fraction or string before any table or memo is read."""
+    for name, value in args.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _check_sign(sign: int) -> int:
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
@@ -172,20 +206,14 @@ def _check_sign(sign: int) -> int:
 
 def sum_legendre_shift(ell: int, k: int, sign: int, p: int | OddPrime) -> int:
     """sum_{j=1}^{p-1} ((k*ell +- j)/p), by direct summation."""
-    P = as_prime(p)
-    _check_sign(sign)
-    tab, p = P.legendre_table(), P.p
-    base = k * (ell % p)
-    return sum(tab[(base + sign * j) % p] for j in range(1, p))
+    _check_ints(ell=ell, k=k, sign=sign)
+    return as_prime(p).literal_sum("shift", k * ell, _check_sign(sign))
 
 
 def sum_legendre_odd_shift(ell: int, sign: int, p: int | OddPrime) -> int:
     """sum_{j=0}^{p-1} ((2*ell +- (2j+1))/p), by direct summation."""
-    P = as_prime(p)
-    _check_sign(sign)
-    tab, p = P.legendre_table(), P.p
-    base = 2 * (ell % p)
-    return sum(tab[(base + sign * (2 * j + 1)) % p] for j in range(p))
+    _check_ints(ell=ell, sign=sign)
+    return as_prime(p).literal_sum("odd-shift", 2 * ell, _check_sign(sign))
 
 
 def weighted_legendre_sum(ell: int, factor: int, sign: int, p: int | OddPrime) -> int:
@@ -193,13 +221,16 @@ def weighted_legendre_sum(ell: int, factor: int, sign: int, p: int | OddPrime) -
 
     factor is 1 or 2; ell is reduced mod p (the symbol is p-periodic).
     """
-    P = as_prime(p)
-    _check_sign(sign)
+    _check_ints(ell=ell, factor=factor, sign=sign)
     if factor not in (1, 2):
         raise ValueError(f"factor must be 1 or 2, got {factor}")
-    tab, p = P.legendre_table(), P.p
-    base = factor * (ell % p)
-    return sum(tab[(base + sign * j) % p] * j for j in range(1, p))
+    return as_prime(p).literal_sum("weighted", factor * ell, _check_sign(sign))
+
+
+def odd_weighted_legendre_sum(ell: int, sign: int, p: int | OddPrime) -> int:
+    """sum_{j=0}^{p-1} ((2*ell +- (2j+1))/p) * j, by direct summation."""
+    _check_ints(ell=ell, sign=sign)
+    return as_prime(p).literal_sum("odd-weighted", 2 * ell, _check_sign(sign))
 
 
 def S_h_pm(h: int, sign: int, ell: int, p: int | OddPrime) -> int:
@@ -210,6 +241,7 @@ def S_h_pm(h: int, sign: int, ell: int, p: int | OddPrime) -> int:
 
     Empty ranges (upper limit < 1) contribute 0.
     """
+    _check_ints(h=h, sign=sign, ell=ell)
     P = as_prime(p)
     _check_sign(sign)
     if h not in (1, 2):
@@ -230,6 +262,7 @@ def S_direct(which: int, ell: int, p: int | OddPrime) -> int:
     S_1(ell,p) = sum_{j=1}^{p-1} (((ell-j)/p) - ((ell+j)/p)) j
     S_2(ell,p) = sum_{j=0}^{p-1} (((2ell-(2j+1))/p) - ((2ell+(2j+1))/p)) j
     """
+    _check_ints(which=which, ell=ell)
     P = as_prime(p)
     tab, p = P.legendre_table(), P.p
     e = ell % p

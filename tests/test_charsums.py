@@ -17,7 +17,7 @@ from zpeta.charsums import (
     trig_prod,
     trig_prod_direct,
 )
-from zpeta.cli import suite_appendix
+from zpeta.cli import _appendix_for_prime, suite_appendix
 from zpeta.exact import UNIT_I, UNIT_ONE, RadicalValue
 from zpeta.numtheory import as_prime, odd_primes_upto
 
@@ -158,6 +158,23 @@ def test_appendix_reports_a_wrong_legendre_sum(monkeypatch):
             "got": "1",
         }
     ]
+
+
+def test_a_poisoned_memo_cell_fails_at_every_reader(monkeypatch):
+    # the shift sum at base k*ell = 3 mod 7, sign +1: one k per ell in 1..6 reads it
+    P = as_prime(7)
+    right = numtheory.sum_legendre_shift(3, 1, 1, P)
+    monkeypatch.setitem(P._sums, ("shift", 3, 1), right + 1)
+    report = _appendix_for_prime((7, None))
+    assert [f.structure for f in report.failures] == ["shifted-sum"] * 6
+    assert [f.ell for f in report.failures] == [1, 2, 3, 4, 5, 6]
+    assert report.failures[0].to_dict() == {
+        "params": "p=7",
+        "structure": "shifted-sum",
+        "ell": 1,
+        "expected": "1",
+        "got": "2",
+    }
 
 
 @pytest.mark.parametrize("h", (1, 2))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from zpeta.numtheory import (
     class_number,
     class_number_reduced_forms,
     odd_primes_upto,
+    odd_weighted_legendre_sum,
     sum_legendre_odd_shift,
     sum_legendre_shift,
     weighted_legendre_sum,
@@ -219,6 +221,129 @@ def test_odd_weighted_identity():
                     weighted_legendre_sum(ell, 1, sign, P)
                 )
                 assert direct == closed
+
+
+def test_odd_weighted_legendre_sum_examples():
+    assert odd_weighted_legendre_sum(0, 1, 3) == -2  # (1/3) 0 + (3/3) 1 + (5/3) 2
+    assert odd_weighted_legendre_sum(1, -1, 5) == -5  # 0 + 1 - 2 + 0 - 4
+    assert odd_weighted_legendre_sum(6, -1, 5) == -5  # ell is p-periodic
+
+
+# -- the per-prime memo of the literal sums -----------------------------------
+
+
+def reference_sum(P, kind, base, sign):
+    """The literal loop of each memoised kind, term by term through P.legendre."""
+    p = P.p
+    if kind == "shift":
+        return sum(P.legendre(base + sign * j) for j in range(1, p))
+    if kind == "odd-shift":
+        return sum(P.legendre(base + sign * (2 * j + 1)) for j in range(p))
+    if kind == "weighted":
+        return sum(P.legendre(base + sign * j) * j for j in range(1, p))
+    return sum(P.legendre(base + sign * (2 * j + 1)) * j for j in range(p))
+
+
+def memo_reads(P, base, sign):
+    """Per kind, two calls that reach the cell (base, sign) by different
+    arguments: the first is the miss, the second the hit."""
+    half = base * (P.p + 1) // 2  # 2 * half = base mod p
+    return {
+        "shift": (
+            lambda: sum_legendre_shift(base, 1, sign, P),
+            lambda: sum_legendre_shift(half - P.p, 2, sign, P),
+        ),
+        "odd-shift": (
+            lambda: sum_legendre_odd_shift(half, sign, P),
+            lambda: sum_legendre_odd_shift(half + 3 * P.p, sign, P),
+        ),
+        "weighted": (
+            lambda: weighted_legendre_sum(base, 1, sign, P),
+            lambda: weighted_legendre_sum(half, 2, sign, P),
+        ),
+        "odd-weighted": (
+            lambda: odd_weighted_legendre_sum(half, sign, P),
+            lambda: odd_weighted_legendre_sum(half - P.p, sign, P),
+        ),
+    }
+
+
+@pytest.mark.parametrize("p", odd_primes_upto(97))
+def test_every_memoised_sum_is_the_literal_loop(p):
+    P = OddPrime(p)  # a cold memo, not the shared cached prime
+    for base in range(p):
+        for sign in (1, -1):
+            for kind, (miss, hit) in memo_reads(P, base, sign).items():
+                want = reference_sum(P, kind, base, sign)
+                cells = len(P._sums)
+                assert miss() == want, (kind, base, sign)
+                assert len(P._sums) == cells + 1
+                assert hit() == want, (kind, base, sign)
+                assert len(P._sums) == cells + 1
+    assert P.weighted_sum() == reference_sum(P, "weighted", 0, 1)
+    assert len(P._sums) == 4 * 2 * p  # every cell filled once
+
+
+NOT_AN_INT = st.one_of(
+    st.sampled_from((1.0, 3.0, -1.0, True, False, Fraction(1), Fraction(3), "1", "3")),
+    st.floats(allow_nan=True),
+    st.fractions(),
+    st.text(max_size=3),
+)
+
+# each entry point with int arguments that read a cell when called on a prime
+ENTRY_POINTS = (
+    (sum_legendre_shift, ("ell", "k", "sign"), (3, 1, 1)),
+    (sum_legendre_odd_shift, ("ell", "sign"), (3, -1)),
+    (weighted_legendre_sum, ("ell", "factor", "sign"), (3, 1, 1)),
+    (odd_weighted_legendre_sum, ("ell", "sign"), (3, 1)),
+    (S_h_pm, ("h", "sign", "ell"), (1, 1, 3)),
+    (S_direct, ("which", "ell"), (1, 3)),
+)
+
+
+@settings(deadline=None)
+@given(NOT_AN_INT, st.sampled_from((7, 11, 13)))
+def test_legendre_sums_refuse_anything_but_ints_cold_and_warm(bad, p):
+    cold, warm = OddPrime(p), OddPrime(p)
+    for func, _, args in ENTRY_POINTS:
+        for ell in range(p):
+            func(*(ell if a == 3 else a for a in args), warm)
+    for func, names, args in ENTRY_POINTS:
+        for i, name in enumerate(names):
+            wrong = args[:i] + (bad,) + args[i + 1 :]
+            for P in (cold, warm):
+                with pytest.raises(ValueError, match=f"{name} must be an int, got "):
+                    func(*wrong, P)
+    assert not cold._sums
+
+
+def test_wrong_types_that_used_to_pass():
+    with pytest.raises(ValueError, match="which must be an int"):
+        S_direct(1.0, 1, 7)
+    with pytest.raises(ValueError, match="sign must be an int"):
+        sum_legendre_shift(1, 1, True, 7)
+
+
+class CountingTable(tuple):
+    """A Legendre table that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return tuple.__getitem__(self, index)
+
+
+def test_one_call_reads_the_table_at_most_p_times():
+    p = 10_007
+    P = OddPrime(p)
+    table = CountingTable(P.legendre_table())
+    P._table = table
+    assert sum_legendre_shift(5, 3, -1, P) == -P.legendre(15)
+    reads = table.reads - 1  # the check's own P.legendre
+    assert 0 < reads <= p
+    assert len(P._sums) == 1
 
 
 def test_split_sum_examples():
