@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import charsums, eta, numtheory, spectrum
 from .eta import DomainError, Report
@@ -292,34 +293,44 @@ _CSV_HEADER = [
 
 
 def invariant_rows(params: ZpParams) -> list[dict]:
-    """One row per (structure, ell), structures in enumeration order."""
+    """One row per (structure, ell), structures in enumeration order.
+
+    Raises DomainError when a value has more digits than the interpreter
+    converts to a string (``sys.get_int_max_str_digits()``).
+    """
     rows = []
     for structure in enumerate_spin_structures(params):
         for rec in eta.structure_records(params, structure):
-            rows.append(
-                {
-                    "p": params.p,
-                    "a": params.a,
-                    "b": params.b,
-                    "c": params.c,
-                    "n": params.n,
-                    "exceptional": params.exceptional,
-                    "structure": structure.label,
-                    "h": structure.h,
-                    "ell": rec.ell,
-                    "eta": rational_str(rec.eta),
-                    "dim_ker": str(rec.dim_ker),
-                    "eta_bar": rational_str(rec.eta_bar),
-                    "eta_bar_mod_Z": str(rec.eta_bar_mod_Z),
-                    "relative_mod_Z": str(rec.relative_mod_Z),
-                }
-            )
+            try:
+                rows.append(
+                    {
+                        "p": params.p,
+                        "a": params.a,
+                        "b": params.b,
+                        "c": params.c,
+                        "n": params.n,
+                        "exceptional": params.exceptional,
+                        "structure": structure.label,
+                        "h": structure.h,
+                        "ell": rec.ell,
+                        "eta": rational_str(rec.eta),
+                        "dim_ker": str(rec.dim_ker),
+                        "eta_bar": rational_str(rec.eta_bar),
+                        "eta_bar_mod_Z": str(rec.eta_bar_mod_Z),
+                        "relative_mod_Z": str(rec.relative_mod_Z),
+                    }
+                )
+            except ValueError:  # only int -> str raises here, beyond the digit limit
+                raise DomainError(
+                    f"an invariant of {params} has more than {sys.get_int_max_str_digits()} "
+                    "digits, the interpreter's limit for printing an integer"
+                ) from None
     return rows
 
 
 def render_rows(rows: list[dict], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
+        return _json(rows) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -340,6 +351,42 @@ def render_rows(rows: list[dict], fmt: str) -> str:
 
 # ---------------------------------------------------------------------------
 # commands
+
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _json(obj, newline: str = "\n") -> str:
+    """Exactly ``json.dumps(obj, indent=2)``, without its pure-Python encoder.
+
+    With an indent, ``json.dumps`` renders every item through Python-level
+    generators; here strings go through the C quoting function and a list
+    of plain ints (a matrix row) is one join of their reprs, which for an
+    exact int is ``int.__repr__``, the digits ``json`` writes.  Keys must
+    be str: any other key raises TypeError.
+    """
+    if isinstance(obj, str):
+        return _quote(obj)
+    if type(obj) is int:
+        return repr(obj)
+    if obj is None or obj is True or obj is False:
+        return _LITERALS[obj]
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:  # bool is not int here: [1, True]
+            items = map(repr, obj)
+        else:
+            items = (_json(item, inner) for item in obj)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("certificate keys must be str")
+        items = (_quote(key) + ": " + _json(value, inner) for key, value in obj.items())
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(obj)  # floats, and the TypeError of anything else
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -376,7 +423,7 @@ def cmd_verify(args) -> int:
         print(f"error: suite {args.suite} checked no cases; widen --p-max or --n-max",
               file=sys.stderr)
         return 2
-    _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
+    _emit(_json(report.to_dict()) + "\n", args.out)
     return 0 if report.ok else 1
 
 
@@ -409,7 +456,7 @@ def cmd_holonomy(args) -> int:
         "matrix": matrix.to_lists(),
         "checks": report.to_dict(),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_json(payload) + "\n", args.out)
     return 0 if report.all_ok else 1
 
 

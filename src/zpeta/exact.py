@@ -19,7 +19,8 @@ UNIT_I = "i"
 
 def rational_str(x: Fraction | int) -> str:
     """Serialize as "num/den", omitting the denominator when it is 1."""
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -79,7 +79,9 @@ def validate(p: int, a: int, b: int, c: int, ideal_label: str = "principal") -> 
     """Check (p, a, b, c) and return the validated parameter record.
 
     Even total dimension is allowed (flagged by ``n_odd``, not an
-    error); downstream spectral operations refuse it themselves.
+    error); downstream spectral operations refuse it themselves.  Only the
+    principal ideal class has a matrix model, so any other label raises
+    UnsupportedIdealError here, for every command alike.
     """
     if type(p) is not int:  # bool is an int subclass and is refused too
         raise ValueError(f"p must be an integer, got {p!r}")
@@ -91,7 +93,13 @@ def validate(p: int, a: int, b: int, c: int, ideal_label: str = "principal") -> 
         raise ZeroHolonomyBlockError("a + b must be positive")
     if c == 0:
         raise TorsionViolationError("c must be >= 1")
+    _require_principal(ideal_label)
     return ZpParams(p, a, b, c, ideal_label)
+
+
+def _require_principal(ideal_label: str) -> None:
+    if ideal_label != "principal":
+        raise UnsupportedIdealError(f"no matrix model for ideal class {ideal_label!r}")
 
 
 @dataclass(frozen=True)
@@ -346,10 +354,7 @@ def build_holonomy(params: ZpParams) -> IntMatrix:
     The matrix is stored dense, so n above MAX_HOLONOMY_N is refused with
     ValueError before anything is allocated.
     """
-    if params.ideal_label != "principal":
-        raise UnsupportedIdealError(
-            f"no matrix model for ideal class {params.ideal_label!r}"
-        )
+    _require_principal(params.ideal_label)  # a ZpParams built directly skips validate
     p, n = params.p, params.n
     if n > MAX_HOLONOMY_N:
         raise ValueError(

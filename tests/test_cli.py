@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import zpeta
@@ -491,3 +491,104 @@ def test_verify_rejects_jobs_below_one(capsys, monkeypatch, jobs):
     assert code == 2
     assert out == ""
     assert "--jobs" in err
+
+
+# ---------------------------------------------------------------------------
+# the certificate writer: json.dumps(obj, indent=2) is its oracle
+
+_json_keys = st.text()  # any code point but surrogates: non-ASCII and control characters
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**256),
+    st.integers(max_value=-1),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(),
+    st.lists(st.one_of(st.integers(), st.booleans())),  # int rows, some with a bool
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_json_keys, inner, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+@example([1, True])
+@example([[], {}, [[]], {"": {}}])
+@example({"é\x00\x1f ": ["\x7f", "퟿\U0001f600", -0.0, 1e300, None]})
+@example((2**64, -(2**64), 0))
+def test_writer_is_json_dumps_indent_2(obj):
+    assert cli._json(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("key", (1, 1.5, True, None, (1, 2)))
+def test_writer_refuses_a_non_str_key(key):
+    # json.dumps writes int, float, bool and None keys as strings; no
+    # certificate has one, so the writer raises TypeError rather than match
+    with pytest.raises(TypeError):
+        cli._json({"ok": 0, key: 0})
+
+
+def test_holonomy_p97_is_json_dumps_of_its_payload(capsys, monkeypatch):
+    payloads = []
+    writer = cli._json
+
+    def recording(obj, *indent):  # nested values come back through cli._json too
+        payloads.append(obj)
+        return writer(obj, *indent)
+
+    monkeypatch.setattr(cli, "_json", recording)
+    code, out, err = run(capsys, "holonomy", "--p", "97", "--a", "3", "--b", "2", "--c", "1")
+    assert (code, err) == (0, "")
+    assert len(payloads[0]["matrix"]) == 483
+    assert out == json.dumps(payloads[0], indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# inputs refused at the boundary
+
+
+@pytest.mark.parametrize("command", ("invariants", "holonomy"))
+def test_nonprincipal_ideal_is_a_usage_error(capsys, command):
+    code, out, err = run(
+        capsys, command, "--p", "3", "--a", "1", "--b", "0", "--c", "1", "--ideal", "foo"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: no matrix model for ideal class 'foo'\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no digit limit"
+)
+@pytest.mark.parametrize("a, fmt", (("100000", "table"), ("20001", "json")))
+def test_invariants_beyond_the_digit_limit_is_a_domain_error(capsys, a, fmt):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(
+        capsys, "invariants", "--p", "3", "--a", a, "--b", "0", "--c", "1", "--format", fmt
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: an invariant of (3,{a},0,1) has more than {limit} digits, "
+        "the interpreter's limit for printing an integer\n"
+    )
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_python_dash_m_zpeta_is_the_cli(capsys):
+    proc = subprocess.run(
+        [sys.executable, "-m", "zpeta", "classnumber", "--p", "23"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC_DIR},
+    )
+    code, out, _ = run(capsys, "classnumber", "--p", "23")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+    assert code == 0

@@ -114,9 +114,14 @@ def test_holonomy_blocks():
 
 
 def test_holonomy_rejects_nonprincipal_ideal():
-    params = validate(5, 1, 0, 1, ideal_label="a2")
     with pytest.raises(UnsupportedIdealError):
+        params = validate(5, 1, 0, 1, ideal_label="a2")
         build_holonomy(params)
+
+
+def test_build_holonomy_rejects_a_directly_built_nonprincipal_label():
+    with pytest.raises(UnsupportedIdealError, match="no matrix model for ideal class 'a2'"):
+        build_holonomy(ZpParams(5, 1, 0, 1, ideal_label="a2"))
 
 
 def test_holonomy_checks_tricosm():
