@@ -10,29 +10,30 @@ chip), h in {1, 2} and integers l, c:
 plus the half-period products prod_{j=1}^{q} sin(j k pi / p) and the
 cosine analogue, q = (p-1)/2.
 
-Each sum has two faces: an exact closed form (RadicalValue) and a literal
-floating-point summation in fixed ascending-k order.  The two sides are
-kept strictly separate so each can serve as the other's oracle.
+Each sum has two faces: an exact closed form (RadicalValue) and the
+literal sum, evaluated term by term in the oracle ring Z[z], z = zeta_4p
+(``exact.CyclotomicRing``), where it is an exact packed element.  The two
+sides are kept strictly separate so each can serve as the other's oracle,
+and they are compared with ``==`` after ``CyclotomicRing.embed``.
 
-F_h(l, c) depends only on l mod p and c mod p, so its direct sum is
-evaluated for a whole p x p grid at once (one numpy outer product per k,
-accumulated in ascending k) and cached for the last four (h, chi, p);
-each grid cell is the same literal sum, in the same order, as a scalar
-loop over k.
+Both sums are read from one table per (h, chi, p),
+
+    D(u) = sum_{k=1}^{p-1} (-1)^{k(h+1)} chi(k) z^{2ku},   u mod 2p,
+
+built as sums of packed monomials: G_h(l) = D(2l + [h=2]), and, since
+sin x = (e^{ix} - e^{-ix}) / 2i, 2i F_h(l, c) = D(2l + m) - D(2l - m) with
+m = 2c + [h=2].  The trig products are literal products of
+z^{2jk} -+ z^{-2jk} (2i sin and 2 cos of j k pi / p).
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
-import math
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
-from .exact import UNIT_I, UNIT_ONE, RadicalValue
-from .numtheory import OddPrime, as_prime
+from .exact import UNIT_I, UNIT_ONE, RadicalValue, cyclotomic_ring, pack
+from .numtheory import OddPrime, as_prime, check_ints
 
 
 class CharacterChoice(enum.Enum):
@@ -43,60 +44,65 @@ class CharacterChoice(enum.Enum):
 CHI0 = CharacterChoice.CHI0
 CHIP = CharacterChoice.CHIP
 
-
-@lru_cache(maxsize=None)
-def _phase_table(p: int) -> tuple[complex, ...]:
-    # e^{i pi m / p} for m in 0..2p-1; index reduction mod 2p is exact
-    return tuple(cmath.exp(1j * math.pi * m / p) for m in range(2 * p))
+_KINDS = {"sin": -1, "cos": 1}  # the sign of z^{-2jk} in a factor of the product
 
 
-@lru_cache(maxsize=None)
-def _sine_table(p: int) -> tuple[float, ...]:
-    return tuple(math.sin(math.pi * m / p) for m in range(2 * p))
-
-
-def _char_values(chi: CharacterChoice, P: OddPrime) -> tuple[int, ...]:
-    return P.trivial_table() if chi is CHI0 else P.legendre_table()
-
-
-def _check_h(h: int) -> int:
+def _prime(p: int | OddPrime, chi: CharacterChoice, h: int, l: int, c: int = 1) -> OddPrime:
+    """p as an OddPrime once the arguments pass, before any table is read:
+    chi a CharacterChoice, h, l and c ints (bools refused), h in {1, 2} and
+    c >= 1."""
+    if not type(h) is type(l) is type(c) is int:
+        check_ints("h l c", h, l, c)
+    if not isinstance(chi, CharacterChoice):
+        raise ValueError(f"chi must be a CharacterChoice, got {chi!r}")
     if h not in (1, 2):
         raise ValueError(f"h must be 1 or 2, got {h}")
-    return h
-
-
-def _check_c(c: int) -> int:
     if c < 1:
         raise ValueError(f"c must be a positive integer, got {c}")
-    return c
+    return as_prime(p)
 
 
-def gauss_direct(h: int, chi: CharacterChoice, l: int, p: int | OddPrime) -> complex:
-    """Literal floating summation of G_h, ascending k."""
+def _trig_prime(kind: str, k: int, p: int | OddPrime) -> OddPrime:
+    check_ints("k", k)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be 'sin' or 'cos', got {kind!r}")
+    return as_prime(p)
+
+
+@lru_cache(maxsize=4)
+def _gauss_terms(h: int, quadratic: bool, p: int) -> tuple[int, ...]:
+    """D(u) for u = 0..2p-1, packed, each the sum of its p - 1 monomials."""
     P = as_prime(p)
-    _check_h(h)
-    phases = _phase_table(P.p)
-    chars = _char_values(chi, P)
-    step = 2 * l + (1 if h == 2 else 0)
-    total = 0.0 + 0.0j
-    for k in range(1, P.p):
-        sign = -1 if (h == 2 and k % 2 == 1) else 1
-        total += sign * chars[k % P.p] * phases[(k * step) % (2 * P.p)]
-    return total
+    mono = cyclotomic_ring(P).mono
+    chars = P.legendre_table() if quadratic else [1] * p  # k = 1..p-1 are read
+    weights = [(k, -chars[k] if h == 2 and k % 2 else chars[k]) for k in range(1, p)]
+    plus = [k for k, w in weights if w == 1]
+    minus = [k for k, w in weights if w == -1]
+    n = 4 * p
+    return tuple(
+        sum([mono[2 * k * u % n] for k in plus]) - sum([mono[2 * k * u % n] for k in minus])
+        for u in range(2 * p)
+    )
+
+
+def gauss_direct(h: int, chi: CharacterChoice, l: int, p: int | OddPrime) -> int:
+    """The literal sum G_h(l), packed in the ring of p."""
+    P = _prime(p, chi, h, l)
+    return _gauss_terms(h, chi is CHIP, P.p)[(2 * l + (h == 2)) % (2 * P.p)]
 
 
 def G_h_chi0(h: int, l: int, p: int | OddPrime) -> int:
     """G_h for the trivial character: p - 1 on the divisibility locus, else -1."""
-    P = as_prime(p)
-    _check_h(h)
+    P = _prime(p, CHI0, h, l)
     hit = (l % P.p == 0) if h == 1 else ((2 * l + 1) % P.p == 0)
     return P.p - 1 if hit else -1
 
 
 def G_h_chip(h: int, l: int, p: int | OddPrime) -> RadicalValue:
     """G_h for the quadratic character, as an exact radical value."""
-    P = as_prime(p)
-    _check_h(h)
+    P = _prime(p, CHI0, h, l)
     if h == 1:
         coeff = P.legendre(l)
     else:
@@ -107,9 +113,7 @@ def G_h_chip(h: int, l: int, p: int | OddPrime) -> RadicalValue:
 
 def F_h_chi0(h: int, l: int, c: int, p: int | OddPrime) -> RadicalValue:
     """F_h for the trivial character: 0 or a purely imaginary +-i p/2."""
-    P = as_prime(p)
-    _check_h(h)
-    _check_c(c)
+    P = _prime(p, CHI0, h, l, c)
     if l % P.p == 0:
         return RadicalValue.zero()
     if h == 1:
@@ -134,57 +138,28 @@ def F_h_chip(h: int, l: int, c: int, p: int | OddPrime) -> RadicalValue:
     The i * delta(p) product is folded exactly: it is i for p = 1 mod 4
     and -1 for p = 3 mod 4.
     """
-    P = as_prime(p)
-    _check_h(h)
-    _check_c(c)
+    P = _prime(p, CHI0, h, l, c)
     if h == 1:
         diff = P.legendre(l - c) - P.legendre(l + c)
     else:
         diff = P.legendre(2) * (P.legendre(2 * (l - c) - 1) - P.legendre(2 * (l + c) + 1))
-    if P.p % 4 == 1:
-        return RadicalValue(Fraction(diff, 2), UNIT_I, P.p)
-    return RadicalValue(Fraction(-diff, 2), UNIT_ONE, P.p)
+    return _half_root_multiples(P.p)[diff + 2]
 
 
 @lru_cache(maxsize=4)
-def _F_grid(h: int, chi: CharacterChoice, p: int) -> tuple[tuple[complex, ...], ...]:
-    """F_h(l, c) by direct summation for l, c in 0..p-1, indexed [l][c].
-
-    Cell (l, c) accumulates sign * chi(k) * e^{2 pi i l k / p} * sin(...)
-    for k = 1..p-1 in ascending order, with real and imaginary parts kept
-    apart so that each product and each addition rounds exactly as the
-    scalar complex loop does.  A matrix product would let BLAS reorder
-    the sum, so the grid is built one k at a time.
-    """
-    P = as_prime(p)
-    phases = np.array(_phase_table(p))
-    sines = np.array(_sine_table(p))
-    chars = _char_values(chi, P)
-    residues = np.arange(p)
-    sin_steps = 2 * residues + (1 if h == 2 else 0)
-    real = np.zeros((p, p))
-    imag = np.zeros((p, p))
-    for k in range(1, p):
-        weight = (-1 if (h == 2 and k % 2 == 1) else 1) * chars[k]
-        phase_row = phases[(2 * k * residues) % (2 * p)]
-        sine_row = sines[(k * sin_steps) % (2 * p)]
-        real += np.multiply.outer(weight * phase_row.real, sine_row)
-        imag += np.multiply.outer(weight * phase_row.imag, sine_row)
-    grid = real.astype(complex)
-    grid.imag = imag
-    return tuple(map(tuple, grid.tolist()))
+def _half_root_multiples(p: int) -> tuple[RadicalValue, ...]:
+    """i delta(p) diff sqrt(p)/2 for diff = -2..2, the values of F_h_chip."""
+    if p % 4 == 1:
+        return tuple(RadicalValue(Fraction(diff, 2), UNIT_I, p) for diff in range(-2, 3))
+    return tuple(RadicalValue(Fraction(-diff, 2), UNIT_ONE, p) for diff in range(-2, 3))
 
 
-def F_direct(h: int, chi: CharacterChoice, l: int, c: int, p: int | OddPrime) -> complex:
-    """Literal floating summation of F_h, ascending k, for any l and c >= 1.
-
-    The value is read from the cached grid of its (h, chi, p) at
-    (l mod p, c mod p); the summation order is that of the scalar loop.
-    """
-    P = as_prime(p)
-    _check_h(h)
-    _check_c(c)
-    return _F_grid(h, chi, P.p)[l % P.p][c % P.p]
+def F_direct(h: int, chi: CharacterChoice, l: int, c: int, p: int | OddPrime) -> int:
+    """The literal sum 2i F_h(l, c), packed in the ring of p, for any l and c >= 1."""
+    P = _prime(p, chi, h, l, c)
+    terms = _gauss_terms(h, chi is CHIP, P.p)
+    m, n = 2 * c + (h == 2), 2 * P.p
+    return terms[(2 * l + m) % n] - terms[(2 * l - m) % n]
 
 
 def trig_prod(kind: str, k: int, p: int | OddPrime) -> RadicalValue:
@@ -194,9 +169,7 @@ def trig_prod(kind: str, k: int, p: int | OddPrime) -> RadicalValue:
     cos: (-1)^{(k-1)(p^2-1)/8} 2^{-q} for (k, p) = 1,
          (-1)^{(k/p)[(q+1)/2]} for p | k (k/p here the integer quotient).
     """
-    P = as_prime(p)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    P = _trig_prime(kind, k, p)
     eps = (P.p * P.p - 1) // 8
     if kind == "sin":
         sym = P.legendre(k)
@@ -204,24 +177,37 @@ def trig_prod(kind: str, k: int, p: int | OddPrime) -> RadicalValue:
             return RadicalValue.zero()
         sign = -1 if ((k - 1) * eps) % 2 else 1
         return RadicalValue(Fraction(sign * sym, 2**P.q), UNIT_ONE, P.p)
-    if kind == "cos":
-        if k % P.p == 0:
-            sign = -1 if ((k // P.p) * ((P.q + 1) // 2)) % 2 else 1
-            return RadicalValue(Fraction(sign), UNIT_ONE, 1)
-        sign = -1 if ((k - 1) * eps) % 2 else 1
-        return RadicalValue(Fraction(sign, 2**P.q), UNIT_ONE, 1)
-    raise ValueError(f"kind must be 'sin' or 'cos', got {kind!r}")
+    if k % P.p == 0:
+        sign = -1 if ((k // P.p) * ((P.q + 1) // 2)) % 2 else 1
+        return RadicalValue(Fraction(sign), UNIT_ONE, 1)
+    sign = -1 if ((k - 1) * eps) % 2 else 1
+    return RadicalValue(Fraction(sign, 2**P.q), UNIT_ONE, 1)
 
 
-def trig_prod_direct(kind: str, k: int, p: int | OddPrime) -> float:
-    """Literal floating product prod_{j=1}^{q} of sin or cos of jk pi/p."""
-    P = as_prime(p)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if kind not in ("sin", "cos"):
-        raise ValueError(f"kind must be 'sin' or 'cos', got {kind!r}")
-    fn = math.sin if kind == "sin" else math.cos
-    prod = 1.0
+@lru_cache(maxsize=8)
+def half_period_product(kind: str, P: OddPrime) -> tuple[int, ...]:
+    """prod_{j=1}^{q} (z^{2j} -+ z^{-2j}) modulo z^{4p} - 1, coefficients of
+    z^0..z^{4p-1}: (2i)^q times the sine product at k = 1, or 2^q times the
+    cosine one.  Its image under z -> z^k is the product at k."""
+    sign, n = _KINDS[kind], 4 * P.p
+    vec = [1] + [0] * (n - 1)
     for j in range(1, P.q + 1):
-        prod *= fn(j * k * math.pi / P.p)
-    return prod
+        vec = [vec[(e - 2 * j) % n] + sign * vec[(e + 2 * j) % n] for e in range(n)]
+    return tuple(vec)
+
+
+@lru_cache(maxsize=1024)
+def _trig_literal(kind: str, k: int, p: int) -> int:
+    """The packed product at k mod 2p: every exponent of the product is
+    even, so its image under z -> z^k depends on k mod 2p only."""
+    P = as_prime(p)
+    return pack(cyclotomic_ring(P).reduce(half_period_product(kind, P), k))
+
+
+def trig_prod_direct(kind: str, k: int, p: int | OddPrime) -> int:
+    """The literal product prod_{j=1}^{q} (z^{2jk} -+ z^{-2jk}), packed in the
+    ring of p: (2i)^q prod sin(jk pi/p) for kind "sin", 2^q prod cos(jk pi/p)
+    for "cos".  2^q is the coordinate of the cosine product at p | k, so p
+    must stay below 127 there (OverflowError otherwise)."""
+    P = _trig_prime(kind, k, p)
+    return _trig_literal(kind, k % (2 * P.p), P.p)

@@ -17,14 +17,8 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import charsums, eta, numtheory, spectrum
 from .eta import DomainError, Report
-from .exact import rational_str
+from .exact import cyclotomic_ring, rational_str
 from .manifold import (
-    EvenDimensionError,
-    NotOddError,
-    NotPrimeError,
-    TorsionViolationError,
-    UnsupportedIdealError,
-    ZeroHolonomyBlockError,
     ZpParams,
     build_holonomy,
     enumerate_params,
@@ -33,33 +27,20 @@ from .manifold import (
     validate,
 )
 
-_USAGE_ERRORS = (
-    NotPrimeError,
-    NotOddError,
-    ZeroHolonomyBlockError,
-    TorsionViolationError,
-    UnsupportedIdealError,
-    EvenDimensionError,
-    DomainError,
-    ValueError,
-)
-
 
 # ---------------------------------------------------------------------------
 # verification suites beyond the eta module's own
 
-# closed form against direct float summation: character sums, trig products
-_TOL, _TRIG_TOL = 1e-8, 1e-9
-
-
-def _check_close(report: Report, p: int, tol: float, direct, closed, name: str, *name_args) -> None:
-    """Record |direct - closed| < tol.  The failure entry, named by
-    name.format(*name_args), is built only when the check fails."""
-    if abs(direct - closed) < tol:
+# closed form against the literal sum, both exact in the oracle ring of p
+def _check_ring(report: Report, ring, direct: int, closed: int, name: str, *name_args) -> None:
+    """Record direct == closed.  The failure entry, named by
+    name.format(*name_args) with both sides as polynomials in z = zeta_4p,
+    is built only when the check fails."""
+    if direct == closed:
         report.record(True)
     else:
         name = name.format(*name_args)
-        report.check(False, f"p={p}", name, None, closed, f"{direct} (tol {tol})")
+        report.check(False, f"p={ring.p}", name, None, ring.to_str(closed), ring.to_str(direct))
 
 
 def _appendix_legendre_checks(report: Report, p: int) -> None:
@@ -120,49 +101,55 @@ def _appendix_legendre_checks(report: Report, p: int) -> None:
         report.check(s2 == want2, desc, "difference-sum-2", ell, want2, s2)
 
 
-def _appendix_charsum_checks(report: Report, p: int, tol: float, trig_tol: float) -> None:
+def _appendix_charsum_checks(report: Report, p: int) -> None:
     P = numtheory.as_prime(p)
+    ring = cyclotomic_ring(P)
+    embed = ring.embed
     for h in (1, 2):
         for l in range(p):
             direct = charsums.gauss_direct(h, charsums.CHI0, l, P)
-            closed = complex(charsums.G_h_chi0(h, l, P))
-            _check_close(report, p, tol, direct, closed, "gauss-trivial(h={},l={})", h, l)
+            closed = embed(charsums.G_h_chi0(h, l, P))
+            _check_ring(report, ring, direct, closed, "gauss-trivial(h={},l={})", h, l)
             direct = charsums.gauss_direct(h, charsums.CHIP, l, P)
-            closed = charsums.G_h_chip(h, l, P).to_complex()
-            _check_close(report, p, tol, direct, closed, "gauss-quadratic(h={},l={})", h, l)
-            for c in range(1, 2 * p + 1):
+            closed = embed(charsums.G_h_chip(h, l, P))
+            _check_ring(report, ring, direct, closed, "gauss-quadratic(h={},l={})", h, l)
+            for c in range(1, 2 * p + 1):  # F_direct is 2i F
                 direct = charsums.F_direct(h, charsums.CHI0, l, c, P)
-                closed = charsums.F_h_chi0(h, l, c, P).to_complex()
-                _check_close(
-                    report, p, tol, direct, closed, "sine-trivial(h={},l={},c={})", h, l, c
-                )
+                closed = embed(charsums.F_h_chi0(h, l, c, P), 2, 1)
+                _check_ring(report, ring, direct, closed, "sine-trivial(h={},l={},c={})", h, l, c)
                 direct = charsums.F_direct(h, charsums.CHIP, l, c, P)
-                closed = charsums.F_h_chip(h, l, c, P).to_complex()
-                _check_close(
-                    report, p, tol, direct, closed, "sine-quadratic(h={},l={},c={})", h, l, c
+                closed = embed(charsums.F_h_chip(h, l, c, P), 2, 1)
+                _check_ring(
+                    report, ring, direct, closed, "sine-quadratic(h={},l={},c={})", h, l, c
                 )
-    for kind in ("sin", "cos"):
+    # the literal products are (2i)^q prod sin and 2^q prod cos
+    for kind, i_pow in (("sin", P.q), ("cos", 0)):
         for k in range(1, 3 * p + 1):
             direct = charsums.trig_prod_direct(kind, k, P)
-            closed = charsums.trig_prod(kind, k, P).to_complex().real
-            _check_close(report, p, trig_tol, direct, closed, "trig-product({},k={})", kind, k)
+            closed = embed(charsums.trig_prod(kind, k, P), 2**P.q, i_pow)
+            _check_ring(report, ring, direct, closed, "trig-product({},k={})", kind, k)
 
 
-def _appendix_for_prime(item: tuple, tol: float = _TOL, trig_tol: float = _TRIG_TOL) -> Report:
+def _appendix_for_prime(item: tuple) -> Report:
     """The appendix identities at the prime of the work item (p, n_max)."""
     p = item[0]
     report = Report("appendix")
     _appendix_legendre_checks(report, p)
-    _appendix_charsum_checks(report, p, tol, trig_tol)
+    _appendix_charsum_checks(report, p)
     return report
 
 
-def suite_appendix(p_max: int, tol: float = _TOL, trig_tol: float = _TRIG_TOL) -> Report:
+def suite_appendix(p_max: int, tol: float = 1e-8, trig_tol: float = 1e-9) -> Report:
     """Every auxiliary identity up to p_max, serially: trig products, twisted
-    Gauss sums and Legendre-weighted sums, closed forms against direct summation."""
-    primes = numtheory.odd_primes_upto(p_max)
-    parts = [_appendix_for_prime((p, None), tol, trig_tol) for p in primes]
-    return _merge_reports("appendix", parts)
+    Gauss sums and Legendre-weighted sums, closed forms against direct summation.
+
+    Every comparison is an exact == in the oracle ring, which implies
+    agreement within any tolerance; tol and trig_tol stay for the callers
+    that pass one, and must be positive.
+    """
+    if not (tol > 0 and trig_tol > 0):
+        raise ValueError(f"tolerances must be positive, got tol={tol}, trig_tol={trig_tol}")
+    return run_suite("appendix", p_max, None)
 
 
 def _oracles_for_prime(item: tuple[int, int]) -> Report:
@@ -180,7 +167,7 @@ def _oracles_for_prime(item: tuple[int, int]) -> Report:
                 for c, name in enumerate(names[h], 1):
                     exact = spectrum.mult_diff_by_index(params, h, ell, c)
                     approx = spectrum.mult_diff_oracle(params, h, ell, c)
-                    report.check(abs(exact - approx) < 1e-6, desc, name, ell, exact, approx)
+                    report.check(exact == approx, desc, name, ell, exact, approx)
     # kernel dimensions across the sweep restricted to this prime
     for params in enumerate_params(p, n_max):
         if params.p != p:
@@ -190,7 +177,7 @@ def _oracles_for_prime(item: tuple[int, int]) -> Report:
         for ell in range(p):
             exact = spectrum.dim_ker(params, triv, ell)
             approx = spectrum.dim_ker_oracle(params, ell)
-            report.check(abs(exact - approx) < 1e-6, desc, "dim-ker", ell, exact, approx)
+            report.check(exact == approx, desc, "dim-ker", ell, exact, approx)
     return report
 
 
@@ -270,10 +257,17 @@ def _merge_reports(suite: str, parts: list[Report]) -> Report:
     return merged
 
 
+# the appendix packs the cosine product 2^q at p | k into one signed 64-bit
+# slot of the oracle ring, so q < 63
+_APPENDIX_P_MAX = 113
+
+
 def run_suite(suite: str, p_max: int | None, n_max: int | None, jobs: int = 1) -> Report:
     _, default_p, default_n, cost = _SUITES[suite]
     p_max = default_p if p_max is None else p_max
     n_max = default_n if n_max is None else n_max
+    if suite == "appendix" and p_max > _APPENDIX_P_MAX:
+        raise ValueError(f"suite appendix needs --p-max <= {_APPENDIX_P_MAX}, got {p_max}")
     if cost is None:
         items = [(p, n_max) for p in numtheory.odd_primes_upto(p_max)]
     else:
@@ -537,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except ValueError as exc:  # every validation and domain error is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,16 @@
-"""Exact arithmetic: rationals, radical values, and residues mod Z.
+"""Exact arithmetic: rationals, radical values, residues mod Z, and the
+oracle ring Z[zeta_4p].
 
 Every quantity of interest is either rational or of the form
 (rational) * u * sqrt(d) with u in {1, i} and d a squarefree positive
-integer (an odd prime or 1 in practice).  Values stay exact until a
-float is explicitly requested.  Rationals are stdlib Fractions: always in
-lowest terms with a positive denominator.
+integer (an odd prime or 1 in practice).  Rationals are stdlib Fractions:
+always in lowest terms with a positive denominator.
+
+Every brute-force oracle is a finite sum of roots of unity, so it is an
+exact element of Z[z], z = zeta_4p = e^{i pi / 2p}: e^{i pi m / p} = z^{2m},
+i = z^p, and sin and cos expand by their definitions.  ``CyclotomicRing``
+holds that ring for one odd prime; a closed form enters it through
+``CyclotomicRing.embed`` and is compared with the literal sum by ``==``.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 UNIT_ONE = "1"
 UNIT_I = "i"
@@ -80,10 +87,6 @@ class RadicalValue:
     def is_zero(self) -> bool:
         return self.coeff == 0
 
-    def to_complex(self) -> complex:
-        mag = float(self.coeff) * math.sqrt(self.radicand)
-        return complex(0.0, mag) if self.unit == UNIT_I else complex(mag, 0.0)
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
@@ -96,3 +99,138 @@ class RadicalValue:
 
 
 _ZERO = RadicalValue(Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# the oracle ring
+
+_BOUND = 1 << 63  # a packed coordinate c has |c| < _BOUND
+_MASK = (1 << 64) - 1
+
+
+def pack(coords: list[int]) -> int:
+    """sum_i c_i 2^{64 i}: the coordinates in signed 64-bit slots.  While every
+    |c_i| < 2^63 this is injective and linear, so a packed sum is the sum of
+    the packed elements and == compares every coordinate at once; a
+    coordinate at or past 2^63 raises OverflowError, so no overflow passes."""
+    if any(abs(c) >= _BOUND for c in coords):
+        raise OverflowError(f"a coordinate does not fit a signed 64-bit slot: {coords}")
+    return sum(c << (64 * i) for i, c in enumerate(coords))
+
+
+def unpack(x: int, n: int) -> list[int]:
+    """The n coordinates of a packed element (the inverse of pack)."""
+    coords = []
+    for _ in range(n):
+        coords.append(((x + _BOUND) & _MASK) - _BOUND)
+        x = (x - coords[-1]) >> 64
+    return coords
+
+
+class CyclotomicRing:
+    """Z[z] with z = zeta_4p = e^{i pi / 2p}, for an odd prime p.
+
+    A vector over exponents (a sequence or a dict) stands for sum_e v[e] z^e,
+    exponents mod 4p.  Its canonical form folds by z^{2p} = -1, then
+    reduces the two top coefficients by Phi_4p(z) = sum_{j<p} (-1)^j z^{2j},
+    leaving the coordinates of 1, z, ..., z^{2p-3}; elements are packed
+    from those.  ``mono[e]`` is the packed z^e: below z^{2p-2} a shift.  A
+    sum of s monomials has coordinates of size at most s, far inside the
+    slots, so the literal sums are sums of monomials.
+    """
+
+    __slots__ = ("p", "dim", "mono", "_units")
+
+    def __init__(self, P):
+        p = self.p = P.p
+        self.dim = 2 * p - 2
+        half = [1 << (64 * e) for e in range(self.dim)]
+        half += [pack(self.reduce({e: 1})) for e in (2 * p - 2, 2 * p - 1)]
+        self.mono = tuple(half + [-x for x in half])  # z^{2p + e} = -z^e
+        # sqrt p is g = sum_k (k/p) z^{4k} for p = 1 mod 4 and -i g = z^{3p} g
+        # for p = 3 mod 4 (Gauss's sign), confirmed by its square and its value
+        shift = 0 if p % 4 == 1 else 3 * p
+        root = {(4 * k + shift) % (4 * p): s for k, s in enumerate(P.legendre_table()) if s}
+        at_zeta = sum(c * math.cos(math.pi * e / (2 * p)) for e, c in enumerate(self.reduce(root)))
+        if self.reduce(self.times(root, root)) != [p] + [0] * (self.dim - 1) or not (
+            at_zeta > math.sqrt(p) / 2  # the exact square leaves +-sqrt(p) only
+        ):
+            raise ArithmeticError(f"no sqrt({p}) in Z[zeta_{4 * p}]: {root}")
+        # the units i^j (index j) and i^j sqrt(p) (index 4 + j) of the closed
+        # forms, with their first nonzero slot, its coordinate, their largest
+        # |coordinate| and 2^63 in every slot up to the first
+        self._units = []
+        for vec in [{j * p: 1} for j in range(4)] + [
+            {e + j * p: c for e, c in root.items()} for j in range(4)
+        ]:
+            coords = self.reduce(vec)
+            slot = next(i for i, c in enumerate(coords) if c)
+            half = sum(_BOUND << (64 * i) for i in range(slot + 1))
+            self._units.append((pack(coords), slot, coords[slot], max(map(abs, coords)), half))
+
+    def reduce(self, vec, k: int = 1) -> list[int]:
+        """Canonical coordinates of sum_e vec[e] z^{ek}: the image under
+        z -> z^k, an endomorphism of Z[z]/(z^{4p} - 1), reduced after the map."""
+        p2 = 2 * self.p
+        folded = [0] * p2
+        for e, c in vec.items() if isinstance(vec, dict) else enumerate(vec):
+            e = e * k % (2 * p2)
+            folded[e % p2] += c if e < p2 else -c
+        # z^{2p-2} = -sum_{j<p-1} (-1)^j z^{2j}, and z times that for z^{2p-1}
+        out = folded[: p2 - 2]
+        for i in range(p2 - 2):
+            out[i] += folded[p2 - 2 + i % 2] * (1 if i // 2 % 2 else -1)
+        return out
+
+    def times(self, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+        """The product of two vectors, as dicts, modulo z^{4p} - 1."""
+        out = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                e = (i + j) % (4 * self.p)
+                out[e] = out.get(e, 0) + a * b
+        return out
+
+    def to_str(self, x: int) -> str:
+        """A packed element as a polynomial in z, e.g. "2 -1*z^3 +1*z^5"."""
+        coords = unpack(x, self.dim)
+        terms = [f"{c:+}" + (f"*z^{e}" if e else "") for e, c in enumerate(coords) if c]
+        return " ".join(terms).lstrip("+") or "0"
+
+    def _unit(self, i_pow: int, radicand: int) -> tuple:
+        if radicand not in (1, self.p):
+            raise ValueError(f"sqrt({radicand}) is not in Z[zeta_{4 * self.p}]")
+        return self._units[i_pow % 4 + (4 if radicand > 1 else 0)]
+
+    def embed(self, value, scale: int = 1, i_pow: int = 0) -> int:
+        """The packed scale * i^i_pow * value for a closed form value: a
+        rational, or a RadicalValue c * u * sqrt(d) with d in {1, p}.
+        ValueError if that is not in Z[z], OverflowError past the slots."""
+        coeff, radicand = value, 1
+        if isinstance(value, RadicalValue):
+            coeff, radicand = value.coeff, value.radicand
+            i_pow += value.unit == UNIT_I
+        unit = self._unit(i_pow, radicand)
+        coeff, rem = divmod(coeff.numerator * scale, coeff.denominator)
+        if rem:
+            raise ValueError(f"{scale} * {value} is not in Z[zeta_{4 * self.p}]")
+        if abs(coeff) * unit[3] >= _BOUND:
+            raise OverflowError(f"{scale} * {value} does not fit a signed 64-bit slot")
+        return coeff * unit[0]
+
+    def multiple(self, x: int, i_pow: int, radicand: int = 1) -> int | None:
+        """The integer t with x = t i^i_pow sqrt(radicand), read off one
+        coordinate and confirmed by one packed comparison; None if there is
+        none.  x must be packed, its coordinates inside the slots."""
+        unit, slot, lead, largest, half = self._unit(i_pow, radicand)
+        t, rem = divmod((((x + half) >> (64 * slot)) & _MASK) - _BOUND, lead)
+        # a t * unit with a coordinate past the slots is not the packed x
+        if rem or abs(t) * largest >= _BOUND or t * unit != x:
+            return None
+        return t
+
+
+@lru_cache(maxsize=4)
+def cyclotomic_ring(P) -> CyclotomicRing:
+    """The ring of the OddPrime P, for the last four primes asked for."""
+    return CyclotomicRing(P)

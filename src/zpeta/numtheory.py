@@ -65,7 +65,7 @@ def is_prime(n: int) -> bool:
 class OddPrime:
     """An odd prime p with the derived quantities q = (p-1)/2 and t = [p/4]."""
 
-    __slots__ = ("p", "q", "t", "_table", "_trivial", "_sums")
+    __slots__ = ("p", "q", "t", "_table", "_sums")
 
     def __init__(self, p: int):
         if type(p) is not int:
@@ -78,7 +78,6 @@ class OddPrime:
         self.q = (p - 1) // 2
         self.t = p // 4
         self._table = None
-        self._trivial = None
         self._sums = {}
 
     def legendre_table(self) -> tuple[int, ...]:
@@ -88,12 +87,6 @@ class OddPrime:
                 0 if k == 0 else (1 if k in squares else -1) for k in range(self.p)
             )
         return self._table
-
-    def trivial_table(self) -> tuple[int, ...]:
-        """Values of the trivial character mod p at k = 0..p-1."""
-        if self._trivial is None:
-            self._trivial = (0,) + (1,) * (self.p - 1)
-        return self._trivial
 
     def legendre(self, k: int) -> int:
         return self.legendre_table()[k % self.p]
@@ -191,11 +184,12 @@ _LOOPS = {
 }
 
 
-def _check_ints(**args) -> None:
-    """Refuse a float, bool, Fraction or string before any table or memo is read."""
-    for name, value in args.items():
+def check_ints(names: str, *values) -> None:
+    """Refuse a float, bool, Fraction or string before any table or memo is
+    read.  names holds the names of the values, space-separated."""
+    for i, value in enumerate(values):
         if type(value) is not int:
-            raise ValueError(f"{name} must be an int, got {value!r}")
+            raise ValueError(f"{names.split()[i]} must be an int, got {value!r}")
 
 
 def _check_sign(sign: int) -> int:
@@ -206,13 +200,13 @@ def _check_sign(sign: int) -> int:
 
 def sum_legendre_shift(ell: int, k: int, sign: int, p: int | OddPrime) -> int:
     """sum_{j=1}^{p-1} ((k*ell +- j)/p), by direct summation."""
-    _check_ints(ell=ell, k=k, sign=sign)
+    check_ints("ell k sign", ell, k, sign)
     return as_prime(p).literal_sum("shift", k * ell, _check_sign(sign))
 
 
 def sum_legendre_odd_shift(ell: int, sign: int, p: int | OddPrime) -> int:
     """sum_{j=0}^{p-1} ((2*ell +- (2j+1))/p), by direct summation."""
-    _check_ints(ell=ell, sign=sign)
+    check_ints("ell sign", ell, sign)
     return as_prime(p).literal_sum("odd-shift", 2 * ell, _check_sign(sign))
 
 
@@ -221,7 +215,7 @@ def weighted_legendre_sum(ell: int, factor: int, sign: int, p: int | OddPrime) -
 
     factor is 1 or 2; ell is reduced mod p (the symbol is p-periodic).
     """
-    _check_ints(ell=ell, factor=factor, sign=sign)
+    check_ints("ell factor sign", ell, factor, sign)
     if factor not in (1, 2):
         raise ValueError(f"factor must be 1 or 2, got {factor}")
     return as_prime(p).literal_sum("weighted", factor * ell, _check_sign(sign))
@@ -229,7 +223,7 @@ def weighted_legendre_sum(ell: int, factor: int, sign: int, p: int | OddPrime) -
 
 def odd_weighted_legendre_sum(ell: int, sign: int, p: int | OddPrime) -> int:
     """sum_{j=0}^{p-1} ((2*ell +- (2j+1))/p) * j, by direct summation."""
-    _check_ints(ell=ell, sign=sign)
+    check_ints("ell sign", ell, sign)
     return as_prime(p).literal_sum("odd-weighted", 2 * ell, _check_sign(sign))
 
 
@@ -241,7 +235,7 @@ def S_h_pm(h: int, sign: int, ell: int, p: int | OddPrime) -> int:
 
     Empty ranges (upper limit < 1) contribute 0.
     """
-    _check_ints(h=h, sign=sign, ell=ell)
+    check_ints("h sign ell", h, sign, ell)
     P = as_prime(p)
     _check_sign(sign)
     if h not in (1, 2):
@@ -262,7 +256,7 @@ def S_direct(which: int, ell: int, p: int | OddPrime) -> int:
     S_1(ell,p) = sum_{j=1}^{p-1} (((ell-j)/p) - ((ell+j)/p)) j
     S_2(ell,p) = sum_{j=0}^{p-1} (((2ell-(2j+1))/p) - ((2ell+(2j+1))/p)) j
     """
-    _check_ints(which=which, ell=ell)
+    check_ints("which ell", which, ell)
     P = as_prime(p)
     tab, p = P.legendre_table(), P.p
     e = ell % p

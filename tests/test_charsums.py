@@ -3,11 +3,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zpeta import charsums, numtheory
 from zpeta.charsums import (
     CHI0,
     CHIP,
+    CharacterChoice,
     F_direct,
     F_h_chi0,
     F_h_chip,
@@ -18,10 +21,28 @@ from zpeta.charsums import (
     trig_prod_direct,
 )
 from zpeta.cli import _appendix_for_prime, suite_appendix
-from zpeta.exact import UNIT_I, UNIT_ONE, RadicalValue
-from zpeta.numtheory import as_prime, odd_primes_upto
+from zpeta.exact import UNIT_I, UNIT_ONE, RadicalValue, cyclotomic_ring, pack, unpack
+from zpeta.numtheory import OddPrime, as_prime, odd_primes_upto
 
 ORACLE_PRIMES = odd_primes_upto(19)
+
+
+def ring(p):
+    return cyclotomic_ring(as_prime(p))
+
+
+def at_zeta(x, p):
+    """A packed element of the ring of p evaluated at z = e^{i pi / 2p}."""
+    coords = unpack(x, 2 * p - 2)
+    return sum(c * cmath.exp(1j * math.pi * e / (2 * p)) for e, c in enumerate(coords))
+
+
+def literal(terms, p):
+    """sum of c z^e over (e, c) in terms, packed in the ring of p."""
+    vec = {}
+    for e, c in terms:
+        vec[e % (4 * p)] = vec.get(e % (4 * p), 0) + c
+    return pack(ring(p).reduce(vec))
 
 
 def test_gauss_G_examples():
@@ -33,9 +54,11 @@ def test_gauss_G_examples():
 
 
 def test_gauss_direct_examples():
-    assert gauss_direct(1, CHI0, 0, 7) == pytest.approx(6.0)
-    assert gauss_direct(1, CHIP, 1, 5) == pytest.approx(2.2360679774997896)
-    assert gauss_direct(2, CHI0, 3, 7) == pytest.approx(6.0)
+    # a rational integer packs as itself
+    assert gauss_direct(1, CHI0, 0, 7) == 6
+    assert gauss_direct(1, CHIP, 1, 5) == ring(5).embed(RadicalValue(Fraction(1), UNIT_ONE, 5))
+    assert at_zeta(gauss_direct(1, CHIP, 1, 5), 5) == pytest.approx(2.2360679774997896)
+    assert gauss_direct(2, CHI0, 3, 7) == 6
 
 
 def test_G_h_chi0_examples():
@@ -74,37 +97,70 @@ def test_F_h_chip_vanishing_symmetry():
 
 
 def test_F_direct_examples():
-    v = F_direct(1, CHI0, 2, 2, 5)
-    assert v.imag == pytest.approx(2.5, abs=1e-9)
-    assert v.real == pytest.approx(0.0, abs=1e-9)
-    v = F_direct(1, CHIP, 1, 1, 5)
-    assert v.imag == pytest.approx(1.118033988749895, abs=1e-9)
-    assert abs(F_direct(1, CHI0, 1, 2, 5)) == pytest.approx(0.0, abs=1e-9)
+    # F_direct is 2i F: 2i * (5/2) i = -5, and 2i * (1/2) i sqrt(5) = -sqrt(5)
+    assert F_direct(1, CHI0, 2, 2, 5) == -5
+    assert F_direct(1, CHIP, 1, 1, 5) == ring(5).embed(RadicalValue(Fraction(-1), UNIT_ONE, 5))
+    assert at_zeta(F_direct(1, CHIP, 1, 1, 5), 5) / 2j == pytest.approx(1.118033988749895j)
+    assert F_direct(1, CHI0, 1, 2, 5) == 0
 
 
 def _F_scalar_loop(h, chi, l, c, p):
-    """F_h(l, c) summed one k at a time, in ascending k."""
-    total = 0.0 + 0.0j
+    """2i F_h(l, c), one k at a time: e^{2 pi i lk/p} 2i sin(pi k m/p) =
+    z^{4lk} (z^{2km} - z^{-2km}), m = 2c + [h=2]."""
+    m = 2 * c + (h == 2)
+    terms = []
     for k in range(1, p):
         sign = -1 if (h == 2 and k % 2 == 1) else 1
         char = 1 if chi is CHI0 else as_prime(p).legendre(k)
-        phase = cmath.exp(1j * math.pi * ((2 * k * l) % (2 * p)) / p)
-        sine = math.sin(math.pi * ((k * (2 * c + (h == 2))) % (2 * p)) / p)
-        total += sign * char * phase * sine
-    return total
+        terms += [(4 * l * k + 2 * k * m, sign * char), (4 * l * k - 2 * k * m, -sign * char)]
+    return literal(terms, p)
 
 
 @pytest.mark.parametrize("h", (1, 2))
 @pytest.mark.parametrize("chi", (CHI0, CHIP))
 def test_F_direct_is_bitwise_the_ascending_k_loop(h, chi):
-    # negative l, l >= p and c >= p all read the grid at (l mod p, c mod p)
+    # negative l, l >= p and c >= p read the same table as their residues
     for p in odd_primes_upto(43):
         for l in range(-1, p + 2):
             for c in range(1, 2 * p + 2):
-                got = F_direct(h, chi, l, c, p)
-                want = _F_scalar_loop(h, chi, l, c, p)
-                assert got == want, (p, h, chi, l, c)
-                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+                assert F_direct(h, chi, l, c, p) == _F_scalar_loop(h, chi, l, c, p), (p, l, c)
+
+
+def _float_loops(p):
+    """The literal sums in floating point, one term at a time: (G_h(l), F_h(l, c),
+    prod sin, prod cos) by their arguments."""
+    P = as_prime(p)
+    for h in (1, 2):
+        for chi in (CHI0, CHIP):
+            chars = [0] + [1 if chi is CHI0 else P.legendre(k) for k in range(1, p)]
+            signs = [-1 if (h == 2 and k % 2) else 1 for k in range(p)]
+            for l in range(p):
+                g = sum(
+                    signs[k] * chars[k] * cmath.exp(1j * math.pi * k * (2 * l + (h == 2)) / p)
+                    for k in range(1, p)
+                )
+                yield gauss_direct(h, chi, l, p), 1, g
+                for c in range(1, 2 * p + 1):
+                    f = sum(
+                        signs[k] * chars[k] * cmath.exp(2j * math.pi * l * k / p)
+                        * math.sin(math.pi * k * (2 * c + (h == 2)) / p)
+                        for k in range(1, p)
+                    )
+                    yield F_direct(h, chi, l, c, p), 2j, f
+    for kind, fn, unit in (("sin", math.sin, 2j), ("cos", math.cos, 2)):
+        for k in range(1, 3 * p + 1):
+            prod = math.prod(fn(j * k * math.pi / p) for j in range(1, P.q + 1))
+            yield trig_prod_direct(kind, k, p), unit**P.q, prod
+
+
+@pytest.mark.parametrize("p", odd_primes_upto(13))
+def test_direct_sums_at_zeta_match_the_float_loops(p):
+    # each ring value, evaluated at z = e^{i pi/2p} and divided by its scale
+    cells = 0
+    for packed, scale, want in _float_loops(p):
+        assert abs(at_zeta(packed, p) / scale - want) < 1e-9, (p, packed, want)
+        cells += 1
+    assert cells == 2 * 2 * p * (1 + 2 * p) + 6 * p
 
 
 @pytest.mark.parametrize("c", (0, -1, -7))
@@ -134,8 +190,8 @@ def test_appendix_reports_a_wrong_closed_form_cell(monkeypatch):
             "params": "p=5",
             "structure": "sine-quadratic(h=2,l=3,c=4)",
             "ell": None,
-            "expected": "-1.118033988749895j",
-            "got": "(-1.1102230246251565e-16+1.118033988749895j) (tol 1e-08)",
+            "expected": "1 +2*z^4 -2*z^6",  # 2i F in Z[z], z = e^{i pi/10}
+            "got": "-1 -2*z^4 +2*z^6",
         }
     ]
 
@@ -182,24 +238,19 @@ def test_a_poisoned_memo_cell_fails_at_every_reader(monkeypatch):
 def test_gauss_closed_forms_match_direct_sums(h, chi):
     for p in ORACLE_PRIMES:
         for l in range(p):
-            direct = gauss_direct(h, chi, l, p)
-            if chi is CHI0:
-                closed = complex(G_h_chi0(h, l, p))
-            else:
-                closed = G_h_chip(h, l, p).to_complex()
-            assert abs(direct - closed) < 1e-8, (p, h, chi, l)
+            closed = G_h_chi0(h, l, p) if chi is CHI0 else G_h_chip(h, l, p)
+            assert gauss_direct(h, chi, l, p) == ring(p).embed(closed), (p, h, chi, l)
 
 
 @pytest.mark.parametrize("h", (1, 2))
 @pytest.mark.parametrize("chi", (CHI0, CHIP))
 def test_F_closed_forms_match_direct_sums(h, chi):
+    fn = F_h_chi0 if chi is CHI0 else F_h_chip
     for p in ORACLE_PRIMES:
         for l in range(p):
             for c in range(1, 2 * p + 1):
-                direct = F_direct(h, chi, l, c, p)
-                fn = F_h_chi0 if chi is CHI0 else F_h_chip
-                closed = fn(h, l, c, p).to_complex()
-                assert abs(direct - closed) < 1e-8, (p, h, chi, l, c)
+                closed = ring(p).embed(fn(h, l, c, p), 2, 1)  # F_direct is 2i F
+                assert F_direct(h, chi, l, c, p) == closed, (p, h, chi, l, c)
 
 
 def test_trig_prod_examples():
@@ -211,19 +262,28 @@ def test_trig_prod_examples():
 
 
 def test_trig_prod_direct_examples():
-    assert trig_prod_direct("sin", 1, 3) == pytest.approx(0.8660254037844386)
-    assert trig_prod_direct("cos", 5, 5) == pytest.approx(-1.0)
-    assert trig_prod_direct("sin", 3, 3) == pytest.approx(0.0, abs=1e-12)
-    assert trig_prod_direct("sin", 2, 5) == pytest.approx(0.5590169943749474)
+    # the literal products are (2i)^q prod sin and 2^q prod cos
+    assert at_zeta(trig_prod_direct("sin", 1, 3), 3) / 2j == pytest.approx(0.8660254037844386)
+    assert trig_prod_direct("cos", 5, 5) == -4
+    assert trig_prod_direct("sin", 3, 3) == 0
+    assert at_zeta(trig_prod_direct("sin", 2, 5), 5) / -4 == pytest.approx(0.5590169943749474)
 
 
 def test_trig_prod_matches_direct():
     for p in odd_primes_upto(97):
-        for kind in ("sin", "cos"):
+        P = as_prime(p)
+        for kind, i_pow in (("sin", P.q), ("cos", 0)):
             for k in range(1, 3 * p + 1):
-                closed = trig_prod(kind, k, p).to_complex().real
-                direct = trig_prod_direct(kind, k, p)
-                assert abs(closed - direct) < 1e-9, (p, kind, k)
+                closed = ring(p).embed(trig_prod(kind, k, p), 2**P.q, i_pow)
+                assert trig_prod_direct(kind, k, p) == closed, (p, kind, k)
+
+
+def test_cosine_product_past_the_slot_bound_raises():
+    # at p = 127, q = 63: the product at p | k is 2^63, one past the slots
+    assert trig_prod_direct("cos", 1, 113) == ring(113).embed(trig_prod("cos", 1, 113), 2**56)
+    with pytest.raises(OverflowError):
+        trig_prod_direct("cos", 127, 127)
+    assert at_zeta(trig_prod_direct("cos", 1, 127), 127) == pytest.approx(1.0)
 
 
 def test_argument_validation():
@@ -235,3 +295,102 @@ def test_argument_validation():
         F_h_chi0(1, 1, 0, 5)
     with pytest.raises(ValueError):
         gauss_direct(3, CHI0, 1, 5)
+
+
+def _planted_failures(monkeypatch, name, wrong_at):
+    right = getattr(charsums, name)
+
+    def planted(*args):
+        value = right(*args)
+        return wrong_at(value) if args[:-1] + (int(args[-1]),) == wrong_at.cell else value
+
+    monkeypatch.setattr(charsums, name, planted)
+    return [f.to_dict() for f in suite_appendix(5).failures]
+
+
+def test_appendix_reports_a_wrong_cosine_product_sign(monkeypatch):
+    def wrong_at(value):
+        return RadicalValue(-value.coeff, value.unit, value.radicand)
+
+    wrong_at.cell = ("cos", 7, 5)
+    assert _planted_failures(monkeypatch, "trig_prod", wrong_at) == [
+        {"params": "p=5", "structure": "trig-product(cos,k=7)", "ell": None,
+         "expected": "-1", "got": "1"},
+    ]
+
+
+def test_appendix_reports_a_wrong_gauss_sum_unit(monkeypatch):
+    def wrong_at(value):
+        return RadicalValue(value.coeff, UNIT_I, value.radicand)  # i sqrt(5), not sqrt(5)
+
+    wrong_at.cell = (1, 1, 5)
+    assert _planted_failures(monkeypatch, "G_h_chip", wrong_at) == [
+        {"params": "p=5", "structure": "gauss-quadratic(h=1,l=1)", "ell": None,
+         "expected": "2*z^3 -1*z^5 +2*z^7", "got": "1 +2*z^4 -2*z^6"},
+    ]
+
+
+NOT_AN_INT = st.one_of(
+    st.sampled_from((1.0, 3.0, True, False, Fraction(1), Fraction(3), "1", None)),
+    st.floats(allow_nan=True),
+    st.fractions(),
+    st.text(max_size=3),
+)
+NOT_A_CHARACTER = st.one_of(
+    st.sampled_from(("chi0", "chip", 0, 1, None, CharacterChoice)), st.text(max_size=4)
+)
+
+# each entry point with arguments that read a table when called on a prime
+CHARSUM_ENTRY_POINTS = (
+    (gauss_direct, ("h", "chi", "l"), (1, CHIP, 3)),
+    (G_h_chi0, ("h", "l"), (1, 3)),
+    (G_h_chip, ("h", "l"), (2, 3)),
+    (F_h_chi0, ("h", "l", "c"), (1, 3, 2)),
+    (F_h_chip, ("h", "l", "c"), (2, 3, 2)),
+    (F_direct, ("h", "chi", "l", "c"), (1, CHIP, 3, 2)),
+    (trig_prod, ("kind", "k"), ("cos", 3)),
+    (trig_prod_direct, ("kind", "k"), ("sin", 3)),
+)
+CHARSUM_CACHES = (
+    charsums._gauss_terms,
+    charsums._half_root_multiples,
+    charsums._trig_literal,
+    charsums.half_period_product,
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(NOT_AN_INT, NOT_A_CHARACTER, st.sampled_from((7, 11, 13)))
+def test_charsums_refuse_anything_but_ints_and_characters_cold_and_warm(bad, bad_chi, p):
+    for cache in CHARSUM_CACHES:
+        cache.cache_clear()
+    cold, warm = OddPrime(p), OddPrime(p)
+    for func, _, args in CHARSUM_ENTRY_POINTS[:-2]:  # the trig products read no character
+        func(*args, warm)
+    for func, names, args in CHARSUM_ENTRY_POINTS:
+        for i, name in enumerate(names):
+            if name == "kind":
+                continue
+            if name == "chi":
+                wrong, message = bad_chi, "chi must be a CharacterChoice, got "
+            else:
+                wrong, message = bad, f"{name} must be an int, got "
+            for P in (cold, warm):
+                with pytest.raises(ValueError, match=message):
+                    func(*args[:i], wrong, *args[i + 1 :], P)
+    assert cold._table is None
+    for func, _, args in CHARSUM_ENTRY_POINTS[-2:]:
+        assert func(*args, warm) is not None
+
+
+def test_charsums_wrong_types_that_used_to_pass():
+    with pytest.raises(ValueError, match="chi must be a CharacterChoice, got 'chi0'"):
+        gauss_direct(1, "chi0", 0, 7)
+    with pytest.raises(ValueError, match="l must be an int, got 1.5"):
+        G_h_chi0(1, 1.5, 7)
+    with pytest.raises(ValueError, match="l must be an int, got 1.5"):
+        F_h_chi0(1, 1.5, 1, 7)
+    with pytest.raises(ValueError, match="k must be an int, got 1.5"):
+        trig_prod_direct("sin", 1.5, 7)
+    with pytest.raises(ValueError, match="k must be an int, got True"):
+        trig_prod("cos", True, 7)

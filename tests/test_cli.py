@@ -16,7 +16,7 @@ import zpeta
 from zpeta import cli, spectrum
 from zpeta.cli import invariant_rows, main, render_rows, run_suite
 from zpeta.manifold import MAX_HOLONOMY_N, enumerate_params, validate
-from zpeta.numtheory import odd_primes_upto
+from zpeta.numtheory import is_prime, odd_primes_upto
 
 
 def run(capsys, *argv):
@@ -149,7 +149,7 @@ def test_oracles_report_a_wrong_multiplicity_oracle(monkeypatch):
             "structure": "mult-diff(h=2,c=4)",
             "ell": 4,
             "expected": "-5",
-            "got": "-4.500000000000001",
+            "got": "-4.5",
         }
     ]
 
@@ -592,3 +592,95 @@ def test_python_dash_m_zpeta_is_the_cli(capsys):
     code, out, _ = run(capsys, "classnumber", "--p", "23")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# every invalid input of a subcommand: exit 2, nothing on stdout, one error line
+
+_NOT_INT_TEXT = st.sampled_from(("", "x", "1.5", "3.0", "1e3", "0x3", "seven", "2/3"))
+_NOT_ODD_PRIME = st.integers(-10, 5000).filter(lambda n: n < 3 or not is_prime(n))
+_NEGATIVE = st.integers(-(10**6), -1)
+
+
+def _one_break(base: dict, breaks: dict):
+    """base with one flag replaced (a value of its strategy), or dropped (None)."""
+
+    def apply(pair):
+        flag, value = pair
+        argv = dict(base, **{flag: value})
+        return [x for k, v in argv.items() if v is not None for x in (f"--{k}", str(v))]
+
+    return st.one_of(*(st.tuples(st.just(k), v) for k, v in breaks.items())).map(apply)
+
+
+def _int_breaks(base, required):
+    # every int flag: text that is no int; every required flag: left out
+    return {k: st.one_of(_NOT_INT_TEXT, st.just(None) if k in required else _NOT_INT_TEXT)
+            for k in base}
+
+
+_MANIFOLD = {"p": 3, "a": 1, "b": 0, "c": 1}
+_MANIFOLD_BREAKS = {
+    "p": _NOT_ODD_PRIME, "a": _NEGATIVE, "b": _NEGATIVE, "c": st.integers(-50, 0),
+    "ideal": st.text(min_size=1).filter(lambda t: t != "principal" and not t.startswith("-")),
+}
+_INVALID = {
+    "invariants": st.one_of(
+        _one_break(_MANIFOLD, {**_int_breaks(_MANIFOLD, _MANIFOLD), **_MANIFOLD_BREAKS}),
+        _one_break(_MANIFOLD, {"b": st.sampled_from((1, 3))}),  # even dimension
+        _one_break(dict(_MANIFOLD, a=0), {"b": st.just(0)}),  # a + b = 0
+        _one_break(_MANIFOLD, {"format": st.sampled_from(("xml", "", "JSON"))}),
+    ),
+    "holonomy": st.one_of(
+        _one_break(_MANIFOLD, {**_int_breaks(_MANIFOLD, _MANIFOLD), **_MANIFOLD_BREAKS}),
+        _one_break(_MANIFOLD, {"a": st.integers(1000, 10**6)}),  # n > 2000
+    ),
+    "series": _one_break(
+        {"p": 3, "a": 1, "h": 1, "ell": 1, "s": 4},
+        {
+            **_int_breaks({"p": 3, "a": 1, "ell": 1, "terms": 9}, ("p", "a", "ell")),
+            "p": _NOT_ODD_PRIME, "a": _NEGATIVE, "b": st.integers(1, 9), "c": st.integers(2, 9),
+            "h": st.one_of(st.integers(-9, 9).filter(lambda h: h not in (1, 2)), _NOT_INT_TEXT),
+            "s": st.one_of(st.floats(-100, 1), st.sampled_from(("nan", "inf", "x", None))),
+            "terms": st.integers(-100, 0),
+        },
+    ),
+    "verify": st.one_of(
+        _one_break(
+            {"suite": "parity", "p-max": 3, "n-max": 3},
+            {
+                "suite": st.text(max_size=8).filter(
+                    lambda t: t not in cli._SUITES and t[:1] != "-"
+                ),
+                "p-max": st.one_of(st.integers(-9, 2), _NOT_INT_TEXT),
+                "n-max": st.one_of(st.integers(-9, 2), _NOT_INT_TEXT),
+                "jobs": st.one_of(st.integers(-9, 0), _NOT_INT_TEXT),
+            },
+        ),
+        _one_break({"suite": "appendix"}, {"p-max": st.integers(114, 10**9)}),
+    ),
+    "classnumber": _one_break(
+        {"p": 3},
+        {"p": st.one_of(
+            _NOT_ODD_PRIME,
+            st.sampled_from(odd_primes_upto(200)).filter(lambda p: p % 4 == 1),
+            _NOT_INT_TEXT,
+            st.just(None),
+            st.integers(3317044064679887385961981, 10**30),
+        )},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_INVALID))
+def test_every_invalid_input_exits_2_with_one_error_line(capsys, command):
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(_INVALID[command])
+    def check(argv):
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out) == (2, ""), (argv, err)
+        assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+
+    check()

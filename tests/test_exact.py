@@ -1,17 +1,23 @@
+import cmath
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zpeta.exact import (
     UNIT_I,
     UNIT_ONE,
     RadicalValue,
+    cyclotomic_ring,
+    pack,
     rational_str,
     reduce_mod_Z,
+    unpack,
 )
+from zpeta.numtheory import as_prime, odd_primes_upto
 
 
 def test_reduce_mod_Z_examples():
@@ -70,14 +76,103 @@ def test_residue_keeps_a_fraction_and_wraps_an_int():
     assert type(reduce_mod_Z(-4).value) is Fraction
 
 
-def test_radical_to_complex_examples():
-    assert RadicalValue(Fraction(1), UNIT_ONE, 5).to_complex() == pytest.approx(
+def at_zeta(x: int, p: int) -> complex:
+    coords = unpack(x, 2 * p - 2)
+    return sum(c * cmath.exp(1j * math.pi * e / (2 * p)) for e, c in enumerate(coords))
+
+
+def test_radical_embedding_examples():
+    ring5, ring3, ring7 = (cyclotomic_ring(as_prime(p)) for p in (5, 3, 7))
+    assert at_zeta(ring5.embed(RadicalValue(Fraction(1), UNIT_ONE, 5)), 5) == pytest.approx(
         2.2360679774997896
     )
-    v = RadicalValue(Fraction(1, 2), UNIT_I, 3).to_complex()
-    assert v.real == 0
-    assert v.imag == pytest.approx(0.8660254037844386)
-    assert RadicalValue(Fraction(0), UNIT_ONE, 7).to_complex() == 0
+    v = at_zeta(ring3.embed(RadicalValue(Fraction(1, 2), UNIT_I, 3), 2), 3)
+    assert v.real == pytest.approx(0, abs=1e-12)
+    assert v.imag == pytest.approx(2 * 0.8660254037844386)
+    assert ring7.embed(RadicalValue(Fraction(0), UNIT_ONE, 7)) == 0
+    assert ring7.embed(-3) == -3  # a rational integer packs as itself
+    assert ring7.embed(RadicalValue(Fraction(5, 2), UNIT_I, 1), 2, 1) == -5
+    for value, scale in ((RadicalValue(Fraction(1, 2), UNIT_ONE, 7), 1), (Fraction(1, 3), 2)):
+        with pytest.raises(ValueError, match="is not in Z"):
+            ring7.embed(value, scale)
+    with pytest.raises(ValueError, match="is not in Z"):
+        ring7.embed(RadicalValue(Fraction(1), UNIT_ONE, 5))
+    with pytest.raises(OverflowError):
+        ring7.embed(1 << 63)
+
+
+def phi_4p(p: int) -> list[int]:
+    """Coefficients of Phi_4p(z) = sum_{j<p} (-1)^j z^{2j}, lowest first."""
+    phi = [0] * (2 * p - 1)
+    for j in range(p):
+        phi[2 * j] = (-1) ** j
+    return phi
+
+
+def long_division_remainder(poly: list[int], divisor: list[int]) -> list[int]:
+    """poly mod a monic divisor, by schoolbook long division."""
+    rem = list(poly)
+    deg = len(divisor) - 1
+    for top in range(len(rem) - 1, deg - 1, -1):
+        c = rem[top]
+        if c:
+            for i, d in enumerate(divisor):
+                rem[top - deg + i] -= c * d
+    return (rem + [0] * deg)[:deg]
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from((3, 5, 7, 11, 13)),
+    st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=60),
+    st.integers(1, 60),
+)
+def test_canonical_form_is_the_remainder_mod_phi_4p(p, coeffs, k):
+    ring = cyclotomic_ring(as_prime(p))
+    # exponents up to 4p - 1: z^{4p} = 1 is the only reduction before the division
+    poly = [0] * (4 * p)
+    for e, c in enumerate(coeffs):
+        poly[e * k % (4 * p)] += c
+    want = long_division_remainder(poly, phi_4p(p))
+    assert ring.reduce(coeffs, k) == want
+    assert unpack(pack(want), ring.dim) == want
+
+
+@pytest.mark.parametrize("p", odd_primes_upto(97))
+def test_sqrt_p_squares_to_p(p):
+    ring = cyclotomic_ring(as_prime(p))
+    root = ring.embed(RadicalValue(Fraction(1), UNIT_ONE, p))
+    coords = dict(enumerate(unpack(root, ring.dim)))
+    square = ring.reduce(ring.times(coords, coords))
+    assert square == [p] + [0] * (ring.dim - 1)
+    assert at_zeta(root, p) == pytest.approx(math.sqrt(p))
+
+
+def test_pack_refuses_a_coordinate_at_its_slot_bound():
+    top = (1 << 63) - 1
+    assert unpack(pack([top, -top, 0, 5]), 4) == [top, -top, 0, 5]
+    for bad in (1 << 63, -(1 << 63), 1 << 70):
+        with pytest.raises(OverflowError):
+            pack([0, bad, 1])
+
+
+@given(st.lists(st.integers(-(1 << 63) + 1, (1 << 63) - 1), min_size=1, max_size=12))
+def test_pack_is_linear_and_injective(coords):
+    doubled = [2 * c for c in coords]
+    assert unpack(pack(coords), len(coords)) == coords
+    if max(map(abs, doubled)) < 1 << 63:
+        assert pack(coords) + pack(coords) == pack(doubled)
+    assert pack(coords) - pack(coords) == 0
+
+
+def test_ring_multiple_reads_one_coordinate_and_confirms_it():
+    ring = cyclotomic_ring(as_prime(7))
+    root = ring.embed(RadicalValue(Fraction(1), UNIT_ONE, 7))
+    assert ring.multiple(-3 * ring.embed(RadicalValue(Fraction(1), UNIT_I, 7)), 1, 7) == -3
+    assert ring.multiple(root, 0, 7) == 1
+    assert ring.multiple(root + 1, 0, 7) is None  # the read coordinate alone would say 2
+    assert ring.multiple(4, 0) == 4 and ring.multiple(4, 2) == -4
+    assert ring.multiple(ring.mono[1], 0) is None
 
 
 def test_radical_zero_is_normalized():

@@ -1,5 +1,6 @@
 """No module of the package reaches into a sibling module's private names,
-and none imports a name it does not use.
+none imports a name it does not use, and none imports anything but the
+standard library and the package itself: zpeta has no runtime dependency.
 
 A table or cache lives in one module; the others go through its public
 functions, so a second copy of a table cannot grow behind an import of
@@ -9,6 +10,9 @@ since no linter runs over the package.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,3 +126,51 @@ def test_no_module_has_an_unused_import(module):
 )
 def test_unused_imports_finds_each_form(source, found):
     assert unused_imports(ast.parse(source)) == found
+
+
+def outside_imports(tree: ast.Module) -> list[str]:
+    """Each top-level module this tree imports that is neither in the
+    standard library nor the package (relative imports are the package)."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.partition(".")[0])
+    return [n for n in names if n not in sys.stdlib_module_names and n != "zpeta"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_outside_the_standard_library(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert outside_imports(tree) == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("import numpy as np", ["numpy"]),
+        ("from numpy.linalg import det", ["numpy"]),
+        ("import os.path, json\nfrom fractions import Fraction", []),
+        ("from . import charsums\nfrom .exact import pack\nimport zpeta.cli", []),
+        ("def f():\n    import sympy", ["sympy"]),
+    ],
+)
+def test_outside_imports_finds_each_form(source, found):
+    assert outside_imports(ast.parse(source)) == found
+
+
+def test_importing_zpeta_loads_no_numpy():
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, zpeta, zpeta.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"
+
+
+def test_pyproject_declares_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # the standard library from Python 3.11
+    pyproject = PACKAGE.parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["dependencies"] == []

@@ -1,9 +1,12 @@
-import cmath
-import math
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zpeta import spectrum
+from zpeta.exact import UNIT_ONE, RadicalValue, cyclotomic_ring, pack
 from zpeta.manifold import EvenDimensionError, SpinStructure, enumerate_params, validate
 from zpeta.eta import structure_classes
 from zpeta.numtheory import as_prime, odd_primes_upto
@@ -57,9 +60,9 @@ def test_h_outside_one_two_is_refused(h, entry, params):
 
 
 def test_mult_diff_oracle_examples():
-    assert mult_diff_oracle(TRICOSM, 1, 0, 1) == pytest.approx(-2.0, abs=1e-9)
-    assert mult_diff_oracle(validate(5, 2, 0, 1), 1, 1, 1) == pytest.approx(5.0, abs=1e-9)
-    assert mult_diff_oracle(TRICOSM, 1, 1, 3) == pytest.approx(0.0, abs=1e-9)
+    assert mult_diff_oracle(TRICOSM, 1, 0, 1) == -2
+    assert mult_diff_oracle(validate(5, 2, 0, 1), 1, 1, 1) == 5
+    assert mult_diff_oracle(TRICOSM, 1, 1, 3) == 0
 
 
 def test_mult_diff_matches_oracle():
@@ -70,8 +73,7 @@ def test_mult_diff_matches_oracle():
                 for ell in range(p):
                     for c in range(1, 2 * p + 1):
                         exact = mult_diff_by_index(params, h, ell, c)
-                        approx = mult_diff_oracle(params, h, ell, c)
-                        assert abs(exact - approx) < 1e-6, (p, a, h, ell, c)
+                        assert mult_diff_oracle(params, h, ell, c) == exact, (p, a, h, ell, c)
 
 
 def test_mult_diff_oracle_twist_sum_rule():
@@ -83,7 +85,7 @@ def test_mult_diff_oracle_twist_sum_rule():
             for h in (1, 2):
                 for c in range(1, 2 * p + 1):
                     total = sum(mult_diff_oracle(params, h, ell, c) for ell in range(p))
-                    assert abs(total) < 1e-9, (p, a, h, c, total)
+                    assert total == 0, (p, a, h, c, total)
 
 
 def test_mult_diff_zero_twist_symmetry_for_1_mod_4():
@@ -142,9 +144,9 @@ def test_dim_ker_rejects_mismatched_structure():
 
 
 def test_dim_ker_oracle_examples():
-    assert dim_ker_oracle(TRICOSM, 1) == pytest.approx(1.0, abs=1e-9)
-    assert dim_ker_oracle(validate(5, 1, 1, 2), 0) == pytest.approx(8.0, abs=1e-9)
-    assert dim_ker_oracle(validate(7, 1, 0, 1), 0) == pytest.approx(2.0, abs=1e-9)
+    assert dim_ker_oracle(TRICOSM, 1) == 1
+    assert dim_ker_oracle(validate(5, 1, 1, 2), 0) == 8
+    assert dim_ker_oracle(validate(7, 1, 0, 1), 0) == 2
 
 
 def test_dim_ker_matches_oracle():
@@ -152,7 +154,7 @@ def test_dim_ker_matches_oracle():
         triv = structure_classes(params)[0]
         for ell in range(params.p):
             exact = dim_ker(params, triv, ell)
-            assert abs(exact - dim_ker_oracle(params, ell)) < 1e-6, (params, ell)
+            assert dim_ker_oracle(params, ell) == exact, (params, ell)
 
 
 def test_oracle_suite_full_range():
@@ -165,30 +167,34 @@ def test_oracle_suite_full_range():
 
 
 @lru_cache(maxsize=None)
-def _loop_character_sum(p: int, a_odd: bool, h: int, ell: int, two_mu: int) -> complex:
-    # the oracle's former per-call loop over k, with its own tables
-    phases = [cmath.exp(1j * math.pi * m / p) for m in range(2 * p)]
-    sines = [math.sin(math.pi * m / p) for m in range(2 * p)]
+def _loop_character_sum(p: int, a_odd: bool, h: int, ell: int, two_mu: int) -> int:
+    # 2i sum_k (-1)^{k(h+1)} (k/p)^a e^{2 pi i k ell/p} sin(2 pi mu k/p), one k at a
+    # time in the ring: e^{2 pi i k ell/p} = z^{4k ell} and
+    # 2i sin(pi k 2mu/p) = z^{2k 2mu} - z^{-2k 2mu}
     tab = as_prime(p).legendre_table()
-    total = 0.0 + 0.0j
+    vec = {}
     for k in range(1, p):
         sign = -1 if (h == 2 and k % 2 == 1) else 1
-        chi = tab[k % p] if a_odd else 1
-        total += sign * chi * phases[(2 * k * ell) % (2 * p)] * sines[(k * two_mu) % (2 * p)]
-    return total
+        w = sign * (tab[k % p] if a_odd else 1)
+        for e, c in ((4 * k * ell + 2 * k * two_mu, w), (4 * k * ell - 2 * k * two_mu, -w)):
+            vec[e % (4 * p)] = vec.get(e % (4 * p), 0) + c
+    return pack(cyclotomic_ring(as_prime(p)).reduce(vec))
 
 
-def _loop_oracle(params, h: int, ell: int, two_mu: int) -> float:
+def _loop_value(params, got: int) -> int:
+    # the ring value 2i sum the oracle's integer stands for: the value is
+    # (-1)^eps i^m p^{a/2-1} 2i sum, so 2i sum = (-1)^eps got i^{-m} sqrt(p)^{a odd} / p^{(a-1)//2}
     p, a = params.p, params.a
     m = (params.n - 1) // 2
-    total = _loop_character_sum(p, a % 2 == 1, h, ell, two_mu % (2 * p))
     eps = ((p * p - 1) // 8) * a + 1
-    pref = (-1) ** (eps % 2) * (1 + 0j, 1j, -1 + 0j, -1j)[(m + 1) % 4] * 2.0 * float(p) ** (a / 2 - 1)
-    return (pref * total).real
+    coeff = Fraction((-1) ** (eps % 2) * got, p ** ((a - 1) // 2))
+    closed = RadicalValue(coeff, UNIT_ONE, p if a % 2 else 1)
+    return cyclotomic_ring(as_prime(p)).embed(closed, 1, -m)
 
 
 def test_mult_diff_oracle_is_the_literal_loop_bit_for_bit():
-    # p <= 31, a <= 5, both h, every ell, c <= 3p: 100,620 cells
+    # p <= 31, a <= 5, both h, every ell, c <= 3p: 100,620 cells, each the
+    # integer whose ring value is exactly the test's own loop over k
     cells = 0
     for p in odd_primes_upto(31):
         for a in range(1, 6):
@@ -198,7 +204,92 @@ def test_mult_diff_oracle_is_the_literal_loop_bit_for_bit():
                     for c in range(1, 3 * p + 1):
                         two_mu = 2 * c - (1 if h == 2 else 0)
                         got = mult_diff_oracle(params, h, ell, c)
-                        want = _loop_oracle(params, h, ell, two_mu)
-                        assert got.hex() == want.hex(), (p, a, h, ell, c)
+                        want = _loop_character_sum(p, a % 2 == 1, h, ell, two_mu % (2 * p))
+                        assert type(got) is int, (p, a, ell, c)
+                        assert _loop_value(params, got) == want, (p, a, h, ell, c)
                         cells += 1
     assert cells == 100_620
+
+
+def test_mult_diff_oracle_is_exact_past_the_float_range():
+    # n = 187: the float oracle raised a spurious residual error on 81 of these cells
+    params = validate(7, 31, 0, 1)
+    assert params.n == 187
+    for h in (1, 2):
+        for ell in range(7):
+            for c in range(1, 8):
+                got = mult_diff_oracle(params, h, ell, c)
+                assert type(got) is int and got == mult_diff_by_index(params, h, ell, c)
+
+
+@pytest.mark.parametrize("key, ells", (((7, 31, 0, 1), range(7)), ((3, 120, 0, 1), (0,))))
+def test_dim_ker_oracle_is_exact_past_the_float_range(key, ells):
+    # a 1e-6 float check also accepted dim_ker + 1 and dim_ker - 1 here
+    params = validate(*key)
+    triv = structure_classes(params)[0]
+    for ell in ells:
+        d, got = dim_ker(params, triv, ell), dim_ker_oracle(params, ell)
+        assert type(got) is int and got == d
+        assert got != d + 1 and got != d - 1
+
+
+def test_oracles_raise_on_a_ring_value_that_is_not_their_integer(monkeypatch):
+    # 2i F that is not an integer multiple of the unit i^{-m} (sqrt p)
+    monkeypatch.setattr(spectrum, "F_direct", lambda *args: 1 << 64)
+    with pytest.raises(spectrum.OracleResidualError, match="is not an integer"):
+        mult_diff_oracle(TRICOSM, 1, 0, 1)
+    monkeypatch.setattr(spectrum, "_kernel_sums", lambda ab, p: (1, 1, 1))
+    with pytest.raises(spectrum.OracleResidualError, match="is not an integer"):
+        dim_ker_oracle(TRICOSM, 1)
+
+
+def test_kernel_oracle_raises_on_a_sum_that_is_not_rational(monkeypatch):
+    # z in place of the cosine product at p = 3: the sum is 1 - z + z^2 at ell = 0
+    monkeypatch.setattr(spectrum, "half_period_product", lambda kind, P: (0, 1) + (0,) * 10)
+    spectrum._kernel_sums.cache_clear()
+    try:
+        with pytest.raises(spectrum.OracleResidualError, match="kernel oracle sum at p=3, a.b=1, ell=0 is not"):
+            dim_ker_oracle(TRICOSM, 1)
+    finally:
+        spectrum._kernel_sums.cache_clear()
+
+
+NOT_AN_INT = st.one_of(
+    st.sampled_from((1.0, 0.5, True, False, Fraction(1), "1", None)),
+    st.floats(allow_nan=True),
+    st.fractions(),
+    st.text(max_size=3),
+)
+
+# each spectral entry point with its int arguments, after the params
+SPECTRUM_ENTRY_POINTS = (
+    (mult_diff_by_index, ("h", "ell", "c"), (1, 1, 1)),
+    (mult_diff_oracle, ("h", "ell", "c"), (1, 1, 1)),
+    (lambda params, ell: dim_ker(params, structure_classes(params)[0], ell), ("ell",), (1,)),
+    (dim_ker_oracle, ("ell",), (1,)),
+)
+SPECTRUM_CACHES = (spectrum._kernel_sums,)
+
+
+@settings(deadline=None, max_examples=60)
+@given(NOT_AN_INT, st.sampled_from(((3, 1, 0, 1), (7, 2, 0, 1), (5, 1, 0, 3))))
+def test_spectral_entry_points_refuse_anything_but_ints_cold_and_warm(bad, key):
+    params = validate(*key)
+    for cache in SPECTRUM_CACHES:
+        cache.cache_clear()
+    for warm in (False, True):
+        if warm:
+            for func, _, args in SPECTRUM_ENTRY_POINTS:
+                func(params, *args)
+        for func, names, args in SPECTRUM_ENTRY_POINTS:
+            for i, name in enumerate(names):
+                with pytest.raises(ValueError, match=f"{name} must be an int, got "):
+                    func(params, *args[:i], bad, *args[i + 1 :])
+        if not warm:
+            assert all(cache.cache_info().currsize == 0 for cache in SPECTRUM_CACHES)
+
+
+def test_dim_ker_refuses_a_half_twist():
+    triv = structure_classes(TRICOSM)[0]
+    with pytest.raises(ValueError, match="ell must be an int, got 0.5"):
+        dim_ker(TRICOSM, triv, 0.5)
