@@ -32,7 +32,7 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import UNIT_I, UNIT_ONE, RadicalValue, cyclotomic_ring, pack
+from .exact import UNIT_I, UNIT_ONE, RadicalValue, cyclotomic_ring
 from .numtheory import OddPrime, as_prime, check_ints
 
 
@@ -51,7 +51,7 @@ def _prime(p: int | OddPrime, chi: CharacterChoice, h: int, l: int, c: int = 1) 
     """p as an OddPrime once the arguments pass, before any table is read:
     chi a CharacterChoice, h, l and c ints (bools refused), h in {1, 2} and
     c >= 1."""
-    if not type(h) is type(l) is type(c) is int:
+    if not type(h) is type(l) is type(c) is int:  # skips a call per cell of the appendix
         check_ints("h l c", h, l, c)
     if not isinstance(chi, CharacterChoice):
         raise ValueError(f"chi must be a CharacterChoice, got {chi!r}")
@@ -148,7 +148,9 @@ def F_h_chip(h: int, l: int, c: int, p: int | OddPrime) -> RadicalValue:
 
 @lru_cache(maxsize=4)
 def _half_root_multiples(p: int) -> tuple[RadicalValue, ...]:
-    """i delta(p) diff sqrt(p)/2 for diff = -2..2, the values of F_h_chip."""
+    """i delta(p) diff sqrt(p)/2 for diff = -2..2, the values of F_h_chip,
+    built once per prime: one RadicalValue per call made the appendix suite
+    about a quarter slower."""
     if p % 4 == 1:
         return tuple(RadicalValue(Fraction(diff, 2), UNIT_I, p) for diff in range(-2, 3))
     return tuple(RadicalValue(Fraction(-diff, 2), UNIT_ONE, p) for diff in range(-2, 3))
@@ -184,30 +186,33 @@ def trig_prod(kind: str, k: int, p: int | OddPrime) -> RadicalValue:
     return RadicalValue(Fraction(sign, 2**P.q), UNIT_ONE, 1)
 
 
-@lru_cache(maxsize=8)
-def half_period_product(kind: str, P: OddPrime) -> tuple[int, ...]:
-    """prod_{j=1}^{q} (z^{2j} -+ z^{-2j}) modulo z^{4p} - 1, coefficients of
-    z^0..z^{4p-1}: (2i)^q times the sine product at k = 1, or 2^q times the
-    cosine one.  Its image under z -> z^k is the product at k."""
+def half_period_product(kind: str, P: OddPrime) -> dict[int, int]:
+    """prod_{j=1}^{q} (z^{2j} -+ z^{-2j}) modulo z^{4p} - 1, as its nonzero
+    coefficients {e: c}: (2i)^q times the sine product at k = 1, or 2^q
+    times the cosine one.  Its image under z -> z^k is the product at k."""
     sign, n = _KINDS[kind], 4 * P.p
     vec = [1] + [0] * (n - 1)
     for j in range(1, P.q + 1):
         vec = [vec[(e - 2 * j) % n] + sign * vec[(e + 2 * j) % n] for e in range(n)]
-    return tuple(vec)
+    return {e: c for e, c in enumerate(vec) if c}
 
 
-@lru_cache(maxsize=1024)
-def _trig_literal(kind: str, k: int, p: int) -> int:
-    """The packed product at k mod 2p: every exponent of the product is
-    even, so its image under z -> z^k depends on k mod 2p only."""
+@lru_cache(maxsize=4)
+def _trig_literals(p: int) -> dict[str, tuple[int, ...]]:
+    """Per kind, the packed product at k = 0..2p-1: every exponent of the
+    product is even, so its image under z -> z^k depends on k mod 2p only."""
     P = as_prime(p)
-    return pack(cyclotomic_ring(P).reduce(half_period_product(kind, P), k))
+    ring = cyclotomic_ring(P)
+    out = {}
+    for kind in _KINDS:
+        prod = half_period_product(kind, P)
+        out[kind] = tuple(ring.pack(ring.reduce(prod, k)) for k in range(2 * p))
+    return out
 
 
 def trig_prod_direct(kind: str, k: int, p: int | OddPrime) -> int:
     """The literal product prod_{j=1}^{q} (z^{2jk} -+ z^{-2jk}), packed in the
     ring of p: (2i)^q prod sin(jk pi/p) for kind "sin", 2^q prod cos(jk pi/p)
-    for "cos".  2^q is the coordinate of the cosine product at p | k, so p
-    must stay below 127 there (OverflowError otherwise)."""
+    for "cos"."""
     P = _trig_prime(kind, k, p)
-    return _trig_literal(kind, k % (2 * P.p), P.p)
+    return _trig_literals(P.p)[kind][k % (2 * P.p)]

@@ -257,17 +257,10 @@ def _merge_reports(suite: str, parts: list[Report]) -> Report:
     return merged
 
 
-# the appendix packs the cosine product 2^q at p | k into one signed 64-bit
-# slot of the oracle ring, so q < 63
-_APPENDIX_P_MAX = 113
-
-
 def run_suite(suite: str, p_max: int | None, n_max: int | None, jobs: int = 1) -> Report:
     _, default_p, default_n, cost = _SUITES[suite]
     p_max = default_p if p_max is None else p_max
     n_max = default_n if n_max is None else n_max
-    if suite == "appendix" and p_max > _APPENDIX_P_MAX:
-        raise ValueError(f"suite appendix needs --p-max <= {_APPENDIX_P_MAX}, got {p_max}")
     if cost is None:
         items = [(p, n_max) for p in numtheory.odd_primes_upto(p_max)]
     else:

@@ -104,28 +104,6 @@ _ZERO = RadicalValue(Fraction(0))
 # ---------------------------------------------------------------------------
 # the oracle ring
 
-_BOUND = 1 << 63  # a packed coordinate c has |c| < _BOUND
-_MASK = (1 << 64) - 1
-
-
-def pack(coords: list[int]) -> int:
-    """sum_i c_i 2^{64 i}: the coordinates in signed 64-bit slots.  While every
-    |c_i| < 2^63 this is injective and linear, so a packed sum is the sum of
-    the packed elements and == compares every coordinate at once; a
-    coordinate at or past 2^63 raises OverflowError, so no overflow passes."""
-    if any(abs(c) >= _BOUND for c in coords):
-        raise OverflowError(f"a coordinate does not fit a signed 64-bit slot: {coords}")
-    return sum(c << (64 * i) for i, c in enumerate(coords))
-
-
-def unpack(x: int, n: int) -> list[int]:
-    """The n coordinates of a packed element (the inverse of pack)."""
-    coords = []
-    for _ in range(n):
-        coords.append(((x + _BOUND) & _MASK) - _BOUND)
-        x = (x - coords[-1]) >> 64
-    return coords
-
 
 class CyclotomicRing:
     """Z[z] with z = zeta_4p = e^{i pi / 2p}, for an odd prime p.
@@ -134,18 +112,22 @@ class CyclotomicRing:
     exponents mod 4p.  Its canonical form folds by z^{2p} = -1, then
     reduces the two top coefficients by Phi_4p(z) = sum_{j<p} (-1)^j z^{2j},
     leaving the coordinates of 1, z, ..., z^{2p-3}; elements are packed
-    from those.  ``mono[e]`` is the packed z^e: below z^{2p-2} a shift.  A
-    sum of s monomials has coordinates of size at most s, far inside the
-    slots, so the literal sums are sums of monomials.
+    from those (``pack``).  ``mono[e]`` is the packed z^e: below z^{2p-2} a
+    shift.  A sum of s monomials has coordinates of size at most s, far
+    inside the slots, so the literal sums are sums of monomials.
     """
 
-    __slots__ = ("p", "dim", "mono", "_units")
+    __slots__ = ("p", "dim", "bits", "bound", "mono", "_units")
 
     def __init__(self, P):
         p = self.p = P.p
         self.dim = 2 * p - 2
-        half = [1 << (64 * e) for e in range(self.dim)]
-        half += [pack(self.reduce({e: 1})) for e in (2 * p - 2, 2 * p - 1)]
+        # a product of q factors z^a -+ z^b, the largest oracle value, has
+        # canonical coordinates of size at most 2^q: q + 2 bits with the sign
+        self.bits = 64 * max(1, -(-(P.q + 2) // 64))
+        self.bound = 1 << (self.bits - 1)
+        half = [1 << (self.bits * e) for e in range(self.dim)]
+        half += [self.pack(self.reduce({e: 1})) for e in (2 * p - 2, 2 * p - 1)]
         self.mono = tuple(half + [-x for x in half])  # z^{2p + e} = -z^e
         # sqrt p is g = sum_k (k/p) z^{4k} for p = 1 mod 4 and -i g = z^{3p} g
         # for p = 3 mod 4 (Gauss's sign), confirmed by its square and its value
@@ -157,16 +139,33 @@ class CyclotomicRing:
         ):
             raise ArithmeticError(f"no sqrt({p}) in Z[zeta_{4 * p}]: {root}")
         # the units i^j (index j) and i^j sqrt(p) (index 4 + j) of the closed
-        # forms, with their first nonzero slot, its coordinate, their largest
-        # |coordinate| and 2^63 in every slot up to the first
+        # forms, with their first nonzero slot, its coordinate and their
+        # largest |coordinate|
         self._units = []
         for vec in [{j * p: 1} for j in range(4)] + [
             {e + j * p: c for e, c in root.items()} for j in range(4)
         ]:
             coords = self.reduce(vec)
             slot = next(i for i, c in enumerate(coords) if c)
-            half = sum(_BOUND << (64 * i) for i in range(slot + 1))
-            self._units.append((pack(coords), slot, coords[slot], max(map(abs, coords)), half))
+            self._units.append((self.pack(coords), slot, coords[slot], max(map(abs, coords))))
+
+    def pack(self, coords: list[int]) -> int:
+        """sum_i c_i 2^{bits i}: the coordinates in signed slots.  While every
+        |c_i| < bound this is injective and linear, so a packed sum is the
+        sum of the packed elements and == compares every coordinate at
+        once; a coordinate at or past the bound raises OverflowError, so no
+        overflow passes."""
+        if any(abs(c) >= self.bound for c in coords):
+            raise OverflowError(f"a coordinate does not fit a {self.bits}-bit slot: {coords}")
+        return sum(c << (self.bits * i) for i, c in enumerate(coords))
+
+    def unpack(self, x: int, n: int | None = None) -> list[int]:
+        """The first n (default all) coordinates of a packed element."""
+        coords, mask = [], (1 << self.bits) - 1
+        for _ in range(self.dim if n is None else n):
+            coords.append(((x + self.bound) & mask) - self.bound)
+            x = (x - coords[-1]) >> self.bits
+        return coords
 
     def reduce(self, vec, k: int = 1) -> list[int]:
         """Canonical coordinates of sum_e vec[e] z^{ek}: the image under
@@ -193,8 +192,7 @@ class CyclotomicRing:
 
     def to_str(self, x: int) -> str:
         """A packed element as a polynomial in z, e.g. "2 -1*z^3 +1*z^5"."""
-        coords = unpack(x, self.dim)
-        terms = [f"{c:+}" + (f"*z^{e}" if e else "") for e, c in enumerate(coords) if c]
+        terms = [f"{c:+}" + (f"*z^{e}" if e else "") for e, c in enumerate(self.unpack(x)) if c]
         return " ".join(terms).lstrip("+") or "0"
 
     def _unit(self, i_pow: int, radicand: int) -> tuple:
@@ -210,22 +208,23 @@ class CyclotomicRing:
         if isinstance(value, RadicalValue):
             coeff, radicand = value.coeff, value.radicand
             i_pow += value.unit == UNIT_I
-        unit = self._unit(i_pow, radicand)
+        unit, _, _, largest = self._unit(i_pow, radicand)
         coeff, rem = divmod(coeff.numerator * scale, coeff.denominator)
         if rem:
             raise ValueError(f"{scale} * {value} is not in Z[zeta_{4 * self.p}]")
-        if abs(coeff) * unit[3] >= _BOUND:
-            raise OverflowError(f"{scale} * {value} does not fit a signed 64-bit slot")
-        return coeff * unit[0]
+        if abs(coeff) * largest >= self.bound:
+            raise OverflowError(f"{scale} * {value} does not fit a {self.bits}-bit slot")
+        return coeff * unit
 
     def multiple(self, x: int, i_pow: int, radicand: int = 1) -> int | None:
         """The integer t with x = t i^i_pow sqrt(radicand), read off one
         coordinate and confirmed by one packed comparison; None if there is
         none.  x must be packed, its coordinates inside the slots."""
-        unit, slot, lead, largest, half = self._unit(i_pow, radicand)
-        t, rem = divmod((((x + half) >> (64 * slot)) & _MASK) - _BOUND, lead)
+        unit, slot, lead, largest = self._unit(i_pow, radicand)
+        # a multiple of the unit is zero in the slots below the unit's first
+        t, rem = divmod(self.unpack(x >> (self.bits * slot), 1)[0], lead)
         # a t * unit with a coordinate past the slots is not the packed x
-        if rem or abs(t) * largest >= _BOUND or t * unit != x:
+        if rem or abs(t) * largest >= self.bound or t * unit != x:
             return None
         return t
 

@@ -140,7 +140,7 @@ def _kernel_sums(ab: int, p: int) -> tuple[int, ...]:
     """
     P = as_prime(p)
     ring, n = cyclotomic_ring(P), 4 * p
-    base, power = dict(enumerate(half_period_product("cos", P))), {0: 1}
+    base, power = half_period_product("cos", P), {0: 1}
     for bit in bin(ab)[2:]:
         power = ring.times(power, power)
         if bit == "1":

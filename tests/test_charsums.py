@@ -21,7 +21,7 @@ from zpeta.charsums import (
     trig_prod_direct,
 )
 from zpeta.cli import _appendix_for_prime, suite_appendix
-from zpeta.exact import UNIT_I, UNIT_ONE, RadicalValue, cyclotomic_ring, pack, unpack
+from zpeta.exact import UNIT_I, UNIT_ONE, RadicalValue, cyclotomic_ring
 from zpeta.numtheory import OddPrime, as_prime, odd_primes_upto
 
 ORACLE_PRIMES = odd_primes_upto(19)
@@ -33,7 +33,7 @@ def ring(p):
 
 def at_zeta(x, p):
     """A packed element of the ring of p evaluated at z = e^{i pi / 2p}."""
-    coords = unpack(x, 2 * p - 2)
+    coords = ring(p).unpack(x)
     return sum(c * cmath.exp(1j * math.pi * e / (2 * p)) for e, c in enumerate(coords))
 
 
@@ -42,7 +42,7 @@ def literal(terms, p):
     vec = {}
     for e, c in terms:
         vec[e % (4 * p)] = vec.get(e % (4 * p), 0) + c
-    return pack(ring(p).reduce(vec))
+    return ring(p).pack(ring(p).reduce(vec))
 
 
 def test_gauss_G_examples():
@@ -233,6 +233,15 @@ def test_a_poisoned_memo_cell_fails_at_every_reader(monkeypatch):
     }
 
 
+def test_appendix_checks_pass_past_64_bit_coordinates():
+    # p = 127 is the first prime whose cosine product 2^q at p | k needs 128-bit slots
+    p = 127
+    report = _appendix_for_prime((p, None))
+    assert report.failures == []
+    legendre = p * (2 * (p + 4) + 2)
+    assert report.cases == legendre + 2 * p * (2 + 4 * p) + 2 * 3 * p
+
+
 @pytest.mark.parametrize("h", (1, 2))
 @pytest.mark.parametrize("chi", (CHI0, CHIP))
 def test_gauss_closed_forms_match_direct_sums(h, chi):
@@ -270,20 +279,13 @@ def test_trig_prod_direct_examples():
 
 
 def test_trig_prod_matches_direct():
-    for p in odd_primes_upto(97):
+    # from p = 127 (q = 63) the cosine product 2^q at p | k needs 128-bit slots
+    for p in odd_primes_upto(97) + [127, 131]:
         P = as_prime(p)
         for kind, i_pow in (("sin", P.q), ("cos", 0)):
             for k in range(1, 3 * p + 1):
                 closed = ring(p).embed(trig_prod(kind, k, p), 2**P.q, i_pow)
                 assert trig_prod_direct(kind, k, p) == closed, (p, kind, k)
-
-
-def test_cosine_product_past_the_slot_bound_raises():
-    # at p = 127, q = 63: the product at p | k is 2^63, one past the slots
-    assert trig_prod_direct("cos", 1, 113) == ring(113).embed(trig_prod("cos", 1, 113), 2**56)
-    with pytest.raises(OverflowError):
-        trig_prod_direct("cos", 127, 127)
-    assert at_zeta(trig_prod_direct("cos", 1, 127), 127) == pytest.approx(1.0)
 
 
 def test_argument_validation():
@@ -354,8 +356,7 @@ CHARSUM_ENTRY_POINTS = (
 CHARSUM_CACHES = (
     charsums._gauss_terms,
     charsums._half_root_multiples,
-    charsums._trig_literal,
-    charsums.half_period_product,
+    charsums._trig_literals,
 )
 
 

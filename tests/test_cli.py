@@ -645,19 +645,14 @@ _INVALID = {
             "terms": st.integers(-100, 0),
         },
     ),
-    "verify": st.one_of(
-        _one_break(
-            {"suite": "parity", "p-max": 3, "n-max": 3},
-            {
-                "suite": st.text(max_size=8).filter(
-                    lambda t: t not in cli._SUITES and t[:1] != "-"
-                ),
-                "p-max": st.one_of(st.integers(-9, 2), _NOT_INT_TEXT),
-                "n-max": st.one_of(st.integers(-9, 2), _NOT_INT_TEXT),
-                "jobs": st.one_of(st.integers(-9, 0), _NOT_INT_TEXT),
-            },
-        ),
-        _one_break({"suite": "appendix"}, {"p-max": st.integers(114, 10**9)}),
+    "verify": _one_break(
+        {"suite": "parity", "p-max": 3, "n-max": 3},
+        {
+            "suite": st.text(max_size=8).filter(lambda t: t not in cli._SUITES and t[:1] != "-"),
+            "p-max": st.one_of(st.integers(-9, 2), _NOT_INT_TEXT),
+            "n-max": st.one_of(st.integers(-9, 2), _NOT_INT_TEXT),
+            "jobs": st.one_of(st.integers(-9, 0), _NOT_INT_TEXT),
+        },
     ),
     "classnumber": _one_break(
         {"p": 3},

@@ -12,10 +12,8 @@ from zpeta.exact import (
     UNIT_ONE,
     RadicalValue,
     cyclotomic_ring,
-    pack,
     rational_str,
     reduce_mod_Z,
-    unpack,
 )
 from zpeta.numtheory import as_prime, odd_primes_upto
 
@@ -77,7 +75,7 @@ def test_residue_keeps_a_fraction_and_wraps_an_int():
 
 
 def at_zeta(x: int, p: int) -> complex:
-    coords = unpack(x, 2 * p - 2)
+    coords = cyclotomic_ring(as_prime(p)).unpack(x)
     return sum(c * cmath.exp(1j * math.pi * e / (2 * p)) for e, c in enumerate(coords))
 
 
@@ -135,34 +133,41 @@ def test_canonical_form_is_the_remainder_mod_phi_4p(p, coeffs, k):
         poly[e * k % (4 * p)] += c
     want = long_division_remainder(poly, phi_4p(p))
     assert ring.reduce(coeffs, k) == want
-    assert unpack(pack(want), ring.dim) == want
+    assert ring.unpack(ring.pack(want)) == want
 
 
 @pytest.mark.parametrize("p", odd_primes_upto(97))
 def test_sqrt_p_squares_to_p(p):
     ring = cyclotomic_ring(as_prime(p))
     root = ring.embed(RadicalValue(Fraction(1), UNIT_ONE, p))
-    coords = dict(enumerate(unpack(root, ring.dim)))
+    coords = dict(enumerate(ring.unpack(root)))
     square = ring.reduce(ring.times(coords, coords))
     assert square == [p] + [0] * (ring.dim - 1)
     assert at_zeta(root, p) == pytest.approx(math.sqrt(p))
 
 
-def test_pack_refuses_a_coordinate_at_its_slot_bound():
-    top = (1 << 63) - 1
-    assert unpack(pack([top, -top, 0, 5]), 4) == [top, -top, 0, 5]
-    for bad in (1 << 63, -(1 << 63), 1 << 70):
+@pytest.mark.parametrize("p, bits", ((7, 64), (113, 64), (127, 128), (257, 192)))
+def test_pack_refuses_a_coordinate_at_its_slot_bound(p, bits):
+    # the slots hold the cosine product 2^q, q = (p - 1) / 2, with its sign
+    ring = cyclotomic_ring(as_prime(p))
+    assert ring.bits == bits and ring.bound == 1 << (bits - 1) > 1 << ((p - 1) // 2)
+    top = ring.bound - 1
+    assert ring.unpack(ring.pack([top, -top, 0, 5]), 4) == [top, -top, 0, 5]
+    for bad in (ring.bound, -ring.bound, ring.bound << 7):
         with pytest.raises(OverflowError):
-            pack([0, bad, 1])
+            ring.pack([0, bad, 1])
 
 
-@given(st.lists(st.integers(-(1 << 63) + 1, (1 << 63) - 1), min_size=1, max_size=12))
-def test_pack_is_linear_and_injective(coords):
+@given(st.sampled_from((7, 127)), st.data())
+def test_pack_is_linear_and_injective(p, data):
+    ring = cyclotomic_ring(as_prime(p))
+    top = ring.bound - 1
+    coords = data.draw(st.lists(st.integers(-top, top), min_size=1, max_size=12))
     doubled = [2 * c for c in coords]
-    assert unpack(pack(coords), len(coords)) == coords
-    if max(map(abs, doubled)) < 1 << 63:
-        assert pack(coords) + pack(coords) == pack(doubled)
-    assert pack(coords) - pack(coords) == 0
+    assert ring.unpack(ring.pack(coords), len(coords)) == coords
+    if max(map(abs, doubled)) < ring.bound:
+        assert ring.pack(coords) + ring.pack(coords) == ring.pack(doubled)
+    assert ring.pack(coords) - ring.pack(coords) == 0
 
 
 def test_ring_multiple_reads_one_coordinate_and_confirms_it():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zpeta import spectrum
-from zpeta.exact import UNIT_ONE, RadicalValue, cyclotomic_ring, pack
+from zpeta.exact import UNIT_ONE, RadicalValue, cyclotomic_ring
 from zpeta.manifold import EvenDimensionError, SpinStructure, enumerate_params, validate
 from zpeta.eta import structure_classes
 from zpeta.numtheory import as_prime, odd_primes_upto
@@ -178,7 +178,8 @@ def _loop_character_sum(p: int, a_odd: bool, h: int, ell: int, two_mu: int) -> i
         w = sign * (tab[k % p] if a_odd else 1)
         for e, c in ((4 * k * ell + 2 * k * two_mu, w), (4 * k * ell - 2 * k * two_mu, -w)):
             vec[e % (4 * p)] = vec.get(e % (4 * p), 0) + c
-    return pack(cyclotomic_ring(as_prime(p)).reduce(vec))
+    ring = cyclotomic_ring(as_prime(p))
+    return ring.pack(ring.reduce(vec))
 
 
 def _loop_value(params, got: int) -> int:
@@ -245,7 +246,7 @@ def test_oracles_raise_on_a_ring_value_that_is_not_their_integer(monkeypatch):
 
 def test_kernel_oracle_raises_on_a_sum_that_is_not_rational(monkeypatch):
     # z in place of the cosine product at p = 3: the sum is 1 - z + z^2 at ell = 0
-    monkeypatch.setattr(spectrum, "half_period_product", lambda kind, P: (0, 1) + (0,) * 10)
+    monkeypatch.setattr(spectrum, "half_period_product", lambda kind, P: {1: 1})
     spectrum._kernel_sums.cache_clear()
     try:
         with pytest.raises(spectrum.OracleResidualError, match="kernel oracle sum at p=3, a.b=1, ell=0 is not"):
