@@ -282,23 +282,31 @@ _CSV_HEADER = [
 def invariant_rows(params: ZpParams) -> list[dict]:
     """One row per (structure, ell), structures in enumeration order.
 
+    eta reads only the type index h and dim ker only whether the
+    structure has the trivial type, so the value columns are built once
+    per class (trivial type, h), from one ``structure_records`` call, and
+    shared by every structure of that class under its own label.
+
     Raises DomainError when a value has more digits than the interpreter
     converts to a string (``sys.get_int_max_str_digits()``).
     """
+    head = {
+        "p": params.p,
+        "a": params.a,
+        "b": params.b,
+        "c": params.c,
+        "n": params.n,
+        "exceptional": params.exceptional,
+    }
+    tables: dict[tuple[bool, int], list[dict]] = {}
     rows = []
     for structure in enumerate_spin_structures(params):
-        for rec in eta.structure_records(params, structure):
+        key = (structure.trivial_type, structure.h)
+        if key not in tables:
+            records = eta.structure_records(params, structure)
             try:
-                rows.append(
+                tables[key] = [
                     {
-                        "p": params.p,
-                        "a": params.a,
-                        "b": params.b,
-                        "c": params.c,
-                        "n": params.n,
-                        "exceptional": params.exceptional,
-                        "structure": structure.label,
-                        "h": structure.h,
                         "ell": rec.ell,
                         "eta": rational_str(rec.eta),
                         "dim_ker": str(rec.dim_ker),
@@ -306,12 +314,15 @@ def invariant_rows(params: ZpParams) -> list[dict]:
                         "eta_bar_mod_Z": str(rec.eta_bar_mod_Z),
                         "relative_mod_Z": str(rec.relative_mod_Z),
                     }
-                )
+                    for rec in records
+                ]
             except ValueError:  # only int -> str raises here, beyond the digit limit
                 raise DomainError(
                     f"an invariant of {params} has more than {sys.get_int_max_str_digits()} "
                     "digits, the interpreter's limit for printing an integer"
                 ) from None
+        label = {"structure": structure.label, "h": structure.h}
+        rows.extend({**head, **label, **values} for values in tables[key])
     return rows
 
 

@@ -34,7 +34,7 @@ from .manifold import (
     nontrivial_structure,
     trivial_structure,
 )
-from .numtheory import S_h_pm, as_prime, class_number
+from .numtheory import S_h_pm, as_prime, check_ints, class_number
 from .spectrum import dim_ker, mult_diff_by_index
 
 
@@ -121,6 +121,7 @@ def eta_series_closed_form(params: ZpParams, h: int, ell: int) -> EtaClosedForm:
     The zero form for every non-exceptional manifold (symmetric
     spectrum) and for even a with ell = 0.
     """
+    check_ints("h ell", h, ell)
     if h not in (1, 2):
         raise ValueError(f"h must be 1 or 2, got {h}")
     P = as_prime(params.p)
@@ -190,6 +191,7 @@ def eta_spectral_partial(params: ZpParams, h: int, ell: int, s: float, terms: in
     so large that (2c - [h=2])^s or pi^s overflows a double is a
     DomainError.
     """
+    check_ints("h ell", h, ell)
     if h not in (1, 2):
         raise ValueError(f"h must be 1 or 2, got {h}")
     _check_s(s, "spectral partial sum")
@@ -230,6 +232,7 @@ def eta_invariant(params: ZpParams, h: int, ell: int) -> Fraction:
                h=1: (-1)^{t+r}  p^{(a-1)/2} (S_1^+ + 2W/p)
                h=2: (-1)^{q+r}  p^{(a-1)/2} (S_2^+ - (2/p) S_1^+ + (1 - (2/p)) 2W/p)
     """
+    check_ints("h ell", h, ell)
     if h not in (1, 2):
         raise ValueError(f"h must be 1 or 2, got {h}")
     if not params.exceptional:

@@ -412,32 +412,43 @@ def _divide_monic(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]
 def _component_analysis(rows: tuple[tuple[int, ...], ...], p: int):
     """(order or 0 if not dividing p, det, dim ker(M - I), exponents).
 
-    p is prime, so an order dividing p is 1 or p: it suffices to test
-    M = I and M^p = I.  Matrices whose order does not divide p report 0.
     The charpoly comes from the Hessenberg recurrence (``IntMatrix.charpoly``)
     and det(M) is (-1)^n times its constant term, so rank(M - I), the lazily
     scaled Bareiss elimination of ``IntMatrix.rank``, is the only
     elimination; on C_p and J_p blocks both cost O(p^2).  exponents is
     (e, f) with charpoly Phi_p^e (x - 1)^f, found by exact division, or
     None when any other factor remains.
+
+    p is prime, so an order dividing p is 1 or p, and it follows from
+    these without raising M to the p-th power:
+      - ker = n means M = I, order 1;
+      - another charpoly factor is an eigenvalue outside mu_p, order 0;
+      - ker < f means a Jordan block at 1, so M^k - I != 0 for k >= 1, order 0;
+      - otherwise, with e <= 1 every eigenvalue is simple or (at 1)
+        semisimple, so M is diagonalisable over C with eigenvalues in
+        mu_p: its minimal polynomial divides (x - 1) Phi_p = x^p - 1,
+        M^p = I and the order is p.
+    Only e >= 2 with ker = f is left to the literal test M^p = I; no block
+    of ``build_holonomy`` reaches it.
     """
     comp = IntMatrix._from_rows(rows)
-    ident = IntMatrix.identity(comp.n)
-    if comp == ident:
-        order = 1
-    elif comp.power(p) == ident:
-        order = p
-    else:
-        order = 0
+    n = comp.n
     cp = comp.charpoly()
-    det = (-1) ** comp.n * cp[0]
-    ker = comp.n - comp.add_scalar_identity(-1).rank()
+    det = (-1) ** n * cp[0]
+    ker = n - comp.add_scalar_identity(-1).rank()
     exponents = []
     for factor in ((1,) * p, (-1, 1)):  # Phi_p, x - 1
         k = 0
         while (q := _divide_monic(cp, factor)) is not None:
             cp, k = q, k + 1
         exponents.append(k)
+    e, f = exponents
+    if ker == n:
+        order = 1
+    elif cp == (1,) and ker == f and (e <= 1 or comp.power(p) == IntMatrix.identity(n)):
+        order = p
+    else:
+        order = 0
     return order, det, ker, (tuple(exponents) if cp == (1,) else None)
 
 

@@ -13,9 +13,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import zpeta
-from zpeta import cli, spectrum
+from zpeta import cli, eta, spectrum
 from zpeta.cli import invariant_rows, main, render_rows, run_suite
-from zpeta.manifold import MAX_HOLONOMY_N, enumerate_params, validate
+from zpeta.exact import rational_str
+from zpeta.manifold import (
+    MAX_HOLONOMY_N,
+    enumerate_params,
+    enumerate_spin_structures,
+    validate,
+)
 from zpeta.numtheory import is_prime, odd_primes_upto
 
 
@@ -65,6 +71,73 @@ def test_renderings_are_deterministic():
     rows2 = invariant_rows(validate(5, 1, 0, 1))
     for fmt in ("table", "json", "csv"):
         assert render_rows(rows1, fmt) == render_rows(rows2, fmt)
+
+
+def _rows_structure_by_structure(params):
+    """Every row from its own structure's records, as before the per-class tables."""
+    head = {
+        "p": params.p, "a": params.a, "b": params.b, "c": params.c, "n": params.n,
+        "exceptional": params.exceptional,
+    }
+    return [
+        {
+            **head,
+            "structure": structure.label,
+            "h": structure.h,
+            "ell": rec.ell,
+            "eta": rational_str(rec.eta),
+            "dim_ker": str(rec.dim_ker),
+            "eta_bar": rational_str(rec.eta_bar),
+            "eta_bar_mod_Z": str(rec.eta_bar_mod_Z),
+            "relative_mod_Z": str(rec.relative_mod_Z),
+        }
+        for structure in enumerate_spin_structures(params)
+        for rec in eta.structure_records(params, structure)
+    ]
+
+
+def test_invariant_rows_match_a_table_per_structure():
+    # b + c <= 7 keeps the sweep at 274 manifolds and 59,250 rows; (3,1,0,29) has 2^29 structures
+    sweep = [q for q in enumerate_params(7, 30) if q.beta1 <= 7]
+    for params in sweep + [validate(5, 1, 2, 3), validate(3, 1, 8, 3)]:
+        rows = invariant_rows(params)
+        assert rows == _rows_structure_by_structure(params), params
+        assert [list(row) for row in rows] == [cli._CSV_HEADER] * len(rows), params
+
+
+@pytest.mark.parametrize("params", [validate(53, 3, 2, 1), validate(3, 1, 8, 3)], ids=str)
+def test_invariant_rows_read_at_most_three_structures(monkeypatch, params):
+    # one record list per class: trivial type, non-trivial with h = 1, h = 2
+    calls = []
+    real = eta.structure_records
+
+    def counted(params, structure):
+        calls.append(structure)
+        return real(params, structure)
+
+    monkeypatch.setattr(eta, "structure_records", counted)
+    invariant_rows(params)
+    assert len(calls) <= 3
+    assert len({(s.trivial_type, s.h) for s in calls}) == len(calls)
+
+
+# stdout SHA-256 recorded with one structure_records call per structure;
+# the per-class tables must not change it
+INVARIANTS_SHA256 = {
+    ("53", "3", "2", "1", "json"): "cc6c8e00b231ae18da1148aa4398f6fbaf670ffe894d42027fac3504ca6a0fc3",
+    ("53", "3", "2", "1", "csv"): "dd2b8e109c6fea20e0e25493a7aaa4600c42b75fe55834abe6f699a1e31b990c",
+    ("53", "3", "2", "1", "table"): "1eca3a90027433af6fb09054300e91be74d3f70b767dd8bbb3ec0efa642be13f",
+    ("3", "1", "8", "3", "csv"): "aa5dabfe99e41cae614e6769fb793c4a9eda4b24d6b4ac77091d07f7267b81fe",
+}
+
+
+@pytest.mark.parametrize("p, a, b, c, fmt", sorted(INVARIANTS_SHA256))
+def test_invariants_certificate_is_byte_identical(capsys, p, a, b, c, fmt):
+    code, out, err = run(
+        capsys, "invariants", "--p", p, "--a", a, "--b", b, "--c", c, "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == INVARIANTS_SHA256[p, a, b, c, fmt]
 
 
 def test_verify_integrality_cli(capsys):

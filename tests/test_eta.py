@@ -179,6 +179,25 @@ def test_spectral_partial_refuses_no_terms(terms):
         eta_spectral_partial(TRICOSM, 1, 0, 4.0, terms)
 
 
+_ETA_ENTRY_POINTS = {
+    "eta_invariant": lambda h, ell: eta_invariant(TRICOSM, h, ell),
+    "eta_series_closed_form": lambda h, ell: eta_series_closed_form(TRICOSM, h, ell),
+    "eta_spectral_partial": lambda h, ell: eta_spectral_partial(TRICOSM, h, ell, 4.0, 3),
+}
+
+
+@pytest.mark.parametrize("bad", (True, 1.0, "1", Fraction(1)), ids=repr)
+@pytest.mark.parametrize("position", ("h", "ell"))
+@pytest.mark.parametrize("name", sorted(_ETA_ENTRY_POINTS))
+def test_eta_entry_points_refuse_an_h_or_ell_that_is_not_an_int(name, position, bad):
+    # "h in (1, 2)" alone lets True and 1.0 through as h = 1, and ell %= p turns True into 1
+    call = _ETA_ENTRY_POINTS[name]
+    args = {"h": 1, "ell": 0, position: bad}
+    with pytest.raises(ValueError, match=f"{position} must be an int"):
+        call(**args)
+    call(1, 0)  # the same call with ints is fine
+
+
 def test_eta_invariant_tricosm():
     assert [eta_invariant(TRICOSM, 1, ell) for ell in range(3)] == [
         Fraction(-2, 3),

@@ -529,6 +529,61 @@ def test_holonomy_checks_invariant_under_conjugation_by_a_permutation(case, rnd)
     assert holonomy_checks(IntMatrix(permuted), params).to_dict() == report.to_dict()
 
 
+def _literal_order(rows, p):
+    m, ident = IntMatrix(rows), IntMatrix.identity(len(rows))
+    return 1 if m == ident else p if m.power(p) == ident else 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_diagonal(), st.randoms(use_true_random=False))
+def test_component_order_matches_the_literal_power(case, rnd):
+    # the permuted matrix interleaves blocks, so its components can hold
+    # Phi_p^e with e >= 2 and reach the literal M^p = I fallback
+    rows, p, _, _ = case
+    sigma = list(range(len(rows)))
+    rnd.shuffle(sigma)
+    permuted = [[rows[i][j] for j in sigma] for i in sigma]
+    for m in (rows, permuted):
+        for start, stop in manifold._diagonal_blocks(IntMatrix(m).rows):
+            block = [r[start:stop] for r in m[start:stop]]
+            got = manifold._component_analysis(IntMatrix(block).rows, p)[0]
+            assert got == _literal_order(block, p), block
+
+
+def _shear_conjugate_of_two_c3():
+    """S (C_3 + C_3) S^-1 for the shear S = I + E_02: charpoly Phi_3^2, order 3."""
+    c = _block_rows("C", 3)
+    m = IntMatrix(_block_diagonal_rows([c, c])[0])
+    shear = [[int(i == j) + int((i, j) == (0, 2)) for j in range(4)] for i in range(4)]
+    unshear = [[int(i == j) - int((i, j) == (0, 2)) for j in range(4)] for i in range(4)]
+    return (IntMatrix(shear) @ m @ IntMatrix(unshear)).to_lists()
+
+
+@pytest.mark.parametrize(
+    "rows, order",
+    [
+        (_shear_conjugate_of_two_c3(), 3),  # e = 2, semisimple: the M^p fallback
+        ([[0, -1, 1, 0], [1, -1, 0, 1], [0, 0, 0, -1], [0, 0, 1, -1]], 0),  # [[C_3, I], [0, C_3]]
+        ([[1, 1], [0, 1]], 0),  # a Jordan block at 1: ker 1 < f = 2
+        ([[1, 0], [0, 1]], 1),
+    ],
+)
+def test_component_order_examples(rows, order):
+    assert _literal_order(rows, 3) == order
+    assert manifold._component_analysis(IntMatrix(rows).rows, 3)[0] == order
+
+
+def test_holonomy_checks_never_raise_a_block_to_the_pth_power(monkeypatch):
+    # every block of build_holonomy has e <= 1, so its order follows from the charpoly
+    def refuse(self, k):
+        raise AssertionError(f"power({k}) called on a {self.n} x {self.n} block")
+
+    manifold._component_analysis.cache_clear()  # a cached block would skip the analysis
+    monkeypatch.setattr(IntMatrix, "power", refuse)
+    for params in [validate(97, 3, 2, 1), *enumerate_params(13, 40)]:
+        assert holonomy_checks(build_holonomy(params), params).all_ok
+
+
 def test_charpoly_of_merged_blocks_and_of_the_identity():
     # two C_3 blocks linked into one component with charpoly Phi_3^2
     merged = [list(r) for r in build_holonomy(validate(3, 2, 0, 1)).rows]
