@@ -186,10 +186,11 @@ def trig_prod(kind: str, k: int, p: int | OddPrime) -> RadicalValue:
     return RadicalValue(Fraction(sign, 2**P.q), UNIT_ONE, 1)
 
 
-def half_period_product(kind: str, P: OddPrime) -> dict[int, int]:
+def half_period_product(kind: str, p: int | OddPrime) -> dict[int, int]:
     """prod_{j=1}^{q} (z^{2j} -+ z^{-2j}) modulo z^{4p} - 1, as its nonzero
     coefficients {e: c}: (2i)^q times the sine product at k = 1, or 2^q
     times the cosine one.  Its image under z -> z^k is the product at k."""
+    P = _trig_prime(kind, 1, p)
     sign, n = _KINDS[kind], 4 * P.p
     vec = [1] + [0] * (n - 1)
     for j in range(1, P.q + 1):

@@ -282,10 +282,10 @@ _CSV_HEADER = [
 def invariant_rows(params: ZpParams) -> list[dict]:
     """One row per (structure, ell), structures in enumeration order.
 
-    eta reads only the type index h and dim ker only whether the
-    structure has the trivial type, so the value columns are built once
-    per class (trivial type, h), from one ``structure_records`` call, and
-    shared by every structure of that class under its own label.
+    Every structure has the invariants of its class representative in
+    ``eta.structure_classes``, so the value columns are built once per
+    representative, from one ``structure_records`` call, and shared by
+    every structure of that class under its own label.
 
     Raises DomainError when a value has more digits than the interpreter
     converts to a string (``sys.get_int_max_str_digits()``).
@@ -298,31 +298,30 @@ def invariant_rows(params: ZpParams) -> list[dict]:
         "n": params.n,
         "exceptional": params.exceptional,
     }
-    tables: dict[tuple[bool, int], list[dict]] = {}
+    tables = {}
+    for structure in eta.structure_classes(params):
+        records = eta.structure_records(params, structure)
+        try:
+            tables[structure.trivial_type] = [
+                {
+                    "ell": rec.ell,
+                    "eta": rational_str(rec.eta),
+                    "dim_ker": str(rec.dim_ker),
+                    "eta_bar": rational_str(rec.eta_bar),
+                    "eta_bar_mod_Z": str(rec.eta_bar_mod_Z),
+                    "relative_mod_Z": str(rec.relative_mod_Z),
+                }
+                for rec in records
+            ]
+        except ValueError:  # only int -> str raises here, beyond the digit limit
+            raise DomainError(
+                f"an invariant of {params} has more than {sys.get_int_max_str_digits()} "
+                "digits, the interpreter's limit for printing an integer"
+            ) from None
     rows = []
     for structure in enumerate_spin_structures(params):
-        key = (structure.trivial_type, structure.h)
-        if key not in tables:
-            records = eta.structure_records(params, structure)
-            try:
-                tables[key] = [
-                    {
-                        "ell": rec.ell,
-                        "eta": rational_str(rec.eta),
-                        "dim_ker": str(rec.dim_ker),
-                        "eta_bar": rational_str(rec.eta_bar),
-                        "eta_bar_mod_Z": str(rec.eta_bar_mod_Z),
-                        "relative_mod_Z": str(rec.relative_mod_Z),
-                    }
-                    for rec in records
-                ]
-            except ValueError:  # only int -> str raises here, beyond the digit limit
-                raise DomainError(
-                    f"an invariant of {params} has more than {sys.get_int_max_str_digits()} "
-                    "digits, the interpreter's limit for printing an integer"
-                ) from None
         label = {"structure": structure.label, "h": structure.h}
-        rows.extend({**head, **label, **values} for values in tables[key])
+        rows.extend({**head, **label, **values} for values in tables[structure.trivial_type])
     return rows
 
 

@@ -23,17 +23,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
 from .exact import ResidueModZ, reduce_mod_Z
-from .manifold import (
-    EvenDimensionError,
-    SpinStructure,
-    ZpParams,
-    nontrivial_structure,
-    trivial_structure,
-)
+from .manifold import EvenDimensionError, SpinStructure, ZpParams
 from .numtheory import S_h_pm, as_prime, check_ints, class_number
 from .spectrum import dim_ker, mult_diff_by_index
 
@@ -93,6 +87,7 @@ class EtaClosedForm:
     terms: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self) -> None:
+        check_ints("p sign scale", self.p, self.sign, self.scale)
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +-1, got {self.sign}")
         for alpha, _ in self.terms:
@@ -211,11 +206,6 @@ def eta_spectral_partial(params: ZpParams, h: int, ell: int, s: float, terms: in
         raise DomainError(f"spectral partial sum overflows a double at s = {s}") from None
 
 
-def _weighted_over_p(P) -> Fraction:
-    """(1/p) sum_j (j/p) j as an exact rational (integral iff p >= 5)."""
-    return Fraction(P.weighted_sum(), P.p)
-
-
 def eta_invariant(params: ZpParams, h: int, ell: int) -> Fraction:
     """Exact twisted eta invariant; 0 for non-exceptional manifolds.
 
@@ -250,7 +240,7 @@ def eta_invariant(params: ZpParams, h: int, ell: int) -> Fraction:
             return Fraction(sgn * scale * (p - 2 * ell))
         return Fraction(sgn * scale * 2 * ((2 * ell) // p * p - ell))
     scale = p ** ((a - 1) // 2)
-    two_w_over_p = 2 * _weighted_over_p(P)
+    two_w_over_p = Fraction(2 * P.weighted_sum(), p)  # 2W/p, integral iff p >= 5
     if h == 1:
         if p % 4 == 1:
             sgn = -1 if (P.t + r + 1) % 2 else 1
@@ -282,11 +272,6 @@ class InvariantRecord:
     eta_bar: Fraction
     eta_bar_mod_Z: ResidueModZ
     relative_mod_Z: ResidueModZ
-
-
-def _need_odd(params: ZpParams) -> None:
-    if not params.n_odd:
-        raise EvenDimensionError(f"invariants need odd n, got n = {params.n}")
 
 
 def _eta_bar(
@@ -324,7 +309,8 @@ def structure_records(params: ZpParams, structure: SpinStructure) -> list[Invari
     equals the previous twist's is that record with ell changed.  Needs
     odd n.
     """
-    _need_odd(params)
+    if not params.n_odd:
+        raise EvenDimensionError(f"invariants need odd n, got n = {params.n}")
     eta_0, d_0, bar_0 = _eta_bar(params, structure, 0)
     records = [_record(structure, 0, eta_0, d_0, bar_0, bar_0)]
     d_1 = dim_ker(params, structure, 1)
@@ -395,13 +381,7 @@ class FailureEntry:
     got: str
 
     def to_dict(self) -> dict:
-        return {
-            "params": self.params,
-            "structure": self.structure,
-            "ell": self.ell,
-            "expected": self.expected,
-            "got": self.got,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -456,13 +436,16 @@ def _structure_desc(s: SpinStructure) -> str:
 
 
 def structure_classes(params: ZpParams) -> list[SpinStructure]:
-    """The two invariant-distinguishing structure classes.
+    """One representative of each structure class: the trivial type
+    (all-plus, h = 1), then the rest (all-plus, h = 2).
 
-    Invariants depend only on trivial-type vs not (and on h for the
-    exceptional manifolds, where these two classes are the only
-    structures), so sweeps never need all 2^{b+c} sign labels.
+    dim ker reads only whether a structure has the trivial type, and eta
+    only h, and that only on the exceptional manifolds (the series vanishes
+    elsewhere), whose two structures these are.  So every structure has the
+    invariants of its class representative: no sweep needs 2^{b+c} labels.
     """
-    return [trivial_structure(params), nontrivial_structure(params)]
+    deltas = (1,) * (params.beta1 - 1)
+    return [SpinStructure(deltas, 1), SpinStructure(deltas, 2)]
 
 
 _TRICOSM_KEY = (3, 1, 0, 1)

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
 
-from .numtheory import NotOddError, NotPrimeError, as_prime
+from .numtheory import NotOddError, NotPrimeError, as_prime, check_ints, odd_primes_upto
 
 
 class ZeroHolonomyBlockError(ValueError):
@@ -128,6 +128,7 @@ class SpinStructure:
     h: int
 
     def __post_init__(self) -> None:
+        check_ints("delta " * len(self.deltas) + "h", *self.deltas, self.h)
         if any(d not in (1, -1) for d in self.deltas):
             raise ValueError(f"deltas must be +-1, got {self.deltas}")
         if self.h not in (1, 2):
@@ -150,15 +151,6 @@ def enumerate_spin_structures(params: ZpParams) -> list[SpinStructure]:
         for deltas in itertools.product((1, -1), repeat=k)
         for h in (1, 2)
     ]
-
-
-def trivial_structure(params: ZpParams) -> SpinStructure:
-    return SpinStructure((1,) * (params.beta1 - 1), 1)
-
-
-def nontrivial_structure(params: ZpParams) -> SpinStructure:
-    """A representative non-trivial-type structure (all-plus deltas, h = 2)."""
-    return SpinStructure((1,) * (params.beta1 - 1), 2)
 
 
 class IntMatrix:
@@ -463,23 +455,24 @@ class HolonomyReport:
     fixed_space_dim: int
     fixed_space_ok: bool
     charpoly_ok: bool
-    failures: tuple[str, ...] = field(default=())
+
+    @property
+    def failures(self) -> tuple[str, ...]:
+        """The false bool fields in field order, each named without its "_ok"."""
+        return tuple(name.removesuffix("_ok") for name in _CHECKS if not getattr(self, name))
 
     @property
     def all_ok(self) -> bool:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "params": str(self.params),
-            "power_identity": self.power_identity,
-            "order_exact": self.order_exact,
-            "det_one": self.det_one,
-            "fixed_space_dim": self.fixed_space_dim,
-            "fixed_space_ok": self.fixed_space_ok,
-            "charpoly_ok": self.charpoly_ok,
-            "failures": list(self.failures),
-        }
+        """Every field in order, params as its string, then the failure names."""
+        out = {name: getattr(self, name) for name in _FIELDS}
+        return out | {"params": str(self.params), "failures": list(self.failures)}
+
+
+_FIELDS = tuple(f.name for f in fields(HolonomyReport))
+_CHECKS = tuple(f.name for f in fields(HolonomyReport) if f.type == "bool")
 
 
 def holonomy_checks(m: IntMatrix, params: ZpParams) -> HolonomyReport:
@@ -515,18 +508,6 @@ def holonomy_checks(m: IntMatrix, params: ZpParams) -> HolonomyReport:
         and sum(f for _, f in exponents) == params.b + params.c
     )
 
-    failures = []
-    if not power_identity:
-        failures.append("power_identity")
-    if not order_exact:
-        failures.append("order_exact")
-    if det != 1:
-        failures.append("det_one")
-    if ker != params.beta1:
-        failures.append("fixed_space")
-    if not charpoly_ok:
-        failures.append("charpoly")
-
     return HolonomyReport(
         params=params,
         power_identity=power_identity,
@@ -535,7 +516,6 @@ def holonomy_checks(m: IntMatrix, params: ZpParams) -> HolonomyReport:
         fixed_space_dim=ker,
         fixed_space_ok=ker == params.beta1,
         charpoly_ok=charpoly_ok,
-        failures=tuple(failures),
     )
 
 
@@ -546,8 +526,7 @@ def enumerate_params(
 
     By default only odd-dimensional manifolds (b + c odd) are produced.
     """
-    from .numtheory import odd_primes_upto
-
+    check_ints("p_max n_max", p_max, n_max)
     out = []
     for p in odd_primes_upto(p_max):
         for a in range(0, n_max // (p - 1) + 1):
@@ -585,7 +564,5 @@ __all__ = [
     "enumerate_spin_structures",
     "holonomy_checks",
     "homology_h1",
-    "nontrivial_structure",
-    "trivial_structure",
     "validate",
 ]

@@ -93,10 +93,14 @@ class OddPrime:
 
     def literal_sum(self, kind: str, base: int, sign: int) -> int:
         """The Legendre sum of the kind at (base mod p, sign).  Its literal
-        loop runs on the first read of the cell; later reads return it."""
+        loop runs, after a check of the kind and sign, on the first read of
+        the cell; later reads return it."""
         key = (kind, base % self.p, sign)
         value = self._sums.get(key)
         if value is None:
+            if kind not in _LOOPS:
+                raise ValueError(f"kind must be one of {', '.join(_LOOPS)}, got {kind!r}")
+            _check_sign(sign)
             value = self._sums[key] = _LOOPS[kind](self.legendre_table(), self.p, key[1], sign)
         return value
 
@@ -201,13 +205,13 @@ def _check_sign(sign: int) -> int:
 def sum_legendre_shift(ell: int, k: int, sign: int, p: int | OddPrime) -> int:
     """sum_{j=1}^{p-1} ((k*ell +- j)/p), by direct summation."""
     check_ints("ell k sign", ell, k, sign)
-    return as_prime(p).literal_sum("shift", k * ell, _check_sign(sign))
+    return as_prime(p).literal_sum("shift", k * ell, sign)
 
 
 def sum_legendre_odd_shift(ell: int, sign: int, p: int | OddPrime) -> int:
     """sum_{j=0}^{p-1} ((2*ell +- (2j+1))/p), by direct summation."""
     check_ints("ell sign", ell, sign)
-    return as_prime(p).literal_sum("odd-shift", 2 * ell, _check_sign(sign))
+    return as_prime(p).literal_sum("odd-shift", 2 * ell, sign)
 
 
 def weighted_legendre_sum(ell: int, factor: int, sign: int, p: int | OddPrime) -> int:
@@ -218,13 +222,13 @@ def weighted_legendre_sum(ell: int, factor: int, sign: int, p: int | OddPrime) -
     check_ints("ell factor sign", ell, factor, sign)
     if factor not in (1, 2):
         raise ValueError(f"factor must be 1 or 2, got {factor}")
-    return as_prime(p).literal_sum("weighted", factor * ell, _check_sign(sign))
+    return as_prime(p).literal_sum("weighted", factor * ell, sign)
 
 
 def odd_weighted_legendre_sum(ell: int, sign: int, p: int | OddPrime) -> int:
     """sum_{j=0}^{p-1} ((2*ell +- (2j+1))/p) * j, by direct summation."""
     check_ints("ell sign", ell, sign)
-    return as_prime(p).literal_sum("odd-weighted", 2 * ell, _check_sign(sign))
+    return as_prime(p).literal_sum("odd-weighted", 2 * ell, sign)
 
 
 def S_h_pm(h: int, sign: int, ell: int, p: int | OddPrime) -> int:

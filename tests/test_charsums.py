@@ -384,6 +384,26 @@ def test_charsums_refuse_anything_but_ints_and_characters_cold_and_warm(bad, bad
         assert func(*args, warm) is not None
 
 
+@pytest.mark.parametrize(
+    "kind, p, message",
+    [
+        ("tan", as_prime(7), "kind must be 'sin' or 'cos', got 'tan'"),  # was KeyError
+        ("cos", 9, "p must be prime, got 9"),
+        ("cos", 7.0, "p must be an int, got 7.0"),
+    ],
+)
+def test_half_period_product_refuses_a_bad_kind_or_prime(kind, p, message):
+    with pytest.raises(ValueError, match=message):
+        charsums.half_period_product(kind, p)
+
+
+def test_half_period_product_takes_a_prime_as_an_int():
+    # an int p raised AttributeError on p.p
+    assert charsums.half_period_product("cos", 7) == charsums.half_period_product(
+        "cos", as_prime(7)
+    )
+
+
 def test_charsums_wrong_types_that_used_to_pass():
     with pytest.raises(ValueError, match="chi must be a CharacterChoice, got 'chi0'"):
         gauss_direct(1, "chi0", 0, 7)

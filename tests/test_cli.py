@@ -105,9 +105,11 @@ def test_invariant_rows_match_a_table_per_structure():
         assert [list(row) for row in rows] == [cli._CSV_HEADER] * len(rows), params
 
 
-@pytest.mark.parametrize("params", [validate(53, 3, 2, 1), validate(3, 1, 8, 3)], ids=str)
-def test_invariant_rows_read_at_most_three_structures(monkeypatch, params):
-    # one record list per class: trivial type, non-trivial with h = 1, h = 2
+@pytest.mark.parametrize(
+    "params", [validate(53, 3, 2, 1), validate(3, 1, 8, 3), validate(7, 2, 0, 1)], ids=str
+)
+def test_invariant_rows_read_one_record_list_per_structure_class(monkeypatch, params):
+    # one record list per representative of eta.structure_classes, and no other
     calls = []
     real = eta.structure_records
 
@@ -117,8 +119,7 @@ def test_invariant_rows_read_at_most_three_structures(monkeypatch, params):
 
     monkeypatch.setattr(eta, "structure_records", counted)
     invariant_rows(params)
-    assert len(calls) <= 3
-    assert len({(s.trivial_type, s.h) for s in calls}) == len(calls)
+    assert calls == eta.structure_classes(params)
 
 
 # stdout SHA-256 recorded with one structure_records call per structure;

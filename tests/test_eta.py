@@ -26,7 +26,7 @@ from zpeta.eta import (
     verify_untwisted,
 )
 from zpeta.exact import reduce_mod_Z
-from zpeta.manifold import EvenDimensionError, enumerate_params, validate
+from zpeta.manifold import EvenDimensionError, SpinStructure, enumerate_params, validate
 from zpeta.numtheory import class_number, odd_primes_upto
 from zpeta.spectrum import dim_ker
 
@@ -198,6 +198,27 @@ def test_eta_entry_points_refuse_an_h_or_ell_that_is_not_an_int(name, position, 
     call(1, 0)  # the same call with ints is fine
 
 
+# each record constructor with one argument left open, the name it is refused under,
+# and an int that the constructor accepts there
+_RECORD_ARGUMENTS = {
+    "SpinStructure-h": (lambda x: SpinStructure((), x), "h", 2),
+    "SpinStructure-delta": (lambda x: SpinStructure((1, x), 1), "delta", -1),
+    "EtaClosedForm-p": (lambda x: EtaClosedForm(x, 1, 1, ()), "p", 7),
+    "EtaClosedForm-sign": (lambda x: EtaClosedForm(7, x, 1, ()), "sign", -1),
+    "EtaClosedForm-scale": (lambda x: EtaClosedForm(7, 1, x, ()), "scale", 3),
+}
+
+
+@pytest.mark.parametrize("bad", (True, 1.0, -1.0), ids=repr)
+@pytest.mark.parametrize("argument", sorted(_RECORD_ARGUMENTS))
+def test_structure_and_closed_form_refuse_values_that_are_not_ints(argument, bad):
+    # "h in (1, 2)" and "sign in (1, -1)" alone let True, 1.0 and -1.0 through
+    make, name, good = _RECORD_ARGUMENTS[argument]
+    with pytest.raises(ValueError, match=f"{name} must be an int, got {bad!r}"):
+        make(bad)
+    make(good)  # the same call with an int is fine
+
+
 def test_eta_invariant_tricosm():
     assert [eta_invariant(TRICOSM, 1, ell) for ell in range(3)] == [
         Fraction(-2, 3),
@@ -296,8 +317,6 @@ def test_reduced_eta_consistency():
 
 def test_reduced_eta_rejects_even_dimension():
     params = validate(5, 1, 1, 1)
-    from zpeta.manifold import SpinStructure
-
     for h in (1, 2):
         with pytest.raises(EvenDimensionError):
             structure_records(params, SpinStructure((1,), h))

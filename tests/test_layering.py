@@ -1,6 +1,7 @@
 """No module of the package reaches into a sibling module's private names,
-none imports a name it does not use, and none imports anything but the
-standard library and the package itself: zpeta has no runtime dependency.
+none imports a name it does not use, none lists a name in ``__all__`` that
+it does not define, and none imports anything but the standard library and
+the package itself: zpeta has no runtime dependency.
 
 A table or cache lives in one module; the others go through its public
 functions, so a second copy of a table cannot grow behind an import of
@@ -10,9 +11,11 @@ since no linter runs over the package.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -126,6 +129,28 @@ def test_no_module_has_an_unused_import(module):
 )
 def test_unused_imports_finds_each_form(source, found):
     assert unused_imports(ast.parse(source)) == found
+
+
+def unresolved_exports(module: types.ModuleType) -> list[str]:
+    """Each name in the module's ``__all__`` that is not an attribute of it,
+    so that ``from module import *`` would raise AttributeError."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_name_in_all_resolves(module):
+    # the package __init__ and manifold list their exports; a deleted function must leave both
+    imported = zpeta if module == "__init__" else importlib.import_module(f"zpeta.{module}")
+    assert unresolved_exports(imported) == []
+
+
+def test_unresolved_exports_finds_a_deleted_name():
+    module = types.ModuleType("m")
+    module.kept = 1
+    module.__all__ = ["kept", "trivial_structure"]
+    assert unresolved_exports(module) == ["trivial_structure"]
+    del module.__all__
+    assert unresolved_exports(module) == []
 
 
 def outside_imports(tree: ast.Module) -> list[str]:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -584,6 +585,72 @@ def test_holonomy_checks_never_raise_a_block_to_the_pth_power(monkeypatch):
         assert holonomy_checks(build_holonomy(params), params).all_ok
 
 
+def _planted(*blocks):
+    """The block-diagonal IntMatrix of the given square blocks."""
+    return IntMatrix(_block_diagonal_rows(blocks)[0])
+
+
+_C3 = [[0, -1], [1, -1]]
+# (matrix, params, failures): one planted fault per case, each failing a different set
+PLANTED = {
+    "correct": (_planted(_C3, [[1]]), (3, 1, 0, 1), ()),
+    "det -1": (
+        _planted([[0, 1], [1, 1]], [[1]]),  # x^2 - x - 1: det -1, so order 0 and charpoly
+        (3, 1, 0, 1),
+        ("power_identity", "order_exact", "det_one", "charpoly"),
+    ),
+    "order-0 block": (
+        _planted([[0, -1, 1, 0], [1, -1, 0, 1], [0, 0, 0, -1], [0, 0, 1, -1]], [[1]]),
+        (3, 2, 0, 1),  # [[C_3, I], [0, C_3]]: charpoly Phi_3^2, but not of order 3
+        ("power_identity", "order_exact"),
+    ),
+    "wrong fixed space": (
+        _planted(_C3, [[1, 1], [0, 1]]),  # a Jordan block at 1: ker 1, not b + c = 2
+        (3, 1, 0, 2),
+        ("power_identity", "order_exact", "fixed_space"),
+    ),
+    "foreign charpoly factor": (
+        _planted([[1]], [[-1]], [[-1]]),  # (x - 1)(x + 1)^2
+        (3, 1, 0, 1),
+        ("power_identity", "order_exact", "charpoly"),
+    ),
+    "order 1": (
+        IntMatrix.identity(3),
+        (3, 1, 0, 1),
+        ("order_exact", "fixed_space", "charpoly"),
+    ),
+}
+REPORT_KEYS = [
+    "params", "power_identity", "order_exact", "det_one", "fixed_space_dim",
+    "fixed_space_ok", "charpoly_ok", "failures",
+]
+
+
+@pytest.mark.parametrize("case", sorted(PLANTED))
+def test_holonomy_failures_are_the_false_checks_in_field_order(case):
+    m, key, failures = PLANTED[case]
+    params = ZpParams(*key)
+    report = holonomy_checks(m, params)
+    assert report.failures == failures
+    checks = {
+        "power_identity": report.power_identity,
+        "order_exact": report.order_exact,
+        "det_one": report.det_one,
+        "fixed_space": report.fixed_space_ok,
+        "charpoly": report.charpoly_ok,
+    }
+    assert report.failures == tuple(name for name, ok in checks.items() if not ok)
+    assert report.all_ok == (failures == ())
+    as_dict = report.to_dict()
+    assert list(as_dict) == REPORT_KEYS
+    assert as_dict["params"] == str(params) and as_dict["failures"] == list(failures)
+    assert json.loads(json.dumps(as_dict)) == as_dict  # plain JSON values only
+
+
+def test_holonomy_report_stores_no_failure_list():
+    assert [f.name for f in dataclasses.fields(manifold.HolonomyReport)] == REPORT_KEYS[:-1]
+
+
 def test_charpoly_of_merged_blocks_and_of_the_identity():
     # two C_3 blocks linked into one component with charpoly Phi_3^2
     merged = [list(r) for r in build_holonomy(validate(3, 2, 0, 1)).rows]
@@ -592,6 +659,15 @@ def test_charpoly_of_merged_blocks_and_of_the_identity():
     # three x - 1 factors against Phi_3 (x - 1)
     report = holonomy_checks(IntMatrix.identity(3), validate(3, 1, 0, 1))
     assert not report.charpoly_ok and "charpoly" in report.failures
+
+
+@pytest.mark.parametrize(
+    "bounds, name", [((13, None), "n_max"), ((13.0, 40), "p_max"), ((13, True), "n_max")]
+)
+def test_enumerate_params_refuses_a_bound_that_is_not_an_int(bounds, name):
+    # (13, None) raised TypeError from inside the loop
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        enumerate_params(*bounds)
 
 
 def test_enumerate_params_ordering_and_validity():

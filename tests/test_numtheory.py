@@ -325,6 +325,23 @@ def test_wrong_types_that_used_to_pass():
         sum_legendre_shift(1, 1, True, 7)
 
 
+@pytest.mark.parametrize(
+    "kind, sign, message",
+    [
+        ("nope", 1, "kind must be one of shift, odd-shift, weighted, odd-weighted, got 'nope'"),
+        ("shift", 5, "sign must be \\+1 or -1, got 5"),
+        ("weighted", 0, "sign must be \\+1 or -1, got 0"),
+    ],
+)
+def test_literal_sum_refuses_an_unknown_kind_or_sign_and_fills_no_cell(kind, sign, message):
+    # an unknown kind raised KeyError, and sign 5 summed tab[base + 5j] instead
+    P = OddPrime(7)
+    for _ in range(2):  # the first read would fill the cell; nothing is left to hit
+        with pytest.raises(ValueError, match=message):
+            P.literal_sum(kind, 0, sign)
+    assert not P._sums
+
+
 class CountingTable(tuple):
     """A Legendre table that counts its reads."""
 
