@@ -2,17 +2,17 @@
 
 Only exceptional manifolds ((b, c) = (0, 1), dimension n = a(p-1) + 1)
 have an asymmetric twisted Dirac spectrum; everywhere else the eta
-series vanishes identically.  In the exceptional case the series is a
-finite combination of Hurwitz zeta values
+series vanishes identically.  The series is pi^{-s} sum_c d_c (2c - [h=2])^{-s}
+over the p-periodic multiplicity differences d_c = mult_diff_by_index,
+so one period, regrouped, is a finite combination of Hurwitz zeta values
 
-    eta_{ell,h}(s) = sign * scale * (2 pi p)^{-s}
-                     * sum_j coeff_j * zeta(s, alpha_j),
+    eta_{ell,h}(s) = (2 pi p)^{-s} sum_{r=1}^{p} d_r zeta(s, (2r - [h=2])/2p),
 
-with every alpha_j a rational in (0, 1] of denominator dividing 2p.
-Evaluating at s = 0 via zeta(0, alpha) = 1/2 - alpha turns the series
-into the exact eta invariant, and this evaluation must coincide with
-the independent split-sum closed forms; both paths are implemented and
-the equality is part of the test contract.
+an EtaClosedForm (p, scale, terms) with scale p^{[a/2]}.  Evaluating at
+s = 0 via zeta(0, alpha) = 1/2 - alpha turns the series into the exact
+eta invariant, and this evaluation must coincide with the independent
+split-sum closed forms; both paths are implemented and the equality is
+part of the test contract.
 
 The reduced invariant is etabar = (eta + dim ker) / 2.  Its residue
 mod Z vanishes for every manifold in the family except the
@@ -77,20 +77,21 @@ def hurwitz_zeta(s: float, alpha) -> float:
 class EtaClosedForm:
     """Finite Hurwitz-zeta combination representing one eta series.
 
-    Value at s: sign * scale * (2 pi p)^{-s} * sum coeff * zeta(s, alpha).
-    The zero series has an empty term list.
+    Value at s: scale * (2 pi p)^{-s} * sum coeff * zeta(s, alpha), with
+    each alpha a Fraction in (0, 1] whose denominator divides 2p and each
+    coeff an int.  The zero series has an empty term list.
     """
 
     p: int
-    sign: int
     scale: int
     terms: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self) -> None:
-        check_ints("p sign scale", self.p, self.sign, self.scale)
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +-1, got {self.sign}")
-        for alpha, _ in self.terms:
+        check_ints("p scale", self.p, self.scale)
+        for alpha, coeff in self.terms:
+            if not isinstance(alpha, Fraction):
+                raise ValueError(f"alpha must be a Fraction, got {alpha!r}")
+            check_ints("coeff", coeff)
             if not 0 < alpha <= 1:
                 raise ValueError(f"alpha out of (0, 1]: {alpha}")
             if (2 * self.p) % alpha.denominator != 0:
@@ -98,7 +99,7 @@ class EtaClosedForm:
 
     @classmethod
     def zero(cls, p: int) -> "EtaClosedForm":
-        return cls(p, 1, 1, ())
+        return cls(p, 1, ())
 
     @property
     def is_zero(self) -> bool:
@@ -107,70 +108,53 @@ class EtaClosedForm:
     def at_zero(self) -> Fraction:
         """Exact value at s = 0 via zeta(0, alpha) = 1/2 - alpha."""
         acc = sum((Fraction(1, 2) - alpha) * coeff for alpha, coeff in self.terms)
-        return self.sign * self.scale * Fraction(acc)
+        return self.scale * Fraction(acc)
+
+
+def _period(params: ZpParams, h: int, ell: int) -> list[int]:
+    """d_1, ..., d_p of mult_diff_by_index: one period in the series index c.
+
+    p goes through as_prime first, so a ZpParams built without validate
+    whose p is no odd prime is refused, on a non-exceptional manifold too.
+    """
+    p = as_prime(params.p).p
+    return [mult_diff_by_index(params, h, ell, c) for c in range(1, p + 1)]
 
 
 def eta_series_closed_form(params: ZpParams, h: int, ell: int) -> EtaClosedForm:
     """Hurwitz-zeta closed form of the twisted eta series.
 
-    The zero form for every non-exceptional manifold (symmetric
-    spectrum) and for even a with ell = 0.
+    The spectral terms c = r + kp, k >= 0, of one residue r share d_r, and
+    sum_k (2(r + kp) - [h=2])^{-s} = (2p)^{-s} zeta(s, (2r - [h=2])/2p).
+    The terms are the nonzero d_r over the scale p^{[a/2]}.  The zero form
+    when every d_r is 0: on every non-exceptional manifold (symmetric
+    spectrum), for even a with ell = 0, and for odd a, p = 1 (4), ell = 0.
     """
-    check_ints("h ell", h, ell)
-    if h not in (1, 2):
-        raise ValueError(f"h must be 1 or 2, got {h}")
-    P = as_prime(params.p)
-    p = P.p
-    if not params.exceptional:
-        return EtaClosedForm.zero(p)
-    a = params.a
-    ell %= p
-    r = params.n // 4
-    if a % 2 == 0:
-        if ell == 0:
-            return EtaClosedForm.zero(p)
-        sign = -1 if r % 2 else 1
-        scale = p ** (a // 2)
-        if h == 1:
-            terms = ((Fraction(ell, p), 1), (Fraction(p - ell, p), -1))
-        elif ell <= P.q:
-            terms = ((Fraction(p + 2 * ell, 2 * p), 1), (Fraction(p - 2 * ell, 2 * p), -1))
-        else:
-            terms = ((Fraction(2 * ell - p, 2 * p), 1), (Fraction(3 * p - 2 * ell, 2 * p), -1))
-        return EtaClosedForm(p, sign, scale, terms)
-    scale = p ** ((a - 1) // 2)
-    if h == 1:
-        sign = -1 if (P.t + r) % 2 else 1
-        terms = tuple(
-            (Fraction(j, p), coeff)
-            for j in range(1, p)
-            if (coeff := P.legendre(ell - j) - P.legendre(ell + j)) != 0
-        )
-    else:
-        sign = -1 if (P.q + r) % 2 else 1
-        terms = tuple(
-            (Fraction(2 * j + 1, 2 * p), coeff)
-            for j in range(p)
-            if (coeff := P.legendre(2 * ell - (2 * j + 1)) - P.legendre(2 * ell + (2 * j + 1)))
-            != 0
-        )
-    if not terms:
-        return EtaClosedForm.zero(p)
-    return EtaClosedForm(p, sign, scale, terms)
+    period = _period(params, h, ell)
+    p, scale = params.p, params.p ** (params.a // 2)
+    delta = 1 if h == 2 else 0
+    terms = tuple(
+        (Fraction(2 * r - delta, 2 * p), d // scale) for r, d in enumerate(period, 1) if d
+    )
+    return EtaClosedForm(p, scale, terms) if terms else EtaClosedForm.zero(p)
 
 
 def eta_series_eval(form: EtaClosedForm, s: float) -> float:
     """Numeric value of a closed form at finite real s > 1.
 
     An s so large that the value overflows, or that it or (2 pi p)^{-s}
-    is below the smallest normal double (too few bits left), is a DomainError.
+    is below the smallest normal double (too few bits left), is a
+    DomainError; so is a scale beyond the largest double.
     """
     if form.is_zero:
         return 0.0
     _check_s(s, "eta series evaluation")
     acc = sum(coeff * hurwitz_zeta(s, alpha) for alpha, coeff in form.terms)
     factor = (2.0 * math.pi * form.p) ** (-s)
-    value = form.sign * form.scale * factor * acc
+    try:
+        value = form.scale * factor * acc
+    except OverflowError:  # raised by int -> float of the scale
+        value = math.inf
     if not math.isfinite(value):
         raise DomainError(f"eta series evaluation overflows a double at s = {s}")
     if factor < sys.float_info.min or abs(value) < sys.float_info.min:
@@ -182,23 +166,22 @@ def eta_spectral_partial(params: ZpParams, h: int, ell: int, s: float, terms: in
     """Truncated spectral eta sum (1/pi^s) sum_c (d+ - d-) / (2c - [h=2])^s.
 
     The first `terms` (at least 1) admissible eigenvalue parameters in
-    ascending order; identically 0 for non-exceptional manifolds.  An s
-    so large that (2c - [h=2])^s or pi^s overflows a double is a
-    DomainError.
+    ascending order, d_c read from one period; identically 0 for
+    non-exceptional manifolds.  An s so large that (2c - [h=2])^s or pi^s
+    overflows a double is a DomainError.
     """
-    check_ints("h ell", h, ell)
-    if h not in (1, 2):
-        raise ValueError(f"h must be 1 or 2, got {h}")
+    period = _period(params, h, ell)
     _check_s(s, "spectral partial sum")
     if type(terms) is not int or terms < 1:
         raise ValueError(f"terms must be a positive integer, got {terms!r}")
     if not params.exceptional:
         return 0.0
+    p = params.p
     delta = 1 if h == 2 else 0
     total = 0.0
     try:
         for c in range(1, terms + 1):
-            d = mult_diff_by_index(params, h, ell, c)
+            d = period[(c - 1) % p]
             if d:
                 total += d / float(2 * c - delta) ** s
         return total / math.pi**s
@@ -257,7 +240,8 @@ def eta_invariant(params: ZpParams, h: int, ell: int) -> Fraction:
 
 
 def eta_invariant_via_series(params: ZpParams, h: int, ell: int) -> Fraction:
-    """Exact eta invariant by evaluating the series closed form at s = 0."""
+    """Exact eta invariant from the series closed form at s = 0: the sum
+    over one period of d_r (1/2 - alpha_r)."""
     return eta_series_closed_form(params, h, ell).at_zero()
 
 

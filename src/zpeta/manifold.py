@@ -128,6 +128,8 @@ class SpinStructure:
     h: int
 
     def __post_init__(self) -> None:
+        if type(self.deltas) is not tuple:  # a list would leave the frozen record unhashable
+            raise ValueError(f"deltas must be a tuple, got {self.deltas!r}")
         check_ints("delta " * len(self.deltas) + "h", *self.deltas, self.h)
         if any(d not in (1, -1) for d in self.deltas):
             raise ValueError(f"deltas must be +-1, got {self.deltas}")
@@ -527,6 +529,8 @@ def enumerate_params(
     By default only odd-dimensional manifolds (b + c odd) are produced.
     """
     check_ints("p_max n_max", p_max, n_max)
+    if type(include_even_n) is not bool:  # a truthy string read as True
+        raise ValueError(f"include_even_n must be a bool, got {include_even_n!r}")
     out = []
     for p in odd_primes_upto(p_max):
         for a in range(0, n_max // (p - 1) + 1):

@@ -409,6 +409,39 @@ def test_series_rejects_s_whose_closed_form_underflows(capsys, args, s):
     assert err == f"error: eta series evaluation underflows a double at s = {float(s)}\n"
 
 
+@pytest.mark.parametrize("args", [
+    ("--p", "3", "--a", "1294", "--h", "1", "--ell", "1", "--s", "4", "--terms", "5"),
+    ("--p", "97", "--a", "401", "--h", "1", "--ell", "1", "--s", "2", "--terms", "10"),
+])
+def test_series_rejects_a_closed_form_scale_beyond_a_double(capsys, args):
+    # p^{[a/2]} does not convert to a double: an uncaught OverflowError exited 1
+    code, out, err = run(capsys, "series", *args)
+    assert (code, out) == (2, "")
+    assert err == f"error: eta series evaluation overflows a double at s = {float(args[-3])}\n"
+
+
+# SHA-256 of the concatenated stdout over the grid below, recorded with the
+# closed form's own branches on a, h and p mod 4; the closed form read off one
+# period of the multiplicity differences must not change it
+SERIES_GRID_SHA256 = "11f6ebb49148fd4c1991984b8eb71719e527baee2ec0ca47b8266d26a443c774"
+
+
+def test_series_output_is_byte_identical_over_a_grid(capsys):
+    out = []
+    for p in (3, 7, 13):
+        for a in range(1, 5):
+            for h in ("1", "2"):
+                for ell in (0, 1, p - 1):
+                    for s in ("1.5", "4"):
+                        code, text, err = run(
+                            capsys, "series", "--p", str(p), "--a", str(a), "--h", h,
+                            "--ell", str(ell), "--s", s, "--terms", "2000",
+                        )
+                        assert (code, err) == (0, "")
+                        out.append(text)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == SERIES_GRID_SHA256
+
+
 @pytest.mark.parametrize("args, s", [(_SERIES_P3, "240"), (_SERIES_P97, "110")])
 def test_series_keeps_s_whose_factor_is_normal(capsys, args, s):
     code, out, _ = run(capsys, "series", *args, "--s", s)
@@ -709,15 +742,19 @@ _INVALID = {
         _one_break(_MANIFOLD, {**_int_breaks(_MANIFOLD, _MANIFOLD), **_MANIFOLD_BREAKS}),
         _one_break(_MANIFOLD, {"a": st.integers(1000, 10**6)}),  # n > 2000
     ),
-    "series": _one_break(
-        {"p": 3, "a": 1, "h": 1, "ell": 1, "s": 4},
-        {
-            **_int_breaks({"p": 3, "a": 1, "ell": 1, "terms": 9}, ("p", "a", "ell")),
-            "p": _NOT_ODD_PRIME, "a": _NEGATIVE, "b": st.integers(1, 9), "c": st.integers(2, 9),
-            "h": st.one_of(st.integers(-9, 9).filter(lambda h: h not in (1, 2)), _NOT_INT_TEXT),
-            "s": st.one_of(st.floats(-100, 1), st.sampled_from(("nan", "inf", "x", None))),
-            "terms": st.integers(-100, 0),
-        },
+    "series": st.one_of(
+        _one_break(
+            {"p": 3, "a": 1, "h": 1, "ell": 1, "s": 4},
+            {
+                **_int_breaks({"p": 3, "a": 1, "ell": 1, "terms": 9}, ("p", "a", "ell")),
+                "p": _NOT_ODD_PRIME, "a": _NEGATIVE, "b": st.integers(1, 9),
+                "c": st.integers(2, 9),
+                "h": st.one_of(st.integers(-9, 9).filter(lambda h: h not in (1, 2)), _NOT_INT_TEXT),
+                "s": st.one_of(st.floats(-100, 1), st.sampled_from(("nan", "inf", "x", None))),
+                "terms": st.integers(-100, 0),
+            },
+        ),
+        _one_break({"p": 3, "a": 1, "h": 1, "ell": 1, "s": 4}, {"a": st.integers(1294, 5000)}),
     ),
     "verify": _one_break(
         {"suite": "parity", "p-max": 3, "n-max": 3},

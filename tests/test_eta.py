@@ -26,8 +26,14 @@ from zpeta.eta import (
     verify_untwisted,
 )
 from zpeta.exact import reduce_mod_Z
-from zpeta.manifold import EvenDimensionError, SpinStructure, enumerate_params, validate
-from zpeta.numtheory import class_number, odd_primes_upto
+from zpeta.manifold import (
+    EvenDimensionError,
+    SpinStructure,
+    ZpParams,
+    enumerate_params,
+    validate,
+)
+from zpeta.numtheory import NotPrimeError, class_number, odd_primes_upto
 from zpeta.spectrum import dim_ker
 
 TRICOSM = validate(3, 1, 0, 1)
@@ -71,9 +77,42 @@ def test_hurwitz_zeta_domain():
 
 def test_closed_form_tricosm_h1_l0():
     form = eta_series_closed_form(TRICOSM, 1, 0)
-    assert form.sign == 1 and form.scale == 1
-    assert form.terms == ((Fraction(1, 3), -2), (Fraction(2, 3), 2))
+    assert form == EtaClosedForm(3, 1, ((Fraction(1, 3), -2), (Fraction(2, 3), 2)))
     assert form.at_zero() == Fraction(-2, 3)
+
+
+# one case of every branch the closed form had before it was read off one period
+# of mult_diff_by_index: (p, a, h, ell) -> (scale, {alpha: sign * coeff}), recorded
+# with the branch code, where a sign of -1 multiplied every coefficient
+CLOSED_FORM_BRANCHES = {
+    (3, 2, 1, 1): (3, {"1/3": -1, "2/3": 1}),  # a even, h = 1
+    (5, 2, 2, 1): (5, {"7/10": 1, "3/10": -1}),  # a even, h = 2, ell <= q
+    (3, 2, 2, 2): (3, {"1/6": -1, "5/6": 1}),  # a even, h = 2, ell > q
+    (5, 3, 1, 1): (5, {"1/5": 1, "2/5": 2, "3/5": -2, "4/5": -1}),  # a odd, h = 1, p = 1 (4)
+    (13, 1, 2, 3): (1, {"5/26": -2, "7/26": -1, "9/26": -2, "11/26": 2,
+                        "15/26": -2, "17/26": 2, "19/26": 1, "21/26": 2}),  # h = 2, p = 1 (4)
+    (7, 3, 1, 2): (7, {"1/7": -2, "2/7": 1, "5/7": -1, "6/7": 2}),  # a odd, h = 1, p = 3 (4)
+    (7, 1, 2, 5): (1, {"3/14": 1, "5/14": -2, "9/14": 2, "11/14": -1}),  # h = 2, p = 3 (4)
+    (5, 2, 1, 0): (1, {}),  # a even, ell = 0: the zero form
+    (5, 1, 1, 0): (1, {}),  # a odd, p = 1 (4), ell = 0: every coefficient cancels
+}
+
+
+@pytest.mark.parametrize("p, a, h, ell", sorted(CLOSED_FORM_BRANCHES))
+def test_closed_form_keeps_every_branch_value(p, a, h, ell):
+    form = eta_series_closed_form(validate(p, a, 0, 1), h, ell)
+    scale, coeffs = CLOSED_FORM_BRANCHES[p, a, h, ell]
+    assert (form.p, form.scale) == (p, scale)
+    assert {str(alpha): coeff for alpha, coeff in form.terms} == coeffs
+
+
+def test_closed_form_of_a_nonexceptional_or_nonprime_manifold():
+    assert eta_series_closed_form(validate(5, 1, 1, 2), 1, 1) == EtaClosedForm(5, 1, ())
+    # a record built without validate: p = 9 is refused, not read as a zero form
+    with pytest.raises(NotPrimeError, match="p must be prime, got 9"):
+        eta_series_closed_form(ZpParams(9, 1, 1, 2), 1, 1)
+    with pytest.raises(NotPrimeError, match="p must be prime, got 9"):
+        eta_spectral_partial(ZpParams(9, 1, 1, 2), 1, 1, 4.0, 100)
 
 
 def test_closed_form_zero_cases():
@@ -203,20 +242,41 @@ def test_eta_entry_points_refuse_an_h_or_ell_that_is_not_an_int(name, position, 
 _RECORD_ARGUMENTS = {
     "SpinStructure-h": (lambda x: SpinStructure((), x), "h", 2),
     "SpinStructure-delta": (lambda x: SpinStructure((1, x), 1), "delta", -1),
-    "EtaClosedForm-p": (lambda x: EtaClosedForm(x, 1, 1, ()), "p", 7),
-    "EtaClosedForm-sign": (lambda x: EtaClosedForm(7, x, 1, ()), "sign", -1),
-    "EtaClosedForm-scale": (lambda x: EtaClosedForm(7, 1, x, ()), "scale", 3),
+    "EtaClosedForm-p": (lambda x: EtaClosedForm(x, 1, ()), "p", 7),
+    "EtaClosedForm-scale": (lambda x: EtaClosedForm(7, x, ()), "scale", 3),
 }
 
 
 @pytest.mark.parametrize("bad", (True, 1.0, -1.0), ids=repr)
 @pytest.mark.parametrize("argument", sorted(_RECORD_ARGUMENTS))
 def test_structure_and_closed_form_refuse_values_that_are_not_ints(argument, bad):
-    # "h in (1, 2)" and "sign in (1, -1)" alone let True, 1.0 and -1.0 through
+    # "h in (1, 2)" alone lets True and 1.0 through
     make, name, good = _RECORD_ARGUMENTS[argument]
     with pytest.raises(ValueError, match=f"{name} must be an int, got {bad!r}"):
         make(bad)
     make(good)  # the same call with an int is fine
+
+
+@pytest.mark.parametrize("terms, message", [
+    (((0.5, 1),), "alpha must be a Fraction, got 0.5"),
+    (((Fraction(1, 7), 1.5),), "coeff must be an int, got 1.5"),
+    (((Fraction(1, 7), True),), "coeff must be an int, got True"),
+], ids=("float-alpha", "float-coeff", "bool-coeff"))
+def test_closed_form_refuses_terms_that_are_not_fraction_and_int(terms, message):
+    # a float alpha raised AttributeError on .denominator, and a float or bool
+    # coefficient made at_zero inexact (1.5 gave 4825285315039817/9007199254740992)
+    with pytest.raises(ValueError, match=message):
+        EtaClosedForm(7, 1, terms)
+    assert EtaClosedForm(7, 1, ((Fraction(1, 7), 3),)).at_zero() == Fraction(15, 14)
+
+
+@pytest.mark.parametrize("p, a", ((3, 1294), (3, 5000), (97, 401)))
+def test_series_eval_refuses_a_scale_beyond_a_double(p, a):
+    # p^{[a/2]} is an int too large for a double: int * float raised OverflowError
+    form = eta_series_closed_form(validate(p, a, 0, 1), 1, 1)
+    assert form.scale > sys.float_info.max
+    with pytest.raises(DomainError, match="eta series evaluation overflows a double at s = 4.0"):
+        eta_series_eval(form, 4.0)
 
 
 def test_eta_invariant_tricosm():

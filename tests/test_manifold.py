@@ -102,6 +102,22 @@ def test_spin_structure_validation():
         SpinStructure((), 3)
 
 
+@pytest.mark.parametrize("deltas", ([1, 1], [], "++", range(2)), ids=repr)
+def test_spin_structure_refuses_deltas_that_are_not_a_tuple(deltas):
+    # a list constructed, and hash() of the frozen record then raised TypeError
+    with pytest.raises(ValueError, match="deltas must be a tuple, got"):
+        SpinStructure(deltas, 1)
+    assert hash(SpinStructure((1, 1), 1)) == hash(SpinStructure((1, 1), 1))
+
+
+@pytest.mark.parametrize("flag", ("no", "", 1, 0, None), ids=repr)
+def test_enumerate_params_refuses_an_include_even_n_that_is_not_a_bool(flag):
+    # the string "no" is truthy and gave the 57-manifold even-n sweep
+    with pytest.raises(ValueError, match=f"include_even_n must be a bool, got {flag!r}"):
+        enumerate_params(5, 10, include_even_n=flag)
+    assert len(enumerate_params(5, 10, include_even_n=True)) == 57
+
+
 def test_holonomy_blocks():
     m = build_holonomy(validate(3, 1, 0, 1))
     assert m.rows == ((0, -1, 0), (1, -1, 0), (0, 0, 1))
