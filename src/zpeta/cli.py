@@ -24,6 +24,7 @@ from .manifold import (
     enumerate_params,
     enumerate_spin_structures,
     holonomy_checks,
+    prime_sweep,
     validate,
 )
 
@@ -169,9 +170,7 @@ def _oracles_for_prime(item: tuple[int, int]) -> Report:
                     approx = spectrum.mult_diff_oracle(params, h, ell, c)
                     report.check(exact == approx, desc, name, ell, exact, approx)
     # kernel dimensions across the sweep restricted to this prime
-    for params in enumerate_params(p, n_max):
-        if params.p != p:
-            continue
+    for params in prime_sweep(p, n_max):
         desc = str(params)
         triv = eta.structure_classes(params)[0]
         for ell in range(p):

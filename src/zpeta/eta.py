@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .exact import ResidueModZ, reduce_mod_Z
@@ -205,12 +205,13 @@ def eta_invariant(params: ZpParams, h: int, ell: int) -> Fraction:
                h=1: (-1)^{t+r}  p^{(a-1)/2} (S_1^+ + 2W/p)
                h=2: (-1)^{q+r}  p^{(a-1)/2} (S_2^+ - (2/p) S_1^+ + (1 - (2/p)) 2W/p)
     """
-    check_ints("h ell", h, ell)
+    if not type(h) is type(ell) is int:  # skips a call per twist
+        check_ints("h ell", h, ell)
     if h not in (1, 2):
         raise ValueError(f"h must be 1 or 2, got {h}")
+    P = as_prime(params.p)  # before the early return: a p that is no odd prime raises
     if not params.exceptional:
         return Fraction(0)
-    P = as_prime(params.p)
     p, a = P.p, params.a
     ell %= p
     r = params.n // 4
@@ -258,26 +259,34 @@ class InvariantRecord:
     relative_mod_Z: ResidueModZ
 
 
+def _half_sum(eta: Fraction, d: int) -> Fraction:
+    """(eta + d)/2 on numerator and denominator: one normalising Fraction."""
+    den = eta.denominator
+    return Fraction(eta.numerator + d * den, 2 * den)
+
+
+def _relative(bar: Fraction, bar_0: Fraction) -> ResidueModZ:
+    """(bar - bar_0) mod Z on numerators and denominators: one normalising
+    Fraction."""
+    den, den_0 = bar.denominator, bar_0.denominator
+    den_r = den * den_0
+    return ResidueModZ(Fraction((bar.numerator * den_0 - bar_0.numerator * den) % den_r, den_r))
+
+
 def _eta_bar(
     params: ZpParams, structure: SpinStructure, ell: int
 ) -> tuple[Fraction, int, Fraction]:
     """(eta, dim ker, etabar = (eta + dim ker)/2) at the twist ell."""
     eta_l = eta_invariant(params, structure.h, ell)
     d_l = dim_ker(params, structure, ell)
-    return eta_l, d_l, (eta_l + d_l) / 2
+    return eta_l, d_l, _half_sum(eta_l, d_l)
 
 
 def _record(
     structure: SpinStructure, ell: int, eta_l: Fraction, d_l: int, bar_l: Fraction, bar_0: Fraction
 ) -> InvariantRecord:
     return InvariantRecord(
-        ell=ell,
-        structure=structure,
-        eta=eta_l,
-        dim_ker=d_l,
-        eta_bar=bar_l,
-        eta_bar_mod_Z=reduce_mod_Z(bar_l),
-        relative_mod_Z=reduce_mod_Z(bar_l - bar_0),
+        ell, structure, eta_l, d_l, bar_l, reduce_mod_Z(bar_l), _relative(bar_l, bar_0)
     )
 
 
@@ -290,8 +299,8 @@ def structure_records(params: ZpParams, structure: SpinStructure) -> list[Invari
 
     etabar_0 is computed once, and dim ker twice: it depends on ell only
     through whether p divides ell.  So for ell >= 2 a record whose eta
-    equals the previous twist's is that record with ell changed.  Needs
-    odd n.
+    equals the previous twist's holds that record's values at its own
+    ell, with no arithmetic.  Needs odd n.
     """
     if not params.n_odd:
         raise EvenDimensionError(f"invariants need odd n, got n = {params.n}")
@@ -302,9 +311,10 @@ def structure_records(params: ZpParams, structure: SpinStructure) -> list[Invari
         eta_l = eta_invariant(params, structure.h, ell)
         last = records[-1]
         if ell > 1 and eta_l == last.eta:
-            records.append(replace(last, ell=ell))
+            bar, residue, relative = last.eta_bar, last.eta_bar_mod_Z, last.relative_mod_Z
+            records.append(InvariantRecord(ell, structure, last.eta, d_1, bar, residue, relative))
         else:
-            records.append(_record(structure, ell, eta_l, d_1, (eta_l + d_1) / 2, bar_0))
+            records.append(_record(structure, ell, eta_l, d_1, _half_sum(eta_l, d_1), bar_0))
     return records
 
 

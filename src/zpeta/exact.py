@@ -24,10 +24,19 @@ UNIT_ONE = "1"
 UNIT_I = "i"
 
 
+def _rational(x: Fraction | int, what: str) -> Fraction:
+    """x as a Fraction: an int is wrapped; a float, bool, string or any
+    other type raises ValueError rather than being read as a rational."""
+    if isinstance(x, Fraction):
+        return x
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an int or a Fraction, got {x!r}")
+    return Fraction(x)
+
+
 def rational_str(x: Fraction | int) -> str:
     """Serialize as "num/den", omitting the denominator when it is 1."""
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
+    x = _rational(x, "rational")
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -40,10 +49,13 @@ class ResidueModZ:
     value: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
-        if not 0 <= self.value < 1:
-            raise ValueError(f"residue out of [0, 1): {self.value}")
+        value = self.value
+        if not isinstance(value, Fraction):
+            value = _rational(value, "residue")
+            object.__setattr__(self, "value", value)
+        # the denominator is positive, so this is 0 <= value < 1 on ints
+        if not 0 <= value.numerator < value.denominator:
+            raise ValueError(f"residue out of [0, 1): {value}")
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -53,8 +65,10 @@ class ResidueModZ:
 
 
 def reduce_mod_Z(x: Fraction | int) -> ResidueModZ:
-    """The unique r in [0, 1) with x - r an integer."""
-    return ResidueModZ((x if isinstance(x, Fraction) else Fraction(x)) % 1)
+    """The unique r in [0, 1) with x - r an integer: num mod den over den."""
+    x = _rational(x, "x")
+    den = x.denominator
+    return ResidueModZ(Fraction(x.numerator % den, den))
 
 
 @dataclass(frozen=True)
@@ -74,7 +88,7 @@ class RadicalValue:
         if not isinstance(self.radicand, int) or self.radicand < 1:
             raise ValueError(f"radicand must be a positive integer, got {self.radicand!r}")
         if not isinstance(self.coeff, Fraction):
-            object.__setattr__(self, "coeff", Fraction(self.coeff))
+            object.__setattr__(self, "coeff", _rational(self.coeff, "coeff"))
         if self.coeff == 0:
             object.__setattr__(self, "unit", UNIT_ONE)
             object.__setattr__(self, "radicand", 1)
@@ -117,7 +131,7 @@ class CyclotomicRing:
     inside the slots, so the literal sums are sums of monomials.
     """
 
-    __slots__ = ("p", "dim", "bits", "bound", "mono", "_units")
+    __slots__ = ("p", "dim", "bits", "bound", "mono", "_units", "_multiples")
 
     def __init__(self, P):
         p = self.p = P.p
@@ -148,6 +162,7 @@ class CyclotomicRing:
             coords = self.reduce(vec)
             slot = next(i for i, c in enumerate(coords) if c)
             self._units.append((self.pack(coords), slot, coords[slot], max(map(abs, coords))))
+        self._multiples = {}
 
     def pack(self, coords: list[int]) -> int:
         """sum_i c_i 2^{bits i}: the coordinates in signed slots.  While every
@@ -219,7 +234,18 @@ class CyclotomicRing:
     def multiple(self, x: int, i_pow: int, radicand: int = 1) -> int | None:
         """The integer t with x = t i^i_pow sqrt(radicand), read off one
         coordinate and confirmed by one packed comparison; None if there is
-        none.  x must be packed, its coordinates inside the slots."""
+        none.  x must be packed, its coordinates inside the slots.
+
+        The answer, None included, is kept on the ring by (x, i_pow mod 4,
+        radicand): an oracle sweep asks for the same few values many times.
+        An invalid radicand is never kept, so it raises on every call."""
+        key = (x, i_pow % 4, radicand)
+        t = self._multiples.get(key, self)  # the ring itself marks a miss
+        if t is self:
+            t = self._multiples[key] = self._extract(x, i_pow, radicand)
+        return t
+
+    def _extract(self, x: int, i_pow: int, radicand: int) -> int | None:
         unit, slot, lead, largest = self._unit(i_pow, radicand)
         # a multiple of the unit is zero in the slots below the unit's first
         t, rem = divmod(self.unpack(x >> (self.bits * slot), 1)[0], lead)

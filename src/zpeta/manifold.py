@@ -128,17 +128,19 @@ class SpinStructure:
     h: int
 
     def __post_init__(self) -> None:
-        if type(self.deltas) is not tuple:  # a list would leave the frozen record unhashable
-            raise ValueError(f"deltas must be a tuple, got {self.deltas!r}")
-        check_ints("delta " * len(self.deltas) + "h", *self.deltas, self.h)
-        if any(d not in (1, -1) for d in self.deltas):
-            raise ValueError(f"deltas must be +-1, got {self.deltas}")
+        deltas = self.deltas
+        if type(deltas) is not tuple:  # a list would leave the frozen record unhashable
+            raise ValueError(f"deltas must be a tuple, got {deltas!r}")
+        # set tests, run in C; on a failure check_ints names the first non-int
+        if not (type(self.h) is int and set(map(type, deltas)) <= {int} and set(deltas) <= {1, -1}):
+            check_ints("delta " * len(deltas) + "h", *deltas, self.h)
+            raise ValueError(f"deltas must be +-1, got {deltas}")
         if self.h not in (1, 2):
             raise ValueError(f"h must be 1 or 2, got {self.h}")
 
     @property
     def trivial_type(self) -> bool:
-        return self.h == 1 and all(d == 1 for d in self.deltas)
+        return self.h == 1 and -1 not in self.deltas
 
     @property
     def label(self) -> str:
@@ -528,25 +530,37 @@ def enumerate_params(
 
     By default only odd-dimensional manifolds (b + c odd) are produced.
     """
-    check_ints("p_max n_max", p_max, n_max)
+    check_ints("p_max", p_max)
+    _check_sweep(n_max, include_even_n)
+    # each prime's sweep is in key order and the primes ascend
+    return [q for p in odd_primes_upto(p_max) for q in prime_sweep(p, n_max, include_even_n)]
+
+
+def prime_sweep(p: int, n_max: int, include_even_n: bool = False) -> list[ZpParams]:
+    """The manifolds of enumerate_params whose prime is p, in its order:
+    (a, b, c) ascending."""
+    as_prime(p)
+    _check_sweep(n_max, include_even_n)
+    out = []
+    for a in range(0, n_max // (p - 1) + 1):
+        base_a = a * (p - 1)
+        if base_a > n_max:
+            break
+        for b in range(0, (n_max - base_a) // p + 1):
+            if a + b == 0:
+                continue
+            base = base_a + b * p
+            for c in range(1, n_max - base + 1):
+                if not include_even_n and (b + c) % 2 == 0:
+                    continue
+                out.append(ZpParams(p, a, b, c))
+    return out
+
+
+def _check_sweep(n_max: int, include_even_n: bool) -> None:
+    check_ints("n_max", n_max)
     if type(include_even_n) is not bool:  # a truthy string read as True
         raise ValueError(f"include_even_n must be a bool, got {include_even_n!r}")
-    out = []
-    for p in odd_primes_upto(p_max):
-        for a in range(0, n_max // (p - 1) + 1):
-            base_a = a * (p - 1)
-            if base_a > n_max:
-                break
-            for b in range(0, (n_max - base_a) // p + 1):
-                if a + b == 0:
-                    continue
-                base = base_a + b * p
-                for c in range(1, n_max - base + 1):
-                    if not include_even_n and (b + c) % 2 == 0:
-                        continue
-                    out.append(ZpParams(p, a, b, c))
-    out.sort(key=ZpParams.key)
-    return out
 
 
 # re-exported for callers that catch validation errors in one place

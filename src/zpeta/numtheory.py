@@ -112,7 +112,8 @@ class OddPrime:
         return isinstance(other, OddPrime) and other.p == self.p
 
     def __hash__(self) -> int:
-        return hash(("OddPrime", self.p))
+        # read on every cyclotomic_ring(P) lookup; equal primes have equal p
+        return self.p
 
     def __int__(self) -> int:
         return self.p

@@ -42,7 +42,8 @@ class NonIntegerKernelError(ArithmeticError):
 
 
 def _check_index(h: int, ell: int, c: int) -> None:
-    check_ints("h ell c", h, ell, c)
+    if not type(h) is type(ell) is type(c) is int:  # skips a call per oracle cell
+        check_ints("h ell c", h, ell, c)
     if h not in (1, 2):
         raise ValueError(f"h must be 1 or 2, got {h}")
     if c < 1:
@@ -53,10 +54,10 @@ def mult_diff_by_index(params: ZpParams, h: int, ell: int, c: int) -> int:
     """Exact d+ - d- at the c-th admissible mu (mu = c for h=1, c - 1/2 for
     h=2), eigenvalue 2 pi mu; 0 for non-exceptional params."""
     _check_index(h, ell, c)
+    P = as_prime(params.p)  # before the early return: a p that is no odd prime raises
     if not params.exceptional:
         return 0
     two_mu = 2 * c - (1 if h == 2 else 0)
-    P = as_prime(params.p)
     p, a = P.p, params.a
     ell %= p
     r = params.n // 4
@@ -86,9 +87,9 @@ def mult_diff_oracle(params: ZpParams, h: int, ell: int, c: int) -> int:
     p^{(a-1)//2}.  Any other ring value raises OracleResidualError.
     """
     _check_index(h, ell, c)
+    P = as_prime(params.p)
     if not params.exceptional:
         return 0
-    P = as_prime(params.p)
     p, a = P.p, params.a
     m = (params.n - 1) // 2
     # F is p-periodic in c', so c' is taken in 1..p
@@ -115,9 +116,9 @@ def dim_ker(params: ZpParams, structure: SpinStructure, ell: int) -> int:
         raise ValueError(
             f"structure has {len(structure.deltas)} delta signs, expected {params.beta1 - 1}"
         )
+    P = as_prime(params.p)
     if not structure.trivial_type:
         return 0
-    P = as_prime(params.p)
     p = P.p
     ab = params.a + params.b
     sign = -1 if (((p * p - 1) // 8) * ab) % 2 else 1

@@ -115,6 +115,18 @@ def test_closed_form_of_a_nonexceptional_or_nonprime_manifold():
         eta_spectral_partial(ZpParams(9, 1, 1, 2), 1, 1, 4.0, 100)
 
 
+def test_eta_invariant_of_a_nonprime_manifold_is_refused():
+    # the non-exceptional early return came before the prime and gave 0
+    with pytest.raises(NotPrimeError, match="p must be prime, got 9"):
+        eta_invariant(ZpParams(9, 1, 1, 2), 1, 1)
+
+
+def test_structure_records_of_a_nonprime_manifold_are_refused():
+    # the non-trivial structure reads no kernel formula, and dim_ker gave 0
+    with pytest.raises(NotPrimeError, match="p must be prime, got 9"):
+        structure_records(ZpParams(9, 1, 1, 2), SpinStructure((1, 1), 2))
+
+
 def test_closed_form_zero_cases():
     assert eta_series_closed_form(validate(5, 1, 1, 2), 1, 2).is_zero
     assert eta_series_closed_form(validate(5, 2, 0, 1), 1, 0).is_zero
@@ -382,9 +394,14 @@ def test_reduced_eta_rejects_even_dimension():
             structure_records(params, SpinStructure((1,), h))
 
 
+EXCEPTIONAL_UP_TO_31 = [validate(p, a, 0, 1) for p in odd_primes_upto(31) for a in range(1, 6)]
+
+
 def test_structure_records_match_reduced_eta():
-    # each record is eta and dim ker at its own twist, reduced on its own
-    for params in enumerate_params(7, 30):
+    # each record is eta and dim ker at its own twist, reduced on its own;
+    # on the exceptional manifolds eta varies and repeats across ell, and
+    # p = 3 has the non-integral 2W/p term
+    for params in enumerate_params(7, 30) + EXCEPTIONAL_UP_TO_31:
         for structure in structure_classes(params):
             records = structure_records(params, structure)
             assert len(records) == params.p
@@ -396,6 +413,39 @@ def test_structure_records_match_reduced_eta():
                 assert rec.eta_bar == (rec.eta + rec.dim_ker) / 2
                 assert rec.eta_bar_mod_Z == reduce_mod_Z(rec.eta_bar)
                 assert rec.relative_mod_Z == reduce_mod_Z(rec.eta_bar - bar_0)
+
+
+def test_a_nonexceptional_manifold_builds_two_records_by_arithmetic(monkeypatch):
+    # eta is 0 at every twist, so the records from ell = 2 on repeat ell = 1
+    built, record = [], eta._record
+
+    def counted(structure, ell, *values):
+        built.append(ell)
+        return record(structure, ell, *values)
+
+    monkeypatch.setattr(eta, "_record", counted)
+    params = validate(13, 1, 1, 2)
+    for structure in structure_classes(params):
+        built.clear()
+        records = structure_records(params, structure)
+        assert built == [0, 1] and [rec.ell for rec in records] == list(range(13))
+
+
+def _bar_inputs(p):
+    dens = st.sampled_from((1, 2, 3, 2 * p))
+    return st.builds(Fraction, st.integers(-(10**6), 10**6), dens)
+
+
+@given(
+    st.sampled_from(odd_primes_upto(31)).flatmap(lambda p: st.tuples(*[_bar_inputs(p)] * 2)),
+    st.integers(0, 2**240),
+)
+def test_integer_record_helpers_are_the_fraction_arithmetic(xs, d):
+    x, x_0 = xs
+    bar, bar_0 = eta._half_sum(x, d), eta._half_sum(x_0, d)
+    assert bar == (x + d) / 2 and type(bar) is Fraction
+    assert reduce_mod_Z(x).value == x % 1
+    assert eta._relative(bar, bar_0).value == (bar - bar_0) % 1
 
 
 def test_untwisted_closed_form_examples():

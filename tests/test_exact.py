@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zpeta.charsums import CHI0, CHIP, F_direct
 from zpeta.exact import (
     UNIT_I,
     UNIT_ONE,
+    CyclotomicRing,
     RadicalValue,
     cyclotomic_ring,
     rational_str,
@@ -61,6 +63,42 @@ def test_residue_rejects_out_of_range():
         ResidueModZ(Fraction(3, 2))
     with pytest.raises(ValueError):
         ResidueModZ(Fraction(-1, 2))
+
+
+@pytest.mark.parametrize(
+    "value, ok",
+    [(Fraction(0), True), (Fraction(1), False), (Fraction(-1, 2), False),
+     (1 - Fraction(1, 10**30), True)],
+    ids=("0", "1", "-1/2", "1-1e-30"),
+)
+def test_residue_range_is_checked_on_numerator_and_denominator(value, ok):
+    from zpeta.exact import ResidueModZ
+
+    if ok:
+        assert ResidueModZ(value).value is value
+    else:
+        with pytest.raises(ValueError, match=r"residue out of \[0, 1\)"):
+            ResidueModZ(value)
+
+
+NOT_A_RATIONAL = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.fractions().map(str),
+    st.integers().map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(str),
+)
+
+
+@given(NOT_A_RATIONAL)
+def test_the_exact_layer_refuses_floats_bools_and_strings(x):
+    # 0.1 became 3602879701896397/36028797018963968, True became 1 and
+    # "7/3" was parsed
+    from zpeta.exact import ResidueModZ
+
+    for build in (ResidueModZ, reduce_mod_Z, RadicalValue, rational_str):
+        with pytest.raises(ValueError, match="must be an int or a Fraction"):
+            build(x)
 
 
 def test_residue_keeps_a_fraction_and_wraps_an_int():
@@ -178,6 +216,36 @@ def test_ring_multiple_reads_one_coordinate_and_confirms_it():
     assert ring.multiple(root + 1, 0, 7) is None  # the read coordinate alone would say 2
     assert ring.multiple(4, 0) == 4 and ring.multiple(4, 2) == -4
     assert ring.multiple(ring.mono[1], 0) is None
+
+
+@pytest.mark.parametrize("p", odd_primes_upto(13))
+def test_the_multiple_memo_is_the_extraction(p):
+    # every F_direct value (both h, both characters), every power of i and
+    # both radicands: the memoised answer, None included, is a fresh ring's
+    P = as_prime(p)
+    values = {
+        F_direct(h, chi, ell, c, P)
+        for h in (1, 2)
+        for chi in (CHI0, CHIP)
+        for ell in range(p)
+        for c in range(1, p + 1)
+    }
+    ring, fresh, answers = cyclotomic_ring(P), CyclotomicRing(P), set()
+    for x in values:
+        for i_pow in range(8):
+            for radicand in (1, p):
+                want = fresh._extract(x, i_pow, radicand)  # reads no memo
+                answers.add(want)
+                assert ring.multiple(x, i_pow, radicand) == want
+                assert ring.multiple(x, i_pow, radicand) == want  # now from the memo
+    assert None in answers and len(answers) > 1
+
+
+def test_the_multiple_memo_keeps_no_invalid_radicand():
+    ring = cyclotomic_ring(as_prime(7))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"sqrt\(5\) is not in Z\[zeta_28\]"):
+            ring.multiple(4, 0, 5)
 
 
 def test_radical_zero_is_normalized():

@@ -102,6 +102,52 @@ def test_spin_structure_validation():
         SpinStructure((), 3)
 
 
+@pytest.mark.parametrize(
+    "deltas, h, message",
+    [
+        ((1, "1", 0), 1.0, "delta must be an int, got '1'"),
+        ((1, 0), True, "h must be an int, got True"),
+        ((1, 0, -1), 1, r"deltas must be \+-1, got \(1, 0, -1\)"),
+        ((2,), 3, r"deltas must be \+-1, got \(2,\)"),
+    ],
+)
+def test_spin_structure_errors_keep_their_order(deltas, h, message):
+    # every type first, in order, then the signs, then the range of h
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SpinStructure(deltas, h)
+
+
+def test_trivial_type_is_all_plus_with_h_1():
+    for deltas in itertools.product((1, -1), repeat=4):
+        for h in (1, 2):
+            want = h == 1 and all(d == 1 for d in deltas)
+            assert SpinStructure(deltas, h).trivial_type is want
+
+
+@pytest.mark.parametrize("include_even_n", (False, True))
+def test_prime_sweep_is_one_prime_of_enumerate_params(include_even_n):
+    every = enumerate_params(13, 40, include_even_n)
+    assert every == sorted(every, key=ZpParams.key)
+    for p in odd_primes_upto(13):
+        want = [q for q in every if q.p == p]
+        assert manifold.prime_sweep(p, 40, include_even_n) == want
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((9, 40), NotPrimeError, "p must be prime, got 9"),
+        ((2, 40), NotOddError, "p must be odd"),
+        ((7.0, 40), ValueError, "p must be an int, got 7.0"),
+        ((7, None), ValueError, "n_max must be an int, got None"),
+        ((7, 40, "no"), ValueError, "include_even_n must be a bool, got 'no'"),
+    ],
+)
+def test_prime_sweep_checks_its_arguments(args, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        manifold.prime_sweep(*args)
+
+
 @pytest.mark.parametrize("deltas", ([1, 1], [], "++", range(2)), ids=repr)
 def test_spin_structure_refuses_deltas_that_are_not_a_tuple(deltas):
     # a list constructed, and hash() of the frozen record then raised TypeError

@@ -44,6 +44,12 @@ def test_odd_prime_validation():
     assert as_prime(7) is as_prime(7)
 
 
+def test_equal_odd_primes_hash_equal():
+    # the key of every cyclotomic_ring(P) lookup
+    assert OddPrime(7) == as_prime(7) and hash(OddPrime(7)) == hash(as_prime(7))
+    assert {OddPrime(7): 1}[as_prime(7)] == 1 and OddPrime(7) != OddPrime(11)
+
+
 def test_is_prime_spot_checks():
     assert nt.is_prime(2) and nt.is_prime(3) and nt.is_prime(3_000_000_019)
     assert not nt.is_prime(3_000_000_021)

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zpeta import spectrum
-from zpeta.exact import UNIT_ONE, RadicalValue, cyclotomic_ring
-from zpeta.manifold import EvenDimensionError, SpinStructure, enumerate_params, validate
+from zpeta.exact import UNIT_ONE, CyclotomicRing, RadicalValue, cyclotomic_ring
+from zpeta.manifold import EvenDimensionError, SpinStructure, ZpParams, enumerate_params, validate
 from zpeta.eta import structure_classes
-from zpeta.numtheory import as_prime, odd_primes_upto
+from zpeta.numtheory import NotPrimeError, as_prime, odd_primes_upto
 from zpeta.spectrum import (
     dim_ker,
     dim_ker_oracle,
@@ -232,6 +232,50 @@ def test_dim_ker_oracle_is_exact_past_the_float_range(key, ells):
         d, got = dim_ker(params, triv, ell), dim_ker_oracle(params, ell)
         assert type(got) is int and got == d
         assert got != d + 1 and got != d - 1
+
+
+NONPRIME = ZpParams(9, 1, 1, 2)  # built without validate; not exceptional
+
+
+def test_mult_diff_of_a_nonprime_manifold_is_refused():
+    # the non-exceptional early return came before the prime and gave 0
+    with pytest.raises(NotPrimeError, match="p must be prime, got 9"):
+        mult_diff_by_index(NONPRIME, 1, 1, 1)
+
+
+def test_mult_diff_oracle_of_a_nonprime_manifold_is_refused():
+    with pytest.raises(NotPrimeError, match="p must be prime, got 9"):
+        mult_diff_oracle(NONPRIME, 1, 1, 1)
+
+
+def test_dim_ker_of_a_nonprime_manifold_is_refused():
+    # a non-trivial structure has no kernel, and its early return gave 0
+    with pytest.raises(NotPrimeError, match="p must be prime, got 9"):
+        dim_ker(NONPRIME, SpinStructure((1, 1), 2), 1)
+
+
+def test_the_oracle_extracts_each_ring_value_once(monkeypatch):
+    # the 1,470 cells of a <= 5, c <= 3p at p = 7 ask the ring for 16 distinct
+    # values; each is extracted once
+    keys = []
+    extract = CyclotomicRing._extract
+
+    def counted(ring, x, i_pow, radicand):
+        keys.append((ring.p, x, i_pow % 4, radicand))
+        return extract(ring, x, i_pow, radicand)
+
+    monkeypatch.setattr(CyclotomicRing, "_extract", counted)
+    cyclotomic_ring.cache_clear()
+    cells = 0
+    for a in range(1, 6):
+        params = validate(7, a, 0, 1)
+        for h in (1, 2):
+            for ell in range(7):
+                for c in range(1, 22):
+                    assert mult_diff_oracle(params, h, ell, c) == mult_diff_by_index(params, h, ell, c)
+                    cells += 1
+    assert len(keys) == len(set(keys)) == 16 and cells == 1470
+    cyclotomic_ring.cache_clear()
 
 
 def test_oracles_raise_on_a_ring_value_that_is_not_their_integer(monkeypatch):
