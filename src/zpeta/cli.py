@@ -50,9 +50,7 @@ def _appendix_legendre_checks(report: Report, p: int) -> None:
     w = P.weighted_sum()
     l2 = tab[2 % p]
     lm1 = tab[(p - 1) % p]
-    prefix = [0] * p  # prefix[u] = sum_{j=1}^{u} (j/p)
-    for j in range(1, p):
-        prefix[j] = prefix[j - 1] + tab[j]
+    prefix = P.prefix_table()
     desc = f"p={p}"
 
     for ell in range(p):
@@ -84,22 +82,10 @@ def _appendix_legendre_checks(report: Report, p: int) -> None:
             report.check(got == want, desc, "odd-weighted-sum", ell, want, got)
 
         # difference sums against the split forms
-        s1 = numtheory.S_direct(1, ell, P)
-        s2 = numtheory.S_direct(2, ell, P)
-        if p % 4 == 1:
-            want1 = p * numtheory.S_h_pm(1, -1, ell, P)
-            want2 = p * (
-                numtheory.S_h_pm(2, -1, ell, P) - l2 * numtheory.S_h_pm(1, -1, ell, P)
-            )
-        else:
-            want1 = -p * numtheory.S_h_pm(1, 1, ell, P) - 2 * w
-            want2 = (
-                -p
-                * (numtheory.S_h_pm(2, 1, ell, P) - l2 * numtheory.S_h_pm(1, 1, ell, P))
-                + 2 * (l2 - 1) * w
-            )
-        report.check(s1 == want1, desc, "difference-sum-1", ell, want1, s1)
-        report.check(s2 == want2, desc, "difference-sum-2", ell, want2, s2)
+        for which, name in ((1, "difference-sum-1"), (2, "difference-sum-2")):
+            got = numtheory.S_direct(which, ell, P)
+            want = numtheory.S_split(which, ell, P)
+            report.check(got == want, desc, name, ell, want, got)
 
 
 def _appendix_charsum_checks(report: Report, p: int) -> None:

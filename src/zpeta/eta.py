@@ -25,10 +25,11 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from numbers import Real
 
 from .exact import ResidueModZ, reduce_mod_Z
 from .manifold import EvenDimensionError, SpinStructure, ZpParams
-from .numtheory import S_h_pm, as_prime, check_ints, class_number
+from .numtheory import S_split, as_prime, check_ints, class_number
 from .spectrum import dim_ker, mult_diff_by_index
 
 
@@ -40,6 +41,9 @@ _EM_TERMS = 50  # leading direct terms before the Euler-Maclaurin tail
 
 
 def _check_s(s: float, what: str) -> None:
+    # a str, bytes or None would fail the comparison with TypeError, a bool pass it
+    if not isinstance(s, (int, float)) or isinstance(s, bool):
+        raise ValueError(f"{what} needs s to be an int or float, got {s!r}")
     # nan fails every comparison, so this also refuses it
     if not 1 < s < math.inf:
         raise DomainError(f"{what} needs finite s > 1, got s = {s}")
@@ -54,6 +58,9 @@ def hurwitz_zeta(s: float, alpha) -> float:
     that a term leaves the range of a double is a DomainError.
     """
     _check_s(s, "hurwitz_zeta")
+    # float() would read "0.5" and b"1", and True as 1
+    if not isinstance(alpha, Real) or isinstance(alpha, bool):
+        raise ValueError(f"alpha must be a real number, got {alpha!r}")
     a = float(alpha)
     if not 0 < a <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
@@ -192,18 +199,13 @@ def eta_spectral_partial(params: ZpParams, h: int, ell: int, s: float, terms: in
 def eta_invariant(params: ZpParams, h: int, ell: int) -> Fraction:
     """Exact twisted eta invariant; 0 for non-exceptional manifolds.
 
-    Split-sum closed forms, with q = (p-1)/2, t = [p/4], r = [n/4] and
-    W = sum_j (j/p) j:
+    With r = [n/4], q = (p-1)/2, t = [p/4] and the difference sums S_h of
+    numtheory.S_split:
 
       a even:  0 at ell = 0, else
                h=1: (-1)^r p^{a/2-1} (p - 2 ell)
                h=2: (-1)^r p^{a/2-1} 2 ([2 ell/p] p - ell)
-      a odd, p = 1 (4):
-               h=1: (-1)^{t+r+1} p^{(a-1)/2} S_1^-
-               h=2: (-1)^{q+r+1} p^{(a-1)/2} (S_2^- - (2/p) S_1^-)
-      a odd, p = 3 (4):
-               h=1: (-1)^{t+r}  p^{(a-1)/2} (S_1^+ + 2W/p)
-               h=2: (-1)^{q+r}  p^{(a-1)/2} (S_2^+ - (2/p) S_1^+ + (1 - (2/p)) 2W/p)
+      a odd:   (-1)^{sigma+r+1} p^{(a-3)/2} S_h(ell), sigma = t (h=1), q (h=2)
     """
     if not type(h) is type(ell) is int:  # skips a call per twist
         check_ints("h ell", h, ell)
@@ -223,21 +225,8 @@ def eta_invariant(params: ZpParams, h: int, ell: int) -> Fraction:
         if h == 1:
             return Fraction(sgn * scale * (p - 2 * ell))
         return Fraction(sgn * scale * 2 * ((2 * ell) // p * p - ell))
-    scale = p ** ((a - 1) // 2)
-    two_w_over_p = Fraction(2 * P.weighted_sum(), p)  # 2W/p, integral iff p >= 5
-    if h == 1:
-        if p % 4 == 1:
-            sgn = -1 if (P.t + r + 1) % 2 else 1
-            return Fraction(sgn * scale * S_h_pm(1, -1, ell, P))
-        sgn = -1 if (P.t + r) % 2 else 1
-        return sgn * scale * (S_h_pm(1, 1, ell, P) + two_w_over_p)
-    two_p = P.legendre(2)
-    if p % 4 == 1:
-        sgn = -1 if (P.q + r + 1) % 2 else 1
-        return Fraction(sgn * scale * (S_h_pm(2, -1, ell, P) - two_p * S_h_pm(1, -1, ell, P)))
-    sgn = -1 if (P.q + r) % 2 else 1
-    split = S_h_pm(2, 1, ell, P) - two_p * S_h_pm(1, 1, ell, P)
-    return sgn * scale * (split + (1 - two_p) * two_w_over_p)
+    sgn = -1 if ((P.t if h == 1 else P.q) + r + 1) % 2 else 1
+    return Fraction(sgn * p ** ((a - 1) // 2) * S_split(h, ell, P), p)
 
 
 def eta_invariant_via_series(params: ZpParams, h: int, ell: int) -> Fraction:

@@ -6,10 +6,11 @@ Conventions for an odd prime p = 2q + 1:
     h(-p)   class number of Q(sqrt(-p)), via the Dirichlet value
             h = -(w / 2p) * sum_j (j/p) j   with w = 6 for p = 3, else 2
 
-All the structured sums here (shifted, weighted, split) are evaluated by
-literal direct summation.  Their closed forms are deliberately *not* used
-in this module; the test suite asserts sum == closed form, so the
-executable side stays the naive one.
+The shifted, weighted and difference sums are evaluated by literal direct
+summation, and never read a split form.  ``S_h_pm`` (two reads of the
+partial sums of the symbol) and ``S_split`` (the difference sums S_1, S_2
+from them) are the split side; the appendix suite and the tests assert
+literal sum == split form.
 
 The shifted and weighted sums depend only on their base (k*ell, 2*ell or
 factor*ell, taken mod p) and their sign.  ``OddPrime`` keeps each such sum
@@ -21,6 +22,7 @@ fills a cell on its first read, once per prime, so a sweep over every
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 
 class NotPrimeError(ValueError):
@@ -38,6 +40,7 @@ _PSI_13 = 3317044064679887385961981  # least strong pseudoprime to all of _MR_BA
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact below psi_13 (about 3.3e24); a
     larger n raises ValueError rather than risk a pseudoprime."""
+    check_ints("n", n)
     if n < 2:
         return False
     if n >= _PSI_13:
@@ -65,7 +68,7 @@ def is_prime(n: int) -> bool:
 class OddPrime:
     """An odd prime p with the derived quantities q = (p-1)/2 and t = [p/4]."""
 
-    __slots__ = ("p", "q", "t", "_table", "_sums")
+    __slots__ = ("p", "q", "t", "_table", "_prefix", "_sums")
 
     def __init__(self, p: int):
         if type(p) is not int:
@@ -77,7 +80,7 @@ class OddPrime:
         self.p = p
         self.q = (p - 1) // 2
         self.t = p // 4
-        self._table = None
+        self._table = self._prefix = None
         self._sums = {}
 
     def legendre_table(self) -> tuple[int, ...]:
@@ -87,6 +90,12 @@ class OddPrime:
                 0 if k == 0 else (1 if k in squares else -1) for k in range(self.p)
             )
         return self._table
+
+    def prefix_table(self) -> tuple[int, ...]:
+        """Entry u is sum_{j=1}^{u} (j/p), for u = 0, ..., p - 1."""
+        if self._prefix is None:
+            self._prefix = tuple(accumulate(self.legendre_table()))
+        return self._prefix
 
     def legendre(self, k: int) -> int:
         return self.legendre_table()[k % self.p]
@@ -247,12 +256,28 @@ def S_h_pm(h: int, sign: int, ell: int, p: int | OddPrime) -> int:
         raise ValueError(f"h must be 1 or 2, got {h}")
     he = h * (ell % P.p)
     shift = (he // P.p) * P.p
-    upper1 = P.p + shift - he - 1
-    upper2 = he - shift - 1
-    tab = P.legendre_table()
-    first = sum(tab[j] for j in range(1, upper1 + 1))
-    second = sum(tab[j] for j in range(1, upper2 + 1))
-    return first + sign * second
+    prefix = P.prefix_table()
+    return prefix[P.p + shift - he - 1] + sign * prefix[max(he - shift - 1, 0)]
+
+
+def S_split(which: int, ell: int, p: int | OddPrime) -> int:
+    """The difference sums S_1, S_2 from the split sums, with W = sum_j (j/p) j:
+
+      p = 1 (4):  S_1 =  p S_1^-         S_2 =  p (S_2^- - (2/p) S_1^-)
+      p = 3 (4):  S_1 = -p S_1^+ - 2W    S_2 = -p (S_2^+ - (2/p) S_1^+) + 2((2/p) - 1) W
+    """
+    check_ints("which ell", which, ell)
+    P = as_prime(p)
+    if which not in (1, 2):
+        raise ValueError(f"which must be 1 or 2, got {which}")
+    sign = 1 if P.p % 4 == 3 else -1
+    split = S_h_pm(1, sign, ell, P)
+    w_term = 2 * P.weighted_sum() if sign == 1 else 0
+    if which == 2:
+        l2 = P.legendre(2)
+        split = S_h_pm(2, sign, ell, P) - l2 * split
+        w_term *= 1 - l2
+    return -sign * P.p * split - w_term
 
 
 def S_direct(which: int, ell: int, p: int | OddPrime) -> int:
@@ -260,21 +285,18 @@ def S_direct(which: int, ell: int, p: int | OddPrime) -> int:
 
     S_1(ell,p) = sum_{j=1}^{p-1} (((ell-j)/p) - ((ell+j)/p)) j
     S_2(ell,p) = sum_{j=0}^{p-1} (((2ell-(2j+1))/p) - ((2ell+(2j+1))/p)) j
+
+    read as memoised weighted (odd-weighted) sums at sign -1 minus sign +1.
     """
     check_ints("which ell", which, ell)
     P = as_prime(p)
-    tab, p = P.legendre_table(), P.p
-    e = ell % p
-    if which == 1:
-        return sum((tab[(e - j) % p] - tab[(e + j) % p]) * j for j in range(1, p))
-    if which == 2:
-        return sum(
-            (tab[(2 * e - (2 * j + 1)) % p] - tab[(2 * e + (2 * j + 1)) % p]) * j
-            for j in range(p)
-        )
-    raise ValueError(f"which must be 1 or 2, got {which}")
+    if which not in (1, 2):
+        raise ValueError(f"which must be 1 or 2, got {which}")
+    kind, base = ("weighted", ell) if which == 1 else ("odd-weighted", 2 * ell)
+    return P.literal_sum(kind, base, -1) - P.literal_sum(kind, base, 1)
 
 
 def odd_primes_upto(bound: int) -> list[int]:
     """All odd primes p with 3 <= p <= bound, ascending."""
+    check_ints("bound", bound)
     return [n for n in range(3, bound + 1, 2) if is_prime(n)]

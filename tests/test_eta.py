@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -25,7 +26,7 @@ from zpeta.eta import (
     verify_parity,
     verify_untwisted,
 )
-from zpeta.exact import reduce_mod_Z
+from zpeta.exact import rational_str, reduce_mod_Z
 from zpeta.manifold import (
     EvenDimensionError,
     SpinStructure,
@@ -33,7 +34,7 @@ from zpeta.manifold import (
     enumerate_params,
     validate,
 )
-from zpeta.numtheory import NotPrimeError, class_number, odd_primes_upto
+from zpeta.numtheory import NotPrimeError, S_direct, as_prime, class_number, odd_primes_upto
 from zpeta.spectrum import dim_ker
 
 TRICOSM = validate(3, 1, 0, 1)
@@ -194,6 +195,21 @@ def test_series_functions_refuse_s_outside_the_domain(s, h, ell):
         eta_spectral_partial(TRICOSM, h, ell, s, 100)
 
 
+@pytest.mark.parametrize("bad", ("0.5", "3", b"1", True, False, None))
+def test_series_functions_refuse_a_non_number(bad):
+    # float("0.5") and True read as numbers; "3" as s raised TypeError
+    form = eta_series_closed_form(TRICOSM, 1, 1)
+    with pytest.raises(ValueError, match="must be a real number, got "):
+        hurwitz_zeta(2, bad)
+    for call in (
+        lambda: hurwitz_zeta(bad, 0.5),
+        lambda: eta_series_eval(form, bad),
+        lambda: eta_spectral_partial(TRICOSM, 1, 1, bad, 100),
+    ):
+        with pytest.raises(ValueError, match="needs s to be an int or float, got "):
+            call()
+
+
 @given(st.floats(min_value=400.0, allow_infinity=False), st.sampled_from((1, 2)), st.integers(0, 2))
 def test_series_functions_refuse_s_that_overflows(s, h, ell):
     # 6^s and (2c - [h=2])^s for c >= 4 leave the range of a double
@@ -345,6 +361,40 @@ def test_eta_invariant_conjugate_twist_symmetry():
                     assert eta_invariant(params, h, p - ell) == sign * eta_invariant(
                         params, h, ell
                     ), (p, a, h, ell)
+
+
+# SHA-256 of the exceptional eta table below, recorded while eta_invariant
+# still spelled out its four odd-a split-sum branches
+ETA_TABLE_SHA256 = "b337423b66481c8f8339688cb5ed16a9e4310c93c02f2bae5b85a37c4d4b304b"
+
+
+def test_eta_invariant_table_is_byte_identical():
+    lines = []
+    for p in odd_primes_upto(97):
+        for a in (1, 3, 5, 7):
+            params = validate(p, a, 0, 1)
+            for h in (1, 2):
+                lines += [
+                    f"{p} {a} {h} {ell} {rational_str(eta_invariant(params, h, ell))}\n"
+                    for ell in range(p)
+                ]
+    assert len(lines) == 8464
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == ETA_TABLE_SHA256
+
+
+def test_odd_a_eta_is_the_literal_difference_sum():
+    # eta_{ell,h} = (-1)^{sigma_h + r + 1} p^{(a-3)/2} S_h(ell) with sigma_1 = t,
+    # sigma_2 = q and r = [n/4], S_h read by literal summation
+    for p in odd_primes_upto(61):
+        P = as_prime(p)
+        for a in (1, 3, 5, 7):
+            params = validate(p, a, 0, 1)
+            scale = Fraction(p) ** ((a - 3) // 2)
+            for h, sigma in ((1, P.t), (2, P.q)):
+                sgn = (-1) ** (sigma + params.n // 4 + 1)
+                for ell in range(p):
+                    want = sgn * scale * S_direct(h, ell, P)
+                    assert eta_invariant(params, h, ell) == want, (p, a, h, ell)
 
 
 def test_dual_path_equality():

@@ -7,7 +7,8 @@ A table or cache lives in one module; the others go through its public
 functions, so a second copy of a table cannot grow behind an import of
 ``_name`` (``from .x import _y``) or an attribute read (``x._y``).  An
 import left behind by a deleted function is caught by the second check,
-since no linter runs over the package.
+and a private helper left behind by one by the orphan check, since no
+linter runs over the package.
 """
 
 import ast
@@ -129,6 +130,60 @@ def test_no_module_has_an_unused_import(module):
 )
 def test_unused_imports_finds_each_form(source, found):
     assert unused_imports(ast.parse(source)) == found
+
+
+def orphaned_private_names(tree: ast.Module) -> list[str]:
+    """Each private module-level function, class or constant, and each
+    private method (as ``Class._name``), that nothing in the tree reads."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.name, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(t.id, t.id) for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            defined += [
+                (f"{node.name}.{m.name}", m.name)
+                for m in node.body
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return [label for label, name in defined if _private(name) and name not in read]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_keeps_an_orphaned_private_name(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert orphaned_private_names(tree) == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def _helper():\n    return 1", ["_helper"]),
+        ("def _helper():\n    return 1\ndef f():\n    return _helper()", []),
+        ("_TABLE = (1, 2)\nTABLE: tuple = ()\n_ROWS: tuple = ()", ["_TABLE", "_ROWS"]),
+        ("_LOOPS = {}\ndef f(kind):\n    return _LOOPS[kind]", []),
+        ("class _Box:\n    pass", ["_Box"]),
+        ("class A:\n    def _step(self):\n        return 1", ["A._step"]),
+        (
+            "class A:\n    def _step(self):\n        return 1\n"
+            "    def f(self):\n        return self._step()",
+            [],
+        ),
+        ("class A:\n    def __init__(self):\n        self._rows = 1", []),
+        ("def f():\n    _local = 1\n    return 0", []),
+        ("def _cache(p):\n    return p\nclear = _cache.cache_clear", []),
+    ],
+)
+def test_orphaned_private_names_finds_each_form(source, found):
+    assert orphaned_private_names(ast.parse(source)) == found
 
 
 def unresolved_exports(module: types.ModuleType) -> list[str]:

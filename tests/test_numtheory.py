@@ -14,7 +14,9 @@ from zpeta.numtheory import (
     OddPrime,
     S_direct,
     S_h_pm,
+    S_split,
     as_prime,
+    is_prime,
     class_number,
     class_number_reduced_forms,
     odd_primes_upto,
@@ -305,6 +307,7 @@ ENTRY_POINTS = (
     (odd_weighted_legendre_sum, ("ell", "sign"), (3, 1)),
     (S_h_pm, ("h", "sign", "ell"), (1, 1, 3)),
     (S_direct, ("which", "ell"), (1, 3)),
+    (S_split, ("which", "ell"), (1, 3)),
 )
 
 
@@ -390,15 +393,57 @@ def test_difference_sums_match_split_forms():
         w = P.weighted_sum()
         l2 = P.legendre(2)
         for ell in range(p):
-            s1, s2 = S_direct(1, ell, P), S_direct(2, ell, P)
-            if p % 4 == 1:
-                assert s1 == p * S_h_pm(1, -1, ell, P)
-                assert s2 == p * (S_h_pm(2, -1, ell, P) - l2 * S_h_pm(1, -1, ell, P))
-            else:
-                assert s1 == -p * S_h_pm(1, 1, ell, P) - 2 * w
-                assert s2 == -p * (
-                    S_h_pm(2, 1, ell, P) - l2 * S_h_pm(1, 1, ell, P)
-                ) + 2 * (l2 - 1) * w
+            for s1, s2 in (
+                (S_direct(1, ell, P), S_direct(2, ell, P)),
+                (S_split(1, ell, P), S_split(2, ell, P)),
+            ):
+                if p % 4 == 1:
+                    assert s1 == p * S_h_pm(1, -1, ell, P)
+                    assert s2 == p * (S_h_pm(2, -1, ell, P) - l2 * S_h_pm(1, -1, ell, P))
+                else:
+                    assert s1 == -p * S_h_pm(1, 1, ell, P) - 2 * w
+                    assert s2 == -p * (
+                        S_h_pm(2, 1, ell, P) - l2 * S_h_pm(1, 1, ell, P)
+                    ) + 2 * (l2 - 1) * w
+
+
+@pytest.mark.parametrize("p", odd_primes_upto(61))
+def test_prefix_table_is_the_partial_sum_of_the_symbol(p):
+    P = OddPrime(p)
+    table = P.prefix_table()
+    assert len(table) == p
+    for u in range(p):
+        assert table[u] == sum(P.legendre(j) for j in range(1, u + 1)), u
+    assert P.prefix_table() is table
+
+
+@pytest.mark.parametrize("p", odd_primes_upto(61))
+def test_split_sums_match_their_literal_definition(p):
+    P = as_prime(p)
+    for h in (1, 2):
+        for ell in range(-p, 2 * p):
+            fold = h * ell // p * p
+            first = sum(P.legendre(j) for j in range(1, p + fold - h * ell))
+            second = sum(P.legendre(j) for j in range(1, h * ell - fold))
+            for sign in (1, -1):
+                assert S_h_pm(h, sign, ell, P) == first + sign * second, (h, sign, ell)
+
+
+@pytest.mark.parametrize("func", (S_direct, S_split))
+def test_difference_sums_refuse_a_which_other_than_1_or_2(func):
+    for which in (0, 3, -1):
+        with pytest.raises(ValueError, match=f"which must be 1 or 2, got {which}"):
+            func(which, 1, 7)
+
+
+@pytest.mark.parametrize("bad", (7.0, "7", True, None, Fraction(7)))
+def test_primality_and_prime_lists_refuse_anything_but_an_int(bad):
+    # 7.0 passed as prime and "7" raised TypeError
+    with pytest.raises(ValueError, match="n must be an int, got "):
+        is_prime(bad)
+    # 13.5, "13" and None raised TypeError from range
+    with pytest.raises(ValueError, match="bound must be an int, got "):
+        odd_primes_upto(bad)
 
 
 def test_split_sum_parity():
