@@ -94,37 +94,33 @@ def gauss_direct(h: int, chi: CharacterChoice, l: int, p: int | OddPrime) -> int
 
 
 def G_h_chi0(h: int, l: int, p: int | OddPrime) -> int:
-    """G_h for the trivial character: p - 1 on the divisibility locus, else -1."""
+    """G_h for the trivial character: p - 1 if p | l (h=1) or p | 2l + 1 (h=2),
+    else -1.  Uniformly: p - 1 if p | u, u = 2l + [h=2], else -1."""
     P = _prime(p, CHI0, h, l)
-    hit = (l % P.p == 0) if h == 1 else ((2 * l + 1) % P.p == 0)
-    return P.p - 1 if hit else -1
+    return P.p - 1 if (2 * l + (h == 2)) % P.p == 0 else -1
 
 
 def G_h_chip(h: int, l: int, p: int | OddPrime) -> RadicalValue:
-    """G_h for the quadratic character, as an exact radical value."""
+    """G_h for the quadratic character: (l/p) delta(p) sqrt(p) (h=1) or
+    (2/p) ((2l+1)/p) delta(p) sqrt(p) (h=2).  Uniformly, as (l/p) =
+    (2/p)(2l/p): (2/p) (u/p) delta(p) sqrt(p), u = 2l + [h=2]."""
     P = _prime(p, CHI0, h, l)
-    if h == 1:
-        coeff = P.legendre(l)
-    else:
-        coeff = P.legendre(2) * P.legendre(2 * l + 1)
+    coeff = P.legendre(2) * P.legendre(2 * l + (h == 2))
     # delta(p): 1 for p = 1 mod 4, i for p = 3 mod 4
     return RadicalValue(Fraction(coeff), UNIT_ONE if P.p % 4 == 1 else UNIT_I, P.p)
 
 
 def F_h_chi0(h: int, l: int, c: int, p: int | OddPrime) -> RadicalValue:
-    """F_h for the trivial character: 0 or a purely imaginary +-i p/2."""
+    """F_h for the trivial character: 0 if p | l, else +-i p/2 if p | l -+ c
+    (h=1) or p | 2(l -+ c) -+ 1 (h=2), else 0.  Uniformly: +-i p/2 if
+    p | 2l -+ m, m = 2c + [h=2], for l != 0 mod p."""
     P = _prime(p, CHI0, h, l, c)
     if l % P.p == 0:
         return RadicalValue.zero()
-    if h == 1:
-        plus = (l - c) % P.p == 0
-        minus = (l + c) % P.p == 0
-    else:
-        plus = (2 * (l - c) - 1) % P.p == 0
-        minus = (2 * (l + c) + 1) % P.p == 0
-    if plus:
+    m = 2 * c + (h == 2)
+    if (2 * l - m) % P.p == 0:
         return RadicalValue(Fraction(P.p, 2), UNIT_I, 1)
-    if minus:
+    if (2 * l + m) % P.p == 0:
         return RadicalValue(Fraction(-P.p, 2), UNIT_I, 1)
     return RadicalValue.zero()
 
@@ -134,15 +130,14 @@ def F_h_chip(h: int, l: int, c: int, p: int | OddPrime) -> RadicalValue:
 
     h=1: i delta(p) (((l-c)/p) - ((l+c)/p)) sqrt(p)/2
     h=2: i delta(p) (2/p) (((2(l-c)-1)/p) - ((2(l+c)+1)/p)) sqrt(p)/2
+    Uniformly: diff = (2/p) (((2l-m)/p) - ((2l+m)/p)), m = 2c + [h=2].
 
     The i * delta(p) product is folded exactly: it is i for p = 1 mod 4
     and -1 for p = 3 mod 4.
     """
     P = _prime(p, CHI0, h, l, c)
-    if h == 1:
-        diff = P.legendre(l - c) - P.legendre(l + c)
-    else:
-        diff = P.legendre(2) * (P.legendre(2 * (l - c) - 1) - P.legendre(2 * (l + c) + 1))
+    tab, m = P.legendre_table(), 2 * c + (h == 2)
+    diff = tab[2] * (tab[(2 * l - m) % P.p] - tab[(2 * l + m) % P.p])
     return _half_root_multiples(P.p)[diff + 2]
 
 

@@ -62,17 +62,12 @@ def _appendix_legendre_checks(report: Report, p: int) -> None:
             got = numtheory.sum_legendre_odd_shift(ell, sign, P)
             report.check(got == 0, desc, "odd-shifted-sum", ell, 0, got)
 
-            # weighted sums against their split closed forms (empty prefix = 0)
-            fold = (2 * ell) // p * p
-            closed = {
-                (1, 1): p * prefix[max(ell - 1, 0)] + w,
-                (1, -1): lm1 * (p * prefix[p - ell - 1] + w),
-                (2, 1): p * prefix[max(2 * ell - fold - 1, 0)] + w,
-                (2, -1): lm1 * (p * prefix[max(p + fold - 2 * ell - 1, 0)] + w),
-            }
+            # weighted sums against their split closed forms at the base
+            # b = factor*ell mod p; prefix[-1] = 0 is the empty sum at b = 0
             for factor in (1, 2):
+                b = factor * ell % p
                 got = numtheory.weighted_legendre_sum(ell, factor, sign, P)
-                want = closed[(factor, sign)]
+                want = p * prefix[b - 1] + w if sign == 1 else lm1 * (p * prefix[p - b - 1] + w)
                 report.check(got == want, desc, f"weighted-sum(factor={factor})", ell, want, got)
             # odd-index weighted identity
             got = numtheory.odd_weighted_legendre_sum(ell, sign, P)
@@ -92,23 +87,25 @@ def _appendix_charsum_checks(report: Report, p: int) -> None:
     P = numtheory.as_prime(p)
     ring = cyclotomic_ring(P)
     embed = ring.embed
+    # closed forms read from charsums on each call, so a patched one is checked
+    characters = (
+        (charsums.CHI0, charsums.G_h_chi0, charsums.F_h_chi0, "trivial"),
+        (charsums.CHIP, charsums.G_h_chip, charsums.F_h_chip, "quadratic"),
+    )
     for h in (1, 2):
         for l in range(p):
-            direct = charsums.gauss_direct(h, charsums.CHI0, l, P)
-            closed = embed(charsums.G_h_chi0(h, l, P))
-            _check_ring(report, ring, direct, closed, "gauss-trivial(h={},l={})", h, l)
-            direct = charsums.gauss_direct(h, charsums.CHIP, l, P)
-            closed = embed(charsums.G_h_chip(h, l, P))
-            _check_ring(report, ring, direct, closed, "gauss-quadratic(h={},l={})", h, l)
-            for c in range(1, 2 * p + 1):  # F_direct is 2i F
-                direct = charsums.F_direct(h, charsums.CHI0, l, c, P)
-                closed = embed(charsums.F_h_chi0(h, l, c, P), 2, 1)
-                _check_ring(report, ring, direct, closed, "sine-trivial(h={},l={},c={})", h, l, c)
-                direct = charsums.F_direct(h, charsums.CHIP, l, c, P)
-                closed = embed(charsums.F_h_chip(h, l, c, P), 2, 1)
-                _check_ring(
-                    report, ring, direct, closed, "sine-quadratic(h={},l={},c={})", h, l, c
-                )
+            # c = 0 checks G_h(l), c >= 1 checks 2i F_h(l, c) (F_direct is 2i F)
+            for c in range(2 * p + 1):
+                for chi, G, F, label in characters:
+                    if c:
+                        direct = charsums.F_direct(h, chi, l, c, P)
+                        closed = embed(F(h, l, c, P), 2, 1)
+                        name = "sine-{}(h={},l={},c={})"
+                    else:
+                        direct = charsums.gauss_direct(h, chi, l, P)
+                        closed = embed(G(h, l, P))
+                        name = "gauss-{}(h={},l={})"
+                    _check_ring(report, ring, direct, closed, name, label, h, l, c)
     # the literal products are (2i)^q prod sin and 2^q prod cos
     for kind, i_pow in (("sin", P.q), ("cos", 0)):
         for k in range(1, 3 * p + 1):

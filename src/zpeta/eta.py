@@ -40,10 +40,14 @@ class DomainError(ValueError):
 _EM_TERMS = 50  # leading direct terms before the Euler-Maclaurin tail
 
 
-def _check_s(s: float, what: str) -> None:
+def _check_s_type(s: float, what: str) -> None:
     # a str, bytes or None would fail the comparison with TypeError, a bool pass it
     if not isinstance(s, (int, float)) or isinstance(s, bool):
         raise ValueError(f"{what} needs s to be an int or float, got {s!r}")
+
+
+def _check_s(s: float, what: str) -> None:
+    _check_s_type(s, what)
     # nan fails every comparison, so this also refuses it
     if not 1 < s < math.inf:
         raise DomainError(f"{what} needs finite s > 1, got s = {s}")
@@ -153,7 +157,8 @@ def eta_series_eval(form: EtaClosedForm, s: float) -> float:
     is below the smallest normal double (too few bits left), is a
     DomainError; so is a scale beyond the largest double.
     """
-    if form.is_zero:
+    if form.is_zero:  # 0 at any real s, but s must still be a number
+        _check_s_type(s, "eta series evaluation")
         return 0.0
     _check_s(s, "eta series evaluation")
     acc = sum(coeff * hurwitz_zeta(s, alpha) for alpha, coeff in form.terms)
@@ -313,38 +318,26 @@ def untwisted_closed_form(params: ZpParams, structure: SpinStructure) -> Fractio
     Trivial structure, non-exceptional:
         (1/p) 2^{(b+c-3)/2} (2^{(a+b)(p-1)/2} + (-1)^{((p^2-1)/8)(a+b)} (p-1))
     Trivial structure, exceptional:
-        (1/2p) (2^{(n-1)/2} + (-1)^{((p^2-1)/8) a} (p-1))
-        plus, for a odd and p = 3 (4), the class-number term
-        (-1)^{(a-1)/2} * (-2) p^{(a-1)/2} h(-p)/w(-p).
-    Non-trivial structures: 0, except the exceptional h = 2 case with
-    a odd, p = 3 (4), which is
-        (-1)^{(a-1)/2} (1 - (2/p)) 2 p^{(a-1)/2} h(-p)/w(-p).
+        (1/2p) (2^{(n-1)/2} + (-1)^{((p^2-1)/8) a} (p-1)) - C
+    Non-trivial structures: (1 - (2/p)) C for h = 2, 0 for h = 1.
+    The class-number term C is (-1)^{(a-1)/2} 2 p^{(a-1)/2} h(-p)/w(-p)
+    on an exceptional manifold with a odd and p = 3 (4), else 0.
     """
     if not params.n_odd:
         raise EvenDimensionError(f"untwisted closed form needs odd n, got n = {params.n}")
     P = as_prime(params.p)
     p, a = P.p, params.a
     eps = (p * p - 1) // 8
-    omega = 6 if p == 3 else 2
-    class_term_applies = params.exceptional and a % 2 == 1 and p % 4 == 3
+    class_term = Fraction(0)
+    if params.exceptional and a % 2 == 1 and p % 4 == 3:
+        sgn = -1 if ((a - 1) // 2) % 2 else 1
+        omega = 6 if p == 3 else 2
+        class_term = sgn * 2 * p ** ((a - 1) // 2) * Fraction(class_number(P), omega)
     if not structure.trivial_type:
-        if class_term_applies and structure.h == 2:
-            sgn = -1 if ((a - 1) // 2) % 2 else 1
-            return (
-                sgn
-                * (1 - P.legendre(2))
-                * 2
-                * p ** ((a - 1) // 2)
-                * Fraction(class_number(P), omega)
-            )
-        return Fraction(0)
+        return (1 - P.legendre(2)) * class_term if structure.h == 2 else Fraction(0)
     if params.exceptional:
         sgn_a = -1 if (eps * a) % 2 else 1
-        value = Fraction(2 ** ((params.n - 1) // 2) + sgn_a * (p - 1), 2 * p)
-        if class_term_applies:
-            sgn = -1 if ((a - 1) // 2) % 2 else 1
-            value += sgn * -2 * p ** ((a - 1) // 2) * Fraction(class_number(P), omega)
-        return value
+        return Fraction(2 ** ((params.n - 1) // 2) + sgn_a * (p - 1), 2 * p) - class_term
     ab = params.a + params.b
     sgn_ab = -1 if (eps * ab) % 2 else 1
     num = 2 ** ((params.beta1 - 3) // 2) * (2 ** (ab * P.q) + sgn_ab * (p - 1))

@@ -247,17 +247,18 @@ def S_h_pm(h: int, sign: int, ell: int, p: int | OddPrime) -> int:
     S_h^+-(ell, p) = sum_{j=1}^{p + [h*ell/p]p - h*ell - 1} (j/p)
                      +- sum_{j=1}^{h*ell - [h*ell/p]p - 1} (j/p)
 
-    Empty ranges (upper limit < 1) contribute 0.
+    Empty ranges (upper limit < 1) contribute 0.  Uniformly, with
+    b = h*ell mod p: prefix[p - b - 1] +- prefix[b - 1] in prefix_table().
     """
     check_ints("h sign ell", h, sign, ell)
     P = as_prime(p)
     _check_sign(sign)
     if h not in (1, 2):
         raise ValueError(f"h must be 1 or 2, got {h}")
-    he = h * (ell % P.p)
-    shift = (he // P.p) * P.p
+    b = h * ell % P.p
     prefix = P.prefix_table()
-    return prefix[P.p + shift - he - 1] + sign * prefix[max(he - shift - 1, 0)]
+    # at b = 0, prefix[-1] = sum_{j<p} (j/p) = 0 is the empty sum
+    return prefix[P.p - b - 1] + sign * prefix[b - 1]
 
 
 def S_split(which: int, ell: int, p: int | OddPrime) -> int:

@@ -246,7 +246,7 @@ def test_appendix_checks_pass_past_64_bit_coordinates():
 @pytest.mark.parametrize("chi", (CHI0, CHIP))
 def test_gauss_closed_forms_match_direct_sums(h, chi):
     for p in ORACLE_PRIMES:
-        for l in range(p):
+        for l in range(-p, 2 * p):  # past one period on both sides
             closed = G_h_chi0(h, l, p) if chi is CHI0 else G_h_chip(h, l, p)
             assert gauss_direct(h, chi, l, p) == ring(p).embed(closed), (p, h, chi, l)
 
@@ -256,8 +256,8 @@ def test_gauss_closed_forms_match_direct_sums(h, chi):
 def test_F_closed_forms_match_direct_sums(h, chi):
     fn = F_h_chi0 if chi is CHI0 else F_h_chip
     for p in ORACLE_PRIMES:
-        for l in range(p):
-            for c in range(1, 2 * p + 1):
+        for l in range(-p, 2 * p):  # past one period on both sides
+            for c in range(1, 3 * p + 1):
                 closed = ring(p).embed(fn(h, l, c, p), 2, 1)  # F_direct is 2i F
                 assert F_direct(h, chi, l, c, p) == closed, (p, h, chi, l, c)
 
@@ -299,7 +299,7 @@ def test_argument_validation():
         gauss_direct(3, CHI0, 1, 5)
 
 
-def _planted_failures(monkeypatch, name, wrong_at):
+def _plant(monkeypatch, name, wrong_at):
     right = getattr(charsums, name)
 
     def planted(*args):
@@ -307,7 +307,38 @@ def _planted_failures(monkeypatch, name, wrong_at):
         return wrong_at(value) if args[:-1] + (int(args[-1]),) == wrong_at.cell else value
 
     monkeypatch.setattr(charsums, name, planted)
+
+
+def _planted_failures(monkeypatch, name, wrong_at):
+    _plant(monkeypatch, name, wrong_at)
     return [f.to_dict() for f in suite_appendix(5).failures]
+
+
+def test_appendix_reports_charsum_failures_in_check_order(monkeypatch):
+    # one negated value per closed form, all at h = 1, l = 2 (and c = 2), planted
+    # in reverse: at each (h, l) the Gauss sums come before the sine sums, and
+    # the trivial character before the quadratic one
+    for name, cell in (
+        ("F_h_chip", (1, 2, 2, 5)),
+        ("F_h_chi0", (1, 2, 2, 5)),
+        ("G_h_chip", (1, 2, 5)),
+        ("G_h_chi0", (1, 2, 5)),
+    ):
+        def wrong_at(value):
+            if isinstance(value, int):
+                return -value
+            return RadicalValue(-value.coeff, value.unit, value.radicand)
+
+        wrong_at.cell = cell
+        _plant(monkeypatch, name, wrong_at)
+    report = suite_appendix(5)
+    assert report.cases == 500
+    assert [f.structure for f in report.failures] == [
+        "gauss-trivial(h=1,l=2)",
+        "gauss-quadratic(h=1,l=2)",
+        "sine-trivial(h=1,l=2,c=2)",
+        "sine-quadratic(h=1,l=2,c=2)",
+    ]
 
 
 def test_appendix_reports_a_wrong_cosine_product_sign(monkeypatch):

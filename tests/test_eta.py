@@ -204,6 +204,7 @@ def test_series_functions_refuse_a_non_number(bad):
     for call in (
         lambda: hurwitz_zeta(bad, 0.5),
         lambda: eta_series_eval(form, bad),
+        lambda: eta_series_eval(EtaClosedForm.zero(5), bad),  # 0 at any real s only
         lambda: eta_spectral_partial(TRICOSM, 1, 1, bad, 100),
     ):
         with pytest.raises(ValueError, match="needs s to be an int or float, got "):
