@@ -162,23 +162,20 @@ def F_direct(h: int, chi: CharacterChoice, l: int, c: int, p: int | OddPrime) ->
 def trig_prod(kind: str, k: int, p: int | OddPrime) -> RadicalValue:
     """Closed form of prod_{j=1}^{q} sin(jk pi/p) or cos(jk pi/p).
 
-    sin: (-1)^{(k-1)(p^2-1)/8} (k/p) 2^{-q} sqrt(p) for (k, p) = 1, else 0.
-    cos: (-1)^{(k-1)(p^2-1)/8} 2^{-q} for (k, p) = 1,
-         (-1)^{(k/p)[(q+1)/2]} for p | k (k/p here the integer quotient).
+    sin: (2/p)^{k-1} (k/p) 2^{-q} sqrt(p) for (k, p) = 1, else 0.
+    cos: (2/p)^{k-1} 2^{-q} for (k, p) = 1,
+         (2/p)^{k/p} for p | k (k/p here the integer quotient).
     """
     P = _trig_prime(kind, k, p)
-    eps = (P.p * P.p - 1) // 8
+    l2 = P.legendre(2)
     if kind == "sin":
         sym = P.legendre(k)
         if sym == 0:
             return RadicalValue.zero()
-        sign = -1 if ((k - 1) * eps) % 2 else 1
-        return RadicalValue(Fraction(sign * sym, 2**P.q), UNIT_ONE, P.p)
+        return RadicalValue(Fraction(l2 ** (k - 1) * sym, 2**P.q), UNIT_ONE, P.p)
     if k % P.p == 0:
-        sign = -1 if ((k // P.p) * ((P.q + 1) // 2)) % 2 else 1
-        return RadicalValue(Fraction(sign), UNIT_ONE, 1)
-    sign = -1 if ((k - 1) * eps) % 2 else 1
-    return RadicalValue(Fraction(sign, 2**P.q), UNIT_ONE, 1)
+        return RadicalValue(Fraction(l2 ** (k // P.p)), UNIT_ONE, 1)
+    return RadicalValue(Fraction(l2 ** (k - 1), 2**P.q), UNIT_ONE, 1)
 
 
 def half_period_product(kind: str, p: int | OddPrime) -> dict[int, int]:

@@ -47,10 +47,7 @@ def _check_ring(report: Report, ring, direct: int, closed: int, name: str, *name
 def _appendix_legendre_checks(report: Report, p: int) -> None:
     P = numtheory.as_prime(p)
     tab = P.legendre_table()
-    w = P.weighted_sum()
     l2 = tab[2 % p]
-    lm1 = tab[(p - 1) % p]
-    prefix = P.prefix_table()
     desc = f"p={p}"
 
     for ell in range(p):
@@ -62,12 +59,10 @@ def _appendix_legendre_checks(report: Report, p: int) -> None:
             got = numtheory.sum_legendre_odd_shift(ell, sign, P)
             report.check(got == 0, desc, "odd-shifted-sum", ell, 0, got)
 
-            # weighted sums against their split closed forms at the base
-            # b = factor*ell mod p; prefix[-1] = 0 is the empty sum at b = 0
+            # weighted sums against their split form at the base factor*ell
             for factor in (1, 2):
-                b = factor * ell % p
                 got = numtheory.weighted_legendre_sum(ell, factor, sign, P)
-                want = p * prefix[b - 1] + w if sign == 1 else lm1 * (p * prefix[p - b - 1] + w)
+                want = numtheory.weighted_split(factor * ell, sign, P)
                 report.check(got == want, desc, f"weighted-sum(factor={factor})", ell, want, got)
             # odd-index weighted identity
             got = numtheory.odd_weighted_legendre_sum(ell, sign, P)
@@ -259,6 +254,7 @@ _CSV_HEADER = [
     "p", "a", "b", "c", "n", "exceptional", "structure", "h", "ell",
     "eta", "dim_ker", "eta_bar", "eta_bar_mod_Z", "relative_mod_Z",
 ]
+MAX_INVARIANT_ROWS = 2**20  # p 2^{b+c} rows, held in memory at about 1.2 KB each
 
 
 def invariant_rows(params: ZpParams) -> list[dict]:
@@ -269,9 +265,16 @@ def invariant_rows(params: ZpParams) -> list[dict]:
     representative, from one ``structure_records`` call, and shared by
     every structure of that class under its own label.
 
-    Raises DomainError when a value has more digits than the interpreter
-    converts to a string (``sys.get_int_max_str_digits()``).
+    Raises DomainError before any structure is built above MAX_INVARIANT_ROWS
+    rows, and when a value has more digits than the interpreter converts to
+    a string (``sys.get_int_max_str_digits()``).
     """
+    # b + c is capped first, so that 2^{b+c} is never built (p >= 3)
+    if params.p << min(params.beta1, MAX_INVARIANT_ROWS.bit_length()) > MAX_INVARIANT_ROWS:
+        raise DomainError(
+            f"the invariant table of {params} would have more than {MAX_INVARIANT_ROWS} "
+            "rows (p 2^(b+c))"
+        )
     head = {
         "p": params.p,
         "a": params.a,

@@ -316,9 +316,9 @@ def untwisted_closed_form(params: ZpParams, structure: SpinStructure) -> Fractio
     """Closed form for etabar at ell = 0, bypassing the series machinery.
 
     Trivial structure, non-exceptional:
-        (1/p) 2^{(b+c-3)/2} (2^{(a+b)(p-1)/2} + (-1)^{((p^2-1)/8)(a+b)} (p-1))
+        (1/p) 2^{(b+c-3)/2} (2^{(a+b)(p-1)/2} + (2/p)^{a+b} (p-1))
     Trivial structure, exceptional:
-        (1/2p) (2^{(n-1)/2} + (-1)^{((p^2-1)/8) a} (p-1)) - C
+        (1/2p) (2^{(n-1)/2} + (2/p)^a (p-1)) - C
     Non-trivial structures: (1 - (2/p)) C for h = 2, 0 for h = 1.
     The class-number term C is (-1)^{(a-1)/2} 2 p^{(a-1)/2} h(-p)/w(-p)
     on an exceptional manifold with a odd and p = 3 (4), else 0.
@@ -327,20 +327,18 @@ def untwisted_closed_form(params: ZpParams, structure: SpinStructure) -> Fractio
         raise EvenDimensionError(f"untwisted closed form needs odd n, got n = {params.n}")
     P = as_prime(params.p)
     p, a = P.p, params.a
-    eps = (p * p - 1) // 8
+    l2 = P.legendre(2)
     class_term = Fraction(0)
     if params.exceptional and a % 2 == 1 and p % 4 == 3:
         sgn = -1 if ((a - 1) // 2) % 2 else 1
         omega = 6 if p == 3 else 2
         class_term = sgn * 2 * p ** ((a - 1) // 2) * Fraction(class_number(P), omega)
     if not structure.trivial_type:
-        return (1 - P.legendre(2)) * class_term if structure.h == 2 else Fraction(0)
+        return (1 - l2) * class_term if structure.h == 2 else Fraction(0)
     if params.exceptional:
-        sgn_a = -1 if (eps * a) % 2 else 1
-        return Fraction(2 ** ((params.n - 1) // 2) + sgn_a * (p - 1), 2 * p) - class_term
+        return Fraction(2 ** ((params.n - 1) // 2) + l2**a * (p - 1), 2 * p) - class_term
     ab = params.a + params.b
-    sgn_ab = -1 if (eps * ab) % 2 else 1
-    num = 2 ** ((params.beta1 - 3) // 2) * (2 ** (ab * P.q) + sgn_ab * (p - 1))
+    num = 2 ** ((params.beta1 - 3) // 2) * (2 ** (ab * P.q) + l2**ab * (p - 1))
     return Fraction(num, p)
 
 

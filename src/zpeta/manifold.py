@@ -494,10 +494,10 @@ def holonomy_checks(m: IntMatrix, params: ZpParams) -> HolonomyReport:
         for start, stop in _diagonal_blocks(m.rows)
     ]
 
+    # each block's order is 1, p or 0 (not dividing p)
     orders = [a[0] for a in analyses]
-    power_identity = all(o != 0 and p % o == 0 for o in orders)
-    order = 0 if 0 in orders else math.lcm(*orders)
-    order_exact = order == p
+    power_identity = 0 not in orders
+    order_exact = power_identity and p in orders
 
     det = math.prod(a[1] for a in analyses)
     ker = sum(a[2] for a in analyses)

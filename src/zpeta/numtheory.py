@@ -7,10 +7,10 @@ Conventions for an odd prime p = 2q + 1:
             h = -(w / 2p) * sum_j (j/p) j   with w = 6 for p = 3, else 2
 
 The shifted, weighted and difference sums are evaluated by literal direct
-summation, and never read a split form.  ``S_h_pm`` (two reads of the
-partial sums of the symbol) and ``S_split`` (the difference sums S_1, S_2
-from them) are the split side; the appendix suite and the tests assert
-literal sum == split form.
+summation, and never read a split form.  ``weighted_split`` (a weighted
+sum from two reads of the partial sums of the symbol) and ``S_split``
+(the difference sums S_1, S_2 as differences of it) are the split side;
+the appendix suite and the tests assert literal sum == split form.
 
 The shifted and weighted sums depend only on their base (k*ell, 2*ell or
 factor*ell, taken mod p) and their sign.  ``OddPrime`` keeps each such sum
@@ -241,28 +241,30 @@ def odd_weighted_legendre_sum(ell: int, sign: int, p: int | OddPrime) -> int:
     return as_prime(p).literal_sum("odd-weighted", 2 * ell, sign)
 
 
-def S_h_pm(h: int, sign: int, ell: int, p: int | OddPrime) -> int:
-    """Split partial sums of Legendre symbols.
+def weighted_split(base: int, sign: int, p: int | OddPrime) -> int:
+    """The weighted sum sum_{j=1}^{p-1} ((base +- j)/p) j from two reads:
+    with b = base mod p, P = prefix_table() and W = sum_j (j/p) j,
 
-    S_h^+-(ell, p) = sum_{j=1}^{p + [h*ell/p]p - h*ell - 1} (j/p)
-                     +- sum_{j=1}^{h*ell - [h*ell/p]p - 1} (j/p)
+      sign +1:  p P[b - 1] + W
+      sign -1:  (-1/p) (p P[p - b - 1] + W)
 
-    Empty ranges (upper limit < 1) contribute 0.  Uniformly, with
-    b = h*ell mod p: prefix[p - b - 1] +- prefix[b - 1] in prefix_table().
+    At b = 0, P[-1] = sum_{j<p} (j/p) = 0 is the empty sum.
     """
-    check_ints("h sign ell", h, sign, ell)
+    check_ints("base sign", base, sign)
     P = as_prime(p)
     _check_sign(sign)
-    if h not in (1, 2):
-        raise ValueError(f"h must be 1 or 2, got {h}")
-    b = h * ell % P.p
-    prefix = P.prefix_table()
-    # at b = 0, prefix[-1] = sum_{j<p} (j/p) = 0 is the empty sum
-    return prefix[P.p - b - 1] + sign * prefix[b - 1]
+    b, prefix = base % P.p, P.prefix_table()
+    if sign == 1:
+        return P.p * prefix[b - 1] + P.weighted_sum()
+    return P.legendre(-1) * (P.p * prefix[P.p - b - 1] + P.weighted_sum())
 
 
 def S_split(which: int, ell: int, p: int | OddPrime) -> int:
-    """The difference sums S_1, S_2 from the split sums, with W = sum_j (j/p) j:
+    """The difference sums as S_direct takes them, of the split forms: with
+    D(b) = weighted_split(b, -1) - weighted_split(b, +1), S_1 = D(ell) and
+    S_2 = D(2 ell) - (2/p) D(ell), the odd-index identity.  In the paper's
+    split sums S_h^+- = P[p - b - 1] +- P[b - 1], b = h ell mod p, and the W
+    of weighted_split, that is
 
       p = 1 (4):  S_1 =  p S_1^-         S_2 =  p (S_2^- - (2/p) S_1^-)
       p = 3 (4):  S_1 = -p S_1^+ - 2W    S_2 = -p (S_2^+ - (2/p) S_1^+) + 2((2/p) - 1) W
@@ -271,14 +273,11 @@ def S_split(which: int, ell: int, p: int | OddPrime) -> int:
     P = as_prime(p)
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which}")
-    sign = 1 if P.p % 4 == 3 else -1
-    split = S_h_pm(1, sign, ell, P)
-    w_term = 2 * P.weighted_sum() if sign == 1 else 0
-    if which == 2:
-        l2 = P.legendre(2)
-        split = S_h_pm(2, sign, ell, P) - l2 * split
-        w_term *= 1 - l2
-    return -sign * P.p * split - w_term
+    s1 = weighted_split(ell, -1, P) - weighted_split(ell, 1, P)
+    if which == 1:
+        return s1
+    s2 = weighted_split(2 * ell, -1, P) - weighted_split(2 * ell, 1, P)
+    return s2 - P.legendre(2) * s1
 
 
 def S_direct(which: int, ell: int, p: int | OddPrime) -> int:

@@ -14,8 +14,7 @@ is 0 there (returned as such, not an error, so sweeps stay uniform).
 The kernel of the twisted operator is nonzero only for the trivial-type
 spin structure, where
 
-    dim ker = 2^{(b+c-1)/2} ( 2^{(a+b)q} + s (p [ell=0] - 1) ) / p,
-    s = (-1)^{((p^2-1)/8)(a+b)},
+    dim ker = 2^{(b+c-1)/2} ( 2^{(a+b)q} + (2/p)^{a+b} (p [ell=0] - 1) ) / p,
 
 and the division by p is always exact.  Each exact formula is paired
 with a literal character-sum oracle, evaluated exactly in the oracle ring
@@ -121,9 +120,8 @@ def dim_ker(params: ZpParams, structure: SpinStructure, ell: int) -> int:
         return 0
     p = P.p
     ab = params.a + params.b
-    sign = -1 if (((p * p - 1) // 8) * ab) % 2 else 1
     delta = p if ell % p == 0 else 0
-    num = 2 ** ((params.beta1 - 1) // 2) * (2 ** (ab * P.q) + sign * (delta - 1))
+    num = 2 ** ((params.beta1 - 1) // 2) * (2 ** (ab * P.q) + P.legendre(2) ** ab * (delta - 1))
     d, rem = divmod(num, p)
     if rem != 0 or d < 0:
         raise NonIntegerKernelError(f"kernel formula not divisible by p for {params}")

@@ -216,6 +216,34 @@ def test_appendix_reports_a_wrong_legendre_sum(monkeypatch):
     ]
 
 
+def test_a_wrong_weighted_split_fails_the_checker_and_S_split(monkeypatch):
+    # the appendix checker and S_split read one split form: a wrong value at
+    # base 2, sign -1 fails the weighted-sum cells at factor*ell = 2 (mod 5)
+    # and the difference sums whose D(b) reads base 2, i.e. ell = 2 for S_1
+    # and ell = 1, 2 for S_2 = D(2 ell) - (2/p) D(ell)
+    right = numtheory.weighted_split
+
+    def wrong_at_one_cell(base, sign, p):
+        value = right(base, sign, p)
+        return value + 1 if (base % int(p), sign, int(p)) == (2, -1, 5) else value
+
+    monkeypatch.setattr(numtheory, "weighted_split", wrong_at_one_cell)
+    report = suite_appendix(5)
+    assert report.cases == 500
+    assert [(f.structure, f.ell) for f in report.failures] == [
+        ("weighted-sum(factor=2)", 1),
+        ("difference-sum-2", 1),
+        ("weighted-sum(factor=1)", 2),
+        ("difference-sum-1", 2),
+        ("difference-sum-2", 2),
+    ]
+    literal = numtheory.weighted_legendre_sum(2, 1, -1, 5)
+    assert (report.failures[2].expected, report.failures[2].got) == (
+        str(literal + 1),
+        str(literal),
+    )
+
+
 def test_a_poisoned_memo_cell_fails_at_every_reader(monkeypatch):
     # the shift sum at base k*ell = 3 mod 7, sign +1: one k per ell in 1..6 reads it
     P = as_prime(7)

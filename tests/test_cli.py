@@ -671,6 +671,41 @@ def test_nonprincipal_ideal_is_a_usage_error(capsys, command):
     assert err == "error: no matrix model for ideal class 'foo'\n"
 
 
+def test_invariants_past_the_row_bound_refuse_before_building_a_structure(capsys, monkeypatch):
+    # p 2^(b+c) rows: (3,1,14,1) peaked at 122 MB, and (3,1,10^9,1) built 10^9 deltas
+    assert cli.MAX_INVARIANT_ROWS == 2**20
+
+    def unreachable(params):
+        raise LookupError(f"structure_classes ran for {params}")
+
+    monkeypatch.setattr(eta, "structure_classes", unreachable)
+    # 524287 * 2 = 2^20 - 2 rows is admitted, the next prime 524309 is not
+    with pytest.raises(LookupError, match="structure_classes ran"):
+        invariant_rows(validate(524287, 1, 0, 1))
+    for p, b in (("524309", "0"), ("3", "18"), ("3", "1000000000")):
+        code, out, err = run(capsys, "invariants", "--p", p, "--a", "1", "--b", b, "--c", "1")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: the invariant table of ({p},1,{b},1) would have more than "
+            "1048576 rows (p 2^(b+c))\n"
+        )
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_readme_library_example_runs_and_cli_lines_parse():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = [line.split() for line in text.splitlines() if line.startswith("zpeta ")]
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for argv in lines:
+        parser.parse_args(argv[1:])  # a renamed flag or subcommand exits 2
+
+
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no digit limit"
 )
@@ -736,6 +771,8 @@ _INVALID = {
         _one_break(_MANIFOLD, {**_int_breaks(_MANIFOLD, _MANIFOLD), **_MANIFOLD_BREAKS}),
         _one_break(_MANIFOLD, {"b": st.sampled_from((1, 3))}),  # even dimension
         _one_break(dict(_MANIFOLD, a=0), {"b": st.just(0)}),  # a + b = 0
+        # more than MAX_INVARIANT_ROWS rows, p 2^(b+c)
+        _one_break(_MANIFOLD, {"b": st.integers(10, 10**9).map(lambda k: 2 * k)}),
         _one_break(_MANIFOLD, {"format": st.sampled_from(("xml", "", "JSON"))}),
     ),
     "holonomy": st.one_of(

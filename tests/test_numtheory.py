@@ -13,7 +13,6 @@ from zpeta.numtheory import (
     NotPrimeError,
     OddPrime,
     S_direct,
-    S_h_pm,
     S_split,
     as_prime,
     is_prime,
@@ -24,6 +23,7 @@ from zpeta.numtheory import (
     sum_legendre_odd_shift,
     sum_legendre_shift,
     weighted_legendre_sum,
+    weighted_split,
 )
 
 SMALL_PRIMES = odd_primes_upto(23)
@@ -32,6 +32,15 @@ SMALL_PRIMES = odd_primes_upto(23)
 def prefix_sum(P, upper):
     tab = P.legendre_table()
     return sum(tab[j] for j in range(1, upper + 1))
+
+
+def S_h_pm(h, sign, ell, p):
+    """The paper's split sums S_h^+-(ell, p) = P[p - b - 1] +- P[b - 1] with
+    b = h*ell mod p: two reads of the prefix table, P[-1] = 0 the empty sum."""
+    P = as_prime(p)
+    b = h * ell % P.p
+    prefix = P.prefix_table()
+    return prefix[P.p - b - 1] + sign * prefix[b - 1]
 
 
 def test_odd_prime_validation():
@@ -305,7 +314,7 @@ ENTRY_POINTS = (
     (sum_legendre_odd_shift, ("ell", "sign"), (3, -1)),
     (weighted_legendre_sum, ("ell", "factor", "sign"), (3, 1, 1)),
     (odd_weighted_legendre_sum, ("ell", "sign"), (3, 1)),
-    (S_h_pm, ("h", "sign", "ell"), (1, 1, 3)),
+    (weighted_split, ("base", "sign"), (3, 1)),
     (S_direct, ("which", "ell"), (1, 3)),
     (S_split, ("which", "ell"), (1, 3)),
 )
@@ -427,6 +436,21 @@ def test_split_sums_match_their_literal_definition(p):
             second = sum(P.legendre(j) for j in range(1, h * ell - fold))
             for sign in (1, -1):
                 assert S_h_pm(h, sign, ell, P) == first + sign * second, (h, sign, ell)
+
+
+@pytest.mark.parametrize("p", odd_primes_upto(61))
+def test_weighted_split_is_the_literal_weighted_sum(p):
+    P = OddPrime(p)
+    for base in range(-p, 2 * p):
+        for sign in (1, -1):
+            want = P.literal_sum("weighted", base, sign)
+            assert weighted_split(base, sign, P) == want, (base, sign)
+
+
+def test_weighted_split_refuses_a_sign_other_than_plus_or_minus_1():
+    for sign in (0, 2, -3):
+        with pytest.raises(ValueError, match=f"sign must be \\+1 or -1, got {sign}"):
+            weighted_split(1, sign, 7)
 
 
 @pytest.mark.parametrize("func", (S_direct, S_split))
