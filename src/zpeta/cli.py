@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 
 from . import charsums, eta, numtheory, spectrum
 from .eta import DomainError, Report
@@ -250,20 +252,26 @@ def run_suite(suite: str, p_max: int | None, n_max: int | None, jobs: int = 1) -
 # ---------------------------------------------------------------------------
 # invariant tables
 
+_HEAD = ("p", "a", "b", "c", "n", "exceptional")
 _CSV_HEADER = [
-    "p", "a", "b", "c", "n", "exceptional", "structure", "h", "ell",
+    *_HEAD, "structure", "h", "ell",
     "eta", "dim_ker", "eta_bar", "eta_bar_mod_Z", "relative_mod_Z",
 ]
-MAX_INVARIANT_ROWS = 2**20  # p 2^{b+c} rows, held in memory at about 1.2 KB each
+# p 2^{b+c} rows; `zpeta invariants` holds the 2p class rows and one label
+# per structure, not the rows.  The largest table under the bound, (7,1,16,1)
+# with 917,504 rows, took 1.4-1.8 s and peaked at 64-79 MB of RSS in each
+# format (--out /dev/null, Python 3.11, 2-vCPU VM)
+MAX_INVARIANT_ROWS = 2**20
 
 
-def invariant_rows(params: ZpParams) -> list[dict]:
-    """One row per (structure, ell), structures in enumeration order.
+def _class_tables(params: ZpParams) -> dict[bool, list[dict]]:
+    """The value columns (ell, then the invariants as strings) of each
+    structure class, keyed by its representative's ``trivial_type``.
 
     Every structure has the invariants of its class representative in
-    ``eta.structure_classes``, so the value columns are built once per
-    representative, from one ``structure_records`` call, and shared by
-    every structure of that class under its own label.
+    ``eta.structure_classes``, so a table of p·2^{b+c} rows has only these
+    2p distinct value rows, built from one ``structure_records`` call per
+    representative.
 
     Raises DomainError before any structure is built above MAX_INVARIANT_ROWS
     rows, and when a value has more digits than the interpreter converts to
@@ -275,14 +283,6 @@ def invariant_rows(params: ZpParams) -> list[dict]:
             f"the invariant table of {params} would have more than {MAX_INVARIANT_ROWS} "
             "rows (p 2^(b+c))"
         )
-    head = {
-        "p": params.p,
-        "a": params.a,
-        "b": params.b,
-        "c": params.c,
-        "n": params.n,
-        "exceptional": params.exceptional,
-    }
     tables = {}
     for structure in eta.structure_classes(params):
         records = eta.structure_records(params, structure)
@@ -303,32 +303,95 @@ def invariant_rows(params: ZpParams) -> list[dict]:
                 f"an invariant of {params} has more than {sys.get_int_max_str_digits()} "
                 "digits, the interpreter's limit for printing an integer"
             ) from None
+    return tables
+
+
+def _head(params: ZpParams) -> dict:
+    return {key: getattr(params, key) for key in _HEAD}
+
+
+def _label(structure) -> dict:
+    return {"structure": structure.label, "h": structure.h}
+
+
+def invariant_rows(params: ZpParams) -> list[dict]:
+    """One row per (structure, ell), structures in enumeration order: the
+    class tables of ``_class_tables`` expanded, each structure's p rows
+    under its own ``structure`` label and ``h``.
+
+    ``zpeta invariants`` does not build these rows; it renders the same
+    pieces once each (``_invariant_chunks``).
+    """
+    tables = _class_tables(params)
+    head = _head(params)
     rows = []
     for structure in enumerate_spin_structures(params):
-        label = {"structure": structure.label, "h": structure.h}
+        label = _label(structure)
         rows.extend({**head, **label, **values} for values in tables[structure.trivial_type])
     return rows
 
 
-def render_rows(rows: list[dict], fmt: str) -> str:
+def _invariant_chunks(params: ZpParams, fmt: str) -> Iterator[str]:
+    """The ``invariants`` certificate in fmt, as an iterator of chunks: a
+    header, one chunk per spin structure holding its p rows, and a closing.
+
+    A row is head + label + class row, and each of these pieces is
+    rendered once: the head (p, a, b, c, n, exceptional), each structure's
+    label (structure, h) and each of the 2p class rows.  A piece's columns
+    are joined by the format's column separator, so the rows are those of
+    the whole-row renderings byte for byte: ``json.dumps(rows, indent=2)``,
+    one ``csv.writer`` row per piece (quoting is per field), and a table
+    whose widths are the widest piece of each column.  Every piece is a
+    string before this returns, so a DomainError writes nothing.
+    """
+    tables = _class_tables(params)
+    head = _head(params)
+    header = dict(zip(_CSV_HEADER, _CSV_HEADER))  # csv and table: the column names
+    structures = enumerate_spin_structures(params)
     if fmt == "json":
-        return _json(rows) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        for row in rows:
-            writer.writerow(
-                [str(row[k]).lower() if k == "exceptional" else row[k] for k in _CSV_HEADER]
-            )
-        return buf.getvalue()
-    if fmt == "table":
-        widths = {k: max(len(k), *(len(str(r[k])) for r in rows)) for k in _CSV_HEADER}
-        lines = ["  ".join(k.ljust(widths[k]) for k in _CSV_HEADER)]
-        for row in rows:
-            lines.append("  ".join(str(row[k]).ljust(widths[k]) for k in _CSV_HEADER))
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+        row_open, col_sep, row_close = "{\n    ", ",\n    ", "\n  }"
+        opening, row_sep, closing = "[\n  ", ",\n  ", "\n]\n"
+
+        def piece(cols: dict) -> str:
+            return col_sep.join([_quote(k) + ": " + _json(v) for k, v in cols.items()])
+
+    elif fmt == "csv":
+        row_open, col_sep, row_close = "", ",", "\n"
+        lines: list[str] = []  # csv.writer makes one write call per row
+        writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="")
+
+        def piece(cols: dict) -> str:
+            writer.writerow([str(v).lower() if k == "exceptional" else v for k, v in cols.items()])
+            return lines.pop()
+
+    elif fmt == "table":
+        row_open, col_sep, row_close = "", "  ", "\n"
+        widths = dict.fromkeys(_CSV_HEADER, 0)
+        for cols in itertools.chain([header, head], map(_label, structures), *tables.values()):
+            for k, v in cols.items():
+                widths[k] = max(widths[k], len(str(v)))
+
+        def piece(cols: dict) -> str:
+            return col_sep.join([str(v).ljust(widths[k]) for k, v in cols.items()])
+
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    if fmt != "json":
+        opening, row_sep, closing = piece(header) + "\n", "", ""
+    head_piece = row_open + piece(head) + col_sep
+    class_rows = {
+        key: [piece(values) + row_close for values in table] for key, table in tables.items()
+    }
+    # each structure's rows are its start (head + label) + a class row
+    starts = [
+        (head_piece + piece(_label(s)) + col_sep, class_rows[s.trivial_type]) for s in structures
+    ]
+    leads = itertools.chain([""], itertools.repeat(row_sep))  # row_sep also separates chunks
+    chunks = (
+        lead + row_sep.join([start + row for row in rows])
+        for lead, (start, rows) in zip(leads, starts)
+    )
+    return itertools.chain([opening], chunks, [closing])
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +404,11 @@ def _json(obj, newline: str = "\n") -> str:
     """Exactly ``json.dumps(obj, indent=2)``, without its pure-Python encoder.
 
     With an indent, ``json.dumps`` renders every item through Python-level
-    generators; here strings go through the C quoting function and a list
-    of plain ints (a matrix row) is one join of their reprs, which for an
-    exact int is ``int.__repr__``, the digits ``json`` writes.  Keys must
-    be str: any other key raises TypeError.
+    generators; here strings go through the C quoting function, and in a
+    list of plain ints (a matrix row) each run of zeros is one repetition
+    of ``"0," + inner`` and only the nonzeros go through ``int.__repr__``,
+    the digits ``json`` writes, so a row costs Python steps per nonzero,
+    not per entry.  Keys must be str: any other key raises TypeError.
     """
     if isinstance(obj, str):
         return _quote(obj)
@@ -356,11 +420,17 @@ def _json(obj, newline: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        sep = "," + inner
         if set(map(type, obj)) == {int}:  # bool is not int here: [1, True]
-            items = map(repr, obj)
+            zero, parts, start = "0" + sep, [], 0
+            for i in itertools.compress(range(len(obj)), obj):  # the nonzeros
+                parts += (zero * (i - start), repr(obj[i]), sep)
+                start = i + 1
+            parts.append(zero * (len(obj) - start))
+            body = "".join(parts)[: -len(sep)]  # every item is followed by sep
         else:
-            items = (_json(item, inner) for item in obj)
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+            body = sep.join([_json(item, inner) for item in obj])
+        return "[" + inner + body + newline + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -371,17 +441,19 @@ def _json(obj, newline: str = "\n") -> str:
     return json.dumps(obj)  # floats, and the TypeError of anything else
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write text to the file out, or to stdout when out is not given.
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the chunks to the file out, or to stdout when out is not given.
 
-    An unwritable out is a usage error (exit 2), not a traceback.
+    The file is opened only here, so a command that raises before its
+    call creates no file.  An unwritable out is a usage error (exit 2),
+    not a traceback.
     """
     if not out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
 
@@ -395,7 +467,7 @@ def cmd_invariants(args) -> int:
             file=sys.stderr,
         )
         return 2
-    _emit(render_rows(invariant_rows(params), args.format), args.out)
+    _emit(_invariant_chunks(params, args.format), args.out)
     return 0
 
 
@@ -405,7 +477,7 @@ def cmd_verify(args) -> int:
         print(f"error: suite {args.suite} checked no cases; widen --p-max or --n-max",
               file=sys.stderr)
         return 2
-    _emit(_json(report.to_dict()) + "\n", args.out)
+    _emit((_json(report.to_dict()), "\n"), args.out)
     return 0 if report.ok else 1
 
 
@@ -435,10 +507,10 @@ def cmd_holonomy(args) -> int:
         "blocks": [f"C{params.p}"] * params.a
         + [f"J{params.p}"] * params.b
         + ["1"] * params.c,
-        "matrix": matrix.to_lists(),
+        "matrix": matrix.rows,
         "checks": report.to_dict(),
     }
-    _emit(_json(payload) + "\n", args.out)
+    _emit((_json(payload), "\n"), args.out)
     return 0 if report.all_ok else 1
 
 

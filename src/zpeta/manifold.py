@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
@@ -50,23 +50,18 @@ class ZpParams:
     b: int
     c: int
     ideal_label: str = "principal"
+    # derived once per instance (a sweep reads them ~10^5 times); kept out
+    # of ==, hash and repr, which read the five fields above
+    n: int = field(init=False, repr=False, compare=False)
+    beta1: int = field(init=False, repr=False, compare=False)  # first Betti number b + c
+    exceptional: bool = field(init=False, repr=False, compare=False)
+    n_odd: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def n(self) -> int:
-        return self.a * (self.p - 1) + self.b * self.p + self.c
-
-    @property
-    def beta1(self) -> int:
-        """First Betti number b + c."""
-        return self.b + self.c
-
-    @property
-    def exceptional(self) -> bool:
-        return (self.b, self.c) == (0, 1)
-
-    @property
-    def n_odd(self) -> bool:
-        return self.n % 2 == 1
+    def __post_init__(self) -> None:
+        n = self.a * (self.p - 1) + self.b * self.p + self.c
+        self.__dict__.update(  # the record is frozen
+            n=n, beta1=self.b + self.c, exceptional=(self.b, self.c) == (0, 1), n_odd=n % 2 == 1
+        )
 
     def key(self) -> tuple[int, int, int, int]:
         return (self.p, self.a, self.b, self.c)
@@ -144,7 +139,10 @@ class SpinStructure:
 
     @property
     def label(self) -> str:
-        return "".join("+" if d == 1 else "-" for d in self.deltas)
+        return "".join(map(_SIGNS.__getitem__, self.deltas))
+
+
+_SIGNS = {1: "+", -1: "-"}
 
 
 def enumerate_spin_structures(params: ZpParams) -> list[SpinStructure]:

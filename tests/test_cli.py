@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import zpeta
 from zpeta import cli, eta, spectrum
-from zpeta.cli import invariant_rows, main, render_rows, run_suite
+from zpeta.cli import invariant_rows, main, run_suite
 from zpeta.exact import rational_str
 from zpeta.manifold import (
     MAX_HOLONOMY_N,
@@ -29,6 +29,32 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def render_rows(rows: list[dict], fmt: str) -> str:
+    """The certificate rendered row by row from the dict rows: the oracle
+    of ``cli._invariant_chunks``, which renders each distinct piece once."""
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(cli._CSV_HEADER)
+        for row in rows:
+            writer.writerow(
+                [str(row[k]).lower() if k == "exceptional" else row[k] for k in cli._CSV_HEADER]
+            )
+        return buf.getvalue()
+    assert fmt == "table"
+    widths = {k: max(len(k), *(len(str(r[k])) for r in rows)) for k in cli._CSV_HEADER}
+    lines = ["  ".join(k.ljust(widths[k]) for k in cli._CSV_HEADER)]
+    for row in rows:
+        lines.append("  ".join(str(row[k]).ljust(widths[k]) for k in cli._CSV_HEADER))
+    return "\n".join(lines) + "\n"
+
+
+def render(params, fmt: str) -> str:
+    return "".join(cli._invariant_chunks(params, fmt))
 
 
 def test_invariants_tricosm_table(capsys):
@@ -67,10 +93,8 @@ def test_csv_and_json_share_rational_strings():
 
 
 def test_renderings_are_deterministic():
-    rows1 = invariant_rows(validate(5, 1, 0, 1))
-    rows2 = invariant_rows(validate(5, 1, 0, 1))
     for fmt in ("table", "json", "csv"):
-        assert render_rows(rows1, fmt) == render_rows(rows2, fmt)
+        assert render(validate(5, 1, 0, 1), fmt) == render(validate(5, 1, 0, 1), fmt)
 
 
 def _rows_structure_by_structure(params):
@@ -103,6 +127,52 @@ def test_invariant_rows_match_a_table_per_structure():
         rows = invariant_rows(params)
         assert rows == _rows_structure_by_structure(params), params
         assert [list(row) for row in rows] == [cli._CSV_HEADER] * len(rows), params
+
+
+def test_invariant_pieces_render_the_dict_rows_byte_for_byte():
+    # the sweep above plus the golden manifolds; json.dumps is the json oracle
+    sweep = [q for q in enumerate_params(7, 30) if q.beta1 <= 7]
+    for params in sweep + [validate(53, 3, 2, 1), validate(3, 1, 8, 3)]:
+        rows = invariant_rows(params)
+        for fmt in ("json", "csv", "table"):
+            assert render(params, fmt) == render_rows(rows, fmt), (params, fmt)
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv", "table"))
+def test_invariants_command_never_builds_the_dict_rows(capsys, monkeypatch, fmt):
+    params = validate(53, 3, 2, 1)
+    want = render_rows(invariant_rows(params), fmt)
+
+    def unreachable(params):
+        raise LookupError(f"invariant_rows ran for {params}")
+
+    monkeypatch.setattr(cli, "invariant_rows", unreachable)
+    code, out, err = run(
+        capsys, "invariants", "--p", "53", "--a", "3", "--b", "2", "--c", "1", "--format", fmt
+    )
+    assert (code, out, err) == (0, want, "")
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv", "table"))
+@pytest.mark.parametrize("params", [validate(5, 1, 2, 1), validate(3, 1, 0, 1)], ids=str)
+def test_invariants_stream_one_chunk_per_spin_structure(capsys, monkeypatch, params, fmt):
+    written = []
+    monkeypatch.setattr(cli, "_emit", lambda chunks, out: written.append(list(chunks)))
+    argv = ("--p", params.p, "--a", params.a, "--b", params.b, "--c", params.c, "--format", fmt)
+    assert main(["invariants", *map(str, argv)]) == 0
+    [chunks] = written
+    structures = enumerate_spin_structures(params)
+    rows = invariant_rows(params)
+    assert len(chunks) == 1 + len(structures) + 1  # header, one per structure, closing
+    lines = render_rows(rows, fmt).splitlines(keepends=True)
+    for k, chunk in enumerate(chunks[1:-1]):
+        own = rows[k * params.p : (k + 1) * params.p]
+        assert {row["structure"] for row in own} == {structures[k].label}
+        if fmt == "json":  # every chunk but the first leads with the row separator
+            assert json.loads("[" + chunk.removeprefix(",") + "]") == own
+        else:  # the header line, then one line per row
+            assert chunk == "".join(lines[1 + k * params.p : 1 + (k + 1) * params.p])
+    assert "".join(chunks) == render_rows(rows, fmt)
 
 
 @pytest.mark.parametrize(
@@ -613,6 +683,19 @@ _json_leaves = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.text(),
     st.lists(st.one_of(st.integers(), st.booleans())),  # int rows, some with a bool
+    # sparse int rows (matrix rows): runs of zeros between nonzeros, which may
+    # lead, trail or be adjacent, and be negative or above 2^64
+    st.tuples(
+        st.lists(
+            st.tuples(
+                st.integers(0, 8),
+                st.one_of(st.integers(), st.integers(2**64, 2**256), st.integers(max_value=-1))
+                .filter(bool),
+            ),
+            max_size=6,
+        ),
+        st.integers(0, 8),
+    ).map(lambda runs: [x for gap, v in runs[0] for x in (*[0] * gap, v)] + [0] * runs[1]),
 )
 _json_values = st.recursive(
     _json_leaves,
@@ -628,6 +711,11 @@ _json_values = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_json_values)
 @example([1, True])
+@example([0])
+@example([0, 0])
+@example([5, 0, 0])
+@example([0, 0, -7])
+@example([0, True])  # a bool takes the generic path, not the int row
 @example([[], {}, [[]], {"": {}}])
 @example({"é\x00\x1f ": ["\x7f", "퟿\U0001f600", -0.0, 1e300, None]})
 @example((2**64, -(2**64), 0))
@@ -721,6 +809,21 @@ def test_invariants_beyond_the_digit_limit_is_a_domain_error(capsys, a, fmt):
         "the interpreter's limit for printing an integer\n"
     )
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("a, b, fmt", (("20001", "0", "json"), ("1", "18", "csv")))
+def test_invariants_refused_before_output_create_no_file(capsys, tmp_path, a, b, fmt):
+    # the digit limit (when the interpreter has one) and the row bound
+    if b == "0" and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("interpreter has no digit limit")
+    target = tmp_path / "table"
+    code, out, err = run(
+        capsys, "invariants", "--p", "3", "--a", a, "--b", b, "--c", "1", "--format", fmt,
+        "--out", str(target),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
 
 
 def test_python_dash_m_zpeta_is_the_cli(capsys):

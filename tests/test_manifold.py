@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,32 @@ def test_even_dimension_is_flagged_not_rejected():
 def test_n_parity_matches_beta1_parity():
     for params in enumerate_params(13, 40, include_even_n=True):
         assert params.n % 2 == params.beta1 % 2
+
+
+def test_derived_params_are_the_formulas_and_stay_out_of_eq_hash_repr():
+    # n, beta1, exceptional and n_odd are stored once per instance
+    for params in enumerate_params(13, 60, include_even_n=True):
+        p, a, b, c = params.key()
+        assert params.key() == (params.p, params.a, params.b, params.c)
+        assert params.n == a * (p - 1) + b * p + c
+        assert params.beta1 == b + c
+        assert params.exceptional == ((b, c) == (0, 1))
+        assert params.n_odd == (params.n % 2 == 1)
+        twin = ZpParams(p, a, b, c)
+        assert twin == params and hash(twin) == hash(params) == hash((p, a, b, c, "principal"))
+        assert repr(params) == f"ZpParams(p={p}, a={a}, b={b}, c={c}, ideal_label='principal')"
+        assert str(params) == f"({p},{a},{b},{c})"
+        back = pickle.loads(pickle.dumps(params))
+        assert back == params and hash(back) == hash(params)
+        assert (back.n, back.beta1, back.exceptional, back.n_odd) == (
+            params.n, params.beta1, params.exceptional, params.n_odd
+        )
+    assert ZpParams(5, 1, 0, 1) != ZpParams(5, 1, 0, 1, ideal_label="a2")
+    assert [f.name for f in dataclasses.fields(ZpParams) if f.compare] == [
+        "p", "a", "b", "c", "ideal_label"
+    ]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        validate(3, 1, 0, 1).n = 4
 
 
 def test_homology_examples():
