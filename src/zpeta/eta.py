@@ -29,7 +29,7 @@ from numbers import Real
 
 from .exact import ResidueModZ, reduce_mod_Z
 from .manifold import EvenDimensionError, SpinStructure, ZpParams
-from .numtheory import S_split, as_prime, check_ints, class_number
+from .numtheory import S_split, check_ints, class_number
 from .spectrum import dim_ker, mult_diff_by_index
 
 
@@ -123,13 +123,8 @@ class EtaClosedForm:
 
 
 def _period(params: ZpParams, h: int, ell: int) -> list[int]:
-    """d_1, ..., d_p of mult_diff_by_index: one period in the series index c.
-
-    p goes through as_prime first, so a ZpParams built without validate
-    whose p is no odd prime is refused, on a non-exceptional manifold too.
-    """
-    p = as_prime(params.p).p
-    return [mult_diff_by_index(params, h, ell, c) for c in range(1, p + 1)]
+    """d_1, ..., d_p of mult_diff_by_index: one period in the series index c."""
+    return [mult_diff_by_index(params, h, ell, c) for c in range(1, params.p + 1)]
 
 
 def eta_series_closed_form(params: ZpParams, h: int, ell: int) -> EtaClosedForm:
@@ -216,9 +211,9 @@ def eta_invariant(params: ZpParams, h: int, ell: int) -> Fraction:
         check_ints("h ell", h, ell)
     if h not in (1, 2):
         raise ValueError(f"h must be 1 or 2, got {h}")
-    P = as_prime(params.p)  # before the early return: a p that is no odd prime raises
     if not params.exceptional:
         return Fraction(0)
+    P = params.prime
     p, a = P.p, params.a
     ell %= p
     r = params.n // 4
@@ -325,7 +320,7 @@ def untwisted_closed_form(params: ZpParams, structure: SpinStructure) -> Fractio
     """
     if not params.n_odd:
         raise EvenDimensionError(f"untwisted closed form needs odd n, got n = {params.n}")
-    P = as_prime(params.p)
+    P = params.prime
     p, a = P.p, params.a
     l2 = P.legendre(2)
     class_term = Fraction(0)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
 
-from .numtheory import NotOddError, NotPrimeError, as_prime, check_ints, odd_primes_upto
+from .numtheory import NotOddError, NotPrimeError, OddPrime, as_prime, check_ints, odd_primes_upto
 
 
 class ZeroHolonomyBlockError(ValueError):
@@ -43,7 +43,14 @@ class EvenDimensionError(ValueError):
 
 @dataclass(frozen=True)
 class ZpParams:
-    """Validated classification data (p, a, b, c) plus an ideal label."""
+    """Classification data (p, a, b, c) plus an ideal label.
+
+    The record refuses a p that is not an odd prime (through ``as_prime``,
+    whose ``OddPrime`` it keeps as ``prime``) and any label but the
+    principal one, the only ideal class with a matrix model.  The a, b, c
+    constraints are ``validate``'s: tests describe planted matrices by
+    records with a + b = 0 or c = 0.
+    """
 
     p: int
     a: int
@@ -52,35 +59,39 @@ class ZpParams:
     ideal_label: str = "principal"
     # derived once per instance (a sweep reads them ~10^5 times); kept out
     # of ==, hash and repr, which read the five fields above
+    prime: OddPrime = field(init=False, repr=False, compare=False)
     n: int = field(init=False, repr=False, compare=False)
     beta1: int = field(init=False, repr=False, compare=False)  # first Betti number b + c
     exceptional: bool = field(init=False, repr=False, compare=False)
     n_odd: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.a * (self.p - 1) + self.b * self.p + self.c
+        p, a, b, c = self.p, self.a, self.b, self.c
+        prime = as_prime(p)  # raises ValueError / NotPrimeError / NotOddError
+        if self.ideal_label != "principal":
+            raise UnsupportedIdealError(f"no matrix model for ideal class {self.ideal_label!r}")
+        n = a * (p - 1) + b * p + c
         self.__dict__.update(  # the record is frozen
-            n=n, beta1=self.b + self.c, exceptional=(self.b, self.c) == (0, 1), n_odd=n % 2 == 1
+            prime=prime, n=n, beta1=b + c, exceptional=(b, c) == (0, 1), n_odd=n % 2 == 1
         )
 
     def key(self) -> tuple[int, int, int, int]:
         return (self.p, self.a, self.b, self.c)
+
+    def __reduce__(self):
+        # the five fields only: a --jobs worker resolves p from its own cache
+        return ZpParams, (self.p, self.a, self.b, self.c, self.ideal_label)
 
     def __str__(self) -> str:
         return f"({self.p},{self.a},{self.b},{self.c})"
 
 
 def validate(p: int, a: int, b: int, c: int, ideal_label: str = "principal") -> ZpParams:
-    """Check (p, a, b, c) and return the validated parameter record.
+    """Check (a, b, c) and return the record, which checks p and the label.
 
     Even total dimension is allowed (flagged by ``n_odd``, not an
-    error); downstream spectral operations refuse it themselves.  Only the
-    principal ideal class has a matrix model, so any other label raises
-    UnsupportedIdealError here, for every command alike.
+    error); downstream spectral operations refuse it themselves.
     """
-    if type(p) is not int:  # bool is an int subclass and is refused too
-        raise ValueError(f"p must be an integer, got {p!r}")
-    as_prime(p)  # raises NotPrimeError / NotOddError
     for name, v in (("a", a), ("b", b), ("c", c)):
         if type(v) is not int or v < 0:
             raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
@@ -88,13 +99,7 @@ def validate(p: int, a: int, b: int, c: int, ideal_label: str = "principal") -> 
         raise ZeroHolonomyBlockError("a + b must be positive")
     if c == 0:
         raise TorsionViolationError("c must be >= 1")
-    _require_principal(ideal_label)
     return ZpParams(p, a, b, c, ideal_label)
-
-
-def _require_principal(ideal_label: str) -> None:
-    if ideal_label != "principal":
-        raise UnsupportedIdealError(f"no matrix model for ideal class {ideal_label!r}")
 
 
 @dataclass(frozen=True)
@@ -348,7 +353,6 @@ def build_holonomy(params: ZpParams) -> IntMatrix:
     The matrix is stored dense, so n above MAX_HOLONOMY_N is refused with
     ValueError before anything is allocated.
     """
-    _require_principal(params.ideal_label)  # a ZpParams built directly skips validate
     p, n = params.p, params.n
     if n > MAX_HOLONOMY_N:
         raise ValueError(
@@ -521,24 +525,19 @@ def holonomy_checks(m: IntMatrix, params: ZpParams) -> HolonomyReport:
     )
 
 
-def enumerate_params(
-    p_max: int, n_max: int, include_even_n: bool = False
-) -> list[ZpParams]:
-    """All valid (p, a, b, c) with p <= p_max and n <= n_max, ordered.
-
-    By default only odd-dimensional manifolds (b + c odd) are produced.
-    """
-    check_ints("p_max", p_max)
-    _check_sweep(n_max, include_even_n)
+def enumerate_params(p_max: int, n_max: int) -> list[ZpParams]:
+    """All valid (p, a, b, c) with p <= p_max and n <= n_max, ordered;
+    only odd-dimensional manifolds (b + c odd)."""
+    check_ints("p_max n_max", p_max, n_max)
     # each prime's sweep is in key order and the primes ascend
-    return [q for p in odd_primes_upto(p_max) for q in prime_sweep(p, n_max, include_even_n)]
+    return [q for p in odd_primes_upto(p_max) for q in prime_sweep(p, n_max)]
 
 
-def prime_sweep(p: int, n_max: int, include_even_n: bool = False) -> list[ZpParams]:
+def prime_sweep(p: int, n_max: int) -> list[ZpParams]:
     """The manifolds of enumerate_params whose prime is p, in its order:
     (a, b, c) ascending."""
     as_prime(p)
-    _check_sweep(n_max, include_even_n)
+    check_ints("n_max", n_max)
     out = []
     for a in range(0, n_max // (p - 1) + 1):
         base_a = a * (p - 1)
@@ -548,17 +547,9 @@ def prime_sweep(p: int, n_max: int, include_even_n: bool = False) -> list[ZpPara
             if a + b == 0:
                 continue
             base = base_a + b * p
-            for c in range(1, n_max - base + 1):
-                if not include_even_n and (b + c) % 2 == 0:
-                    continue
+            for c in range(1 + b % 2, n_max - base + 1, 2):  # b + c odd
                 out.append(ZpParams(p, a, b, c))
     return out
-
-
-def _check_sweep(n_max: int, include_even_n: bool) -> None:
-    check_ints("n_max", n_max)
-    if type(include_even_n) is not bool:  # a truthy string read as True
-        raise ValueError(f"include_even_n must be a bool, got {include_even_n!r}")
 
 
 # re-exported for callers that catch validation errors in one place

@@ -53,9 +53,9 @@ def mult_diff_by_index(params: ZpParams, h: int, ell: int, c: int) -> int:
     """Exact d+ - d- at the c-th admissible mu (mu = c for h=1, c - 1/2 for
     h=2), eigenvalue 2 pi mu; 0 for non-exceptional params."""
     _check_index(h, ell, c)
-    P = as_prime(params.p)  # before the early return: a p that is no odd prime raises
     if not params.exceptional:
         return 0
+    P = params.prime
     two_mu = 2 * c - (1 if h == 2 else 0)
     p, a = P.p, params.a
     ell %= p
@@ -86,9 +86,9 @@ def mult_diff_oracle(params: ZpParams, h: int, ell: int, c: int) -> int:
     p^{(a-1)//2}.  Any other ring value raises OracleResidualError.
     """
     _check_index(h, ell, c)
-    P = as_prime(params.p)
     if not params.exceptional:
         return 0
+    P = params.prime
     p, a = P.p, params.a
     m = (params.n - 1) // 2
     # F is p-periodic in c', so c' is taken in 1..p
@@ -115,10 +115,9 @@ def dim_ker(params: ZpParams, structure: SpinStructure, ell: int) -> int:
         raise ValueError(
             f"structure has {len(structure.deltas)} delta signs, expected {params.beta1 - 1}"
         )
-    P = as_prime(params.p)
     if not structure.trivial_type:
         return 0
-    p = P.p
+    P, p = params.prime, params.p
     ab = params.a + params.b
     delta = p if ell % p == 0 else 0
     num = 2 ** ((params.beta1 - 1) // 2) * (2 ** (ab * P.q) + P.legendre(2) ** ab * (delta - 1))
@@ -173,7 +172,7 @@ def dim_ker_oracle(params: ZpParams, ell: int) -> int:
     check_ints("ell", ell)
     if not params.n_odd:
         raise EvenDimensionError(f"kernel oracle needs odd n, got n = {params.n}")
-    P = as_prime(params.p)
+    P = params.prime
     ab = params.a + params.b
     total = _kernel_sums(ab, P.p)[ell % P.p] << ((params.n - 1) // 2 - P.q * ab)
     d, rem = divmod(total, P.p)

@@ -7,6 +7,7 @@ import pickle
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -616,6 +617,29 @@ def test_classnumber_command(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    (
+        ("classnumber", "--p", "1048583"),
+        ("series", "--p", "1048583", "--a", "1", "--h", "1", "--ell", "1", "--s", "4"),
+    ),
+)
+def test_a_prime_above_the_table_bound_is_refused_before_any_table(capsys, argv):
+    # 1048583 is the least prime above 2^20; at p = 2,000,003 classnumber took
+    # 1.4 s and 97 MB, series 23 s and 226 MB
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    bound = cli.MAX_TABLE_P
+    assert err == f"error: p = 1048583 is above {bound}: this command builds tables of size p\n"
+
+
+def test_classnumber_at_the_largest_prime_under_the_table_bound(capsys):
+    # 1048571 = 3 (mod 4) is the largest such prime below 2^20
+    assert run(capsys, "classnumber", "--p", "1048571") == (0, "567\n", "")
+
+
+@pytest.mark.parametrize(
     "p, message",
     (
         ("318665857834031151167461", "must be prime"),  # psi_12 = 399165290221 * 798330580441
@@ -637,7 +661,13 @@ def test_sweep_spec_enumeration():
     params = enumerate_params(5, 12)
     assert params == sorted(params, key=lambda q: q.key())
     assert all(q.p <= 5 and q.n <= 12 and q.beta1 % 2 == 1 for q in params)
-    assert enumerate_params(5, 12, include_even_n=True) != params
+    # every valid odd-n key of the bounds, and no even-n one
+    want = [
+        (p, a, b, c)
+        for p in (3, 5) for a in range(7) for b in range(5) for c in range(1, 13)
+        if a + b and (b + c) % 2 and a * (p - 1) + b * p + c <= 12
+    ]
+    assert [q.key() for q in params] == want
 
 
 @pytest.mark.parametrize(

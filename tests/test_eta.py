@@ -109,7 +109,7 @@ def test_closed_form_keeps_every_branch_value(p, a, h, ell):
 
 def test_closed_form_of_a_nonexceptional_or_nonprime_manifold():
     assert eta_series_closed_form(validate(5, 1, 1, 2), 1, 1) == EtaClosedForm(5, 1, ())
-    # a record built without validate: p = 9 is refused, not read as a zero form
+    # p = 9 is refused (by the record itself), not read as a zero form
     with pytest.raises(NotPrimeError, match="p must be prime, got 9"):
         eta_series_closed_form(ZpParams(9, 1, 1, 2), 1, 1)
     with pytest.raises(NotPrimeError, match="p must be prime, got 9"):

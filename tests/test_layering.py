@@ -8,7 +8,8 @@ functions, so a second copy of a table cannot grow behind an import of
 ``_name`` (``from .x import _y``) or an attribute read (``x._y``).  An
 import left behind by a deleted function is caught by the second check,
 and a private helper left behind by one by the orphan check, since no
-linter runs over the package.
+linter runs over the package.  A ``ZpParams`` resolves its prime once, so
+no module resolves a record's p again through ``as_prime``.
 """
 
 import ast
@@ -206,6 +207,39 @@ def test_unresolved_exports_finds_a_deleted_name():
     assert unresolved_exports(module) == ["trivial_structure"]
     del module.__all__
     assert unresolved_exports(module) == []
+
+
+def record_prime_resolutions(tree: ast.Module) -> list[str]:
+    """Each call ``as_prime(<expr>.p)``, plain or as a module attribute: a
+    record's ``prime`` field already holds that OddPrime."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "as_prime"
+        and any(isinstance(arg, ast.Attribute) and arg.attr == "p" for arg in node.args)
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_resolves_a_record_prime_again(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert record_prime_resolutions(tree) == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("P = as_prime(params.p)", ["as_prime(params.p)"]),
+        ("p = numtheory.as_prime(q.p).p", ["numtheory.as_prime(q.p)"]),
+        ("as_prime(self.params.p)", ["as_prime(self.params.p)"]),
+        ("P = as_prime(p)\nQ = as_prime(P.q)\nR = params.prime", []),
+        ("prime = as_prime(self.p)", ["as_prime(self.p)"]),
+        ("def as_prime(p):\n    return p.p", []),
+    ],
+)
+def test_record_prime_resolutions_finds_each_form(source, found):
+    assert record_prime_resolutions(ast.parse(source)) == found
 
 
 def outside_imports(tree: ast.Module) -> list[str]:

@@ -26,7 +26,20 @@ from zpeta.manifold import (
     homology_h1,
     validate,
 )
-from zpeta.numtheory import odd_primes_upto
+from zpeta.numtheory import as_prime, odd_primes_upto
+
+
+def _params_with_even_n(p_max, n_max):
+    """Every valid (p, a, b, c) with p <= p_max and n <= n_max, both parities
+    of n, in key order; enumerate_params keeps only odd n."""
+    return [
+        validate(p, a, b, c)
+        for p in odd_primes_upto(p_max)
+        for a in range(n_max // (p - 1) + 1)
+        for b in range(n_max // p + 1)
+        for c in range(1, n_max + 1)
+        if a + b and a * (p - 1) + b * p + c <= n_max
+    ]
 
 
 def test_validate_examples():
@@ -59,13 +72,13 @@ def test_even_dimension_is_flagged_not_rejected():
 
 
 def test_n_parity_matches_beta1_parity():
-    for params in enumerate_params(13, 40, include_even_n=True):
+    for params in _params_with_even_n(13, 40):
         assert params.n % 2 == params.beta1 % 2
 
 
 def test_derived_params_are_the_formulas_and_stay_out_of_eq_hash_repr():
     # n, beta1, exceptional and n_odd are stored once per instance
-    for params in enumerate_params(13, 60, include_even_n=True):
+    for params in _params_with_even_n(13, 60):
         p, a, b, c = params.key()
         assert params.key() == (params.p, params.a, params.b, params.c)
         assert params.n == a * (p - 1) + b * p + c
@@ -81,12 +94,37 @@ def test_derived_params_are_the_formulas_and_stay_out_of_eq_hash_repr():
         assert (back.n, back.beta1, back.exceptional, back.n_odd) == (
             params.n, params.beta1, params.exceptional, params.n_odd
         )
-    assert ZpParams(5, 1, 0, 1) != ZpParams(5, 1, 0, 1, ideal_label="a2")
     assert [f.name for f in dataclasses.fields(ZpParams) if f.compare] == [
         "p", "a", "b", "c", "ideal_label"
     ]
     with pytest.raises(dataclasses.FrozenInstanceError):
         validate(3, 1, 0, 1).n = 4
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((9, 1, 1, 2), NotPrimeError, "p must be prime, got 9"),
+        ((2, 1, 0, 1), NotOddError, "p must be odd"),
+        ((7.0, 1, 0, 1), ValueError, "p must be an int, got 7.0"),
+        ((True, 1, 0, 1), ValueError, "p must be an int, got True"),
+        ((5, 1, 0, 1, "a2"), UnsupportedIdealError, "no matrix model for ideal class 'a2'"),
+        ((7, 2, 0, 1), None, None),
+        ((13, 0, 3, 2), None, None),
+    ],
+)
+def test_params_record_resolves_its_prime_and_label(args, error, message):
+    # the record refuses what every consumer used to refuse on its own
+    if error is not None:
+        with pytest.raises(error, match=f"^{message}$") as info:
+            ZpParams(*args)
+        assert type(info.value) is error
+        return
+    params = ZpParams(*args)
+    assert params.prime is as_prime(params.p)
+    back = pickle.loads(pickle.dumps(params))
+    assert back.prime.p == params.p and back.prime is params.prime  # resolved, not copied
+    assert back == params and hash(back) == hash(params) and repr(back) == repr(params)
 
 
 def test_homology_examples():
@@ -104,7 +142,7 @@ def test_spin_structure_counts():
 
 
 def test_spin_structures_distinct_unique_trivial():
-    for params in enumerate_params(7, 30, include_even_n=True):
+    for params in _params_with_even_n(7, 30):
         if params.beta1 > 7:
             continue
         structs = enumerate_spin_structures(params)
@@ -151,13 +189,12 @@ def test_trivial_type_is_all_plus_with_h_1():
             assert SpinStructure(deltas, h).trivial_type is want
 
 
-@pytest.mark.parametrize("include_even_n", (False, True))
-def test_prime_sweep_is_one_prime_of_enumerate_params(include_even_n):
-    every = enumerate_params(13, 40, include_even_n)
+def test_prime_sweep_is_one_prime_of_enumerate_params():
+    every = enumerate_params(13, 40)
     assert every == sorted(every, key=ZpParams.key)
     for p in odd_primes_upto(13):
         want = [q for q in every if q.p == p]
-        assert manifold.prime_sweep(p, 40, include_even_n) == want
+        assert manifold.prime_sweep(p, 40) == want
 
 
 @pytest.mark.parametrize(
@@ -167,7 +204,6 @@ def test_prime_sweep_is_one_prime_of_enumerate_params(include_even_n):
         ((2, 40), NotOddError, "p must be odd"),
         ((7.0, 40), ValueError, "p must be an int, got 7.0"),
         ((7, None), ValueError, "n_max must be an int, got None"),
-        ((7, 40, "no"), ValueError, "include_even_n must be a bool, got 'no'"),
     ],
 )
 def test_prime_sweep_checks_its_arguments(args, error, message):
@@ -181,14 +217,6 @@ def test_spin_structure_refuses_deltas_that_are_not_a_tuple(deltas):
     with pytest.raises(ValueError, match="deltas must be a tuple, got"):
         SpinStructure(deltas, 1)
     assert hash(SpinStructure((1, 1), 1)) == hash(SpinStructure((1, 1), 1))
-
-
-@pytest.mark.parametrize("flag", ("no", "", 1, 0, None), ids=repr)
-def test_enumerate_params_refuses_an_include_even_n_that_is_not_a_bool(flag):
-    # the string "no" is truthy and gave the 57-manifold even-n sweep
-    with pytest.raises(ValueError, match=f"include_even_n must be a bool, got {flag!r}"):
-        enumerate_params(5, 10, include_even_n=flag)
-    assert len(enumerate_params(5, 10, include_even_n=True)) == 57
 
 
 def test_holonomy_blocks():
@@ -768,5 +796,7 @@ def test_enumerate_params_ordering_and_validity():
         assert params.c >= 1
         assert params.p <= 5 and params.n <= 20
         assert params.beta1 % 2 == 1
-    # even dimensions appear only on request
-    assert any(q.beta1 % 2 == 0 for q in enumerate_params(5, 20, include_even_n=True))
+    # exactly the odd-n records, in key order; 5,275 at the acceptance bounds
+    assert sweep == [q for q in _params_with_even_n(5, 20) if q.n_odd]
+    full = enumerate_params(13, 60)
+    assert len(full) == 5275 and full == [q for q in _params_with_even_n(13, 60) if q.n_odd]

@@ -234,24 +234,21 @@ def test_dim_ker_oracle_is_exact_past_the_float_range(key, ells):
         assert got != d + 1 and got != d - 1
 
 
-NONPRIME = ZpParams(9, 1, 1, 2)  # built without validate; not exceptional
-
-
 def test_mult_diff_of_a_nonprime_manifold_is_refused():
     # the non-exceptional early return came before the prime and gave 0
     with pytest.raises(NotPrimeError, match="p must be prime, got 9"):
-        mult_diff_by_index(NONPRIME, 1, 1, 1)
+        mult_diff_by_index(ZpParams(9, 1, 1, 2), 1, 1, 1)
 
 
 def test_mult_diff_oracle_of_a_nonprime_manifold_is_refused():
     with pytest.raises(NotPrimeError, match="p must be prime, got 9"):
-        mult_diff_oracle(NONPRIME, 1, 1, 1)
+        mult_diff_oracle(ZpParams(9, 1, 1, 2), 1, 1, 1)
 
 
 def test_dim_ker_of_a_nonprime_manifold_is_refused():
     # a non-trivial structure has no kernel, and its early return gave 0
     with pytest.raises(NotPrimeError, match="p must be prime, got 9"):
-        dim_ker(NONPRIME, SpinStructure((1, 1), 2), 1)
+        dim_ker(ZpParams(9, 1, 1, 2), SpinStructure((1, 1), 2), 1)
 
 
 def test_the_oracle_extracts_each_ring_value_once(monkeypatch):
