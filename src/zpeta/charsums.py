@@ -59,7 +59,7 @@ def _prime(p: int | OddPrime, chi: CharacterChoice, h: int, l: int, c: int = 1) 
         raise ValueError(f"h must be 1 or 2, got {h}")
     if c < 1:
         raise ValueError(f"c must be a positive integer, got {c}")
-    return as_prime(p)
+    return p if type(p) is OddPrime else as_prime(p)  # the suites pass an OddPrime
 
 
 def _trig_prime(kind: str, k: int, p: int | OddPrime) -> OddPrime:

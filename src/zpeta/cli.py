@@ -21,6 +21,7 @@ from . import charsums, eta, numtheory, spectrum
 from .eta import DomainError, Report
 from .exact import cyclotomic_ring, rational_str
 from .manifold import (
+    IntRows,
     ZpParams,
     build_holonomy,
     enumerate_params,
@@ -400,15 +401,33 @@ def _invariant_chunks(params: ZpParams, fmt: str) -> Iterator[str]:
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 
+def _int_list(items, newline: str) -> str:
+    """``json.dumps(items, indent=2)`` of a nonempty sequence of plain ints,
+    nested at newline: each run of zeros is one repetition of
+    ``"0," + inner`` and only the nonzeros go through ``int.__repr__``, the
+    digits ``json`` writes, so a matrix row costs Python steps per nonzero,
+    not per entry."""
+    inner = newline + "  "
+    sep = "," + inner
+    zero, parts, start = "0" + sep, [], 0
+    for i in itertools.compress(range(len(items)), items):  # the nonzeros
+        parts += (zero * (i - start), repr(items[i]), sep)
+        start = i + 1
+    parts.append(zero * (len(items) - start))
+    return "[" + inner + "".join(parts)[: -len(sep)] + newline + "]"  # sep follows every item
+
+
 def _json(obj, newline: str = "\n") -> str:
     """Exactly ``json.dumps(obj, indent=2)``, without its pure-Python encoder.
 
     With an indent, ``json.dumps`` renders every item through Python-level
-    generators; here strings go through the C quoting function, and in a
-    list of plain ints (a matrix row) each run of zeros is one repetition
-    of ``"0," + inner`` and only the nonzeros go through ``int.__repr__``,
-    the digits ``json`` writes, so a row costs Python steps per nonzero,
-    not per entry.  Keys must be str: any other key raises TypeError.
+    generators; here strings go through the C quoting function, and a list
+    of plain ints (a matrix row) is written by ``_int_list``.  The rows of
+    an ``IntMatrix`` (type ``IntRows``) hold only ints, which the class
+    guarantees, so each is written that way without looking at the type
+    of its entries; any other list or tuple is scanned first, so a bool in
+    it is written as ``true``/``false``.  Keys must be str: any other key
+    raises TypeError.
     """
     if isinstance(obj, str):
         return _quote(obj)
@@ -421,13 +440,10 @@ def _json(obj, newline: str = "\n") -> str:
         if not obj:
             return "[]"
         sep = "," + inner
-        if set(map(type, obj)) == {int}:  # bool is not int here: [1, True]
-            zero, parts, start = "0" + sep, [], 0
-            for i in itertools.compress(range(len(obj)), obj):  # the nonzeros
-                parts += (zero * (i - start), repr(obj[i]), sep)
-                start = i + 1
-            parts.append(zero * (len(obj) - start))
-            body = "".join(parts)[: -len(sep)]  # every item is followed by sep
+        if type(obj) is IntRows:  # IntMatrix checked every entry: no type scan
+            body = sep.join([_int_list(row, inner) for row in obj])
+        elif set(map(type, obj)) == {int}:  # bool is not int here: [1, True]
+            return _int_list(obj, newline)
         else:
             body = sep.join([_json(item, inner) for item in obj])
         return "[" + inner + body + newline + "]"
@@ -597,10 +613,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first main call and reused: the argparse tree costs about a
+# millisecond, and an import of zpeta.cli builds none
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -160,19 +160,28 @@ def enumerate_spin_structures(params: ZpParams) -> list[SpinStructure]:
     ]
 
 
+class IntRows(tuple):
+    """The rows of an ``IntMatrix``: a tuple of row tuples whose every entry
+    has type int (no bool).  Only ``IntMatrix`` makes one, after checking
+    each entry or from entries it computed itself, so a reader of the type
+    (the certificate writer) need not scan the entries again."""
+
+    __slots__ = ()
+
+
 class IntMatrix:
     """Square matrix of Python integers with exact operations.
 
-    Storage is dense (``rows`` is a tuple of row tuples), but the product
-    skips zeros: row i of ``A @ B`` is the sum of B's rows j scaled by the
-    nonzero A[i][j] only, so a left factor with at most k nonzeros per row
-    (such as C_p or J_p) costs O(k n^2) instead of O(n^3).
+    Storage is dense (``rows`` is an ``IntRows``, a tuple of row tuples),
+    but the product skips zeros: row i of ``A @ B`` is the sum of B's rows
+    j scaled by the nonzero A[i][j] only, so a left factor with at most k
+    nonzeros per row (such as C_p or J_p) costs O(k n^2) instead of O(n^3).
     """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
+        rows = IntRows(tuple(r) for r in rows)
         n = len(rows)
         for r in rows:
             if len(r) != n:
@@ -186,7 +195,7 @@ class IntMatrix:
     def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
         """Wrap rows that are already a square tuple of int tuples, unchecked."""
         m = object.__new__(cls)
-        m.rows = rows
+        m.rows = IntRows(rows)
         return m
 
     @property
@@ -558,6 +567,7 @@ __all__ = [
     "HolonomyReport",
     "HomologyH1",
     "IntMatrix",
+    "IntRows",
     "MAX_HOLONOMY_N",
     "NotOddError",
     "NotPrimeError",

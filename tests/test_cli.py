@@ -19,6 +19,8 @@ from zpeta.cli import invariant_rows, main, run_suite
 from zpeta.exact import rational_str
 from zpeta.manifold import (
     MAX_HOLONOMY_N,
+    IntMatrix,
+    IntRows,
     enumerate_params,
     enumerate_spin_structures,
     validate,
@@ -753,6 +755,46 @@ def test_writer_is_json_dumps_indent_2(obj):
     assert cli._json(obj) == json.dumps(obj, indent=2)
 
 
+_matrix_entries = st.one_of(
+    st.just(0),  # zero runs, as in a holonomy matrix
+    st.integers(-9, 9),
+    st.integers(),  # negative and multi-digit
+    st.sampled_from((2**64, -(2**64), 2**64 - 1, 1 - 2**64)),
+)
+
+
+@st.composite
+def _int_matrices(draw):
+    n = draw(st.integers(1, 6))
+    return [draw(st.lists(_matrix_entries, min_size=n, max_size=n)) for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_matrices())
+def test_writer_of_intmatrix_rows_is_json_dumps_indent_2(rows):
+    # IntRows are written without a type scan; the bytes are json.dumps's
+    matrix = IntMatrix(rows).rows
+    assert type(matrix) is IntRows
+    assert cli._json(matrix) == json.dumps(matrix, indent=2)
+    payload = {"p": 3, "blocks": ["C3"], "matrix": matrix, "checks": {"ok": True}}
+    assert cli._json(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    (
+        ((0, True), (1, 0)),  # a bool is written true, not as the int 1
+        ((True, 0), (0, False)),
+        ((0, 0.0), (1, 0)),  # 0.0 is written, not skipped as a zero
+        ((0.0,),),
+    ),
+)
+def test_writer_scans_a_plain_tuple_of_tuples(rows):
+    assert type(rows) is tuple
+    assert cli._json(rows) == json.dumps(rows, indent=2)
+    assert cli._json({"matrix": rows}) == json.dumps({"matrix": rows}, indent=2)
+
+
 @pytest.mark.parametrize("key", (1, 1.5, True, None, (1, 2)))
 def test_writer_refuses_a_non_str_key(key):
     # json.dumps writes int, float, bool and None keys as strings; no
@@ -807,6 +849,32 @@ def test_invariants_past_the_row_bound_refuse_before_building_a_structure(capsys
             f"error: the invariant table of ({p},1,{b},1) would have more than "
             "1048576 rows (p 2^(b+c))\n"
         )
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)  # as in a fresh process
+    argv = ("holonomy", "--p", "5", "--a", "1", "--b", "1", "--c", "1")
+    first = run(capsys, *argv)
+    usage = run(capsys, "holonomy", "--p", "5")
+    helped = run(capsys, "--help")
+    last = run(capsys, *argv)
+    assert len(built) == 1
+    assert first[0] == 0 and first[1].startswith("{")
+    assert last == first
+    assert usage[:2] == (2, "") and "required" in usage[2]
+    assert helped[0] == 0 and helped[1].startswith("usage: zpeta")
+    # a direct call still builds a fresh, working parser
+    parser = build()
+    assert parser is not cli._parser
+    assert parser.parse_args(list(argv)).func is cli.cmd_holonomy
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

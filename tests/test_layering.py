@@ -284,6 +284,33 @@ def test_importing_zpeta_loads_no_numpy():
     assert out.stdout == "False\n"
 
 
+def test_importing_zpeta_loads_no_cli_and_importing_the_cli_builds_no_parser():
+    # a one-shot process and the import timed as set-up pay for no parser;
+    # the first main call builds it
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import argparse, contextlib, io, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import zpeta\n"
+        "print('zpeta.cli' in sys.modules)\n"
+        "import zpeta.cli\n"
+        "print(len(built), zpeta.cli._parser)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    zpeta.cli.main(['classnumber', '--p', '23'])\n"
+        "print(len(built) > 0, zpeta.cli._parser is built[0])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n0 None\nTrue True\n"
+
+
 def test_pyproject_declares_no_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")  # the standard library from Python 3.11
     pyproject = PACKAGE.parents[1] / "pyproject.toml"

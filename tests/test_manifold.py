@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from zpeta import manifold
 from zpeta.manifold import (
     IntMatrix,
+    IntRows,
     NotOddError,
     NotPrimeError,
     SpinStructure,
@@ -411,7 +412,7 @@ def _assert_canonical(m: IntMatrix):
     # a kernel result must be indistinguishable from a validated matrix
     rebuilt = IntMatrix(m.to_lists())
     assert m == rebuilt and hash(m) == hash(rebuilt)
-    assert all(type(r) is tuple for r in m.rows)
+    assert type(m.rows) is IntRows and all(type(r) is tuple for r in m.rows)
 
 
 def _kernel_matrices(n):
