@@ -1,7 +1,10 @@
 """Command-line front end: invariant tables, verification sweeps, series
 numerics, holonomy matrices, class numbers.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
+Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
+an unwritable stdout or ``--out`` included.  Every command writes through
+``_emit`` and raises every refusal as a ValueError, which ``main`` alone
+turns into one ``error:`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -421,13 +424,12 @@ def _json(obj, newline: str = "\n") -> str:
     """Exactly ``json.dumps(obj, indent=2)``, without its pure-Python encoder.
 
     With an indent, ``json.dumps`` renders every item through Python-level
-    generators; here strings go through the C quoting function, and a list
-    of plain ints (a matrix row) is written by ``_int_list``.  The rows of
-    an ``IntMatrix`` (type ``IntRows``) hold only ints, which the class
-    guarantees, so each is written that way without looking at the type
-    of its entries; any other list or tuple is scanned first, so a bool in
-    it is written as ``true``/``false``.  Keys must be str: any other key
-    raises TypeError.
+    generators; here strings go through the C quoting function, and each
+    row of an ``IntMatrix`` (type ``IntRows``, whose entries the class
+    guarantees are ints) is written by ``_int_list`` without looking at
+    the type of its entries.  Any other list or tuple is written item by
+    item, so a bool in it is ``true``/``false``.  Keys must be str: any
+    other key raises TypeError.
     """
     if isinstance(obj, str):
         return _quote(obj)
@@ -442,8 +444,6 @@ def _json(obj, newline: str = "\n") -> str:
         sep = "," + inner
         if type(obj) is IntRows:  # IntMatrix checked every entry: no type scan
             body = sep.join([_int_list(row, inner) for row in obj])
-        elif set(map(type, obj)) == {int}:  # bool is not int here: [1, True]
-            return _int_list(obj, newline)
         else:
             body = sep.join([_json(item, inner) for item in obj])
         return "[" + inner + body + newline + "]"
@@ -458,31 +458,32 @@ def _json(obj, newline: str = "\n") -> str:
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
-    """Write the chunks to the file out, or to stdout when out is not given.
+    """Write the chunks to the file out, or to stdout (flushed) when out is
+    not given: the one writer of every command's output.
 
     The file is opened only here, so a command that raises before its
-    call creates no file.  An unwritable out is a usage error (exit 2),
-    not a traceback.
+    call creates no file.  An unwritable out or stdout (a full device, a
+    closed pipe) is a usage error (exit 2), not a traceback.  When the
+    process's own stdout fails, fd 1 is pointed at os.devnull, so the
+    interpreter's last flush of what is left in its buffer fails no more.
     """
-    if not out:
-        sys.stdout.writelines(chunks)
-        return
     try:
-        with open(out, "w") as fh:
-            fh.writelines(chunks)
+        if out:
+            with open(out, "w") as fh:
+                fh.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
     except OSError as exc:
-        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
+        if not out and sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise ValueError(f"cannot write {out or 'stdout'}: {exc.strerror or exc}") from None
 
 
 def cmd_invariants(args) -> int:
     params = validate(args.p, args.a, args.b, args.c, args.ideal)
-    if not params.n_odd:
-        print(
-            "error: even dimension (b + c even): eta vanishes identically and the "
-            "kernel formula does not apply",
-            file=sys.stderr,
-        )
-        return 2
     _emit(_invariant_chunks(params, args.format), args.out)
     return 0
 
@@ -490,9 +491,7 @@ def cmd_invariants(args) -> int:
 def cmd_verify(args) -> int:
     report = run_suite(args.suite, args.p_max, args.n_max, args.jobs)
     if report.cases == 0:
-        print(f"error: suite {args.suite} checked no cases; widen --p-max or --n-max",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"suite {args.suite} checked no cases; widen --p-max or --n-max")
     _emit((_json(report.to_dict()), "\n"), args.out)
     return 0 if report.ok else 1
 
@@ -514,16 +513,16 @@ def cmd_series(args) -> int:
     _table_prime(args.p)
     params = validate(args.p, args.a, args.b, args.c)
     if not params.exceptional:
-        print("error: series comparison needs an exceptional manifold ((b,c) = (0,1))",
-              file=sys.stderr)
-        return 2
+        raise ValueError("series comparison needs an exceptional manifold ((b,c) = (0,1))")
     form = eta.eta_series_closed_form(params, args.h, args.ell)
     closed = eta.eta_series_eval(form, args.s)
     partial = eta.eta_spectral_partial(params, args.h, args.ell, args.s, args.terms)
-    delta = abs(closed - partial)
-    print(f"closed-form   {closed:.12g}")
-    print(f"spectral-sum  {partial:.12g}")
-    print(f"difference    {delta:.12g}")
+    lines = (
+        f"closed-form   {closed:.12g}\n",
+        f"spectral-sum  {partial:.12g}\n",
+        f"difference    {abs(closed - partial):.12g}\n",
+    )
+    _emit(lines, None)
     return 0
 
 
@@ -545,7 +544,7 @@ def cmd_holonomy(args) -> int:
 
 
 def cmd_classnumber(args) -> int:
-    print(numtheory.class_number(_table_prime(args.p)))
+    _emit((f"{numtheory.class_number(_table_prime(args.p))}\n",), None)
     return 0
 
 
@@ -554,6 +553,13 @@ def _jobs(text: str) -> int:
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
     return jobs
+
+
+def _manifold_flags(sp: argparse.ArgumentParser) -> None:
+    """The manifold of ``invariants`` and ``holonomy``: --p --a --b --c --ideal."""
+    for flag in ("--p", "--a", "--b", "--c"):
+        sp.add_argument(flag, type=int, required=True)
+    sp.add_argument("--ideal", default="principal")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -565,11 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("invariants", help="invariant table for one manifold")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--c", type=int, required=True)
-    sp.add_argument("--ideal", default="principal")
+    _manifold_flags(sp)
     sp.add_argument("--format", choices=("table", "json", "csv"), default="table")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_invariants)
@@ -598,11 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_series)
 
     sp = sub.add_parser("holonomy", help="integral holonomy matrix with checks")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--c", type=int, required=True)
-    sp.add_argument("--ideal", default="principal")
+    _manifold_flags(sp)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_holonomy)
 

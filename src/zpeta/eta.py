@@ -292,7 +292,7 @@ def structure_records(params: ZpParams, structure: SpinStructure) -> list[Invari
     ell, with no arithmetic.  Needs odd n.
     """
     if not params.n_odd:
-        raise EvenDimensionError(f"invariants need odd n, got n = {params.n}")
+        raise EvenDimensionError(f"invariants need odd n (b + c odd), got even n = {params.n}")
     eta_0, d_0, bar_0 = _eta_bar(params, structure, 0)
     records = [_record(structure, 0, eta_0, d_0, bar_0, bar_0)]
     d_1 = dim_ker(params, structure, 1)

@@ -938,6 +938,73 @@ def test_python_dash_m_zpeta_is_the_cli(capsys):
 
 
 # ---------------------------------------------------------------------------
+# an unwritable stdout: exit 2 and one error line, from every subcommand
+
+_EVERY_SUBCOMMAND = (
+    ("invariants", "--p", "3", "--a", "1", "--b", "0", "--c", "1"),
+    ("verify", "--suite", "parity", "--p-max", "5", "--n-max", "9"),
+    ("series", "--p", "3", "--a", "1", "--h", "1", "--ell", "0", "--s", "4"),
+    ("holonomy", "--p", "3", "--a", "1", "--b", "0", "--c", "1"),
+    ("classnumber", "--p", "23"),
+)
+
+
+def _assert_one_stdout_error(returncode: int, stderr: str) -> None:
+    assert returncode == 2, stderr
+    assert stderr.startswith("error: cannot write stdout") and stderr.count("\n") == 1, stderr
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", ("", "1"), ids=("buffered", "unbuffered"))
+@pytest.mark.parametrize("command", _EVERY_SUBCOMMAND, ids=lambda c: c[0])
+def test_a_full_stdout_is_a_usage_error(command, unbuffered):
+    # buffered, the error surfaces only when the output is flushed
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zpeta", *command],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC_DIR, "PYTHONUNBUFFERED": unbuffered},
+        )
+    _assert_one_stdout_error(proc.returncode, proc.stderr)
+
+
+def test_a_stdout_pipe_closed_early_is_a_usage_error():
+    # the (97,3,2,1) certificate is about 2 MB, far past a pipe's buffer
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zpeta", "holonomy", "--p", "97", "--a", "3", "--b", "2",
+         "--c", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": SRC_DIR, "PYTHONUNBUFFERED": ""},
+    )
+    assert proc.stdout.read(10) == b'{\n  "p": 9'
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    _assert_one_stdout_error(proc.wait(timeout=60), stderr)
+
+
+class _FailingStdout(io.StringIO):
+    def write(self, text):
+        raise OSError("stdout refused")
+
+
+@pytest.mark.parametrize("command", _EVERY_SUBCOMMAND, ids=lambda c: c[0])
+def test_a_failing_sys_stdout_in_process_leaves_fd_1_alone(capsys, monkeypatch, command):
+    before = os.fstat(1)
+    monkeypatch.setattr(sys, "stdout", _FailingStdout())
+    code = main(list(command))
+    monkeypatch.undo()
+    assert code == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: stdout refused\n"
+    assert os.path.samestat(os.fstat(1), before)
+
+
+# ---------------------------------------------------------------------------
 # every invalid input of a subcommand: exit 2, nothing on stdout, one error line
 
 _NOT_INT_TEXT = st.sampled_from(("", "x", "1.5", "3.0", "1e3", "0x3", "seven", "2/3"))

@@ -9,7 +9,9 @@ functions, so a second copy of a table cannot grow behind an import of
 import left behind by a deleted function is caught by the second check,
 and a private helper left behind by one by the orphan check, since no
 linter runs over the package.  A ``ZpParams`` resolves its prime once, so
-no module resolves a record's p again through ``as_prime``.
+no module resolves a record's p again through ``as_prime``.  The command
+line has one exit path: only ``cli._emit`` and ``cli.main`` touch the
+standard streams.
 """
 
 import ast
@@ -240,6 +242,58 @@ def test_no_module_resolves_a_record_prime_again(module):
 )
 def test_record_prime_resolutions_finds_each_form(source, found):
     assert record_prime_resolutions(ast.parse(source)) == found
+
+
+_EXIT_PATH = ("_emit", "main")
+
+
+def stream_uses(tree: ast.Module) -> list[str]:
+    """Each ``print(`` call and each read of ``sys.stdout`` or ``sys.stderr``
+    outside the functions ``_emit`` (the one writer of a command's output)
+    and ``main`` (the one place that turns a refusal into an error line)."""
+    exempt = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name in _EXIT_PATH
+        for node in ast.walk(fn)
+    }
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if id(node) not in exempt
+        and (
+            (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print")
+            or (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("stdout", "stderr")
+                and getattr(node.value, "id", None) == "sys"
+            )
+        )
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_exit_path_touches_the_standard_streams(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert stream_uses(tree) == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def cmd(args):\n    print(3)\n    return 0", ["print(3)"]),
+        ("def cmd(args):\n    sys.stdout.writelines(x)", ["sys.stdout"]),
+        ("def cmd(args):\n    w = sys.stderr", ["sys.stderr"]),
+        ("print('x')", ["print('x')"]),
+        ("def main(argv):\n    print(f'error: {e}', file=sys.stderr)", []),
+        ("def _emit(chunks, out):\n    sys.stdout.writelines(chunks)\n    sys.stdout.flush()", []),
+        ("def main(argv):\n    def inner():\n        print(1)", []),
+        ("def f(r):\n    r.print(1)\n    return r.stdout", []),
+        ("import sys\nlimit = sys.get_int_max_str_digits()", []),
+    ],
+)
+def test_stream_uses_finds_each_form(source, found):
+    assert stream_uses(ast.parse(source)) == found
 
 
 def outside_imports(tree: ast.Module) -> list[str]:
