@@ -2,9 +2,9 @@
 numerics, holonomy matrices, class numbers.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
-an unwritable stdout or ``--out`` included.  Every command writes through
-``_emit`` and raises every refusal as a ValueError, which ``main`` alone
-turns into one ``error:`` line on stderr and exit 2.
+an unwritable stdout or ``--out`` included.  Every command, and ``--help``,
+writes through ``_emit`` and raises every refusal as a ValueError, which
+``main`` alone turns into one ``error:`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import charsums, eta, numtheory, spectrum
 from .eta import DomainError, Report
 from .exact import cyclotomic_ring, rational_str
 from .manifold import (
-    IntRows,
+    IntMatrix,
     ZpParams,
     build_holonomy,
     enumerate_params,
@@ -421,15 +421,16 @@ def _int_list(items, newline: str) -> str:
 
 
 def _json(obj, newline: str = "\n") -> str:
-    """Exactly ``json.dumps(obj, indent=2)``, without its pure-Python encoder.
+    """Exactly ``json.dumps(obj, indent=2)``, without its pure-Python encoder,
+    an ``IntMatrix`` written as the list of its rows.
 
     With an indent, ``json.dumps`` renders every item through Python-level
-    generators; here strings go through the C quoting function, and each
-    row of an ``IntMatrix`` (type ``IntRows``, whose entries the class
-    guarantees are ints) is written by ``_int_list`` without looking at
-    the type of its entries.  Any other list or tuple is written item by
-    item, so a bool in it is ``true``/``false``.  Keys must be str: any
-    other key raises TypeError.
+    generators; here strings go through the C quoting function, and an
+    object whose type is ``IntMatrix`` (the class guarantees its entries
+    are ints) has each row written by ``_int_list`` without looking at the
+    type of its entries.  Any list or tuple is written item by item, so a
+    bool in it is ``true``/``false``.  Keys must be str: any other key
+    raises TypeError.
     """
     if isinstance(obj, str):
         return _quote(obj)
@@ -438,15 +439,6 @@ def _json(obj, newline: str = "\n") -> str:
     if obj is None or obj is True or obj is False:
         return _LITERALS[obj]
     inner = newline + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        sep = "," + inner
-        if type(obj) is IntRows:  # IntMatrix checked every entry: no type scan
-            body = sep.join([_int_list(row, inner) for row in obj])
-        else:
-            body = sep.join([_json(item, inner) for item in obj])
-        return "[" + inner + body + newline + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -454,7 +446,13 @@ def _json(obj, newline: str = "\n") -> str:
             raise TypeError("certificate keys must be str")
         items = (_quote(key) + ": " + _json(value, inner) for key, value in obj.items())
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    return json.dumps(obj)  # floats, and the TypeError of anything else
+    if type(obj) is IntMatrix:  # the class checked every entry: no type scan
+        items = [_int_list(row, inner) for row in obj.rows]
+    elif isinstance(obj, (list, tuple)):
+        items = [_json(item, inner) for item in obj]
+    else:
+        return json.dumps(obj)  # floats, and the TypeError of anything else
+    return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -511,9 +509,7 @@ def _table_prime(p: int) -> numtheory.OddPrime:
 
 def cmd_series(args) -> int:
     _table_prime(args.p)
-    params = validate(args.p, args.a, args.b, args.c)
-    if not params.exceptional:
-        raise ValueError("series comparison needs an exceptional manifold ((b,c) = (0,1))")
+    params = validate(args.p, args.a, 0, 1)  # the exceptional manifold of (p, a)
     form = eta.eta_series_closed_form(params, args.h, args.ell)
     closed = eta.eta_series_eval(form, args.s)
     partial = eta.eta_spectral_partial(params, args.h, args.ell, args.s, args.terms)
@@ -536,7 +532,7 @@ def cmd_holonomy(args) -> int:
         "blocks": [f"C{params.p}"] * params.a
         + [f"J{params.p}"] * params.b
         + ["1"] * params.c,
-        "matrix": matrix.rows,
+        "matrix": matrix,
         "checks": report.to_dict(),
     }
     _emit((_json(payload), "\n"), args.out)
@@ -562,8 +558,19 @@ def _manifold_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--ideal", default="principal")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Sends its help text (and its subparsers') to stdout through ``_emit``:
+    argparse's own writer drops a write error, which ``--help`` must report."""
+
+    def print_help(self, file=None) -> None:
+        if file is None:
+            _emit((self.format_help(),), None)
+        else:
+            super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zpeta",
         description="Exact eta invariants and spin geometry of flat manifolds "
         "with odd-prime cyclic holonomy.",
@@ -591,8 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("series", help="closed form vs truncated spectral sum")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--b", type=int, default=0)
-    sp.add_argument("--c", type=int, default=1)
     sp.add_argument("--h", type=int, required=True, choices=(1, 2))
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--s", type=float, required=True)
@@ -621,11 +626,10 @@ def main(argv: list[str] | None = None) -> int:
     if _parser is None:
         _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    try:
+        args = _parser.parse_args(argv)  # --help writes through _emit, then exits 0
         return args.func(args)
+    except SystemExit as exc:  # raised only by argparse
+        return 2 if exc.code else 0
     except ValueError as exc:  # every validation and domain error is one
         print(f"error: {exc}", file=sys.stderr)
         return 2

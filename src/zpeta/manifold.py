@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -160,28 +161,23 @@ def enumerate_spin_structures(params: ZpParams) -> list[SpinStructure]:
     ]
 
 
-class IntRows(tuple):
-    """The rows of an ``IntMatrix``: a tuple of row tuples whose every entry
-    has type int (no bool).  Only ``IntMatrix`` makes one, after checking
-    each entry or from entries it computed itself, so a reader of the type
-    (the certificate writer) need not scan the entries again."""
-
-    __slots__ = ()
-
-
 class IntMatrix:
     """Square matrix of Python integers with exact operations.
 
-    Storage is dense (``rows`` is an ``IntRows``, a tuple of row tuples),
-    but the product skips zeros: row i of ``A @ B`` is the sum of B's rows
-    j scaled by the nonzero A[i][j] only, so a left factor with at most k
-    nonzeros per row (such as C_p or J_p) costs O(k n^2) instead of O(n^3).
+    Every entry has type int (no bool): the constructor checks each one and
+    ``_from_rows`` wraps only rows computed from ints, so a reader of the
+    type (the certificate writer) need not scan them; == and hash are by rows.
+
+    Storage is dense (``rows`` is a tuple of row tuples), but the product
+    skips zeros: row i of ``A @ B`` is the sum of B's rows j scaled by the
+    nonzero A[i][j] only, so a left factor with at most k nonzeros per row
+    (such as C_p or J_p) costs O(k n^2) instead of O(n^3).
     """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = IntRows(tuple(r) for r in rows)
+        rows = tuple(tuple(r) for r in rows)
         n = len(rows)
         for r in rows:
             if len(r) != n:
@@ -195,7 +191,7 @@ class IntMatrix:
     def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
         """Wrap rows that are already a square tuple of int tuples, unchecked."""
         m = object.__new__(cls)
-        m.rows = IntRows(rows)
+        m.rows = rows
         return m
 
     @property
@@ -349,9 +345,6 @@ class IntMatrix:
             coeffs.append(int(v))
         return tuple(coeffs)
 
-    def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
-
 
 MAX_HOLONOMY_N = 2000
 
@@ -416,8 +409,8 @@ def _divide_monic(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
-def _component_analysis(rows: tuple[tuple[int, ...], ...], p: int):
-    """(order or 0 if not dividing p, det, dim ker(M - I), exponents).
+def _component_analysis(block: IntMatrix, p: int):
+    """(order or 0 if not dividing p, det, dim ker(M - I), exponents) of the block M.
 
     The charpoly comes from the Hessenberg recurrence (``IntMatrix.charpoly``)
     and det(M) is (-1)^n times its constant term, so rank(M - I), the lazily
@@ -438,11 +431,10 @@ def _component_analysis(rows: tuple[tuple[int, ...], ...], p: int):
     Only e >= 2 with ker = f is left to the literal test M^p = I; no block
     of ``build_holonomy`` reaches it.
     """
-    comp = IntMatrix._from_rows(rows)
-    n = comp.n
-    cp = comp.charpoly()
+    n = block.n
+    cp = block.charpoly()
     det = (-1) ** n * cp[0]
-    ker = n - comp.add_scalar_identity(-1).rank()
+    ker = n - block.add_scalar_identity(-1).rank()
     exponents = []
     for factor in ((1,) * p, (-1, 1)):  # Phi_p, x - 1
         k = 0
@@ -452,7 +444,7 @@ def _component_analysis(rows: tuple[tuple[int, ...], ...], p: int):
     e, f = exponents
     if ker == n:
         order = 1
-    elif cp == (1,) and ker == f and (e <= 1 or comp.power(p) == IntMatrix.identity(n)):
+    elif cp == (1,) and ker == f and (e <= 1 or block.power(p) == IntMatrix.identity(n)):
         order = p
     else:
         order = 0
@@ -494,33 +486,34 @@ def holonomy_checks(m: IntMatrix, params: ZpParams) -> HolonomyReport:
     """Verify order, determinant, fixed space, and characteristic polynomial.
 
     The matrix is cut into its finest contiguous diagonal blocks (exact by
-    block multiplicativity), and the per-block analyses are cached, which
-    keeps large parameter sweeps cheap.  All arithmetic is exact.
+    block multiplicativity); each distinct block is analysed once, through a
+    cache, and weighted by its count.  All arithmetic is exact.
     """
     if m.n != params.n:
         raise ValueError(f"matrix is {m.n}x{m.n}, but {params} has n = {params.n}")
     p = params.p
-    analyses = [
-        _component_analysis(tuple(row[start:stop] for row in m.rows[start:stop]), p)
+    blocks = Counter(
+        tuple(row[start:stop] for row in m.rows[start:stop])
         for start, stop in _diagonal_blocks(m.rows)
-    ]
+    )
+    analyses = [(_component_analysis(IntMatrix._from_rows(b), p), k) for b, k in blocks.items()]
 
     # each block's order is 1, p or 0 (not dividing p)
-    orders = [a[0] for a in analyses]
+    orders = [a[0] for a, _ in analyses]
     power_identity = 0 not in orders
     order_exact = power_identity and p in orders
 
-    det = math.prod(a[1] for a in analyses)
-    ker = sum(a[2] for a in analyses)
+    det = math.prod(a[1] ** k for a, k in analyses)
+    ker = sum(a[2] * k for a, k in analyses)
 
     # Phi_p and x - 1 are distinct irreducibles of Z[x], so by unique
     # factorisation the product of the block charpolys is
     # Phi_p^a (x^p - 1)^b (x - 1)^c = Phi_p^(a+b) (x - 1)^(b+c) exactly
     # when no block has another factor and the exponents add up.
-    exponents = [a[3] for a in analyses]
+    exponents = [a[3] for a, _ in analyses]
     charpoly_ok = None not in exponents and (
-        sum(e for e, _ in exponents) == params.a + params.b
-        and sum(f for _, f in exponents) == params.b + params.c
+        sum(a[3][0] * k for a, k in analyses) == params.a + params.b
+        and sum(a[3][1] * k for a, k in analyses) == params.b + params.c
     )
 
     return HolonomyReport(
@@ -567,7 +560,6 @@ __all__ = [
     "HolonomyReport",
     "HomologyH1",
     "IntMatrix",
-    "IntRows",
     "MAX_HOLONOMY_N",
     "NotOddError",
     "NotPrimeError",

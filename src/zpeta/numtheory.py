@@ -8,7 +8,7 @@ Conventions for an odd prime p = 2q + 1:
 
 The shifted, weighted and difference sums are evaluated by literal direct
 summation, and never read a split form.  ``weighted_split`` (a weighted
-sum from two reads of the partial sums of the symbol) and ``S_split``
+sum from the partial sums of the symbol, W included) and ``S_split``
 (the difference sums S_1, S_2 as differences of it) are the split side;
 the appendix suite and the tests assert literal sum == split form.
 
@@ -68,7 +68,7 @@ def is_prime(n: int) -> bool:
 class OddPrime:
     """An odd prime p with the derived quantities q = (p-1)/2 and t = [p/4]."""
 
-    __slots__ = ("p", "q", "t", "_table", "_prefix", "_sums")
+    __slots__ = ("p", "q", "t", "_table", "_prefix", "_weight", "_sums")
 
     def __init__(self, p: int):
         if type(p) is not int:
@@ -80,7 +80,7 @@ class OddPrime:
         self.p = p
         self.q = (p - 1) // 2
         self.t = p // 4
-        self._table = self._prefix = None
+        self._table = self._prefix = self._weight = None
         self._sums = {}
 
     def legendre_table(self) -> tuple[int, ...]:
@@ -114,17 +114,17 @@ class OddPrime:
         return value
 
     def weighted_sum(self) -> int:
-        """sum_{j=1}^{p-1} (j/p) j"""
-        return self.literal_sum("weighted", 0, 1)
+        """W = sum_{j=1}^{p-1} (j/p) j, once per prime, from P = prefix_table()
+        and not from the literal memo: sum_u P[u] = sum_j (j/p)(p - j) = -W."""
+        if self._weight is None:
+            self._weight = -sum(self.prefix_table())
+        return self._weight
 
     def __eq__(self, other) -> bool:
         return isinstance(other, OddPrime) and other.p == self.p
 
     def __hash__(self) -> int:
         # read on every cyclotomic_ring(P) lookup; equal primes have equal p
-        return self.p
-
-    def __int__(self) -> int:
         return self.p
 
     def __repr__(self) -> str:
@@ -146,12 +146,12 @@ def as_prime(p: int | OddPrime) -> OddPrime:
 
 
 def class_number(p: int | OddPrime) -> int:
-    """h(-p) from the Dirichlet value -(w/2p) sum_j (j/p) j; needs p = 3 mod 4."""
+    """h(-p) from the literal Dirichlet sum -(w/2p) sum_j (j/p) j; needs p = 3 mod 4."""
     P = as_prime(p)
     if P.p % 4 != 3:
         raise ValueError(f"class_number needs p = 3 mod 4, got p = {P.p}")
     omega = 6 if P.p == 3 else 2
-    num = -omega * P.weighted_sum()
+    num = -omega * P.literal_sum("weighted", 0, 1)
     h, rem = divmod(num, 2 * P.p)
     if rem != 0 or h <= 0:
         raise ArithmeticError(f"class number formula failed for p = {P.p}")
@@ -243,7 +243,8 @@ def odd_weighted_legendre_sum(ell: int, sign: int, p: int | OddPrime) -> int:
 
 def weighted_split(base: int, sign: int, p: int | OddPrime) -> int:
     """The weighted sum sum_{j=1}^{p-1} ((base +- j)/p) j from two reads:
-    with b = base mod p, P = prefix_table() and W = sum_j (j/p) j,
+    with b = base mod p, P = prefix_table() and W = sum_j (j/p) j, itself
+    read off P (``OddPrime.weighted_sum``),
 
       sign +1:  p P[b - 1] + W
       sign -1:  (-1/p) (p P[p - b - 1] + W)

@@ -179,7 +179,7 @@ def test_appendix_reports_a_wrong_closed_form_cell(monkeypatch):
 
     def wrong_at_one_cell(h, l, c, p):
         value = right(h, l, c, p)
-        wrong = (h, l, c, int(p)) == (2, 3, 4, 5)
+        wrong = (h, l, c, as_prime(p).p) == (2, 3, 4, 5)
         return RadicalValue(-value.coeff, value.unit, value.radicand) if wrong else value
 
     monkeypatch.setattr(charsums, "F_h_chip", wrong_at_one_cell)
@@ -201,7 +201,7 @@ def test_appendix_reports_a_wrong_legendre_sum(monkeypatch):
 
     def wrong_at_one_cell(which, ell, p):
         value = right(which, ell, p)
-        return value + 1 if (which, ell, int(p)) == (2, 3, 5) else value
+        return value + 1 if (which, ell, as_prime(p).p) == (2, 3, 5) else value
 
     monkeypatch.setattr(numtheory, "S_direct", wrong_at_one_cell)
     report = suite_appendix(5)
@@ -225,7 +225,8 @@ def test_a_wrong_weighted_split_fails_the_checker_and_S_split(monkeypatch):
 
     def wrong_at_one_cell(base, sign, p):
         value = right(base, sign, p)
-        return value + 1 if (base % int(p), sign, int(p)) == (2, -1, 5) else value
+        q = as_prime(p).p
+        return value + 1 if (base % q, sign, q) == (2, -1, 5) else value
 
     monkeypatch.setattr(numtheory, "weighted_split", wrong_at_one_cell)
     report = suite_appendix(5)
@@ -259,6 +260,21 @@ def test_a_poisoned_memo_cell_fails_at_every_reader(monkeypatch):
         "expected": "1",
         "got": "2",
     }
+
+
+def test_a_poisoned_literal_weight_fails_the_weighted_checks_at_ell_0(monkeypatch):
+    # the literal sum's cell ("weighted", 0, +1) is W = sum_j (j/p) j; the
+    # split form takes W from the partial sums, so the weighted-sum checks
+    # at ell = 0, sign +1 (both factors) compare two sources, not one cell
+    P = as_prime(7)
+    right = P.weighted_sum()
+    monkeypatch.setitem(P._sums, ("weighted", 0, 1), right + 1)
+    report = _appendix_for_prime((7, None))
+    assert [(f.structure, f.ell, f.expected, f.got) for f in report.failures] == [
+        ("weighted-sum(factor=1)", 0, str(right), str(right + 1)),
+        ("weighted-sum(factor=2)", 0, str(right), str(right + 1)),
+        ("difference-sum-1", 0, str(numtheory.S_split(1, 0, P)), str(-2 * right - 1)),
+    ]
 
 
 def test_appendix_checks_pass_past_64_bit_coordinates():
@@ -332,7 +348,7 @@ def _plant(monkeypatch, name, wrong_at):
 
     def planted(*args):
         value = right(*args)
-        return wrong_at(value) if args[:-1] + (int(args[-1]),) == wrong_at.cell else value
+        return wrong_at(value) if args[:-1] + (as_prime(args[-1]).p,) == wrong_at.cell else value
 
     monkeypatch.setattr(charsums, name, planted)
 

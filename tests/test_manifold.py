@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from zpeta import manifold
 from zpeta.manifold import (
     IntMatrix,
-    IntRows,
     NotOddError,
     NotPrimeError,
     SpinStructure,
@@ -229,7 +228,7 @@ def test_holonomy_blocks():
     for p, a, b, c in ((3, 2, 1, 2), (5, 1, 2, 1), (7, 3, 0, 1), (5, 0, 1, 4)):
         kinds = "C" * a + "J" * b + "1" * c
         want = _block_diagonal_rows([_block_rows(k, p) for k in kinds])[0]
-        assert build_holonomy(validate(p, a, b, c)).to_lists() == want
+        assert [list(r) for r in build_holonomy(validate(p, a, b, c)).rows] == want
 
 
 def test_holonomy_rejects_nonprincipal_ideal():
@@ -257,6 +256,12 @@ def test_holonomy_fixed_space_dimension():
     report = holonomy_checks(build_holonomy(params), params)
     assert report.fixed_space_dim == 2
     assert report.all_ok
+
+
+def test_holonomy_checks_of_the_empty_matrix():
+    # no block at all: empty products and sums, and no block of order p
+    report = holonomy_checks(IntMatrix([]), ZpParams(3, 0, 0, 0))
+    assert (report.fixed_space_dim, report.failures) == (0, ("order_exact",))
 
 
 def test_holonomy_checks_reject_size_mismatch():
@@ -373,7 +378,7 @@ def test_intmatrix_elimination_matches_leibniz(rows):
 @given(_SQUARE_MATRICES, st.sampled_from((3, 5, 7)))
 def test_component_analysis_det_matches_leibniz(rows, p):
     # det is read off the charpoly's constant term, not eliminated
-    assert manifold._component_analysis(IntMatrix(rows).rows, p)[1] == _leibniz_det(rows)
+    assert manifold._component_analysis(IntMatrix(rows), p)[1] == _leibniz_det(rows)
 
 
 def test_intmatrix_power_and_order():
@@ -410,9 +415,9 @@ def _triple_loop_product(x, y):
 
 def _assert_canonical(m: IntMatrix):
     # a kernel result must be indistinguishable from a validated matrix
-    rebuilt = IntMatrix(m.to_lists())
+    rebuilt = IntMatrix([list(r) for r in m.rows])
     assert m == rebuilt and hash(m) == hash(rebuilt)
-    assert type(m.rows) is IntRows and all(type(r) is tuple for r in m.rows)
+    assert type(m.rows) is tuple and all(type(r) is tuple for r in m.rows)
 
 
 def _kernel_matrices(n):
@@ -431,10 +436,10 @@ _KERNEL_PAIRS = st.integers(1, 5).flatmap(lambda n: st.tuples(_kernel_matrices(n
 def test_intmatrix_product_matches_triple_loop(pair):
     x, y = pair
     prod = IntMatrix(x) @ IntMatrix(y)
-    assert prod.to_lists() == _triple_loop_product(x, y)
+    assert [list(r) for r in prod.rows] == _triple_loop_product(x, y)
     _assert_canonical(prod)
     shifted = IntMatrix(x).add_scalar_identity(-2)
-    assert shifted.to_lists() == [
+    assert [list(r) for r in shifted.rows] == [
         [v - 2 if i == j else v for j, v in enumerate(r)] for i, r in enumerate(x)
     ]
     _assert_canonical(shifted)
@@ -493,7 +498,7 @@ def test_intmatrix_power_matches_repeated_product(rows, k):
     for _ in range(k):
         expected = _triple_loop_product(expected, rows)
     got = IntMatrix(rows).power(k)
-    assert got.to_lists() == expected
+    assert [list(r) for r in got.rows] == expected
     _assert_canonical(got)
 
 
@@ -596,7 +601,7 @@ def test_charpoly_factor_count_matches_the_full_product(case):
         for start, stop in manifold._diagonal_blocks(IntMatrix(rows).rows)
     ]
     charpolys = [sub.charpoly() for sub in subs]
-    exponents = [manifold._component_analysis(sub.rows, p)[3] for sub in subs]
+    exponents = [manifold._component_analysis(sub, p)[3] for sub in subs]
     assert exponents == [_exponents_by_search(cp, p) for cp in charpolys]
     # unique factorisation: the exponent sums decide the full product test
     by_count = None not in exponents and (
@@ -614,6 +619,20 @@ def test_holonomy_charpoly_ok_matches_the_full_product(case):
     report = holonomy_checks(m, params)
     assert report.charpoly_ok == _full_product_test([m.charpoly()], p, a, b, c)
     assert ("charpoly" in report.failures) == (not report.charpoly_ok)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_block_diagonal())
+def test_holonomy_checks_of_repeated_blocks_match_the_whole_matrix(case):
+    # each distinct block is analysed once and weighted by its count
+    rows, p, _, (a, b, c) = case
+    m = IntMatrix(rows)
+    report = holonomy_checks(m, ZpParams(p, a, b, c))
+    assert report.fixed_space_dim == m.n - m.add_scalar_identity(-1).rank()
+    assert report.det_one == ((-1) ** m.n * m.charpoly()[0] == 1)
+    identity = IntMatrix.identity(m.n)
+    assert report.power_identity == (m.power(p) == identity)
+    assert report.order_exact == (report.power_identity and m != identity)
 
 
 @settings(max_examples=200, deadline=None)
@@ -665,7 +684,7 @@ def test_component_order_matches_the_literal_power(case, rnd):
     for m in (rows, permuted):
         for start, stop in manifold._diagonal_blocks(IntMatrix(m).rows):
             block = [r[start:stop] for r in m[start:stop]]
-            got = manifold._component_analysis(IntMatrix(block).rows, p)[0]
+            got = manifold._component_analysis(IntMatrix(block), p)[0]
             assert got == _literal_order(block, p), block
 
 
@@ -675,7 +694,7 @@ def _shear_conjugate_of_two_c3():
     m = IntMatrix(_block_diagonal_rows([c, c])[0])
     shear = [[int(i == j) + int((i, j) == (0, 2)) for j in range(4)] for i in range(4)]
     unshear = [[int(i == j) - int((i, j) == (0, 2)) for j in range(4)] for i in range(4)]
-    return (IntMatrix(shear) @ m @ IntMatrix(unshear)).to_lists()
+    return [list(r) for r in (IntMatrix(shear) @ m @ IntMatrix(unshear)).rows]
 
 
 @pytest.mark.parametrize(
@@ -689,7 +708,7 @@ def _shear_conjugate_of_two_c3():
 )
 def test_component_order_examples(rows, order):
     assert _literal_order(rows, 3) == order
-    assert manifold._component_analysis(IntMatrix(rows).rows, 3)[0] == order
+    assert manifold._component_analysis(IntMatrix(rows), 3)[0] == order
 
 
 def test_holonomy_checks_never_raise_a_block_to_the_pth_power(monkeypatch):

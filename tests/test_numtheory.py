@@ -447,6 +447,16 @@ def test_weighted_split_is_the_literal_weighted_sum(p):
             assert weighted_split(base, sign, P) == want, (base, sign)
 
 
+def test_weighted_sum_is_the_literal_weight_without_reading_its_memo():
+    # W = -sum_u P[u] against the literal Dirichlet sum (j/p) j, at every odd p < 2000
+    for p in odd_primes_upto(2000):
+        P = OddPrime(p)
+        w = P.weighted_sum()
+        assert not P._sums  # no literal cell read or filled
+        assert w == sum(P.legendre(j) * j for j in range(1, p)) == P.literal_sum("weighted", 0, 1)
+        assert P.weighted_sum() is w  # computed once
+
+
 def test_weighted_split_refuses_a_sign_other_than_plus_or_minus_1():
     for sign in (0, 2, -3):
         with pytest.raises(ValueError, match=f"sign must be \\+1 or -1, got {sign}"):
