@@ -289,10 +289,12 @@ def structure_records(params: ZpParams, structure: SpinStructure) -> list[Invari
     etabar_0 is computed once, and dim ker twice: it depends on ell only
     through whether p divides ell.  So for ell >= 2 a record whose eta
     equals the previous twist's holds that record's values at its own
-    ell, with no arithmetic.  Needs odd n.
+    ell, with no arithmetic.  Needs odd n and one of the record's own
+    structures, checked before any eta is computed.
     """
     if not params.n_odd:
         raise EvenDimensionError(f"invariants need odd n (b + c odd), got even n = {params.n}")
+    params.check_structure(structure)
     eta_0, d_0, bar_0 = _eta_bar(params, structure, 0)
     records = [_record(structure, 0, eta_0, d_0, bar_0, bar_0)]
     d_1 = dim_ker(params, structure, 1)
@@ -316,10 +318,12 @@ def untwisted_closed_form(params: ZpParams, structure: SpinStructure) -> Fractio
         (1/2p) (2^{(n-1)/2} + (2/p)^a (p-1)) - C
     Non-trivial structures: (1 - (2/p)) C for h = 2, 0 for h = 1.
     The class-number term C is (-1)^{(a-1)/2} 2 p^{(a-1)/2} h(-p)/w(-p)
-    on an exceptional manifold with a odd and p = 3 (4), else 0.
+    on an exceptional manifold with a odd and p = 3 (4), else 0.  Needs
+    odd n and one of the record's own structures.
     """
     if not params.n_odd:
         raise EvenDimensionError(f"untwisted closed form needs odd n, got n = {params.n}")
+    params.check_structure(structure)
     P = params.prime
     p, a = P.p, params.a
     l2 = P.legendre(2)

@@ -44,13 +44,16 @@ class EvenDimensionError(ValueError):
 
 @dataclass(frozen=True)
 class ZpParams:
-    """Classification data (p, a, b, c) plus an ideal label.
+    """Classification data (p, a, b, c) plus an ideal label: the one place
+    that decides what a manifold of the family is.
 
-    The record refuses a p that is not an odd prime (through ``as_prime``,
-    whose ``OddPrime`` it keeps as ``prime``) and any label but the
-    principal one, the only ideal class with a matrix model.  The a, b, c
-    constraints are ``validate``'s: tests describe planted matrices by
-    records with a + b = 0 or c = 0.
+    The record refuses, in this order, an a, b or c that is not a
+    non-negative int (a bool included), a + b = 0
+    (``ZeroHolonomyBlockError``), c = 0 (``TorsionViolationError``), a p
+    that is not an odd prime (through ``as_prime``, whose ``OddPrime`` it
+    keeps as ``prime``) and any label but the principal one, the only
+    ideal class with a matrix model.  ``check_structure`` decides whether
+    a spin structure is one of its own.
     """
 
     p: int
@@ -68,6 +71,14 @@ class ZpParams:
 
     def __post_init__(self) -> None:
         p, a, b, c = self.p, self.a, self.b, self.c
+        # one test on the valid path: a sweep builds ~10^4 records
+        if not (type(a) is type(b) is type(c) is int and a >= 0 and b >= 0 and c >= 1 and a + b):
+            for name, v in (("a", a), ("b", b), ("c", c)):
+                if type(v) is not int or v < 0:
+                    raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
+            if a + b == 0:
+                raise ZeroHolonomyBlockError("a + b must be positive")
+            raise TorsionViolationError("c must be >= 1")
         prime = as_prime(p)  # raises ValueError / NotPrimeError / NotOddError
         if self.ideal_label != "principal":
             raise UnsupportedIdealError(f"no matrix model for ideal class {self.ideal_label!r}")
@@ -75,6 +86,14 @@ class ZpParams:
         self.__dict__.update(  # the record is frozen
             prime=prime, n=n, beta1=b + c, exceptional=(b, c) == (0, 1), n_odd=n % 2 == 1
         )
+
+    def check_structure(self, structure: SpinStructure) -> None:
+        """Refuse a spin structure whose b + c - 1 delta signs are not this
+        record's: the one test every consumer of a structure goes through."""
+        if len(structure.deltas) != self.beta1 - 1:
+            raise ValueError(
+                f"structure has {len(structure.deltas)} delta signs, expected {self.beta1 - 1}"
+            )
 
     def key(self) -> tuple[int, int, int, int]:
         return (self.p, self.a, self.b, self.c)
@@ -88,18 +107,12 @@ class ZpParams:
 
 
 def validate(p: int, a: int, b: int, c: int, ideal_label: str = "principal") -> ZpParams:
-    """Check (a, b, c) and return the record, which checks p and the label.
+    """The record of (p, a, b, c): ``ZpParams`` makes every check.
 
-    Even total dimension is allowed (flagged by ``n_odd``, not an
-    error); downstream spectral operations refuse it themselves.
+    Kept as the named entry point of the command line and the library
+    examples.  Even total dimension is allowed (flagged by ``n_odd``, not
+    an error); downstream spectral operations refuse it themselves.
     """
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        if type(v) is not int or v < 0:
-            raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
-    if a + b == 0:
-        raise ZeroHolonomyBlockError("a + b must be positive")
-    if c == 0:
-        raise TorsionViolationError("c must be >= 1")
     return ZpParams(p, a, b, c, ideal_label)
 
 

@@ -106,15 +106,13 @@ def dim_ker(params: ZpParams, structure: SpinStructure, ell: int) -> int:
     """Dimension of the harmonic spinor space for the twist ell.
 
     Zero for every non-trivial-type structure; the exact closed form for
-    the trivial one.  Requires odd n.
+    the trivial one.  Requires odd n and one of the record's own structures
+    (``ZpParams.check_structure``).
     """
     check_ints("ell", ell)
     if not params.n_odd:
         raise EvenDimensionError(f"kernel formula needs odd n, got n = {params.n}")
-    if len(structure.deltas) != params.beta1 - 1:
-        raise ValueError(
-            f"structure has {len(structure.deltas)} delta signs, expected {params.beta1 - 1}"
-        )
+    params.check_structure(structure)
     if not structure.trivial_type:
         return 0
     P, p = params.prime, params.p

@@ -2,29 +2,32 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import pickle
 import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import zpeta
-from zpeta import cli, eta, spectrum
+from zpeta import charsums, cli, eta, spectrum
 from zpeta.cli import invariant_rows, main, run_suite
-from zpeta.exact import rational_str
+from zpeta.exact import cyclotomic_ring, rational_str
 from zpeta.manifold import (
     MAX_HOLONOMY_N,
     IntMatrix,
     enumerate_params,
     enumerate_spin_structures,
+    prime_sweep,
     validate,
 )
-from zpeta.numtheory import is_prime, odd_primes_upto
+from zpeta.numtheory import as_prime, is_prime, odd_primes_upto
 
 
 def run(capsys, *argv):
@@ -313,6 +316,133 @@ def test_oracles_report_a_wrong_kernel_oracle(monkeypatch):
         {"params": "(3,2,1,2)", "structure": "dim-ker", "ell": 1, "expected": "6", "got": "5.999"},
     ]
 
+
+
+def _verify(capsys, suite, p_max, jobs, *more):
+    """Exit code and certificate of one verify run, which writes no stderr."""
+    code, out, err = run(
+        capsys, "verify", "--suite", suite, "--p-max", str(p_max), "--jobs", str(jobs), *more
+    )
+    assert err == ""
+    return code, json.loads(out)
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_a_multiplicity_oracle_off_the_integers_is_a_failed_case(capsys, monkeypatch, jobs):
+    # F_direct one z off at (l, c) = (1, 1): the oracle's ring value is no
+    # integer there, a failure entry with the error text as got, not an escape
+    cases = run_suite("oracles", 7, 10).cases
+    right = spectrum.F_direct
+
+    def one_z_off(h, chi, l, c, p):
+        value = right(h, chi, l, c, p)
+        return value + (1 << cyclotomic_ring(as_prime(p)).bits) if (l, c) == (1, 1) else value
+
+    monkeypatch.setattr(spectrum, "F_direct", one_z_off)
+    code, report = _verify(capsys, "oracles", 7, jobs, "--n-max", "10")
+    # the oracle reads F at c' = (c - h) mod p + 1
+    cells = [
+        (validate(p, a, 0, 1), h, c)
+        for p in (3, 5, 7)
+        for a in range(1, 6)
+        for h in (1, 2)
+        for c in range(1, 3 * p + 1)
+        if (c - h) % p == 0
+    ]
+    assert code == 1 and report["cases"] == cases
+    assert report["failures"] == [
+        {
+            "params": str(q),
+            "structure": f"mult-diff(h={h},c={c})",
+            "ell": 1,
+            "expected": str(spectrum.mult_diff_by_index(q, h, 1, c)),
+            "got": f"multiplicity oracle for {q}, h={h}, ell=1, c={c} is not an integer",
+        }
+        for q, h, c in cells
+    ]
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_a_kernel_oracle_off_the_integers_is_a_failed_case(capsys, monkeypatch, jobs):
+    # the cosine product one z off at p = 3: every kernel sum there is no integer
+    right = spectrum.half_period_product
+
+    def one_z_off(kind, p):
+        value = dict(right(kind, p))
+        if as_prime(p).p == 3:
+            value[1] = value.get(1, 0) + 1
+        return value
+
+    spectrum._kernel_sums.cache_clear()  # a cached sum would skip the product
+    monkeypatch.setattr(spectrum, "half_period_product", one_z_off)
+    try:
+        code, report = _verify(capsys, "oracles", 5, jobs, "--n-max", "10")
+    finally:
+        spectrum._kernel_sums.cache_clear()
+    cells = [(q, ell) for q in prime_sweep(3, 10) for ell in range(3)]
+    assert code == 1
+    assert [(f["params"], f["structure"], f["ell"]) for f in report["failures"]] == [
+        (str(q), "dim-ker", ell) for q, ell in cells
+    ]
+    for entry, (q, ell) in zip(report["failures"], cells):
+        assert entry["expected"] == str(spectrum.dim_ker(q, eta.structure_classes(q)[0], ell))
+        assert entry["got"].startswith(f"kernel oracle sum at p=3, a+b={q.a + q.b}, ell=")
+        assert entry["got"].endswith(" is not an integer")
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+@pytest.mark.parametrize(
+    "planted, refusal",
+    [
+        (Fraction(1, 3), "1 * 1/3 is not in Z[zeta_{}]"),
+        (10**60, "1 * " + "1" + "0" * 60 + " does not fit a {}-bit slot"),
+    ],
+    ids=("not-integral", "past-the-slots"),
+)
+def test_a_closed_form_outside_the_ring_is_a_failed_case(
+    capsys, monkeypatch, jobs, planted, refusal
+):
+    # embed refuses the closed form (ValueError, OverflowError): one failure
+    # entry per cell, naming the family and p, and the certificate is written
+    right = charsums.G_h_chi0
+    monkeypatch.setattr(
+        charsums, "G_h_chi0", lambda h, l, p: planted if l == 1 else right(h, l, p)
+    )
+    code, report = _verify(capsys, "appendix", 5, jobs)
+    failures = []
+    for p in (3, 5):
+        ring = cyclotomic_ring(as_prime(p))
+        slot = 4 * p if planted == Fraction(1, 3) else ring.bits
+        for h in (1, 2):
+            failures.append({
+                "params": f"p={p}",
+                "structure": f"gauss-trivial(h={h},l=1)",
+                "ell": None,
+                "expected": refusal.format(slot),
+                "got": ring.to_str(charsums.gauss_direct(h, charsums.CHI0, 1, p)),
+            })
+    assert code == 1 and report["cases"] == run_suite("appendix", 5, None).cases
+    assert report["failures"] == failures
+
+
+def test_a_trig_product_outside_the_ring_is_a_failed_case(capsys, monkeypatch):
+    right = charsums.trig_prod
+    monkeypatch.setattr(
+        charsums, "trig_prod", lambda kind, k, p: Fraction(1, 3) if k == 1 else right(kind, k, p)
+    )
+    code, report = _verify(capsys, "appendix", 3, 1)
+    ring = cyclotomic_ring(as_prime(3))
+    assert code == 1
+    assert report["failures"] == [
+        {
+            "params": "p=3",
+            "structure": f"trig-product({kind},k=1)",
+            "ell": None,
+            "expected": "2 * 1/3 is not in Z[zeta_12]",
+            "got": ring.to_str(charsums.trig_prod_direct(kind, 1, 3)),
+        }
+        for kind in ("sin", "cos")
+    ]
 
 @pytest.mark.parametrize("cost", (cli._twists, cli._one))
 @pytest.mark.parametrize("p_max, n_max", ((3, 3), (7, 13), (13, 40), (31, 60)))
@@ -842,9 +972,21 @@ def test_invariants_past_the_row_bound_refuse_before_building_a_structure(capsys
         raise LookupError(f"structure_classes ran for {params}")
 
     monkeypatch.setattr(eta, "structure_classes", unreachable)
-    # 524287 * 2 = 2^20 - 2 rows is admitted, the next prime 524309 is not
-    with pytest.raises(LookupError, match="structure_classes ran"):
-        invariant_rows(validate(524287, 1, 0, 1))
+    # 524287 * 2 = 2^20 - 2 rows is admitted, the next prime 524309 is not.
+    # The admitted table's dim ker has about 79,000 digits, so the digit
+    # bound refuses it first, also before any structure; with no digit
+    # limit it reaches the structures
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        with pytest.raises(eta.DomainError, match=r"^an invariant of \(524287,1,0,1\) has more"):
+            invariant_rows(validate(524287, 1, 0, 1))
+        sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(LookupError, match="structure_classes ran"):
+            invariant_rows(validate(524287, 1, 0, 1))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     for p, b in (("524309", "0"), ("3", "18"), ("3", "1000000000")):
         code, out, err = run(capsys, "invariants", "--p", p, "--a", "1", "--b", b, "--c", "1")
         assert (code, out) == (2, "")
@@ -911,6 +1053,69 @@ def test_invariants_beyond_the_digit_limit_is_a_domain_error(capsys, a, fmt):
     )
     assert sys.get_int_max_str_digits() == limit
 
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no digit limit"
+)
+def test_invariants_far_past_the_digit_limit_refuse_before_any_record(capsys, monkeypatch):
+    # the refusal was the str() of computed values: 3.3 s of big-integer work at a = 10^7 + 1
+    argv = ("invariants", "--p", "3", "--a", "10000001", "--b", "0", "--c", "1")
+    line = (
+        f"error: an invariant of (3,10000001,0,1) has more than "
+        f"{sys.get_int_max_str_digits()} digits, the interpreter's limit for printing an integer\n"
+    )
+    start = time.perf_counter()
+    assert run(capsys, *argv, "--out", os.devnull) == (2, "", line)
+    assert time.perf_counter() - start < 0.5
+
+    def unreachable(params, structure):
+        raise LookupError(f"structure_records ran for {params}")
+
+    monkeypatch.setattr(eta, "structure_records", unreachable)
+    assert run(capsys, *argv) == (2, "", line)
+
+
+def _printable(params) -> bool:
+    """Whether every value of the invariant table converts to a string."""
+    try:
+        for structure in eta.structure_classes(params):
+            for rec in eta.structure_records(params, structure):
+                str((rec.eta, rec.dim_ker, rec.eta_bar, rec.eta_bar_mod_Z, rec.relative_mod_Z))
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no digit limit"
+)
+@pytest.mark.parametrize("p, b, c", ((3, 0, 1), (3, 2, 1), (5, 1, 2), (7, 0, 3), (13, 3, 2)))
+def test_the_early_digit_refusal_refuses_only_unprintable_tables(monkeypatch, p, b, c):
+    # the lower bound refuses before any record; str() decides near the limit
+    built = []
+    records = eta.structure_records
+
+    def counting(params, structure):
+        built.append(params)
+        return records(params, structure)
+
+    centre = round(sys.get_int_max_str_digits() / math.log10(2) / ((p - 1) // 2))
+    outcomes = set()
+    for ab in range(centre - 10, centre + 25):
+        params = validate(p, ab - b, b, c)
+        printable = _printable(params)
+        monkeypatch.setattr(eta, "structure_records", counting)
+        built.clear()
+        try:
+            cli._class_tables(params)
+            refused = None
+        except eta.DomainError:
+            refused = "late" if built else "early"
+        monkeypatch.undo()
+        assert (refused is None) == printable, params
+        outcomes.add(refused)
+    assert outcomes == {None, "late", "early"}
 
 @pytest.mark.parametrize("a, b, fmt", (("20001", "0", "json"), ("1", "18", "csv")))
 def test_invariants_refused_before_output_create_no_file(capsys, tmp_path, a, b, fmt):

@@ -128,6 +128,32 @@ def test_structure_records_of_a_nonprime_manifold_are_refused():
         structure_records(ZpParams(9, 1, 1, 2), SpinStructure((1, 1), 2))
 
 
+
+@pytest.mark.parametrize(
+    "key, deltas",
+    [((5, 1, 0, 1), (1, 1)), ((5, 1, 1, 2), ()), ((3, 2, 1, 2), (1, -1, 1)), ((7, 1, 2, 1), (1,))],
+)
+def test_a_foreign_structure_is_refused_with_one_message(monkeypatch, key, deltas):
+    # ZpParams.check_structure decides; structure_records asks before any eta
+    params = validate(*key)
+    message = f"structure has {len(deltas)} delta signs, expected {params.beta1 - 1}"
+
+    def no_eta(*args):
+        raise AssertionError("an eta was computed for a foreign structure")
+
+    monkeypatch.setattr(eta, "eta_invariant", no_eta)
+    for h in (1, 2):
+        structure = SpinStructure(deltas, h)
+        for refuse in (
+            lambda: params.check_structure(structure),
+            lambda: dim_ker(params, structure, 0),
+            lambda: structure_records(params, structure),
+            lambda: untwisted_closed_form(params, structure),
+        ):
+            with pytest.raises(ValueError) as info:
+                refuse()
+            assert type(info.value) is ValueError and str(info.value) == message
+
 def test_closed_form_zero_cases():
     assert eta_series_closed_form(validate(5, 1, 1, 2), 1, 2).is_zero
     assert eta_series_closed_form(validate(5, 2, 0, 1), 1, 0).is_zero

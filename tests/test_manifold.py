@@ -42,6 +42,29 @@ def _params_with_even_n(p_max, n_max):
     ]
 
 
+
+@dataclasses.dataclass(frozen=True)
+class _Claimed:
+    """Block counts (p, a, b, c) read off a planted matrix, with the n, beta1
+    and str that holonomy_checks reads.  Unlike a ZpParams it may have
+    a + b = 0 or c = 0, as a matrix of 1 blocks or of C_p blocks does."""
+
+    p: int
+    a: int
+    b: int
+    c: int
+
+    @property
+    def n(self) -> int:
+        return self.a * (self.p - 1) + self.b * self.p + self.c
+
+    @property
+    def beta1(self) -> int:
+        return self.b + self.c
+
+    def __str__(self) -> str:
+        return f"({self.p},{self.a},{self.b},{self.c})"
+
 def test_validate_examples():
     tri = validate(3, 1, 0, 1)
     assert tri.n == 3 and tri.exceptional and tri.n_odd
@@ -126,6 +149,52 @@ def test_params_record_resolves_its_prime_and_label(args, error, message):
     assert back.prime.p == params.p and back.prime is params.prime  # resolved, not copied
     assert back == params and hash(back) == hash(params) and repr(back) == repr(params)
 
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((3, -1, 0, 1), ValueError, "a must be a non-negative integer, got -1"),
+        ((3, 1, -2, 1), ValueError, "b must be a non-negative integer, got -2"),
+        ((3, 1, 0, -1), ValueError, "c must be a non-negative integer, got -1"),
+        ((3, 1.0, 0, 1), ValueError, "a must be a non-negative integer, got 1.0"),
+        ((3, 1, 0.0, 1), ValueError, "b must be a non-negative integer, got 0.0"),
+        ((3, 1, 0, 1.5), ValueError, "c must be a non-negative integer, got 1.5"),
+        ((3, True, 0, 1), ValueError, "a must be a non-negative integer, got True"),
+        ((3, 1, False, 1), ValueError, "b must be a non-negative integer, got False"),
+        ((3, 1, 0, True), ValueError, "c must be a non-negative integer, got True"),
+        ((3, 0, 0, 1), ZeroHolonomyBlockError, "a + b must be positive"),
+        ((3, 1, 0, 0), TorsionViolationError, "c must be >= 1"),
+        ((3, 0, 0, 0), ZeroHolonomyBlockError, "a + b must be positive"),
+        # a bad a, b or c is reported before a bad p or label
+        ((9, -1, 0, 1), ValueError, "a must be a non-negative integer, got -1"),
+        ((2, 0, 0, 1), ZeroHolonomyBlockError, "a + b must be positive"),
+        ((7.0, 1, 0, 0), TorsionViolationError, "c must be >= 1"),
+        ((5, 0, 0, 1, "a2"), ZeroHolonomyBlockError, "a + b must be positive"),
+    ],
+)
+def test_params_record_refuses_what_validate_refuses(args, error, message):
+    # one constructor: the record is what decides, and validate only builds it
+    for build in (ZpParams, validate):
+        with pytest.raises(error) as info:
+            build(*args)
+        assert type(info.value) is error and str(info.value) == message
+
+
+SMALL_OR_NOT_AN_INT = st.one_of(
+    st.integers(-2, 3), st.booleans(), st.floats(-2, 3), st.sampled_from(("1", None))
+)
+
+
+@given(st.sampled_from((3, 5, 2, 9, 3.0, True)), *[SMALL_OR_NOT_AN_INT] * 3)
+def test_params_record_and_validate_agree_on_every_input(p, a, b, c):
+    outcomes = []
+    for build in (ZpParams, validate):
+        try:
+            outcomes.append(build(p, a, b, c))
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 def test_homology_examples():
     h = homology_h1(validate(3, 1, 0, 1))
@@ -260,7 +329,7 @@ def test_holonomy_fixed_space_dimension():
 
 def test_holonomy_checks_of_the_empty_matrix():
     # no block at all: empty products and sums, and no block of order p
-    report = holonomy_checks(IntMatrix([]), ZpParams(3, 0, 0, 0))
+    report = holonomy_checks(IntMatrix([]), _Claimed(3, 0, 0, 0))
     assert (report.fixed_space_dim, report.failures) == (0, ("order_exact",))
 
 
@@ -615,7 +684,7 @@ def test_charpoly_factor_count_matches_the_full_product(case):
 def test_holonomy_charpoly_ok_matches_the_full_product(case):
     rows, p, _, (a, b, c) = case
     m = IntMatrix(rows)
-    params = ZpParams(p, a, b, c)
+    params = _Claimed(p, a, b, c)
     report = holonomy_checks(m, params)
     assert report.charpoly_ok == _full_product_test([m.charpoly()], p, a, b, c)
     assert ("charpoly" in report.failures) == (not report.charpoly_ok)
@@ -627,7 +696,7 @@ def test_holonomy_checks_of_repeated_blocks_match_the_whole_matrix(case):
     # each distinct block is analysed once and weighted by its count
     rows, p, _, (a, b, c) = case
     m = IntMatrix(rows)
-    report = holonomy_checks(m, ZpParams(p, a, b, c))
+    report = holonomy_checks(m, _Claimed(p, a, b, c))
     assert report.fixed_space_dim == m.n - m.add_scalar_identity(-1).rank()
     assert report.det_one == ((-1) ** m.n * m.charpoly()[0] == 1)
     identity = IntMatrix.identity(m.n)
@@ -662,7 +731,7 @@ def test_holonomy_checks_invariant_under_conjugation_by_a_permutation(case, rnd)
     sigma = list(range(len(rows)))
     rnd.shuffle(sigma)
     permuted = [[rows[i][j] for j in sigma] for i in sigma]
-    params = ZpParams(p, a, b, c)
+    params = _Claimed(p, a, b, c)
     report = holonomy_checks(IntMatrix(rows), params)
     assert holonomy_checks(IntMatrix(permuted), params).to_dict() == report.to_dict()
 
