@@ -2,9 +2,10 @@
 numerics, holonomy matrices, class numbers.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
-an unwritable stdout or ``--out`` included.  Every command, and ``--help``,
-writes through ``_emit`` and raises every refusal as a ValueError, which
-``main`` alone turns into one ``error:`` line on stderr and exit 2.
+an unwritable stdout or ``--out`` included, whether or not stderr can take
+the error line.  Every command, and ``--help``, writes through ``_emit`` and
+raises every refusal as a ValueError, which ``main`` alone turns into one
+``error:`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -185,26 +186,18 @@ def _oracles_for_prime(item: tuple[int, int]) -> Report:
     return report
 
 
-def _twists(params: ZpParams) -> int:
-    return params.p
-
-
-def _one(params: ZpParams) -> int:
-    return 1
-
-
-# suite: (checker of one work item, default p_max, default n_max, cost of one
-# manifold).  A cost of None makes one item (p, n_max) per odd prime; else the
-# items are chunks of enumerate_params(p_max, n_max) cut by that cost.  The eta
-# checkers look up cli.eta when they run: the pool pickles only _run_item and
-# the suite name, and a rebound cli.eta (the benchmark's tracing proxy, a
-# monkeypatch) must reach every worker.
+# suite: (checker of one work item, default p_max, default n_max, sweep).
+# A sweep suite's items are contiguous slices of enumerate_params(p_max,
+# n_max), one per worker (_chunks); any other suite has one item (p, n_max)
+# per odd prime.  The eta checkers look up cli.eta when they run: the pool
+# pickles only _run_item and the suite name, and a rebound cli.eta (the
+# benchmark's tracing proxy, a monkeypatch) must reach every worker.
 _SUITES = {
-    "integrality": (lambda chunk: eta.verify_integrality(chunk), 13, 60, _twists),
-    "parity": (lambda chunk: eta.verify_parity(chunk), 13, 60, _twists),
-    "appendix": (_appendix_for_prime, 97, None, None),
-    "oracles": (_oracles_for_prime, 31, 60, None),
-    "untwisted": (lambda chunk: eta.verify_untwisted(chunk), 13, 60, _one),
+    "integrality": (lambda chunk: eta.verify_integrality(chunk), 13, 60, True),
+    "parity": (lambda chunk: eta.verify_parity(chunk), 13, 60, True),
+    "appendix": (_appendix_for_prime, 97, None, False),
+    "oracles": (_oracles_for_prime, 31, 60, False),
+    "untwisted": (lambda chunk: eta.verify_untwisted(chunk), 13, 60, True),
 }
 
 
@@ -214,25 +207,12 @@ def _run_item(task: tuple[str, object]) -> Report:
     return _SUITES[suite][0](item)
 
 
-def _chunks(items: list[ZpParams], count: int, cost) -> list[list[ZpParams]]:
-    """At most count contiguous chunks of the sweep, cut by cumulative cost.
-
-    Chunk k ends at the first item whose running cost reaches k/count of
-    the total, so no chunk costs more than sum(cost)/count + max(cost).
-    The chunks stay in sweep order because the merge concatenates them.
-    """
-    if count <= 1 or len(items) <= 1:
-        return [items]
-    weights = [cost(q) for q in items]
-    total = sum(weights)
-    out, start, acc, cut = [], 0, 0, 1
-    for i, w in enumerate(weights, 1):
-        acc += w
-        if cut < count and acc * count >= cut * total and i < len(items):
-            out.append(items[start:i])
-            start, cut = i, cut + 1
-    out.append(items[start:])
-    return out
+def _chunks(items: list, count: int) -> list[list]:
+    """count contiguous slices of items, in order, lengths differing by at
+    most one: slice k ends at ceil((k + 1) len(items) / count).  The merge
+    concatenates the reports in this order."""
+    ends = [-(-k * len(items) // count) for k in range(count + 1)]
+    return [items[start:end] for start, end in zip(ends, ends[1:])]
 
 
 def _workers(jobs: int, items: int) -> int:
@@ -262,14 +242,14 @@ def _merge_reports(suite: str, parts: list[Report]) -> Report:
 
 
 def run_suite(suite: str, p_max: int | None, n_max: int | None, jobs: int = 1) -> Report:
-    _, default_p, default_n, cost = _SUITES[suite]
+    _, default_p, default_n, sweep = _SUITES[suite]
     p_max = default_p if p_max is None else p_max
     n_max = default_n if n_max is None else n_max
-    if cost is None:
-        items = [(p, n_max) for p in numtheory.odd_primes_upto(p_max)]
+    if sweep:
+        params = enumerate_params(p_max, n_max)
+        items = _chunks(params, _workers(jobs, len(params)))
     else:
-        sweep = enumerate_params(p_max, n_max)
-        items = _chunks(sweep, _workers(jobs, len(sweep)), cost)
+        items = [(p, n_max) for p in numtheory.odd_primes_upto(p_max)]
     parts = _pmap(_run_item, [(suite, item) for item in items], jobs)
     return _merge_reports(suite, parts)
 
@@ -490,15 +470,24 @@ def _json(obj, newline: str = "\n") -> str:
     return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
 
 
+def _to_devnull(stream) -> None:
+    """Point the file descriptor of stream, one of the process's own
+    standard streams, at os.devnull after a write to it failed: the
+    interpreter's last flush of what is left in its buffer then fails no
+    more, and adds no exit code 120."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def _emit(chunks: Iterable[str], out: str | None) -> None:
     """Write the chunks to the file out, or to stdout (flushed) when out is
     not given: the one writer of every command's output.
 
     The file is opened only here, so a command that raises before its
     call creates no file.  An unwritable out or stdout (a full device, a
-    closed pipe) is a usage error (exit 2), not a traceback.  When the
-    process's own stdout fails, fd 1 is pointed at os.devnull, so the
-    interpreter's last flush of what is left in its buffer fails no more.
+    closed pipe) is a usage error (exit 2), not a traceback; a failed
+    process stdout is pointed at os.devnull (``_to_devnull``).
     """
     try:
         if out:
@@ -509,9 +498,7 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
             sys.stdout.flush()
     except OSError as exc:
         if not out and sys.stdout is sys.__stdout__:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            _to_devnull(sys.stdout)
         raise ValueError(f"cannot write {out or 'stdout'}: {exc.strerror or exc}") from None
 
 
@@ -666,7 +653,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # raised only by argparse
         return 2 if exc.code else 0
     except ValueError as exc:  # every validation and domain error is one
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            print(f"error: {exc}", file=sys.stderr)
+        except OSError:  # an unwritable stderr: the exit code alone reports it
+            if sys.stderr is sys.__stderr__:
+                _to_devnull(sys.stderr)
         return 2
 
 

@@ -126,13 +126,14 @@ def dim_ker(params: ZpParams, structure: SpinStructure, ell: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _kernel_sums(ab: int, p: int) -> tuple[int, ...]:
+def _kernel_sums(ab: int, p: int) -> tuple[int | None, ...]:
     """sum_{k=0}^{p-1} eps_k (2^q C(k))^{ab} z^{4k ell} for ell = 0..p-1, with
     eps_k = (-1)^{k [(q+1)/2] ab} and C(k) = prod_{j=1}^q cos(jk pi/p).
 
     2^q C(k) is the image of the product at k = 1 under z -> z^k, so its
     power is the image of one power modulo z^{4p} - 1, taken by repeated
-    squaring.  OracleResidualError unless each sum is a rational integer.
+    squaring.  A sum that is not a rational integer is None, so the table
+    is cached either way and ``dim_ker_oracle`` refuses it at its own ell.
     """
     P = as_prime(p)
     ring, n = cyclotomic_ring(P), 4 * p
@@ -150,11 +151,7 @@ def _kernel_sums(ab: int, p: int) -> tuple[int, ...]:
             for k in range(p):
                 total[e * k % n] += -w if flip and k % 2 else w
         coords = ring.reduce(total)
-        if any(coords[1:]):
-            raise OracleResidualError(
-                f"kernel oracle sum at p={p}, a+b={ab}, ell={ell} is not an integer"
-            )
-        sums.append(coords[0])
+        sums.append(None if any(coords[1:]) else coords[0])
     return tuple(sums)
 
 
@@ -164,16 +161,20 @@ def dim_ker_oracle(params: ZpParams, ell: int) -> int:
     (2^m / p) sum_{k=0}^{p-1} (-1)^{k [(q+1)/2] (a+b)}
         (prod_{j=1}^q cos(jk pi/p))^{a+b} e^{2 pi i k ell / p},
     m = (n-1)/2, evaluated exactly: 2^{m - q(a+b)} = 2^{(b+c-1)/2} times the
-    ring sum of _kernel_sums, over p.  OracleResidualError unless that is an
-    integer.
+    ring sum of _kernel_sums, over p.  OracleResidualError unless that sum
+    is a rational integer and the quotient an integer.
     """
     check_ints("ell", ell)
     if not params.n_odd:
         raise EvenDimensionError(f"kernel oracle needs odd n, got n = {params.n}")
     P = params.prime
     ab = params.a + params.b
-    total = _kernel_sums(ab, P.p)[ell % P.p] << ((params.n - 1) // 2 - P.q * ab)
-    d, rem = divmod(total, P.p)
+    total = _kernel_sums(ab, P.p)[ell % P.p]
+    if total is None:
+        raise OracleResidualError(
+            f"kernel oracle sum at p={P.p}, a+b={ab}, ell={ell % P.p} is not an integer"
+        )
+    d, rem = divmod(total << ((params.n - 1) // 2 - P.q * ab), P.p)
     if rem:
         raise OracleResidualError(f"kernel oracle for {params}, ell={ell} is not an integer")
     return d

@@ -261,9 +261,11 @@ SWEEP_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("jobs", ("1", "2"))
+@pytest.mark.parametrize("jobs", ("1", "2", "3"))
 @pytest.mark.parametrize("suite, p_max, n_max", sorted(SWEEP_SHA256))
-def test_verify_sweep_certificate_is_byte_identical(capsys, suite, p_max, n_max, jobs):
+def test_verify_sweep_certificate_is_byte_identical(capsys, monkeypatch, suite, p_max, n_max, jobs):
+    # four CPUs on any machine, so --jobs 3 cuts a sweep into three slices
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     code, out, err = run(
         capsys, "verify", "--suite", suite, "--p-max", p_max, "--n-max", n_max, "--jobs", jobs
     )
@@ -362,9 +364,9 @@ def test_a_multiplicity_oracle_off_the_integers_is_a_failed_case(capsys, monkeyp
     ]
 
 
-@pytest.mark.parametrize("jobs", (1, 2))
-def test_a_kernel_oracle_off_the_integers_is_a_failed_case(capsys, monkeypatch, jobs):
-    # the cosine product one z off at p = 3: every kernel sum there is no integer
+def _plant_kernel_fault(monkeypatch) -> None:
+    """The cosine product one z off at p = 3: every kernel sum there is no
+    integer.  Clears the kernel table, which would skip the product."""
     right = spectrum.half_period_product
 
     def one_z_off(kind, p):
@@ -373,8 +375,13 @@ def test_a_kernel_oracle_off_the_integers_is_a_failed_case(capsys, monkeypatch, 
             value[1] = value.get(1, 0) + 1
         return value
 
-    spectrum._kernel_sums.cache_clear()  # a cached sum would skip the product
+    spectrum._kernel_sums.cache_clear()
     monkeypatch.setattr(spectrum, "half_period_product", one_z_off)
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_a_kernel_oracle_off_the_integers_is_a_failed_case(capsys, monkeypatch, jobs):
+    _plant_kernel_fault(monkeypatch)
     try:
         code, report = _verify(capsys, "oracles", 5, jobs, "--n-max", "10")
     finally:
@@ -386,8 +393,20 @@ def test_a_kernel_oracle_off_the_integers_is_a_failed_case(capsys, monkeypatch, 
     ]
     for entry, (q, ell) in zip(report["failures"], cells):
         assert entry["expected"] == str(spectrum.dim_ker(q, eta.structure_classes(q)[0], ell))
-        assert entry["got"].startswith(f"kernel oracle sum at p=3, a+b={q.a + q.b}, ell=")
-        assert entry["got"].endswith(" is not an integer")
+        assert entry["got"] == f"kernel oracle sum at p=3, a+b={q.a + q.b}, ell={ell} is not an integer"
+
+
+def test_a_kernel_oracle_off_the_integers_builds_each_table_once(capsys, monkeypatch):
+    # serially, so the table is this process's: a failing one is cached too
+    _plant_kernel_fault(monkeypatch)
+    try:
+        code, report = _verify(capsys, "oracles", 3, 1, "--n-max", "10")
+        misses = spectrum._kernel_sums.cache_info().misses
+    finally:
+        spectrum._kernel_sums.cache_clear()
+    sweep = prime_sweep(3, 10)
+    assert code == 1 and len(report["failures"]) == 3 * len(sweep)
+    assert misses == len({q.a + q.b for q in sweep}) < len(report["failures"])
 
 
 @pytest.mark.parametrize("jobs", (1, 2))
@@ -444,21 +463,6 @@ def test_a_trig_product_outside_the_ring_is_a_failed_case(capsys, monkeypatch):
         for kind in ("sin", "cos")
     ]
 
-@pytest.mark.parametrize("cost", (cli._twists, cli._one))
-@pytest.mark.parametrize("p_max, n_max", ((3, 3), (7, 13), (13, 40), (31, 60)))
-@pytest.mark.parametrize("jobs", (2, 3, 5))
-def test_sweep_chunks_are_contiguous_and_balanced(cost, p_max, n_max, jobs):
-    sweep = enumerate_params(p_max, n_max)
-    chunks = cli._chunks(sweep, jobs, cost)
-    assert [q for chunk in chunks for q in chunk] == sweep
-    assert all(chunks) and len(chunks) <= jobs
-    if len(sweep) >= 2 * jobs:
-        assert len(chunks) == jobs
-    weights = [cost(q) for q in sweep]
-    bound = sum(weights) / jobs + max(weights)
-    assert all(sum(cost(q) for q in chunk) <= bound for chunk in chunks)
-
-
 SUITES = ("integrality", "parity", "appendix", "oracles", "untwisted")
 
 
@@ -476,16 +480,31 @@ def _capture_work(monkeypatch) -> dict:
     return work
 
 
-def test_run_suite_cuts_each_sweep_by_its_own_cost(monkeypatch):
+SWEEP_SUITES = ("integrality", "parity", "untwisted")
+
+
+@pytest.mark.parametrize("p_max, n_max", ((3, 3), (7, 13), (13, 40), (31, 60)))
+@pytest.mark.parametrize("jobs", (1, 2, 3, 4, 5))
+def test_sweep_chunks_are_contiguous_and_balanced(monkeypatch, p_max, n_max, jobs):
+    work = _capture_work(monkeypatch)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)  # four workers at most, on any machine
+    for suite in SWEEP_SUITES:
+        run_suite(suite, p_max, n_max, jobs)
+    sweep = enumerate_params(p_max, n_max)
+    chunks = work["integrality"]
+    assert [q for chunk in chunks for q in chunk] == sweep
+    assert len(chunks) == min(jobs, 4, len(sweep))
+    assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+    assert work["parity"] == work["untwisted"] == chunks
+
+
+def test_run_suite_cuts_every_sweep_by_count(monkeypatch):
     work = _capture_work(monkeypatch)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # two workers on any machine
-    sweep = enumerate_params(13, 40)
-    by_p, by_count = cli._chunks(sweep, 2, cli._twists), cli._chunks(sweep, 2, cli._one)
-    assert by_p != by_count
-    for suite in ("integrality", "parity", "untwisted"):
+    for suite in SWEEP_SUITES:
         run_suite(suite, 13, 40, jobs=2)
-    assert work["integrality"] == work["parity"] == by_p
-    assert work["untwisted"] == by_count
+    sweep = enumerate_params(13, 40)
+    assert work["integrality"] == work["parity"] == work["untwisted"] == [sweep[:821], sweep[821:]]
 
 
 def test_run_suite_defaults_give_the_documented_work(monkeypatch):
@@ -527,21 +546,15 @@ def test_invalid_suite_message(capsys, monkeypatch):
     )
 
 
-def test_sweep_chunks_around_a_heavy_item():
-    def heavy(at):
-        return lambda q: 10 if q == at else 1
-
-    assert cli._chunks(list("abcdef"), 3, heavy("f")) == [list("abcde"), ["f"]]
-    assert cli._chunks(list("abcdef"), 3, heavy("a")) == [["a"], ["b"], list("cdef")]
-    assert cli._chunks(list("abcdef"), 3, heavy("c")) == [list("abc"), ["d"], list("ef")]
-
-
-def test_sweep_chunks_split_by_cumulative_p():
+def test_sweep_chunks_split_by_count():
+    # slice k ends at ceil((k + 1) len / count): the longer slices come first
+    assert cli._chunks(list("abcdefg"), 3) == [list("abc"), list("de"), list("fg")]
+    assert cli._chunks(list("abcdef"), 4) == [list("ab"), ["c"], list("de"), ["f"]]
+    assert cli._chunks(list("abc"), 3) == [["a"], ["b"], ["c"]]
+    assert cli._chunks([], 1) == [[]]
     sweep = enumerate_params(13, 40)
-    halves = cli._chunks(sweep, 2, cli._twists)
-    assert [sum(q.p for q in half) for half in halves] == [3697, 3696]
-    assert [len(half) for half in cli._chunks(sweep, 2, cli._one)] == [821, 820]
-    assert cli._chunks(sweep, 1, cli._twists) == [sweep]
+    assert [len(half) for half in cli._chunks(sweep, 2)] == [821, 820]
+    assert cli._chunks(sweep, 1) == [sweep]
 
 
 def test_series_command(capsys):
@@ -1184,6 +1197,31 @@ def test_a_full_stdout_is_a_usage_error(command, unbuffered):
             env={**os.environ, "PYTHONPATH": SRC_DIR, "PYTHONUNBUFFERED": unbuffered},
         )
     _assert_one_stdout_error(proc.returncode, proc.stderr)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", ("", "1"), ids=("buffered", "unbuffered"))
+@pytest.mark.parametrize(
+    "command, stdout_full",
+    [
+        (("invariants", "--p", "3", "--a", "0", "--b", "0", "--c", "1"), False),
+        (("verify", "--suite", "parity", "--p-max", "5", "--n-max", "9"), True),
+    ],
+    ids=("refusal", "verify-stdout-and-stderr-full"),
+)
+def test_a_full_stderr_is_still_a_usage_error(command, stdout_full, unbuffered):
+    # the error line is lost, so the exit code alone reports it: 2, not the
+    # 1 of a failed verification, nor the 120 of a failed last flush
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zpeta", *command],
+            stdout=full if stdout_full else subprocess.PIPE,
+            stderr=full,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC_DIR, "PYTHONUNBUFFERED": unbuffered},
+        )
+    assert proc.returncode == 2
+    assert stdout_full or proc.stdout == b""
 
 
 def test_a_stdout_pipe_closed_early_is_a_usage_error():

@@ -286,12 +286,17 @@ def test_oracles_raise_on_a_ring_value_that_is_not_their_integer(monkeypatch):
 
 
 def test_kernel_oracle_raises_on_a_sum_that_is_not_rational(monkeypatch):
-    # z in place of the cosine product at p = 3: the sum is 1 - z + z^2 at ell = 0
+    # z in place of the cosine product at p = 3: the sum is 1 - z + z^2 at
+    # ell = 0, and no sum is rational; each call names its own ell
     monkeypatch.setattr(spectrum, "half_period_product", lambda kind, P: {1: 1})
     spectrum._kernel_sums.cache_clear()
     try:
-        with pytest.raises(spectrum.OracleResidualError, match="kernel oracle sum at p=3, a.b=1, ell=0 is not"):
-            dim_ker_oracle(TRICOSM, 1)
+        for ell in (0, 1, 2, 4):
+            with pytest.raises(spectrum.OracleResidualError) as err:
+                dim_ker_oracle(TRICOSM, ell)
+            want = f"kernel oracle sum at p=3, a+b=1, ell={ell % 3} is not an integer"
+            assert str(err.value) == want
+        assert spectrum._kernel_sums.cache_info().misses == 1  # the table is built once
     finally:
         spectrum._kernel_sums.cache_clear()
 
