@@ -483,19 +483,29 @@ def _capture_work(monkeypatch) -> dict:
 SWEEP_SUITES = ("integrality", "parity", "untwisted")
 
 
+# the sweeps that check every twist ell of a manifold, and the one that
+# checks only ell = 0: both are cut by count alike
+@pytest.mark.parametrize(
+    "suites",
+    (
+        pytest.param(("integrality", "parity"), id="_twists"),
+        pytest.param(("untwisted",), id="_one"),
+    ),
+)
 @pytest.mark.parametrize("p_max, n_max", ((3, 3), (7, 13), (13, 40), (31, 60)))
 @pytest.mark.parametrize("jobs", (1, 2, 3, 4, 5))
-def test_sweep_chunks_are_contiguous_and_balanced(monkeypatch, p_max, n_max, jobs):
+def test_sweep_chunks_are_contiguous_and_balanced(monkeypatch, suites, p_max, n_max, jobs):
     work = _capture_work(monkeypatch)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)  # four workers at most, on any machine
-    for suite in SWEEP_SUITES:
+    for suite in suites:
         run_suite(suite, p_max, n_max, jobs)
     sweep = enumerate_params(p_max, n_max)
-    chunks = work["integrality"]
-    assert [q for chunk in chunks for q in chunk] == sweep
-    assert len(chunks) == min(jobs, 4, len(sweep))
-    assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
-    assert work["parity"] == work["untwisted"] == chunks
+    for suite in suites:
+        chunks = work[suite]
+        assert [q for chunk in chunks for q in chunk] == sweep
+        assert len(chunks) == min(jobs, 4, len(sweep))
+        assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+        assert chunks == cli._chunks(sweep, len(chunks))
 
 
 def test_run_suite_cuts_every_sweep_by_count(monkeypatch):
