@@ -311,14 +311,14 @@ def _class_tables(params: ZpParams) -> dict[bool, list[dict]]:
         try:
             tables[structure.trivial_type] = [
                 {
-                    "ell": rec.ell,
+                    "ell": ell,
                     "eta": rational_str(rec.eta),
                     "dim_ker": str(rec.dim_ker),
                     "eta_bar": rational_str(rec.eta_bar),
                     "eta_bar_mod_Z": str(rec.eta_bar_mod_Z),
                     "relative_mod_Z": str(rec.relative_mod_Z),
                 }
-                for rec in records
+                for ell, rec in enumerate(records)
             ]
         except ValueError:  # only int -> str raises here, beyond the digit limit
             raise DomainError(too_long) from None
@@ -529,9 +529,27 @@ def _table_prime(p: int) -> numtheory.OddPrime:
     return P
 
 
+def _refuse_a_scale_past_a_double(params: ZpParams, h: int, ell: int, s: float) -> None:
+    """Raise what ``eta_series_eval`` raises on a nonzero closed form of params
+    whose scale p^[a/2] is more than two bits past a double, before any power
+    p^[a/2] is built; nearer the boundary the closed form itself decides.
+
+    The form's alphas, so also whether it is zero, depend on a only through
+    a mod 2 (its coefficients only in sign), so the form at a = 1 or 2 with a
+    scale past a double fails its evaluation the same way: an invalid s, then
+    a Hurwitz term that overflows, then the scale.
+    """
+    if params.a // 2 * math.log2(params.p) <= sys.float_info.max_exp + 2:
+        return
+    form = eta.eta_series_closed_form(validate(params.p, 2 - params.a % 2, 0, 1), h, ell)
+    if not form.is_zero:
+        eta.eta_series_eval(eta.EtaClosedForm(form.p, 1 << sys.float_info.max_exp, form.terms), s)
+
+
 def cmd_series(args) -> int:
     _table_prime(args.p)
     params = validate(args.p, args.a, 0, 1)  # the exceptional manifold of (p, a)
+    _refuse_a_scale_past_a_double(params, args.h, args.ell, args.s)
     form = eta.eta_series_closed_form(params, args.h, args.ell)
     closed = eta.eta_series_eval(form, args.s)
     partial = eta.eta_spectral_partial(params, args.h, args.ell, args.s, args.terms)

@@ -70,6 +70,8 @@ def mult_diff_by_index(params: ZpParams, h: int, ell: int, c: int) -> int:
             return -mag
         return 0
     diff = P.legendre(2 * ell - two_mu) - P.legendre(2 * ell + two_mu)
+    if not diff:  # before p^{(a-1)/2}, which has millions of digits at a = 10^7
+        return 0
     return (-1) ** (P.q + r) * diff * p ** ((a - 1) // 2)
 
 
@@ -125,7 +127,7 @@ def dim_ker(params: ZpParams, structure: SpinStructure, ell: int) -> int:
     return d
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=None)
 def _kernel_sums(ab: int, p: int) -> tuple[int | None, ...]:
     """sum_{k=0}^{p-1} eps_k (2^q C(k))^{ab} z^{4k ell} for ell = 0..p-1, with
     eps_k = (-1)^{k [(q+1)/2] ab} and C(k) = prod_{j=1}^q cos(jk pi/p).

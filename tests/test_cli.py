@@ -113,7 +113,7 @@ def _rows_structure_by_structure(params):
             **head,
             "structure": structure.label,
             "h": structure.h,
-            "ell": rec.ell,
+            "ell": ell,
             "eta": rational_str(rec.eta),
             "dim_ker": str(rec.dim_ker),
             "eta_bar": rational_str(rec.eta_bar),
@@ -121,7 +121,7 @@ def _rows_structure_by_structure(params):
             "relative_mod_Z": str(rec.relative_mod_Z),
         }
         for structure in enumerate_spin_structures(params)
-        for rec in eta.structure_records(params, structure)
+        for ell, rec in enumerate(eta.structure_records(params, structure))
     ]
 
 
@@ -646,6 +646,45 @@ def test_series_rejects_a_closed_form_scale_beyond_a_double(capsys, args):
     code, out, err = run(capsys, "series", *args)
     assert (code, out) == (2, "")
     assert err == f"error: eta series evaluation overflows a double at s = {float(args[-3])}\n"
+
+
+_ZERO_SERIES = "closed-form   0\nspectral-sum  0\ndifference    0\n"
+_SCALE_OVERFLOW = "error: eta series evaluation overflows a double at s = 4.0\n"
+
+
+@pytest.mark.parametrize("p, a, ell, want", [
+    ("3", "10000001", "1", (2, "", _SCALE_OVERFLOW)),  # 6.1 s with the powers built
+    ("5", "10000001", "0", (0, _ZERO_SERIES, "")),  # 28.5 s
+    ("3", "10000000", "0", (0, _ZERO_SERIES, "")),  # 1.8 s
+])
+def test_series_far_past_a_double_builds_no_big_power(capsys, p, a, ell, want):
+    # the nonzero form is refused before p^[a/2] is built, and a zero form never builds it
+    start = time.perf_counter()
+    got = run(capsys, "series", "--p", p, "--a", a, "--h", "1", "--ell", ell, "--s", "4")
+    assert time.perf_counter() - start < 1.0
+    assert got == want
+
+
+# stdout of `series --p 3 --a A --h 1 --ell 1 --s 4` by [A/2], recorded before the
+# early refusal: 3^647 is the first power of 3 past a double (A = 1294)
+_SERIES_BOUNDARY = {
+    644: "closed-form   1.11303362439e+304\nspectral-sum  1.11303362439e+304\n"
+    "difference    1.46179710171e+289\n",
+    645: "closed-form   -3.33910087316e+304\nspectral-sum  -3.33910087316e+304\n"
+    "difference    6.82171980798e+289\n",
+    646: "closed-form   1.00173026195e+305\nspectral-sum  1.00173026195e+305\n"
+    "difference    1.94906280228e+289\n",
+}
+
+
+@pytest.mark.parametrize("a", range(1288, 1299))
+def test_series_across_the_scale_boundary_is_unchanged(capsys, a):
+    # 1294 and 1295 overflow on the closed form's own scale, 1296 to 1298 on the early refusal
+    got = run(capsys, "series", "--p", "3", "--a", str(a), "--h", "1", "--ell", "1", "--s", "4")
+    if a // 2 in _SERIES_BOUNDARY:
+        assert got == (0, _SERIES_BOUNDARY[a // 2], "")
+    else:
+        assert got == (2, "", _SCALE_OVERFLOW)
 
 
 # SHA-256 of the concatenated stdout over the grid below, recorded with the

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -325,6 +326,20 @@ def test_closed_form_refuses_terms_that_are_not_fraction_and_int(terms, message)
     assert EtaClosedForm(7, 1, ((Fraction(1, 7), 3),)).at_zero() == Fraction(15, 14)
 
 
+def test_closed_form_terms_depend_on_a_only_through_its_parity():
+    # the alphas, and the coefficients up to one sign, are those at a = 1 or 2:
+    # what lets `series` refuse a scale far past a double before building it
+    for p in odd_primes_upto(23):
+        for a in range(1, 9):
+            for h in (1, 2):
+                for ell in range(p):
+                    terms = eta_series_closed_form(validate(p, a, 0, 1), h, ell).terms
+                    base = eta_series_closed_form(validate(p, 2 - a % 2, 0, 1), h, ell).terms
+                    assert [alpha for alpha, _ in terms] == [alpha for alpha, _ in base]
+                    signs = {c // b for (_, c), (_, b) in zip(terms, base)}
+                    assert signs in (set(), {1}, {-1})
+
+
 @pytest.mark.parametrize("p, a", ((3, 1294), (3, 5000), (97, 401)))
 def test_series_eval_refuses_a_scale_beyond_a_double(p, a):
     # p^{[a/2]} is an int too large for a double: int * float raised OverflowError
@@ -475,16 +490,17 @@ EXCEPTIONAL_UP_TO_31 = [validate(p, a, 0, 1) for p in odd_primes_upto(31) for a 
 
 
 def test_structure_records_match_reduced_eta():
-    # each record is eta and dim ker at its own twist, reduced on its own;
-    # on the exceptional manifolds eta varies and repeats across ell, and
-    # p = 3 has the non-integral 2W/p term
+    # the record at index ell is eta and dim ker at the twist ell, reduced on
+    # its own; on the exceptional manifolds eta varies and repeats across ell,
+    # and p = 3 has the non-integral 2W/p term
     for params in enumerate_params(7, 30) + EXCEPTIONAL_UP_TO_31:
         for structure in structure_classes(params):
             records = structure_records(params, structure)
             assert len(records) == params.p
+            if not params.exceptional:  # eta is 0 at every twist: one record from ell = 1 on
+                assert all(records[ell] is records[1] for ell in range(2, params.p))
             bar_0 = records[0].eta_bar
             for ell, rec in enumerate(records):
-                assert rec.ell == ell and rec.structure == structure
                 assert rec.eta == eta_invariant(params, structure.h, ell)
                 assert rec.dim_ker == dim_ker(params, structure, ell)
                 assert rec.eta_bar == (rec.eta + rec.dim_ker) / 2
@@ -493,19 +509,27 @@ def test_structure_records_match_reduced_eta():
 
 
 def test_a_nonexceptional_manifold_builds_two_records_by_arithmetic(monkeypatch):
-    # eta is 0 at every twist, so the records from ell = 2 on repeat ell = 1
+    # eta is 0 at every twist, so the twists from ell = 2 on hold the record of ell = 1
     built, record = [], eta._record
 
-    def counted(structure, ell, *values):
-        built.append(ell)
-        return record(structure, ell, *values)
+    def counted(*values):
+        built.append(record(*values))
+        return built[-1]
 
     monkeypatch.setattr(eta, "_record", counted)
     params = validate(13, 1, 1, 2)
     for structure in structure_classes(params):
         built.clear()
         records = structure_records(params, structure)
-        assert built == [0, 1] and [rec.ell for rec in records] == list(range(13))
+        assert len(built) == 2 and len(records) == 13
+        assert records[0] is built[0] and all(rec is built[1] for rec in records[1:])
+
+
+def test_a_record_is_its_five_invariants():
+    # the twist and the structure are where the record sits, not fields of it
+    assert [f.name for f in dataclasses.fields(eta.InvariantRecord)] == [
+        "eta", "dim_ker", "eta_bar", "eta_bar_mod_Z", "relative_mod_Z",
+    ]
 
 
 def _bar_inputs(p):

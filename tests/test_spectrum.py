@@ -301,6 +301,18 @@ def test_kernel_oracle_raises_on_a_sum_that_is_not_rational(monkeypatch):
         spectrum._kernel_sums.cache_clear()
 
 
+def test_kernel_sums_keep_every_table_they_built():
+    # bounded at 64 tables, the cache missed 230 times on the 99 keys of the p = 3 oracle sweep
+    spectrum._kernel_sums.cache_clear()
+    try:
+        for _ in range(2):
+            for ab in range(1, 71):
+                spectrum._kernel_sums(ab, 3)
+        assert spectrum._kernel_sums.cache_info().misses == 70
+    finally:
+        spectrum._kernel_sums.cache_clear()
+
+
 NOT_AN_INT = st.one_of(
     st.sampled_from((1.0, 0.5, True, False, Fraction(1), "1", None)),
     st.floats(allow_nan=True),
