@@ -395,15 +395,22 @@ def _diagonal_blocks(rows: tuple[tuple[int, ...], ...]) -> list[tuple[int, int]]
     """(start, stop) of each block of the finest contiguous block-diagonal split.
 
     A nonzero (i, j) spans every k with min(i, j) <= k < max(i, j), and the
-    split cuts after each k that no nonzero spans.
+    split cuts after each k that no nonzero spans.  Of row i only the first
+    nonzero j_0 and the last j_1 are read: they span [j_0, i) and [i, j_1),
+    and every other nonzero of the row spans a part of one of them.
     """
     n = len(rows)
     reach = list(range(n))  # reach[k]: the furthest index a nonzero spans from k
+    cols = range(n)
     for i, row in enumerate(rows):
-        for j in itertools.compress(range(n), row):
-            lo, hi = (i, j) if i < j else (j, i)
-            if hi > reach[lo]:
-                reach[lo] = hi
+        nonzeros = itertools.compress(cols, row)
+        for j in nonzeros:  # j_0; a zero row spans nothing
+            if i > reach[j]:
+                reach[j] = i
+            for j in nonzeros:  # on to j_1
+                pass
+            if j > reach[i]:
+                reach[i] = j
     stops = [k + 1 for k, end in enumerate(itertools.accumulate(reach, max)) if end == k]
     return list(zip([0] + stops[:-1], stops))
 
@@ -506,8 +513,10 @@ def holonomy_checks(m: IntMatrix, params: ZpParams) -> HolonomyReport:
         raise ValueError(f"matrix is {m.n}x{m.n}, but {params} has n = {params.n}")
     p = params.p
     blocks = Counter(
-        tuple(row[start:stop] for row in m.rows[start:stop])
-        for start, stop in _diagonal_blocks(m.rows)
+        [
+            tuple([row[start:stop] for row in m.rows[start:stop]])
+            for start, stop in _diagonal_blocks(m.rows)
+        ]
     )
     analyses = [(_component_analysis(IntMatrix._from_rows(b), p), k) for b, k in blocks.items()]
 

@@ -63,12 +63,13 @@ def mult_diff_by_index(params: ZpParams, h: int, ell: int, c: int) -> int:
     if a % 2 == 0:
         if ell == 0:
             return 0
-        mag = (-1) ** r * p ** (a // 2)
         if (2 * ell - two_mu) % p == 0:  # p | h(ell - mu) in both h cases
-            return mag
-        if (2 * ell + two_mu) % p == 0:
-            return -mag
-        return 0
+            sign = 1
+        elif (2 * ell + two_mu) % p == 0:
+            sign = -1
+        else:  # before p^{a/2}, as below: 2 of the p cells of a period are nonzero
+            return 0
+        return (-1) ** r * sign * p ** (a // 2)
     diff = P.legendre(2 * ell - two_mu) - P.legendre(2 * ell + two_mu)
     if not diff:  # before p^{(a-1)/2}, which has millions of digits at a = 10^7
         return 0

@@ -273,6 +273,25 @@ def test_verify_sweep_certificate_is_byte_identical(capsys, monkeypatch, suite, 
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[suite, p_max, n_max]
 
 
+# stdout SHA-256 of the two suites that build eta records, past their defaults,
+# recorded before the records were reused by their closed-form values
+LARGE_SWEEP_SHA256 = {
+    "integrality": "c0958c54da113c102fa0606e6b6abb74edc618f7c129b07e4358a85d68775ac9",
+    "untwisted": "9eea28184627ca13c1d76ee7c0a4107230981fda71f3d42a7b396686d753d0c8",
+}
+
+
+@pytest.mark.parametrize("jobs", ("1", "2"))
+@pytest.mark.parametrize("suite", sorted(LARGE_SWEEP_SHA256))
+def test_verify_sweep_past_the_defaults_is_byte_identical(capsys, monkeypatch, suite, jobs):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)  # --jobs 2 runs two slices anywhere
+    code, out, err = run(
+        capsys, "verify", "--suite", suite, "--p-max", "31", "--n-max", "80", "--jobs", jobs
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_SWEEP_SHA256[suite]
+
+
 # stdout SHA-256 recorded with the det/rank eliminations and the product
 # charpoly test; the charpoly-only certificate must not change it
 HOLONOMY_53_3_2_1_SHA256 = "3375bf4fcd683200b824eea3d540d8d79b7c1a118f30f904c09dc5e133abcff5"

@@ -635,6 +635,58 @@ def test_integrality_reports_a_wrong_eta_cell(monkeypatch):
     assert len(report.expected_exceptions) == 5
 
 
+def test_integrality_reports_a_dim_ker_fault_at_a_later_manifold_of_its_key(monkeypatch):
+    # off the exceptional set the records depend on (p, a + b, b + c) alone, and
+    # (5,1,1,2) is not the first manifold of its key (5, 2, 3): a reuse keyed by
+    # that label, not by the values, would pass it with (5,0,2,1)'s records
+    sweep = enumerate_params(7, 30)
+    same_key = [q for q in sweep if (q.p, q.a + q.b, q.beta1) == (5, 2, 3)]
+    assert [q.key() for q in same_key[:2]] == [(5, 0, 2, 1), (5, 1, 1, 2)]
+    right = eta.dim_ker
+
+    def planted(params, structure, ell):
+        d = right(params, structure, ell)
+        hit = (params.key(), structure.trivial_type, ell % params.p) == ((5, 1, 1, 2), True, 0)
+        return d + 1 if hit else d
+
+    monkeypatch.setattr(eta, "dim_ker", planted)
+    report = verify_integrality(sweep)
+    # etabar_0 moves by 1/2: its residue, and the relative residue of every other twist
+    assert [f.to_dict() for f in report.failures] == [
+        dict(zip(FAILURE_KEYS, ("(5,1,1,2)", "trivial,h=1,deltas=++", ell, "0", "1/2")))
+        for ell in range(5)
+    ]
+
+
+def test_integrality_builds_records_once_per_distinct_value_tuple(monkeypatch):
+    sweep = enumerate_params(7, 30)
+    values = {
+        (tuple(eta_invariant(q, s.h, ell) for ell in range(q.p)), dim_ker(q, s, 0), dim_ker(q, s, 1))
+        for q in sweep
+        for s in structure_classes(q)
+    }
+    calls, real = [], eta._records_from
+
+    def counted(etas, d_0, d_1):
+        calls.append((tuple(etas), d_0, d_1))
+        return real(etas, d_0, d_1)
+
+    monkeypatch.setattr(eta, "_records_from", counted)
+    report = verify_integrality(sweep)
+    assert report.ok and report.cases == 2 * sum(2 * q.p for q in sweep)
+    assert len(calls) == len(set(calls)) == len(values) == 212
+    assert set(calls) == values
+
+
+def test_structure_classes_are_built_once_per_b_plus_c_in_a_fresh_list():
+    first, second = validate(5, 1, 1, 2), validate(7, 2, 0, 3)
+    classes = structure_classes(first)
+    classes.append(None)  # a caller's list is its own
+    again = structure_classes(second)
+    assert again == [SpinStructure((1, 1), 1), SpinStructure((1, 1), 2)]
+    assert all(x is y for x, y in zip(again, classes))
+
+
 @pytest.mark.parametrize(
     "cell, shift, entry",
     (

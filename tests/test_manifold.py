@@ -6,7 +6,7 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zpeta import manifold
@@ -721,6 +721,31 @@ def test_diagonal_blocks_match_their_definition(rows):
     # so every nonzero lies in a diagonal block
     block_of = [b for b, (start, stop) in enumerate(blocks) for _ in range(start, stop)]
     assert all(block_of[i] == block_of[j] for i in range(n) for j in range(n) if rows[i][j])
+
+
+def _blocks_from_every_nonzero(rows):
+    """The finest contiguous block split, with every nonzero (i, j) marking
+    the span min(i, j) <= k < max(i, j) as uncut."""
+    n = len(rows)
+    reach = list(range(n))
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x:
+                lo, hi = min(i, j), max(i, j)
+                reach[lo] = max(reach[lo], hi)
+    stops = [k + 1 for k, end in enumerate(itertools.accumulate(reach, max)) if end == k]
+    return list(zip([0] + stops[:-1], stops))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(_kernel_matrices))
+@example([[0, 0, 0], [0, 0, 0], [0, 0, 0]])  # zero rows only: every k is a cut
+@example([[0, 0, 0, 0], [2, 0, 0, 0], [0, 0, 0, 0], [1, 0, 3, 0]])  # left of the diagonal only
+@example([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [5, 0, 0, 1]])  # the (n - 1, 0) corner
+@example([[0, 0, 0, 0], [0, 1, -1, 0], [0, 0, 0, 0], [0, 0, 0, 0]])  # zero rows around one span
+def test_diagonal_blocks_read_first_and_last_nonzero_like_every_nonzero(rows):
+    # each row's inner nonzeros span parts of its first's and last's spans
+    assert manifold._diagonal_blocks(IntMatrix(rows).rows) == _blocks_from_every_nonzero(rows)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -37,6 +38,22 @@ def test_mult_diff_nonexceptional_is_zero():
     for h in (1, 2):  # mu = 4 and mu = 7/2
         for ell in range(5):
             assert mult_diff_by_index(params, h, ell, 4) == 0
+
+
+def test_even_a_zero_cells_build_no_power_of_p():
+    # p^{a/2} has about 350 million digits here; only the 2 nonzero cells of a period need it
+    params = validate(5, 10**9, 0, 1)
+    start = time.perf_counter()
+    cells = [
+        (h, ell, c)
+        for h in (1, 2)
+        for ell in range(1, 5)
+        for c in range(1, 6)
+        if (2 * ell - (2 * c - h + 1)) % 5 and (2 * ell + (2 * c - h + 1)) % 5
+    ]
+    assert len(cells) == 2 * 4 * 3
+    assert all(mult_diff_by_index(params, h, ell, c) == 0 for h, ell, c in cells)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_spectral_index_validation():
