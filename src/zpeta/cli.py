@@ -20,6 +20,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from json.encoder import encode_basestring_ascii as _quote
+from numbers import Real
 from types import SimpleNamespace
 
 from . import charsums, eta, numtheory, spectrum
@@ -39,21 +40,6 @@ from .manifold import (
 
 # ---------------------------------------------------------------------------
 # verification suites beyond the eta module's own
-
-# closed form against the literal sum, both exact in the oracle ring of p
-def _check_ring(report: Report, ring, direct: int, closed, name: str, *name_args) -> None:
-    """Record direct == closed.  The failure entry, named by
-    name.format(*name_args) with both sides as polynomials in z = zeta_4p,
-    is built only when the check fails.  closed may be the error with which
-    ``embed`` refused the closed form: a failed case, its text the expected
-    side."""
-    if direct == closed:
-        report.record(True)
-    else:
-        name = name.format(*name_args)
-        want = str(closed) if isinstance(closed, Exception) else ring.to_str(closed)
-        report.check(False, f"p={ring.p}", name, None, want, ring.to_str(direct))
-
 
 def _appendix_legendre_checks(report: Report, p: int) -> None:
     P = numtheory.as_prime(p)
@@ -89,44 +75,82 @@ def _appendix_legendre_checks(report: Report, p: int) -> None:
             report.check(got == want, desc, name, ell, want, got)
 
 
-# what embed raises for a closed form outside the ring or past its slots
+# what embed raises for a closed form outside the ring or past its slots; a
+# closed form that raises one of these is a failed case too
 _REFUSED = (ValueError, OverflowError)
 
 
+def _ring_failure(report: Report, ring, direct: int, closed, name: str) -> None:
+    """Record a failed check of a closed form against its literal sum, both
+    sides as polynomials in z = zeta_4p.  closed may be the error with which
+    the closed form or ``embed`` refused it: its text is the expected side."""
+    want = str(closed) if isinstance(closed, Exception) else ring.to_str(closed)
+    report.check(False, f"p={ring.p}", name, None, want, ring.to_str(direct))
+
+
 def _appendix_charsum_checks(report: Report, p: int) -> None:
+    """Every closed form of charsums against its literal sum at p, cell by
+    cell.  Each cell calls its closed form, but a closed-form object is
+    embedded once per (scale, i_pow): the forms return a few shared values
+    (``_half_root_multiples``, the zero).  The memo is keyed by identity,
+    not equality (a RadicalValue hashes through Fraction), and holds the
+    value so that its id is not reused; a refused embedding is not kept,
+    so it fails at every cell.  Passing cells are counted locally and a
+    failure entry is built only on a mismatch, in check order."""
     P = numtheory.as_prime(p)
     ring = cyclotomic_ring(P)
-    embed = ring.embed
-    # closed forms read from charsums on each call, so a patched one is checked
+    embedded = {}  # (id(value), scale, i_pow) -> (value, packed)
+
+    def closed_form(form, args: tuple, scale: int, i_pow: int):
+        """form(*args) embedded at scale * i^i_pow, or the refusal of either
+        step: the call is inside the try, so a form that raises fails its cell."""
+        try:
+            value = form(*args)
+            key = (id(value), scale, i_pow)
+            hit = embedded.get(key)
+            if hit is None:
+                hit = embedded[key] = (value, ring.embed(value, scale, i_pow))
+            return hit[1]
+        except _REFUSED as exc:
+            return exc
+
+    passed = 0
+    # read from charsums once per prime, so a patched closed form is checked
+    gauss_direct, F_direct = charsums.gauss_direct, charsums.F_direct
     characters = (
         (charsums.CHI0, charsums.G_h_chi0, charsums.F_h_chi0, "trivial"),
         (charsums.CHIP, charsums.G_h_chip, charsums.F_h_chip, "quadratic"),
     )
     for h in (1, 2):
         for l in range(p):
-            # c = 0 checks G_h(l), c >= 1 checks 2i F_h(l, c) (F_direct is 2i F)
-            for c in range(2 * p + 1):
-                for chi, G, F, label in characters:
-                    if c:
-                        direct = charsums.F_direct(h, chi, l, c, P)
-                        name = "sine-{}(h={},l={},c={})"
+            # G_h(l), then 2i F_h(l, c) for c >= 1 (F_direct is 2i F)
+            for chi, G, _, label in characters:
+                direct = gauss_direct(h, chi, l, P)
+                closed = closed_form(G, (h, l, P), 1, 0)
+                if direct == closed:
+                    passed += 1
+                else:
+                    _ring_failure(report, ring, direct, closed, f"gauss-{label}(h={h},l={l})")
+            for c in range(1, 2 * p + 1):
+                for chi, _, F, label in characters:
+                    direct = F_direct(h, chi, l, c, P)
+                    closed = closed_form(F, (h, l, c, P), 2, 1)
+                    if direct == closed:
+                        passed += 1
                     else:
-                        direct = charsums.gauss_direct(h, chi, l, P)
-                        name = "gauss-{}(h={},l={})"
-                    try:
-                        closed = embed(F(h, l, c, P), 2, 1) if c else embed(G(h, l, P))
-                    except _REFUSED as exc:
-                        closed = exc
-                    _check_ring(report, ring, direct, closed, name, label, h, l, c)
+                        name = f"sine-{label}(h={h},l={l},c={c})"
+                        _ring_failure(report, ring, direct, closed, name)
     # the literal products are (2i)^q prod sin and 2^q prod cos
+    trig_prod, trig_prod_direct, scale = charsums.trig_prod, charsums.trig_prod_direct, 2**P.q
     for kind, i_pow in (("sin", P.q), ("cos", 0)):
         for k in range(1, 3 * p + 1):
-            direct = charsums.trig_prod_direct(kind, k, P)
-            try:
-                closed = embed(charsums.trig_prod(kind, k, P), 2**P.q, i_pow)
-            except _REFUSED as exc:
-                closed = exc
-            _check_ring(report, ring, direct, closed, "trig-product({},k={})", kind, k)
+            direct = trig_prod_direct(kind, k, P)
+            closed = closed_form(trig_prod, (kind, k, P), scale, i_pow)
+            if direct == closed:
+                passed += 1
+            else:
+                _ring_failure(report, ring, direct, closed, f"trig-product({kind},k={k})")
+    report.cases += passed
 
 
 def _appendix_for_prime(item: tuple) -> Report:
@@ -144,10 +168,12 @@ def suite_appendix(p_max: int, tol: float = 1e-8, trig_tol: float = 1e-9) -> Rep
 
     Every comparison is an exact == in the oracle ring, which implies
     agreement within any tolerance; tol and trig_tol stay for the callers
-    that pass one, and must be positive.
+    that pass one, and must be positive real numbers.
     """
-    if not (tol > 0 and trig_tol > 0):
-        raise ValueError(f"tolerances must be positive, got tol={tol}, trig_tol={trig_tol}")
+    for name, value in (("tol", tol), ("trig_tol", trig_tol)):
+        # a str or None would fail the comparison with TypeError, a bool pass it
+        if not isinstance(value, Real) or isinstance(value, bool) or not value > 0:
+            raise ValueError(f"{name} must be a positive real number, got {value!r}")
     return run_suite("appendix", p_max, None)
 
 

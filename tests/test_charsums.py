@@ -1,5 +1,6 @@
 import cmath
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from zpeta.charsums import (
     trig_prod_direct,
 )
 from zpeta.cli import _appendix_for_prime, suite_appendix
-from zpeta.exact import UNIT_I, UNIT_ONE, RadicalValue, cyclotomic_ring
+from zpeta.exact import UNIT_I, UNIT_ONE, CyclotomicRing, RadicalValue, cyclotomic_ring
 from zpeta.numtheory import OddPrime, as_prime, odd_primes_upto
 
 ORACLE_PRIMES = odd_primes_upto(19)
@@ -405,6 +406,129 @@ def test_appendix_reports_a_wrong_gauss_sum_unit(monkeypatch):
         {"params": "p=5", "structure": "gauss-quadratic(h=1,l=1)", "ell": None,
          "expected": "2*z^3 -1*z^5 +2*z^7", "got": "1 +2*z^4 -2*z^6"},
     ]
+
+
+def test_a_closed_form_that_raises_is_a_failed_case_at_each_prime(monkeypatch):
+    # the closed form is called inside the check: a ValueError or OverflowError
+    # it raises is one failure entry per prime, in check order, its text the
+    # expected side, and the suite goes on
+    right_G, right_F = charsums.G_h_chip, charsums.F_h_chip
+
+    def G(h, l, p):
+        if (h, l) == (1, 2):
+            raise OverflowError("planted overflow")
+        return right_G(h, l, p)
+
+    def F(h, l, c, p):
+        if (h, l, c) == (1, 2, 3):
+            raise ValueError("planted refusal")
+        return right_F(h, l, c, p)
+
+    monkeypatch.setattr(charsums, "G_h_chip", G)
+    monkeypatch.setattr(charsums, "F_h_chip", F)
+    report = suite_appendix(5)
+    assert report.cases == 500
+    gauss, sine = "gauss-quadratic(h=1,l=2)", "sine-quadratic(h=1,l=2,c=3)"
+    assert [(f.params, f.structure, f.ell, f.expected, f.got) for f in report.failures] == [
+        ("p=3", gauss, None, "planted overflow", "1 -2*z^2"),
+        ("p=3", sine, None, "planted refusal", "0"),
+        ("p=5", gauss, None, "planted overflow", "-1 -2*z^4 +2*z^6"),
+        ("p=5", sine, None, "planted refusal", "-1 -2*z^4 +2*z^6"),
+    ]
+
+
+def test_appendix_calls_every_closed_form_per_cell_and_embeds_each_object_once(monkeypatch):
+    # each cell calls its closed form once; embed runs once per distinct
+    # (object, scale, i_pow) of a prime, as the forms' outputs determine
+    calls, returned, embedded = Counter(), [], []
+
+    def count(name, scale_and_i_pow):
+        right = getattr(charsums, name)
+
+        def closed(*args):
+            P = as_prime(args[-1])
+            value = right(*args)
+            calls[name, P.p] += 1
+            # the value is kept, so no two objects of the run share an id
+            returned.append(((P.p, id(value), *scale_and_i_pow(args[0], P)), value))
+            return value
+
+        monkeypatch.setattr(charsums, name, closed)
+
+    for name in ("G_h_chi0", "G_h_chip"):
+        count(name, lambda h, P: (1, 0))
+    for name in ("F_h_chi0", "F_h_chip"):
+        count(name, lambda h, P: (2, 1))  # F_direct is 2i F
+    count("trig_prod", lambda kind, P: (2**P.q, P.q if kind == "sin" else 0))
+    right_embed = CyclotomicRing.embed
+
+    def embed(self, value, scale=1, i_pow=0):
+        embedded.append((self.p, id(value), scale, i_pow))
+        return right_embed(self, value, scale, i_pow)
+
+    monkeypatch.setattr(CyclotomicRing, "embed", embed)
+    report = suite_appendix(7)
+    assert report.ok
+    for p in (3, 5, 7):
+        for name in ("G_h_chi0", "G_h_chip"):
+            assert calls[name, p] == 2 * p
+        for name in ("F_h_chi0", "F_h_chip"):
+            assert calls[name, p] == 2 * p * 2 * p
+        assert calls["trig_prod", p] == 2 * 3 * p
+    assert len(embedded) == len(set(embedded))
+    assert set(embedded) == {key for key, _ in returned}
+
+
+def test_a_wrong_shared_closed_form_object_fails_only_its_cell(monkeypatch):
+    # F_h_chip returns one of five shared objects; at (h, l, c) = (2, 3, 4),
+    # p = 5, it returns the negated one, after both were embedded at earlier
+    # cells: the memo is keyed by the object, so only that cell fails
+    right = charsums.F_h_chip
+    shared = charsums._half_root_multiples(5)
+    earlier = []
+
+    def planted(h, l, c, p):
+        value = right(h, l, c, p)
+        if as_prime(p).p != 5:
+            return value
+        if (h, l, c) == (2, 3, 4):
+            index = next(i for i, v in enumerate(shared) if v is value)
+            planted.cell = value, shared[4 - index]  # -diff for diff
+            return planted.cell[1]
+        earlier.append(value)
+        return value
+
+    monkeypatch.setattr(charsums, "F_h_chip", planted)
+    report = suite_appendix(5)
+    value, wrong = planted.cell
+    assert wrong is not value and not wrong.is_zero()
+    assert any(v is value for v in earlier) and any(v is wrong for v in earlier)
+    assert report.cases == 500
+    assert [f.to_dict() for f in report.failures] == [
+        {
+            "params": "p=5",
+            "structure": "sine-quadratic(h=2,l=3,c=4)",
+            "ell": None,
+            "expected": "1 +2*z^4 -2*z^6",
+            "got": "-1 -2*z^4 +2*z^6",
+        }
+    ]
+    assert report.failures[0].expected == ring(5).to_str(ring(5).embed(wrong, 2, 1))
+
+
+@pytest.mark.parametrize("keyword", ("tol", "trig_tol"))
+@pytest.mark.parametrize(
+    "bad", ("x", b"1", None, True, False, [1e-8], 1j, 0, -1e-8, float("nan"), -math.inf)
+)
+def test_suite_appendix_refuses_a_tolerance_that_is_not_a_positive_real(keyword, bad):
+    # a str or None raised TypeError from the comparison, and True passed it
+    with pytest.raises(ValueError, match=f"^{keyword} must be a positive real number, got "):
+        suite_appendix(3, **{keyword: bad})
+
+
+def test_suite_appendix_takes_any_positive_real_tolerance():
+    for tol in (1e-8, 1, Fraction(1, 10**8), math.inf):
+        assert suite_appendix(3, tol=tol, trig_tol=tol).cases == 150
 
 
 NOT_AN_INT = st.one_of(
