@@ -275,16 +275,16 @@ def _record_inputs(
     params: ZpParams, structure: SpinStructure
 ) -> tuple[list[Fraction], int, int]:
     """The closed-form values the records of one structure read, evaluated
-    at this manifold: eta at every twist ell = 0, ..., p - 1, then dim ker
+    at this manifold: eta at every twist ell = 0, ..., p - 1, and dim ker
     at ell = 0 and ell = 1 (it depends on ell only through whether p
-    divides ell).  Needs odd n and one of the record's own structures,
-    checked before any eta is computed."""
+    divides ell).  Needs odd n and one of the record's own structures:
+    dim ker is taken first, so ``dim_ker`` refuses a foreign structure
+    before any eta is computed."""
     if not params.n_odd:
         raise EvenDimensionError(f"invariants need odd n (b + c odd), got even n = {params.n}")
-    params.check_structure(structure)
+    d_0, d_1 = dim_ker(params, structure, 0), dim_ker(params, structure, 1)
     h = structure.h
-    etas = [eta_invariant(params, h, ell) for ell in range(params.p)]
-    return etas, dim_ker(params, structure, 0), dim_ker(params, structure, 1)
+    return [eta_invariant(params, h, ell) for ell in range(params.p)], d_0, d_1
 
 
 def _records_from(etas: list[Fraction], d_0: int, d_1: int) -> list[InvariantRecord]:
@@ -385,21 +385,12 @@ class Report:
     def passed(self) -> int:
         return self.cases - len(self.failures)
 
-    def record(self, ok: bool, entry: FailureEntry | None = None) -> None:
-        """Count one case; a failed case must come with its FailureEntry."""
-        if not ok:
-            if entry is None:
-                raise ValueError("a failed case needs a FailureEntry")
-            self.failures.append(entry)
-        self.cases += 1
-
     def check(self, ok: bool, params: str, structure: str, ell: int | None, expected, got) -> None:
-        """Record one comparison.  expected and got go through str (for a
+        """Count one comparison.  expected and got go through str (for a
         Fraction that is its rational_str) only when the check fails."""
-        if ok:
-            self.record(True)
-        else:
-            self.record(False, FailureEntry(params, structure, ell, str(expected), str(got)))
+        self.cases += 1
+        if not ok:
+            self.failures.append(FailureEntry(params, structure, ell, str(expected), str(got)))
 
     def to_dict(self) -> dict:
         return {
@@ -446,56 +437,53 @@ def verify_integrality(sweep: list[ZpParams]) -> Report:
     vanishing of every relative residue etabar_ell - etabar_0.
 
     The records read nothing but the values of ``_record_inputs``, so
-    those are evaluated at every manifold, and a manifold whose values
-    repeat an earlier one's in this sweep reuses that record list and its
-    comparisons, made once per distinct record object.  The reuse is keyed
-    by the values, never by the manifold's label: every case is still
-    recorded under its own manifold's name.
+    those are evaluated at every manifold, and the verdict of their
+    records (``_integrality_verdict``) is decided once per distinct value
+    tuple in this sweep.  The reuse is keyed by the values, never by the
+    manifold's label: each (manifold, structure) counts its 2p cases and
+    replays the verdict under its own name.
     """
     report = Report("integrality")
-    built = {}  # the key of the values -> (their records, _integrality_oks of them)
+    verdicts = {}  # the key of the values -> _integrality_verdict of their records
     for params in sorted(sweep, key=ZpParams.key):
-        name = str(params)
         is_tricosm = params.key() == _TRICOSM_KEY
-        expected = Fraction(2, 3) if is_tricosm else _ZERO
         for structure in structure_classes(params):
-            desc = _structure_desc(structure)
             etas, d_0, d_1 = _record_inputs(params, structure)
             # is_tricosm picks the expected residue; each eta as (numerator,
             # denominator), since Fraction.__hash__ runs in Python
             key = (is_tricosm, d_0, d_1, *[(e.numerator, e.denominator) for e in etas])
-            if key not in built:
-                records = _records_from(etas, d_0, d_1)
-                built[key] = records, _integrality_oks(records, expected)
-            records, oks = built[key]
-            for ell, rec in enumerate(records):
-                residue_ok, relative_ok = oks[ell]
-                if is_tricosm and residue_ok:
-                    report.expected_exceptions.append(
-                        {
-                            "params": name,
-                            "structure": desc,
-                            "ell": ell,
-                            "residue": str(rec.eta_bar_mod_Z),
-                            "note": "expected-exception",
-                        }
-                    )
-                report.check(residue_ok, name, desc, ell, expected, rec.eta_bar_mod_Z)
-                report.check(relative_ok, name, desc, ell, 0, rec.relative_mod_Z)
+            if key not in verdicts:
+                verdicts[key] = _integrality_verdict(_records_from(etas, d_0, d_1), is_tricosm)
+            failed, exceptions = verdicts[key]
+            report.cases += 2 * params.p  # (residue, relative) at each twist
+            if failed or exceptions:
+                name, desc = str(params), _structure_desc(structure)
+                report.failures.extend(FailureEntry(name, desc, *f) for f in failed)
+                report.expected_exceptions.extend(
+                    {"params": name, "structure": desc, **tail} for tail in exceptions
+                )
     return report
 
 
-def _integrality_oks(
-    records: list[InvariantRecord], expected: Fraction
-) -> list[tuple[bool, bool]]:
-    """(residue == expected, relative residue == 0) of each record, compared
-    once per distinct record object."""
-    oks, last = [], None
-    for rec in records:
-        if rec is not last:
-            last, ok = rec, (rec.eta_bar_mod_Z.value == expected, rec.relative_mod_Z.is_zero())
-        oks.append(ok)
-    return oks
+def _integrality_verdict(
+    records: list[InvariantRecord], is_tricosm: bool
+) -> tuple[list[tuple[int, str, str]], list[dict]]:
+    """The failed comparisons of the records, as (ell, expected, got), the
+    residue before the relative residue at each ell; and the expected
+    exceptions of the p = n = 3 manifold (residue 2/3), as the ell,
+    residue and note of their entries."""
+    expected = Fraction(2, 3) if is_tricosm else _ZERO
+    failed, exceptions = [], []
+    for ell, rec in enumerate(records):
+        if rec.eta_bar_mod_Z.value != expected:
+            failed.append((ell, str(expected), str(rec.eta_bar_mod_Z)))
+        elif is_tricosm:
+            exceptions.append(
+                {"ell": ell, "residue": str(rec.eta_bar_mod_Z), "note": "expected-exception"}
+            )
+        if not rec.relative_mod_Z.is_zero():
+            failed.append((ell, "0", str(rec.relative_mod_Z)))
+    return failed, exceptions
 
 
 def verify_parity(sweep: list[ZpParams]) -> Report:

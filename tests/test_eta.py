@@ -13,6 +13,7 @@ from zpeta import eta
 from zpeta.eta import (
     DomainError,
     EtaClosedForm,
+    FailureEntry,
     Report,
     eta_invariant,
     eta_invariant_via_series,
@@ -601,13 +602,18 @@ def test_report_json_schema():
     assert payload["cases"] == payload["passed"] + len(payload["failures"])
 
 
-def test_report_refuses_a_failure_without_an_entry():
+class _Unprintable:
+    def __str__(self):
+        raise AssertionError("a passing check built a string")
+
+
+def test_report_check_counts_each_case_and_builds_an_entry_only_on_failure():
     report = Report("x")
-    with pytest.raises(ValueError, match="FailureEntry"):
-        report.record(False)
-    assert (report.cases, report.passed, report.failures) == (0, 0, [])
-    report.record(True)
-    assert report.ok and report.cases == report.passed == 1
+    report.check(True, "(5,1,1,2)", "h=1", 0, _Unprintable(), _Unprintable())
+    assert (report.cases, report.passed, report.failures) == (1, 1, [])
+    report.check(False, "(5,1,1,2)", "h=2", 3, Fraction(1, 3), reduce_mod_Z(Fraction(-4, 3)))
+    assert (report.cases, report.passed, report.ok) == (2, 1, False)
+    assert report.failures == [FailureEntry("(5,1,1,2)", "h=2", 3, "1/3", "2/3")]
 
 
 FAILURE_KEYS = ("params", "structure", "ell", "expected", "got")
@@ -654,6 +660,29 @@ def test_integrality_reports_a_dim_ker_fault_at_a_later_manifold_of_its_key(monk
     # etabar_0 moves by 1/2: its residue, and the relative residue of every other twist
     assert [f.to_dict() for f in report.failures] == [
         dict(zip(FAILURE_KEYS, ("(5,1,1,2)", "trivial,h=1,deltas=++", ell, "0", "1/2")))
+        for ell in range(5)
+    ]
+
+
+def test_integrality_replays_a_shared_faulty_verdict_under_each_manifolds_name(monkeypatch):
+    # the three manifolds of the key (5, 2, 3) share one value tuple, so one
+    # verdict, decided at the first: each replays its five entries under its own name
+    sweep = enumerate_params(7, 30)
+    same_key = [q.key() for q in sweep if (q.p, q.a + q.b, q.beta1) == (5, 2, 3)]
+    assert same_key == [(5, 0, 2, 1), (5, 1, 1, 2), (5, 2, 0, 3)]
+    right = eta.dim_ker
+
+    def planted(params, structure, ell):
+        d = right(params, structure, ell)
+        hit = params.key() in same_key and structure.trivial_type and ell % params.p == 0
+        return d + 1 if hit else d
+
+    monkeypatch.setattr(eta, "dim_ker", planted)
+    report = verify_integrality(sweep)
+    assert report.cases == 2 * sum(2 * q.p for q in sweep)
+    assert [f.to_dict() for f in report.failures] == [
+        dict(zip(FAILURE_KEYS, (name, "trivial,h=1,deltas=++", ell, "0", "1/2")))
+        for name in ("(5,0,2,1)", "(5,1,1,2)", "(5,2,0,3)")
         for ell in range(5)
     ]
 

@@ -11,7 +11,8 @@ and a private helper left behind by one by the orphan check, since no
 linter runs over the package.  A ``ZpParams`` resolves its prime once, so
 no module resolves a record's p again through ``as_prime``.  The command
 line has one exit path: only ``cli._emit`` and ``cli.main`` touch the
-standard streams.
+standard streams.  Every module parses with the grammar of the oldest
+Python that ``pyproject.toml`` admits.
 """
 
 import ast
@@ -363,6 +364,27 @@ def test_importing_zpeta_loads_no_cli_and_importing_the_cli_builds_no_parser():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout == "False\n0 None\nTrue True\n"
+
+
+PYTHON_FLOOR = (3, 10)
+
+
+def test_pyproject_declares_the_python_floor_the_grammar_check_holds():
+    pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text()
+    assert f'requires-python = ">={PYTHON_FLOOR[0]}.{PYTHON_FLOOR[1]}"' in pyproject
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_module_parses_with_the_grammar_of_the_python_floor(module):
+    # holds requires-python without an interpreter of that version to test on
+    ast.parse((PACKAGE / f"{module}.py").read_text(), feature_version=PYTHON_FLOOR)
+
+
+def test_the_grammar_check_refuses_a_newer_form():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass"  # exception groups are 3.11
+    ast.parse(source)
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse(source, feature_version=PYTHON_FLOOR)
 
 
 def test_pyproject_declares_no_runtime_dependency():

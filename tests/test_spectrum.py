@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -10,8 +11,9 @@ from zpeta import spectrum
 from zpeta.exact import UNIT_ONE, CyclotomicRing, RadicalValue, cyclotomic_ring
 from zpeta.manifold import EvenDimensionError, SpinStructure, ZpParams, enumerate_params, validate
 from zpeta.eta import structure_classes
-from zpeta.numtheory import NotPrimeError, as_prime, odd_primes_upto
+from zpeta.numtheory import NotPrimeError, OddPrime, as_prime, odd_primes_upto
 from zpeta.spectrum import (
+    NonIntegerKernelError,
     dim_ker,
     dim_ker_oracle,
     mult_diff_by_index,
@@ -158,6 +160,29 @@ def test_dim_ker_rejects_even_dimension():
 def test_dim_ker_rejects_mismatched_structure():
     with pytest.raises(ValueError):
         dim_ker(TRICOSM, SpinStructure((1, 1), 1), 0)
+
+
+def test_dim_ker_refuses_a_kernel_formula_that_p_does_not_divide(monkeypatch):
+    # 2^{(a+b)q} = (2/p)^{a+b} (mod p) makes the division exact; with the wrong
+    # sign of (2/p) it still holds for even a + b, and fails for odd a + b
+    sweep = enumerate_params(7, 30)
+    right = {q: dim_ker(q, structure_classes(q)[0], 0) for q in sweep}
+    legendre = OddPrime.legendre
+
+    def wrong_two(self, k):
+        value = legendre(self, k)
+        return -value if k % self.p == 2 % self.p else value
+
+    monkeypatch.setattr(OddPrime, "legendre", wrong_two)
+    odd = [q for q in sweep if (q.a + q.b) % 2]
+    assert odd and len(odd) < len(sweep)
+    for q in sweep:
+        trivial = structure_classes(q)[0]
+        if q in odd:
+            with pytest.raises(NonIntegerKernelError, match=re.escape(f"not divisible by p for {q}")):
+                dim_ker(q, trivial, 0)
+        else:
+            assert dim_ker(q, trivial, 0) == right[q]
 
 
 def test_dim_ker_oracle_examples():
