@@ -85,7 +85,7 @@ class RadicalValue:
     def __post_init__(self) -> None:
         if self.unit not in (UNIT_ONE, UNIT_I):
             raise ValueError(f"unit must be '1' or 'i', got {self.unit!r}")
-        if not isinstance(self.radicand, int) or self.radicand < 1:
+        if type(self.radicand) is not int or self.radicand < 1:  # bool refused too
             raise ValueError(f"radicand must be a positive integer, got {self.radicand!r}")
         if not isinstance(self.coeff, Fraction):
             object.__setattr__(self, "coeff", _rational(self.coeff, "coeff"))

@@ -239,6 +239,7 @@ class IntMatrix:
         )
 
     def power(self, k: int) -> "IntMatrix":
+        check_ints("k", k)
         if k < 0:
             raise ValueError(f"power needs k >= 0, got {k}")
         result = IntMatrix.identity(self.n)
@@ -251,54 +252,29 @@ class IntMatrix:
         return result
 
     def rank(self) -> int:
-        """Exact rank over Q by fraction-free Bareiss elimination with lazily scaled rows.
+        """Exact rank over Q by fraction-free Bareiss elimination.
 
-        A Bareiss step multiplies a row whose pivot-column entry is 0 by
-        pivot/prev; over consecutive such steps the factors telescope to
-        prev_now/prev_then, since each pivot becomes the next prev.  So each
-        row keeps the prev at which it was last written (its stamp) and is
-        brought up to date, by one exact division, only when it is next
-        touched: as the pivot row or with a nonzero in the pivot column.
-        Rows with a zero there are skipped, so a matrix with k nonzeros
-        per row and little fill-in costs about O(k n^2).
+        After each pivot every lower row is updated by one exact division,
+        row[j] = (row[j] * pivot - row[c] * top[j]) / prev, where prev is the
+        previous pivot (Bareiss, Sylvester's identity), so entries stay int.
         """
         a = [list(r) for r in self.rows]
         n = self.n
-        stamp = [1] * n
         r, prev = 0, 1
-
-        def catch_up(i: int, c: int) -> None:
-            s = stamp[i]
-            if s != prev:
-                row = a[i]
-                for j in range(c, n):
-                    if row[j]:
-                        q, rem = divmod(row[j] * prev, s)
-                        assert rem == 0
-                        row[j] = q
-                stamp[i] = prev
-
         for c in range(n):
             piv = next((i for i in range(r, n) if a[i][c] != 0), None)
             if piv is None:
                 continue
             a[r], a[piv] = a[piv], a[r]
-            stamp[r], stamp[piv] = stamp[piv], stamp[r]
-            catch_up(r, c)
             top = a[r]
             pivot = top[c]
-            for i in range(r + 1, n):
-                if a[i][c] == 0:
-                    continue
-                catch_up(i, c)
-                row = a[i]
+            for row in a[r + 1 :]:
                 f = row[c]
                 for j in range(c + 1, n):
                     q, rem = divmod(row[j] * pivot - f * top[j], prev)
                     assert rem == 0
                     row[j] = q
                 row[c] = 0
-                stamp[i] = pivot
             prev = pivot
             r += 1
         return r
@@ -433,11 +409,12 @@ def _component_analysis(block: IntMatrix, p: int):
     """(order or 0 if not dividing p, det, dim ker(M - I), exponents) of the block M.
 
     The charpoly comes from the Hessenberg recurrence (``IntMatrix.charpoly``)
-    and det(M) is (-1)^n times its constant term, so rank(M - I), the lazily
-    scaled Bareiss elimination of ``IntMatrix.rank``, is the only
-    elimination; on C_p and J_p blocks both cost O(p^2).  exponents is
-    (e, f) with charpoly Phi_p^e (x - 1)^f, found by exact division, or
-    None when any other factor remains.
+    and det(M) is (-1)^n times its constant term.  exponents is (e, f) with
+    charpoly Phi_p^e (x - 1)^f, found by exact division, or None when any
+    other factor remains.  Phi_p(1) = p, so f is the algebraic multiplicity
+    of the eigenvalue 1 and 1 <= ker <= f once f >= 1: ker = f when f <= 1,
+    as on every block of ``build_holonomy``, else n - rank(M - I) by
+    ``IntMatrix.rank``.
 
     p is prime, so an order dividing p is 1 or p, and it follows from
     these without raising M to the p-th power:
@@ -454,7 +431,6 @@ def _component_analysis(block: IntMatrix, p: int):
     n = block.n
     cp = block.charpoly()
     det = (-1) ** n * cp[0]
-    ker = n - block.add_scalar_identity(-1).rank()
     exponents = []
     for factor in ((1,) * p, (-1, 1)):  # Phi_p, x - 1
         k = 0
@@ -462,6 +438,7 @@ def _component_analysis(block: IntMatrix, p: int):
             cp, k = q, k + 1
         exponents.append(k)
     e, f = exponents
+    ker = f if f <= 1 else n - block.add_scalar_identity(-1).rank()
     if ker == n:
         order = 1
     elif cp == (1,) and ker == f and (e <= 1 or block.power(p) == IntMatrix.identity(n)):
@@ -565,8 +542,6 @@ def prime_sweep(p: int, n_max: int) -> list[ZpParams]:
     out = []
     for a in range(0, n_max // (p - 1) + 1):
         base_a = a * (p - 1)
-        if base_a > n_max:
-            break
         for b in range(0, (n_max - base_a) // p + 1):
             if a + b == 0:
                 continue

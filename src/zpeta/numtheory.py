@@ -170,15 +170,13 @@ def class_number_reduced_forms(p: int | OddPrime) -> int:
     count = 0
     b = 1
     while 3 * b * b <= P.p:
-        m4 = P.p + b * b
-        if m4 % 4 == 0:
-            m = m4 // 4
-            a = b if b > 0 else 1
-            while a * a <= m:
-                if a >= b and m % a == 0:
-                    c = m // a
-                    count += 1 if (a == b or a == c) else 2
-                a += 1
+        m = (P.p + b * b) // 4  # exact: p = 3 mod 4 and b is odd
+        a = b
+        while a * a <= m:
+            if m % a == 0:
+                c = m // a
+                count += 1 if (a == b or a == c) else 2
+            a += 1
         b += 2
     return count
 

@@ -327,6 +327,20 @@ def test_closed_form_refuses_terms_that_are_not_fraction_and_int(terms, message)
     assert EtaClosedForm(7, 1, ((Fraction(1, 7), 3),)).at_zero() == Fraction(15, 14)
 
 
+@pytest.mark.parametrize("alpha, message", [
+    (Fraction(0), "alpha out of \\(0, 1\\]: 0"),
+    (Fraction(-1, 14), "alpha out of \\(0, 1\\]: -1/14"),
+    (Fraction(15, 14), "alpha out of \\(0, 1\\]: 15/14"),
+    (Fraction(1, 4), "alpha denominator must divide 2p: 1/4"),
+    (Fraction(1, 21), "alpha denominator must divide 2p: 1/21"),
+], ids=str)
+def test_closed_form_refuses_an_alpha_off_the_grid_of_2p_in_0_1(alpha, message):
+    with pytest.raises(ValueError, match=message):
+        EtaClosedForm(7, 1, ((alpha, 1),))
+    # both ends of the grid are accepted
+    assert EtaClosedForm(7, 1, ((Fraction(1), 1), (Fraction(1, 14), 1))).at_zero() == Fraction(-1, 14)
+
+
 def test_closed_form_terms_depend_on_a_only_through_its_parity():
     # the alphas, and the coefficients up to one sign, are those at a = 1 or 2:
     # what lets `series` refuse a scale far past a double before building it
@@ -348,6 +362,12 @@ def test_series_eval_refuses_a_scale_beyond_a_double(p, a):
     assert form.scale > sys.float_info.max
     with pytest.raises(DomainError, match="eta series evaluation overflows a double at s = 4.0"):
         eta_series_eval(form, 4.0)
+
+
+@pytest.mark.parametrize("h", [0, 3, -1])
+def test_eta_invariant_refuses_a_type_index_other_than_1_or_2(h):
+    with pytest.raises(ValueError, match=f"h must be 1 or 2, got {h}"):
+        eta_invariant(validate(3, 1, 0, 1), h, 0)
 
 
 def test_eta_invariant_tricosm():
@@ -559,6 +579,12 @@ def test_untwisted_closed_form_examples():
     # p = 3 mod 8 turns on the h = 2 class number term
     p11 = validate(11, 1, 0, 1)
     assert untwisted_closed_form(p11, structure_classes(p11)[1]) == 2 * class_number(11)
+
+
+def test_untwisted_closed_form_refuses_even_dimension():
+    params = validate(3, 1, 0, 2)  # n = 4
+    with pytest.raises(EvenDimensionError, match="needs odd n, got n = 4"):
+        untwisted_closed_form(params, SpinStructure((1,), 1))
 
 
 def test_untwisted_matches_assembled_etabar():

@@ -254,6 +254,26 @@ def test_radical_zero_is_normalized():
     assert z == RadicalValue.zero()
 
 
+@pytest.mark.parametrize(
+    "unit, radicand, message",
+    [
+        ("j", 1, "unit must be '1' or 'i', got 'j'"),
+        (1, 1, "unit must be '1' or 'i', got 1"),
+        (UNIT_ONE, 0, "radicand must be a positive integer, got 0"),
+        (UNIT_I, -3, "radicand must be a positive integer, got -3"),
+        (UNIT_ONE, True, "radicand must be a positive integer, got True"),
+        (UNIT_ONE, 2.0, "radicand must be a positive integer, got 2.0"),
+    ],
+    ids=("unit-j", "unit-int", "radicand-0", "radicand-negative", "radicand-bool", "radicand-float"),
+)
+def test_radical_refuses_a_bad_unit_or_a_radicand_that_is_not_a_positive_int(
+    unit, radicand, message
+):
+    # radicand True was accepted and shown as radicand=True in the repr
+    with pytest.raises(ValueError, match=message):
+        RadicalValue(Fraction(1), unit, radicand)
+
+
 def test_radical_str_examples():
     assert str(RadicalValue(Fraction(3, 2), UNIT_I, 7)) == "3/2*i*sqrt(7)"
     assert str(RadicalValue(Fraction(-1), UNIT_ONE, 1)) == "-1"

@@ -477,6 +477,19 @@ def test_intmatrix_rejects_non_int_entries(rows):
         IntMatrix(rows)
 
 
+@pytest.mark.parametrize("rows", [[[1, 2]], [[1, 0], [0]], [[1], [0]]], ids=repr)
+def test_intmatrix_refuses_a_matrix_that_is_not_square(rows):
+    with pytest.raises(ValueError, match="matrix must be square"):
+        IntMatrix(rows)
+
+
+@pytest.mark.parametrize("k", [True, False, 2.0, "2"], ids=repr)
+def test_intmatrix_power_refuses_an_exponent_that_is_not_an_int(k):
+    # power(True) returned M and power(2.0) raised TypeError from k & 1
+    with pytest.raises(ValueError, match=f"k must be an int, got {k!r}"):
+        IntMatrix.identity(2).power(k)
+
+
 def _triple_loop_product(x, y):
     n = len(x)
     return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
@@ -805,6 +818,23 @@ def test_component_order_examples(rows, order):
     assert manifold._component_analysis(IntMatrix(rows), 3)[0] == order
 
 
+@pytest.mark.parametrize(
+    "rows, ker",
+    [
+        ([[1, 1], [0, 1]], 1),  # f = 2, one Jordan block at 1
+        ([[1, 0], [0, 1]], 2),  # f = 2, semisimple
+        ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 2),  # f = 3
+        ([[0, -1], [1, -1]], 0),  # C_3: f = 0
+        ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 1),  # J_3: f = 1
+    ],
+)
+def test_component_fixed_space_examples(rows, ker):
+    # ker is the exponent f of x - 1 when f <= 1, else n - rank(M - I)
+    m = IntMatrix(rows)
+    assert manifold._component_analysis(m, 3)[2] == ker
+    assert m.n - m.add_scalar_identity(-1).rank() == ker
+
+
 def test_holonomy_checks_never_raise_a_block_to_the_pth_power(monkeypatch):
     # every block of build_holonomy has e <= 1, so its order follows from the charpoly
     def refuse(self, k):
@@ -812,6 +842,17 @@ def test_holonomy_checks_never_raise_a_block_to_the_pth_power(monkeypatch):
 
     manifold._component_analysis.cache_clear()  # a cached block would skip the analysis
     monkeypatch.setattr(IntMatrix, "power", refuse)
+    for params in [validate(97, 3, 2, 1), *enumerate_params(13, 40)]:
+        assert holonomy_checks(build_holonomy(params), params).all_ok
+
+
+def test_holonomy_checks_never_eliminate_a_block(monkeypatch):
+    # every block of build_holonomy has f <= 1, so its fixed space is f
+    def refuse(self):
+        raise AssertionError(f"rank() called on a {self.n} x {self.n} block")
+
+    manifold._component_analysis.cache_clear()  # a cached block would skip the analysis
+    monkeypatch.setattr(IntMatrix, "rank", refuse)
     for params in [validate(97, 3, 2, 1), *enumerate_params(13, 40)]:
         assert holonomy_checks(build_holonomy(params), params).all_ok
 

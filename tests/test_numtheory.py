@@ -202,6 +202,12 @@ def test_weighted_legendre_sum_examples():
     assert weighted_legendre_sum(0, 1, -1, 3) == 1
 
 
+@pytest.mark.parametrize("factor", [0, 3, -1])
+def test_weighted_legendre_sum_refuses_a_factor_other_than_1_or_2(factor):
+    with pytest.raises(ValueError, match=f"factor must be 1 or 2, got {factor}"):
+        weighted_legendre_sum(1, factor, 1, 5)
+
+
 def test_weighted_legendre_sum_closed_forms():
     for p in SMALL_PRIMES:
         P = as_prime(p)
