@@ -30,10 +30,10 @@ from .manifold import (
     IntMatrix,
     ZpParams,
     build_holonomy,
-    enumerate_params,
     enumerate_spin_structures,
     holonomy_checks,
     prime_sweep,
+    sweep_keys,
     validate,
 )
 
@@ -213,11 +213,13 @@ def _oracles_for_prime(item: tuple[int, int]) -> Report:
 
 
 # suite: (checker of one work item, default p_max, default n_max, sweep).
-# A sweep suite's items are contiguous slices of enumerate_params(p_max,
-# n_max), one per worker (_chunks); any other suite has one item (p, n_max)
-# per odd prime.  The eta checkers look up cli.eta when they run: the pool
-# pickles only _run_item and the suite name, and a rebound cli.eta (the
-# benchmark's tracing proxy, a monkeypatch) must reach every worker.
+# A sweep suite's items are contiguous slices of sweep_keys(p_max, n_max),
+# one per worker (_chunks): plain (p, a, b, c) tuples, which _run_item
+# builds into records in the process that checks them.  Any other suite
+# has one item (p, n_max) per odd prime.  The eta checkers look up cli.eta
+# when they run: the pool pickles only _run_item and the suite name, and a
+# rebound cli.eta (the benchmark's tracing proxy, a monkeypatch) must
+# reach every worker.
 _SUITES = {
     "integrality": (lambda chunk: eta.verify_integrality(chunk), 13, 60, True),
     "parity": (lambda chunk: eta.verify_parity(chunk), 13, 60, True),
@@ -228,15 +230,19 @@ _SUITES = {
 
 
 def _run_item(task: tuple[str, object]) -> Report:
-    """One pool task: the checker of the suite on one work item."""
+    """One pool task: the checker of the suite on one work item.  A sweep
+    item's keys become records here, each through the checked ``ZpParams``
+    constructor, so a worker builds only the records it checks."""
     suite, item = task
-    return _SUITES[suite][0](item)
+    check, _, _, sweep = _SUITES[suite]
+    return check([ZpParams(*key) for key in item] if sweep else item)
 
 
 def _chunks(items: list, count: int) -> list[list]:
     """count contiguous slices of items, in order, lengths differing by at
-    most one: slice k ends at ceil((k + 1) len(items) / count).  The merge
-    concatenates the reports in this order."""
+    most one: slice k ends at ceil((k + 1) len(items) / count).  A sweep
+    cuts its keys, not its records, so a slice pickles as plain int tuples.
+    The merge concatenates the reports in this order."""
     ends = [-(-k * len(items) // count) for k in range(count + 1)]
     return [items[start:end] for start, end in zip(ends, ends[1:])]
 
@@ -272,8 +278,8 @@ def run_suite(suite: str, p_max: int | None, n_max: int | None, jobs: int = 1) -
     p_max = default_p if p_max is None else p_max
     n_max = default_n if n_max is None else n_max
     if sweep:
-        params = enumerate_params(p_max, n_max)
-        items = _chunks(params, _workers(jobs, len(params)))
+        keys = sweep_keys(p_max, n_max)
+        items = _chunks(keys, _workers(jobs, len(keys)))
     else:
         items = [(p, n_max) for p in numtheory.odd_primes_upto(p_max)]
     parts = _pmap(_run_item, [(suite, item) for item in items], jobs)

@@ -519,7 +519,8 @@ def verify_untwisted(sweep: list[ZpParams]) -> Report:
             closed = untwisted_closed_form(params, structure)
             eta_0 = eta_invariant(params, structure.h, 0)
             assembled = _half_sum(eta_0, dim_ker(params, structure, 0))
-            report.check(
-                closed == assembled, str(params), _structure_desc(structure), 0, assembled, closed
-            )
+            if closed == assembled:
+                report.cases += 1
+            else:  # the names are formatted only for a failure entry
+                report.check(False, str(params), _structure_desc(structure), 0, assembled, closed)
     return report

@@ -99,7 +99,7 @@ class ZpParams:
         return (self.p, self.a, self.b, self.c)
 
     def __reduce__(self):
-        # the five fields only: a --jobs worker resolves p from its own cache
+        # the five fields only: the unpickling process resolves p from its own cache
         return ZpParams, (self.p, self.a, self.b, self.c, self.ideal_label)
 
     def __str__(self) -> str:
@@ -526,20 +526,19 @@ def holonomy_checks(m: IntMatrix, params: ZpParams) -> HolonomyReport:
     )
 
 
-def enumerate_params(p_max: int, n_max: int) -> list[ZpParams]:
-    """All valid (p, a, b, c) with p <= p_max and n <= n_max, ordered;
-    only odd-dimensional manifolds (b + c odd)."""
+def sweep_keys(p_max: int, n_max: int) -> list[tuple[int, int, int, int]]:
+    """The keys (p, a, b, c) of every valid manifold with p <= p_max and
+    n <= n_max and b + c odd, ascending: the one enumeration rule of the
+    sweeps.  It builds no record; enumerate_params builds theirs."""
     check_ints("p_max n_max", p_max, n_max)
-    # each prime's sweep is in key order and the primes ascend
-    return [q for p in odd_primes_upto(p_max) for q in prime_sweep(p, n_max)]
+    # each prime's keys ascend and the primes ascend
+    return [key for p in odd_primes_upto(p_max) for key in _prime_keys(p, n_max)]
 
 
-def prime_sweep(p: int, n_max: int) -> list[ZpParams]:
-    """The manifolds of enumerate_params whose prime is p, in its order:
-    (a, b, c) ascending."""
-    as_prime(p)
+def _prime_keys(p: int, n_max: int) -> list[tuple[int, int, int, int]]:
+    """The keys of sweep_keys whose prime is p: (a, b, c) ascending."""
     check_ints("n_max", n_max)
-    out = []
+    keys = []
     for a in range(0, n_max // (p - 1) + 1):
         base_a = a * (p - 1)
         for b in range(0, (n_max - base_a) // p + 1):
@@ -547,8 +546,21 @@ def prime_sweep(p: int, n_max: int) -> list[ZpParams]:
                 continue
             base = base_a + b * p
             for c in range(1 + b % 2, n_max - base + 1, 2):  # b + c odd
-                out.append(ZpParams(p, a, b, c))
-    return out
+                keys.append((p, a, b, c))
+    return keys
+
+
+def enumerate_params(p_max: int, n_max: int) -> list[ZpParams]:
+    """All valid (p, a, b, c) with p <= p_max and n <= n_max, ordered;
+    only odd-dimensional manifolds (b + c odd)."""
+    return [ZpParams(*key) for key in sweep_keys(p_max, n_max)]
+
+
+def prime_sweep(p: int, n_max: int) -> list[ZpParams]:
+    """The manifolds of enumerate_params whose prime is p, in its order:
+    (a, b, c) ascending."""
+    as_prime(p)
+    return [ZpParams(*key) for key in _prime_keys(p, n_max)]
 
 
 # re-exported for callers that catch validation errors in one place
@@ -570,5 +582,6 @@ __all__ = [
     "enumerate_spin_structures",
     "holonomy_checks",
     "homology_h1",
+    "sweep_keys",
     "validate",
 ]

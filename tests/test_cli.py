@@ -22,9 +22,11 @@ from zpeta.exact import cyclotomic_ring, rational_str
 from zpeta.manifold import (
     MAX_HOLONOMY_N,
     IntMatrix,
+    ZpParams,
     enumerate_params,
     enumerate_spin_structures,
     prime_sweep,
+    sweep_keys,
     validate,
 )
 from zpeta.numtheory import as_prime, is_prime, odd_primes_upto
@@ -518,7 +520,7 @@ def test_sweep_chunks_are_contiguous_and_balanced(monkeypatch, suites, p_max, n_
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)  # four workers at most, on any machine
     for suite in suites:
         run_suite(suite, p_max, n_max, jobs)
-    sweep = enumerate_params(p_max, n_max)
+    sweep = sweep_keys(p_max, n_max)
     for suite in suites:
         chunks = work[suite]
         assert [q for chunk in chunks for q in chunk] == sweep
@@ -532,7 +534,7 @@ def test_run_suite_cuts_every_sweep_by_count(monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # two workers on any machine
     for suite in SWEEP_SUITES:
         run_suite(suite, 13, 40, jobs=2)
-    sweep = enumerate_params(13, 40)
+    sweep = sweep_keys(13, 40)
     assert work["integrality"] == work["parity"] == work["untwisted"] == [sweep[:821], sweep[821:]]
 
 
@@ -541,7 +543,7 @@ def test_run_suite_defaults_give_the_documented_work(monkeypatch):
     assert tuple(cli._SUITES) == SUITES
     for suite in SUITES:
         run_suite(suite, None, None)
-    sweep = enumerate_params(13, 60)
+    sweep = sweep_keys(13, 60)
     assert work == {
         "integrality": [sweep],
         "parity": [sweep],
@@ -549,6 +551,57 @@ def test_run_suite_defaults_give_the_documented_work(monkeypatch):
         "oracles": [(p, 60) for p in odd_primes_upto(31)],
         "untwisted": [sweep],
     }
+
+
+@pytest.mark.parametrize("suite", SWEEP_SUITES)
+def test_a_sweep_sends_keys_and_the_parent_builds_no_record(monkeypatch, suite):
+    work = _capture_work(monkeypatch)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)  # --jobs 2 runs two slices anywhere
+    built = []
+    post_init = ZpParams.__post_init__
+
+    def counted(self):
+        built.append(self.key())
+        post_init(self)
+
+    monkeypatch.setattr(ZpParams, "__post_init__", counted)
+    run_suite(suite, 13, 40, jobs=2)
+    assert built == []
+    items = work[suite]
+    assert len(items) == 2
+    for item in items:
+        assert type(item) is list
+        for key in item:
+            assert type(key) is tuple and len(key) == 4
+            assert all(type(x) is int for x in key)
+    assert [key for item in items for key in item] == sweep_keys(13, 40)
+    validate(3, 1, 0, 1)  # the counter sees a construction
+    assert built == [(3, 1, 0, 1)]
+
+
+# one exceptional manifold, checked by all three sweeps, in each half of
+# the (13, 40) sweep
+_FAULT_KEYS = ((3, 3, 0, 1), (7, 2, 0, 1))
+
+
+@pytest.mark.parametrize("suite", SWEEP_SUITES)
+def test_a_fault_in_each_slice_is_reported_alike_at_any_jobs(monkeypatch, suite):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)  # --jobs 2 runs two slices anywhere
+    halves = cli._chunks(sweep_keys(13, 40), 2)
+    assert all(key in half for key, half in zip(_FAULT_KEYS, halves))
+    right = eta.eta_invariant
+
+    def planted(params, h, ell):
+        value = right(params, h, ell)
+        return value + Fraction(1, 3) if ell == 0 and params.key() in _FAULT_KEYS else value
+
+    monkeypatch.setattr(eta, "eta_invariant", planted)
+    serial, pooled = (run_suite(suite, 13, 40, jobs).to_dict() for jobs in (1, 2))
+    assert pooled == serial
+    names = [entry["params"] for entry in serial["failures"]]
+    faults = [str(validate(*key)) for key in _FAULT_KEYS]
+    assert set(names) == set(faults)
+    assert names == sorted(names, key=faults.index)  # sweep order
 
 
 @pytest.mark.parametrize("suite", SUITES)

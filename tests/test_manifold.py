@@ -266,6 +266,27 @@ def test_prime_sweep_is_one_prime_of_enumerate_params():
         assert manifold.prime_sweep(p, 40) == want
 
 
+@pytest.mark.parametrize("n_max", (0, 1, 13, 40, 60))
+@pytest.mark.parametrize("p_max", (0, 2, 3, 7, 13, 31))
+def test_sweep_keys_are_the_keys_of_enumerate_params(p_max, n_max):
+    # one enumeration rule: the keys the --jobs pool sends, then the records
+    keys = manifold.sweep_keys(p_max, n_max)
+    assert keys == [q.key() for q in enumerate_params(p_max, n_max)]
+    assert all(type(x) is int for key in keys for x in key)
+    for p in odd_primes_upto(p_max):
+        want = [q.key() for q in manifold.prime_sweep(p, n_max)]
+        assert [key for key in keys if key[0] == p] == want
+
+
+@pytest.mark.parametrize("bounds", ((13, None), (13.0, 40), (13, True), ("13", 40), (None, None)))
+def test_sweep_keys_refuse_the_bounds_enumerate_params_refuses(bounds):
+    with pytest.raises(ValueError) as records:
+        enumerate_params(*bounds)
+    with pytest.raises(ValueError) as keys:
+        manifold.sweep_keys(*bounds)
+    assert (type(keys.value), str(keys.value)) == (type(records.value), str(records.value))
+
+
 @pytest.mark.parametrize(
     "args, error, message",
     [
@@ -417,10 +438,10 @@ def _rank_by_minors(rows) -> int:
 
 
 @st.composite
-def _lazily_scaled_matrices(draw):
-    # the last row is zero in the first two pivot columns, whose pivots are
-    # not units, so it is skipped while prev moves away from 1 and is
-    # rescaled when it is next touched
+def _non_unit_pivot_matrices(draw):
+    # the first two diagonal entries are not units, so the Bareiss updates
+    # divide exactly by a prev other than +-1; the last row is zero in those
+    # two columns, so its first updates have f = 0 and still divide by prev
     n = draw(st.integers(3, 5))
     rows = draw(_kernel_matrices(n))
     rows[0][0] = draw(st.sampled_from((2, -2, 3)))
@@ -434,7 +455,7 @@ def _lazily_scaled_matrices(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(_SQUARE_MATRICES, _lazily_scaled_matrices()))
+@given(st.one_of(_SQUARE_MATRICES, _non_unit_pivot_matrices()))
 def test_intmatrix_elimination_matches_leibniz(rows):
     # zero leading entries force row swaps and pivot-less columns
     m = IntMatrix(rows)
