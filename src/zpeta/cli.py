@@ -451,20 +451,23 @@ def _invariant_chunks(params: ZpParams, fmt: str) -> Iterator[str]:
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 
-def _int_list(items, newline: str) -> str:
-    """``json.dumps(items, indent=2)`` of a nonempty sequence of plain ints,
-    nested at newline: each run of zeros is one repetition of
+def _matrix_rows(matrix: IntMatrix, newline: str) -> list[str]:
+    """``json.dumps(row, indent=2)`` of each row of matrix, nested at newline,
+    written from its stored nonzeros: each run of zeros is one repetition of
     ``"0," + inner`` and only the nonzeros go through ``int.__repr__``, the
-    digits ``json`` writes, so a matrix row costs Python steps per nonzero,
-    not per entry."""
+    digits ``json`` writes, so a row costs Python steps per nonzero, not
+    per entry."""
     inner = newline + "  "
     sep = "," + inner
-    zero, parts, start = "0" + sep, [], 0
-    for i in itertools.compress(range(len(items)), items):  # the nonzeros
-        parts += (zero * (i - start), repr(items[i]), sep)
-        start = i + 1
-    parts.append(zero * (len(items) - start))
-    return "[" + inner + "".join(parts)[: -len(sep)] + newline + "]"  # sep follows every item
+    zero, n, out = "0" + sep, matrix.n, []
+    for i, pairs in enumerate(matrix.entries):
+        parts, start = [], 0
+        for d, v in pairs:  # the nonzero v at column i + d
+            parts += (zero * (i + d - start), repr(v), sep)
+            start = i + d + 1
+        parts.append(zero * (n - start))  # sep follows every item, the last one too
+        out.append("[" + inner + "".join(parts)[: -len(sep)] + newline + "]")
+    return out
 
 
 def _json(obj, newline: str = "\n") -> str:
@@ -474,10 +477,10 @@ def _json(obj, newline: str = "\n") -> str:
     With an indent, ``json.dumps`` renders every item through Python-level
     generators; here strings go through the C quoting function, and an
     object whose type is ``IntMatrix`` (the class guarantees its entries
-    are ints) has each row written by ``_int_list`` without looking at the
-    type of its entries.  Any list or tuple is written item by item, so a
-    bool in it is ``true``/``false``.  Keys must be str: any other key
-    raises TypeError.
+    are ints) has its rows written by ``_matrix_rows`` from its stored
+    nonzeros, without looking at the type of an entry.  Any list or tuple
+    is written item by item, so a bool in it is ``true``/``false``.  Keys
+    must be str: any other key raises TypeError.
     """
     if isinstance(obj, str):
         return _quote(obj)
@@ -494,7 +497,7 @@ def _json(obj, newline: str = "\n") -> str:
         items = (_quote(key) + ": " + _json(value, inner) for key, value in obj.items())
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if type(obj) is IntMatrix:  # the class checked every entry: no type scan
-        items = [_int_list(row, inner) for row in obj.rows]
+        items = _matrix_rows(obj, inner)
     elif isinstance(obj, (list, tuple)):
         items = [_json(item, inner) for item in obj]
     else:

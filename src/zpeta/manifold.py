@@ -21,7 +21,6 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
 
 from .numtheory import NotOddError, NotPrimeError, OddPrime, as_prime, check_ints, odd_primes_upto
 
@@ -174,20 +173,27 @@ def enumerate_spin_structures(params: ZpParams) -> list[SpinStructure]:
     ]
 
 
+_ONE = ((0, 1),)  # the row of IntMatrix.entries that is a 1 on the diagonal
+
+
 class IntMatrix:
     """Square matrix of Python integers with exact operations.
 
-    Every entry has type int (no bool): the constructor checks each one and
-    ``_from_rows`` wraps only rows computed from ints, so a reader of the
-    type (the certificate writer) need not scan them; == and hash are by rows.
+    Storage is sparse: ``entries[i]`` is the tuple of ``(j - i, value)``
+    pairs of row i's nonzeros, j ascending.  Columns are measured from the
+    diagonal, so an equal diagonal block is the same slice of ``entries``
+    wherever it sits, and == and hash are by entries.  ``rows`` is a dense
+    read-only view (a tuple of int tuples) for the eliminations.
 
-    Storage is dense (``rows`` is a tuple of row tuples), but the product
-    skips zeros: row i of ``A @ B`` is the sum of B's rows j scaled by the
-    nonzero A[i][j] only, so a left factor with at most k nonzeros per row
-    (such as C_p or J_p) costs O(k n^2) instead of O(n^3).
+    Every value has type int (no bool): the constructor checks each entry
+    and ``_from_entries`` wraps only pairs computed from ints, so a reader
+    of the type (the certificate writer) need not scan them.  The product
+    meets each nonzero A[i][j] only with the nonzeros of B's row j, so a
+    left factor with at most k nonzeros per column (such as C_p or J_p)
+    costs O(k nnz(B)), not the O(k n^2) of a dense row sum.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("entries",)
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -198,45 +204,62 @@ class IntMatrix:
             for x in r:
                 if type(x) is not int:  # bool is an int subclass and is refused too
                     raise ValueError(f"matrix entries must be integers, got {x!r}")
-        self.rows = rows
+        self.entries = tuple(
+            tuple((j - i, x) for j, x in enumerate(r) if x) for i, r in enumerate(rows)
+        )
 
     @classmethod
-    def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
-        """Wrap rows that are already a square tuple of int tuples, unchecked."""
+    def _from_entries(cls, entries: tuple[tuple[tuple[int, int], ...], ...]) -> "IntMatrix":
+        """Wrap rows of (j - i, nonzero int) pairs, j ascending, unchecked."""
         m = object.__new__(cls)
-        m.rows = rows
+        m.entries = entries
         return m
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.entries)
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        dense = [[0] * self.n for _ in self.entries]
+        for i, pairs in enumerate(self.entries):
+            for d, v in pairs:
+                dense[i][i + d] = v
+        return tuple(map(tuple, dense))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls._from_rows(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        check_ints("n", n)
+        if n < 0:
+            raise ValueError(f"identity needs n >= 0, got {n}")
+        return cls._from_entries((_ONE,) * n)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and other.rows == self.rows
+        return isinstance(other, IntMatrix) and other.entries == self.entries
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash(self.entries)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        zero = (0,) * self.n
+        if not isinstance(other, IntMatrix) or other.n != self.n:
+            raise ValueError(f"a {self.n} x {self.n} matrix needs a {self.n} x {self.n} IntMatrix")
         out = []
-        for row in self.rows:
-            acc = None
-            for a, b in zip(row, other.rows):
-                if a:
-                    term = b if a == 1 else tuple(map(mul, itertools.repeat(a), b))
-                    acc = term if acc is None else tuple(map(add, acc, term))
-            out.append(zero if acc is None else acc)
-        return IntMatrix._from_rows(tuple(out))
+        for i, pairs in enumerate(self.entries):
+            acc = {}  # row i of the product: A[i][i + d] * B[i + d][i + d + e] at offset d + e
+            for d, a in pairs:
+                for e, b in other.entries[i + d]:
+                    acc[d + e] = acc.get(d + e, 0) + a * b
+            out.append(tuple(sorted([pair for pair in acc.items() if pair[1]])))
+        return IntMatrix._from_entries(tuple(out))
 
     def add_scalar_identity(self, s: int) -> "IntMatrix":
-        return IntMatrix._from_rows(
-            tuple(row[:i] + (row[i] + s,) + row[i + 1 :] for i, row in enumerate(self.rows))
-        )
+        check_ints("s", s)
+        out = []
+        for pairs in self.entries:
+            acc = dict(pairs)
+            acc[0] = acc.get(0, 0) + s
+            out.append(tuple(sorted([pair for pair in acc.items() if pair[1]])))
+        return IntMatrix._from_entries(tuple(out))
 
     def power(self, k: int) -> "IntMatrix":
         check_ints("k", k)
@@ -335,56 +358,44 @@ class IntMatrix:
         return tuple(coeffs)
 
 
-MAX_HOLONOMY_N = 2000
+MAX_HOLONOMY_N = 2000  # not for the storage: the certificate writes all n^2 entries
 
 
 def build_holonomy(params: ZpParams) -> IntMatrix:
     """Block-diagonal generator matrix diag(C_p x a, J_p x b, 1 x c).
 
-    The matrix is stored dense, so n above MAX_HOLONOMY_N is refused with
-    ValueError before anything is allocated.
+    A block's rows are pairs relative to the diagonal, so the matrix is the
+    C_p rows a times, the J_p rows b times and the row of 1 c times: O(n)
+    tuples, no n x n fill.  n above MAX_HOLONOMY_N raises ValueError first.
     """
     p, n = params.p, params.n
     if n > MAX_HOLONOMY_N:
         raise ValueError(
             f"holonomy matrix of {params} would be {n} x {n}; n is limited to {MAX_HOLONOMY_N}"
         )
-    rows = [[0] * n for _ in range(n)]
-    off = 0
-    for _ in range(params.a):  # C_p, companion of Phi_p: subdiagonal ones, last column -1
-        for i in range(p - 1):
-            rows[off + i][off + p - 2] = -1
-            if i:
-                rows[off + i][off + i - 1] = 1
-        off += p - 1
-    for _ in range(params.b):  # J_p, the cyclic shift
-        rows[off][off + p - 1] = 1
-        for i in range(1, p):
-            rows[off + i][off + i - 1] = 1
-        off += p
-    for i in range(off, n):
-        rows[i][i] = 1
-    return IntMatrix._from_rows(tuple(map(tuple, rows)))
+    # C_p, companion of Phi_p: subdiagonal ones, last column -1
+    c_rows = (((p - 2, -1),),) + tuple(((-1, 1), (p - 2 - i, -1)) for i in range(1, p - 1))
+    j_rows = (((p - 1, 1),),) + (((-1, 1),),) * (p - 1)  # J_p, the cyclic shift
+    return IntMatrix._from_entries(c_rows * params.a + j_rows * params.b + (_ONE,) * params.c)
 
 
-def _diagonal_blocks(rows: tuple[tuple[int, ...], ...]) -> list[tuple[int, int]]:
-    """(start, stop) of each block of the finest contiguous block-diagonal split.
+def _diagonal_blocks(entries: tuple[tuple[tuple[int, int], ...], ...]) -> list[tuple[int, int]]:
+    """(start, stop) of each block of the finest contiguous block-diagonal split
+    of the matrix with these ``IntMatrix.entries``.
 
     A nonzero (i, j) spans every k with min(i, j) <= k < max(i, j), and the
     split cuts after each k that no nonzero spans.  Of row i only the first
     nonzero j_0 and the last j_1 are read: they span [j_0, i) and [i, j_1),
     and every other nonzero of the row spans a part of one of them.
     """
-    n = len(rows)
+    n = len(entries)
     reach = list(range(n))  # reach[k]: the furthest index a nonzero spans from k
-    cols = range(n)
-    for i, row in enumerate(rows):
-        nonzeros = itertools.compress(cols, row)
-        for j in nonzeros:  # j_0; a zero row spans nothing
+    for i, pairs in enumerate(entries):
+        if pairs:  # a zero row spans nothing
+            j = i + pairs[0][0]  # j_0
             if i > reach[j]:
                 reach[j] = i
-            for j in nonzeros:  # on to j_1
-                pass
+            j = i + pairs[-1][0]  # j_1
             if j > reach[i]:
                 reach[i] = j
     stops = [k + 1 for k, end in enumerate(itertools.accumulate(reach, max)) if end == k]
@@ -486,16 +497,16 @@ def holonomy_checks(m: IntMatrix, params: ZpParams) -> HolonomyReport:
     block multiplicativity); each distinct block is analysed once, through a
     cache, and weighted by its count.  All arithmetic is exact.
     """
+    if not isinstance(m, IntMatrix):
+        raise ValueError(f"m must be an IntMatrix, got {type(m).__name__}")
+    if not isinstance(params, ZpParams):
+        raise ValueError(f"params must be a ZpParams, got {type(params).__name__}")
     if m.n != params.n:
         raise ValueError(f"matrix is {m.n}x{m.n}, but {params} has n = {params.n}")
-    p = params.p
-    blocks = Counter(
-        [
-            tuple([row[start:stop] for row in m.rows[start:stop]])
-            for start, stop in _diagonal_blocks(m.rows)
-        ]
-    )
-    analyses = [(_component_analysis(IntMatrix._from_rows(b), p), k) for b, k in blocks.items()]
+    p, entries = params.p, m.entries
+    # a block's rows are a slice of entries: its pairs are relative to the diagonal
+    blocks = Counter([entries[start:stop] for start, stop in _diagonal_blocks(entries)])
+    analyses = [(_component_analysis(IntMatrix._from_entries(b), p), k) for b, k in blocks.items()]
 
     # each block's order is 1, p or 0 (not dividing p)
     orders = [a[0] for a, _ in analyses]

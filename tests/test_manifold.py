@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pickle
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,27 +44,15 @@ def _params_with_even_n(p_max, n_max):
 
 
 
-@dataclasses.dataclass(frozen=True)
-class _Claimed:
+class _Claimed(ZpParams):
     """Block counts (p, a, b, c) read off a planted matrix, with the n, beta1
-    and str that holonomy_checks reads.  Unlike a ZpParams it may have
-    a + b = 0 or c = 0, as a matrix of 1 blocks or of C_p blocks does."""
+    and str that holonomy_checks reads.  A ZpParams that skips the family's
+    refusals: it may have a + b = 0 or c = 0, as a matrix of 1 blocks or of
+    C_p blocks does."""
 
-    p: int
-    a: int
-    b: int
-    c: int
-
-    @property
-    def n(self) -> int:
-        return self.a * (self.p - 1) + self.b * self.p + self.c
-
-    @property
-    def beta1(self) -> int:
-        return self.b + self.c
-
-    def __str__(self) -> str:
-        return f"({self.p},{self.a},{self.b},{self.c})"
+    def __post_init__(self) -> None:
+        p, a, b, c = self.p, self.a, self.b, self.c
+        self.__dict__.update(n=a * (p - 1) + b * p + c, beta1=b + c)  # the record is frozen
 
 def test_validate_examples():
     tri = validate(3, 1, 0, 1)
@@ -511,6 +500,69 @@ def test_intmatrix_power_refuses_an_exponent_that_is_not_an_int(k):
         IntMatrix.identity(2).power(k)
 
 
+@pytest.mark.parametrize(
+    "other", [IntMatrix([[2]]), IntMatrix.identity(3), ((1, 0), (0, 1)), 2], ids=repr
+)
+def test_intmatrix_product_refuses_an_operand_of_another_size_or_type(other):
+    # identity(2) @ IntMatrix([[2]]) returned the non-square ((2,), (0, 0))
+    with pytest.raises(ValueError, match="a 2 x 2 matrix needs a 2 x 2 IntMatrix"):
+        IntMatrix.identity(2) @ other
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, True, "1", None], ids=repr)
+def test_add_scalar_identity_refuses_a_scalar_that_is_not_an_int(s):
+    # add_scalar_identity(0.5) stored floats, which the certificate writer trusts to be ints
+    with pytest.raises(ValueError, match=f"s must be an int, got {s!r}"):
+        IntMatrix.identity(2).add_scalar_identity(s)
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (-1, "identity needs n >= 0, got -1"),
+        (2.0, "n must be an int, got 2.0"),
+        (True, "n must be an int, got True"),
+    ],
+    ids=repr,
+)
+def test_identity_refuses_a_size_that_is_not_a_non_negative_int(n, message):
+    # identity(-1) was the empty matrix and identity(2.0) raised TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        IntMatrix.identity(n)
+
+
+@pytest.mark.parametrize("m", [((0, -1, 0), (1, -1, 0), (0, 0, 1)), None], ids=repr)
+def test_holonomy_checks_refuse_a_matrix_that_is_not_an_intmatrix(m):
+    with pytest.raises(ValueError, match="m must be an IntMatrix, got"):
+        holonomy_checks(m, validate(3, 1, 0, 1))
+
+
+@pytest.mark.parametrize("params", [(3, 1, 0, 1), "(3,1,0,1)", None], ids=repr)
+def test_holonomy_checks_refuse_params_that_are_not_a_zpparams(params):
+    with pytest.raises(ValueError, match="params must be a ZpParams, got"):
+        holonomy_checks(build_holonomy(validate(3, 1, 0, 1)), params)
+
+
+@pytest.mark.parametrize("key", [(3, 1, 0, 1), (5, 2, 1, 2), (7, 1, 2, 3), (13, 2, 1, 4)], ids=str)
+def test_a_block_of_build_holonomy_is_the_block_built_dense(key):
+    # the component cache is keyed by the block: a slice of the stored rows
+    # must equal, and hash like, the same block validated from its dense rows
+    m = build_holonomy(validate(*key))
+    dense = m.rows
+    for start, stop in manifold._diagonal_blocks(m.entries):
+        sliced = IntMatrix._from_entries(m.entries[start:stop])
+        built = IntMatrix([r[start:stop] for r in dense[start:stop]])
+        assert sliced == built and hash(sliced) == hash(built)
+        assert sliced.rows == built.rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_the_zero_matrix_splits_into_one_block_per_index(n):
+    zero = IntMatrix([[0] * n for _ in range(n)])
+    assert zero.entries == ((),) * n
+    assert manifold._diagonal_blocks(zero.entries) == [(k, k + 1) for k in range(n)]
+
+
 def _triple_loop_product(x, y):
     n = len(x)
     return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
@@ -546,6 +598,15 @@ def test_intmatrix_product_matches_triple_loop(pair):
         [v - 2 if i == j else v for j, v in enumerate(r)] for i, r in enumerate(x)
     ]
     _assert_canonical(shifted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(_kernel_matrices))
+def test_intmatrix_rows_view_is_the_dense_input(rows):
+    # the nonzeros are stored against the diagonal; rows rebuilds every entry
+    m = IntMatrix(rows)
+    assert m.rows == tuple(map(tuple, rows))
+    assert all(type(x) is int for r in m.rows for x in r)
 
 
 @st.composite
@@ -701,7 +762,7 @@ def test_charpoly_factor_count_matches_the_full_product(case):
     rows, p, (a, b, c), _ = case
     subs = [
         IntMatrix(r[start:stop] for r in rows[start:stop])
-        for start, stop in manifold._diagonal_blocks(IntMatrix(rows).rows)
+        for start, stop in manifold._diagonal_blocks(IntMatrix(rows).entries)
     ]
     charpolys = [sub.charpoly() for sub in subs]
     exponents = [manifold._component_analysis(sub, p)[3] for sub in subs]
@@ -743,7 +804,7 @@ def test_holonomy_checks_of_repeated_blocks_match_the_whole_matrix(case):
 def test_diagonal_blocks_match_their_definition(rows):
     # the sparse strategy often leaves a nonzero in one direction only
     n = len(rows)
-    blocks = manifold._diagonal_blocks(IntMatrix(rows).rows)
+    blocks = manifold._diagonal_blocks(IntMatrix(rows).entries)
     # the blocks tile 0..n in order
     assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
     assert blocks[-1][1] == n and all(start < stop for start, stop in blocks)
@@ -779,7 +840,7 @@ def _blocks_from_every_nonzero(rows):
 @example([[0, 0, 0, 0], [0, 1, -1, 0], [0, 0, 0, 0], [0, 0, 0, 0]])  # zero rows around one span
 def test_diagonal_blocks_read_first_and_last_nonzero_like_every_nonzero(rows):
     # each row's inner nonzeros span parts of its first's and last's spans
-    assert manifold._diagonal_blocks(IntMatrix(rows).rows) == _blocks_from_every_nonzero(rows)
+    assert manifold._diagonal_blocks(IntMatrix(rows).entries) == _blocks_from_every_nonzero(rows)
 
 
 @settings(max_examples=100, deadline=None)
@@ -810,7 +871,7 @@ def test_component_order_matches_the_literal_power(case, rnd):
     rnd.shuffle(sigma)
     permuted = [[rows[i][j] for j in sigma] for i in sigma]
     for m in (rows, permuted):
-        for start, stop in manifold._diagonal_blocks(IntMatrix(m).rows):
+        for start, stop in manifold._diagonal_blocks(IntMatrix(m).entries):
             block = [r[start:stop] for r in m[start:stop]]
             got = manifold._component_analysis(IntMatrix(block), p)[0]
             assert got == _literal_order(block, p), block
