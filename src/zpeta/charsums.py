@@ -16,14 +16,28 @@ literal sum, evaluated term by term in the oracle ring Z[z], z = zeta_4p
 sides are kept strictly separate so each can serve as the other's oracle,
 and they are compared with ``==`` after ``CyclotomicRing.embed``.
 
-Both sums are read from one table per (h, chi, p),
+Both sums are read from one table per (chi, p),
 
-    D(u) = sum_{k=1}^{p-1} (-1)^{k(h+1)} chi(k) z^{2ku},   u mod 2p,
+    D(u) = sum_{k=1}^{p-1} chi(k) z^{2ku},   u mod 2p,
 
-built as sums of packed monomials: G_h(l) = D(2l + [h=2]), and, since
-sin x = (e^{ix} - e^{-ix}) / 2i, 2i F_h(l, c) = D(2l + m) - D(2l - m) with
-m = 2c + [h=2].  The trig products are literal products of
-z^{2jk} -+ z^{-2jk} (2i sin and 2 cos of j k pi / p).
+built as sums of packed monomials.  The h = 2 weight (-1)^k is z^{2pk},
+so an h = 2 sum reads D at u + p: G_h(l) = D(2l + [h=2] + p[h=2]), and,
+since sin x = (e^{ix} - e^{-ix}) / 2i,
+2i F_h(l, c) = D(2l + m + p[h=2]) - D(2l - m + p[h=2]) with m = 2c + [h=2].
+The trig products are literal products of z^{2jk} -+ z^{-2jk} (2i sin and
+2 cos of j k pi / p).
+
+Each table is summed on one orbit of the root-of-unity identities its
+literal terms obey, and filled from it by those identities:
+
+    D(2p - u) = chi(-1) (-1)^u D(u)          (k -> p - k),
+    T(-k) = s^q T(k),  T(k + p) = (-1)^{q(q+1)/2} T(k)
+
+for the product T(k) of z^{2jk} + s z^{-2jk}, s = -1 (sin) or +1 (cos).
+So only u = 0..p and k = 0..q are summed.  The identities hold in Z[z]
+itself, term by term (a reindexing of the sum, a sign per factor of the
+product), so a filled entry is still the literal sum.  No closed form
+enters a table: a table built from one would check it against itself.
 """
 
 from __future__ import annotations
@@ -51,15 +65,19 @@ def _prime(p: int | OddPrime, chi: CharacterChoice, h: int, l: int, c: int = 1) 
     """p as an OddPrime once the arguments pass, before any table is read:
     chi a CharacterChoice, h, l and c ints (bools refused), h in {1, 2} and
     c >= 1."""
-    if not type(h) is type(l) is type(c) is int:  # skips a call per cell of the appendix
-        check_ints("h l c", h, l, c)
+    # one test on the valid path, which the appendix takes at every cell
+    if (
+        type(h) is type(l) is type(c) is int and 0 < h < 3 and c > 0
+        and type(chi) is CharacterChoice
+    ):
+        return p if type(p) is OddPrime else as_prime(p)  # the suites pass an OddPrime
+    check_ints("h l c", h, l, c)
     if not isinstance(chi, CharacterChoice):
         raise ValueError(f"chi must be a CharacterChoice, got {chi!r}")
     if h not in (1, 2):
         raise ValueError(f"h must be 1 or 2, got {h}")
-    if c < 1:
-        raise ValueError(f"c must be a positive integer, got {c}")
-    return p if type(p) is OddPrime else as_prime(p)  # the suites pass an OddPrime
+    # the fast test failed on c alone
+    raise ValueError(f"c must be a positive integer, got {c}")
 
 
 def _trig_prime(kind: str, k: int, p: int | OddPrime) -> OddPrime:
@@ -72,25 +90,28 @@ def _trig_prime(kind: str, k: int, p: int | OddPrime) -> OddPrime:
 
 
 @lru_cache(maxsize=4)
-def _gauss_terms(h: int, quadratic: bool, p: int) -> tuple[int, ...]:
-    """D(u) for u = 0..2p-1, packed, each the sum of its p - 1 monomials."""
+def _gauss_terms(quadratic: bool, p: int) -> tuple[int, ...]:
+    """D(u) for u = 0..2p-1, packed: u = 0..p each the sum of its p - 1
+    monomials, the rest D(2p - u) = chi(-1) (-1)^u D(u)."""
     P = as_prime(p)
     mono = cyclotomic_ring(P).mono
     chars = P.legendre_table() if quadratic else [1] * p  # k = 1..p-1 are read
-    weights = [(k, -chars[k] if h == 2 and k % 2 else chars[k]) for k in range(1, p)]
-    plus = [k for k, w in weights if w == 1]
-    minus = [k for k, w in weights if w == -1]
+    plus = [k for k in range(1, p) if chars[k] == 1]
+    minus = [k for k in range(1, p) if chars[k] == -1]
     n = 4 * p
-    return tuple(
+    low = [
         sum([mono[2 * k * u % n] for k in plus]) - sum([mono[2 * k * u % n] for k in minus])
-        for u in range(2 * p)
-    )
+        for u in range(p + 1)
+    ]
+    odd = -chars[p - 1]  # chi(-1) (-1)^u at odd u
+    high = [low[2 * p - u] * (odd if u % 2 else -odd) for u in range(p + 1, 2 * p)]
+    return tuple(low + high)
 
 
 def gauss_direct(h: int, chi: CharacterChoice, l: int, p: int | OddPrime) -> int:
     """The literal sum G_h(l), packed in the ring of p."""
     P = _prime(p, chi, h, l)
-    return _gauss_terms(h, chi is CHIP, P.p)[(2 * l + (h == 2)) % (2 * P.p)]
+    return _gauss_terms(chi is CHIP, P.p)[(2 * l + (h == 2) * (P.p + 1)) % (2 * P.p)]
 
 
 def G_h_chi0(h: int, l: int, p: int | OddPrime) -> int:
@@ -154,9 +175,10 @@ def _half_root_multiples(p: int) -> tuple[RadicalValue, ...]:
 def F_direct(h: int, chi: CharacterChoice, l: int, c: int, p: int | OddPrime) -> int:
     """The literal sum 2i F_h(l, c), packed in the ring of p, for any l and c >= 1."""
     P = _prime(p, chi, h, l, c)
-    terms = _gauss_terms(h, chi is CHIP, P.p)
+    terms = _gauss_terms(chi is CHIP, P.p)
     m, n = 2 * c + (h == 2), 2 * P.p
-    return terms[(2 * l + m) % n] - terms[(2 * l - m) % n]
+    u = 2 * l + (h == 2) * P.p
+    return terms[(u + m) % n] - terms[(u - m) % n]
 
 
 def trig_prod(kind: str, k: int, p: int | OddPrime) -> RadicalValue:
@@ -192,14 +214,20 @@ def half_period_product(kind: str, p: int | OddPrime) -> dict[int, int]:
 
 @lru_cache(maxsize=4)
 def _trig_literals(p: int) -> dict[str, tuple[int, ...]]:
-    """Per kind, the packed product at k = 0..2p-1: every exponent of the
-    product is even, so its image under z -> z^k depends on k mod 2p only."""
+    """Per kind, the packed product T(k) at k = 0..2p-1: every exponent of
+    the product is even, so its image under z -> z^k depends on k mod 2p
+    only.  k = 0..q are mapped from the product at k = 1, the rest filled
+    by T(p - k) = (-1)^{q(q+1)/2} s^q T(k) and T(k + p) = (-1)^{q(q+1)/2} T(k)."""
     P = as_prime(p)
-    ring = cyclotomic_ring(P)
+    ring, q = cyclotomic_ring(P), P.q
+    shift = -1 if q * (q + 1) // 2 % 2 else 1
     out = {}
-    for kind in _KINDS:
+    for kind, sign in _KINDS.items():
         prod = half_period_product(kind, P)
-        out[kind] = tuple(ring.pack(ring.reduce(prod, k)) for k in range(2 * p))
+        low = [ring.pack(ring.reduce(prod, k)) for k in range(q + 1)]
+        mirror = shift * sign**q
+        half = low + [mirror * low[p - k] for k in range(q + 1, p)]
+        out[kind] = tuple(half + [shift * x for x in half])
     return out
 
 

@@ -127,6 +127,37 @@ def test_F_direct_is_bitwise_the_ascending_k_loop(h, chi):
                 assert F_direct(h, chi, l, c, p) == _F_scalar_loop(h, chi, l, c, p), (p, l, c)
 
 
+@pytest.mark.parametrize("p", odd_primes_upto(131))  # 64-bit slots to p = 113, then 128
+def test_tables_match_an_entry_by_entry_build_at_every_index(p):
+    # D_h(u) = sum_k (-1)^{k(h+1)} chi(k) z^{2ku} at every u mod 2p, read
+    # from the one table of chi at u + p [h=2]; the product T(k) = prod_j
+    # (z^{2jk} + s z^{-2jk}) at every k mod 2p, as the image of T(1) under
+    # the ring map z -> z^k (x -> x^k maps Z[x]/(x^{4p} - 1) to itself).
+    # Each entry is summed here on its own: only the ring's canonical form
+    # (``literal``) is shared with the tables, none of their orbit fill
+    P, n = as_prime(p), 4 * p
+    for chi in (CHI0, CHIP):
+        table = charsums._gauss_terms(chi is CHIP, p)
+        assert len(table) == 2 * p
+        chars = [0] + [1 if chi is CHI0 else P.legendre(k) for k in range(1, p)]
+        for h in (1, 2):
+            for u in range(2 * p):
+                terms = [(2 * k * u, (-1) ** (k * (h + 1)) * chars[k]) for k in range(1, p)]
+                assert table[(u + p * (h == 2)) % (2 * p)] == literal(terms, p), (chi, h, u)
+    for kind, s in (("sin", -1), ("cos", 1)):
+        table = charsums._trig_literals(p)[kind]
+        assert len(table) == 2 * p
+        prod = {0: 1}
+        for j in range(1, P.q + 1):
+            step = {}
+            for e, c in prod.items():
+                for f, w in ((2 * j, 1), (-2 * j, s)):
+                    step[(e + f) % n] = step.get((e + f) % n, 0) + w * c
+            prod = step
+        for k in range(2 * p):
+            assert table[k] == literal([(e * k, c) for e, c in prod.items()], p), (kind, k)
+
+
 def _float_loops(p):
     """The literal sums in floating point, one term at a time: (G_h(l), F_h(l, c),
     prod sin, prod cos) by their arguments."""
@@ -214,6 +245,32 @@ def test_appendix_reports_a_wrong_legendre_sum(monkeypatch):
             "expected": "0",
             "got": "1",
         }
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, family",
+    [
+        ("sum_legendre_odd_shift", "odd-shifted-sum"),
+        ("odd_weighted_legendre_sum", "odd-weighted-sum"),
+    ],
+)
+def test_appendix_reports_a_wrong_odd_index_legendre_sum(monkeypatch, name, family):
+    # one wrong cell at (ell, sign) = (3, -1), p = 5: one entry, the count unchanged
+    cases = suite_appendix(5).cases
+    right = getattr(numtheory, name)
+
+    def wrong_at_one_cell(ell, sign, p):
+        value = right(ell, sign, p)
+        return value + 1 if (ell, sign, as_prime(p).p) == (3, -1, 5) else value
+
+    monkeypatch.setattr(numtheory, name, wrong_at_one_cell)
+    report = suite_appendix(5)
+    value = right(3, -1, 5)
+    assert report.cases == cases == 500
+    assert [f.to_dict() for f in report.failures] == [
+        {"params": "p=5", "structure": family, "ell": 3, "expected": str(value),
+         "got": str(value + 1)},
     ]
 
 

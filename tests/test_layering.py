@@ -11,8 +11,10 @@ and a private helper left behind by one by the orphan check, since no
 linter runs over the package.  A ``ZpParams`` resolves its prime once, so
 no module resolves a record's p again through ``as_prime``.  The command
 line has one exit path: only ``cli._emit`` and ``cli.main`` touch the
-standard streams.  Every module parses with the grammar of the oldest
-Python that ``pyproject.toml`` admits.
+standard streams.  The literal side of ``charsums`` (its tables and the
+sums read from them) reads no closed form, so each side stays the other's
+oracle.  Every module parses with the grammar of the oldest Python that
+``pyproject.toml`` admits.
 """
 
 import ast
@@ -391,3 +393,68 @@ def test_pyproject_declares_no_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")  # the standard library from Python 3.11
     pyproject = PACKAGE.parents[1] / "pyproject.toml"
     assert tomllib.loads(pyproject.read_text())["project"]["dependencies"] == []
+
+
+# the literal side of charsums: the tables and the sums read from them
+LITERAL_SIDE = (
+    "_gauss_terms",
+    "_trig_literals",
+    "half_period_product",
+    "gauss_direct",
+    "F_direct",
+    "trig_prod_direct",
+)
+
+
+def _closed_form_name(name: str) -> bool:
+    return name.startswith(("G_h_", "F_h_")) or name in (
+        "trig_prod",
+        "_half_root_multiples",
+        "RadicalValue",
+        "legendre",  # OddPrime.legendre, the symbol the closed forms read
+    )
+
+
+def literal_side_closed_form_uses(tree: ast.Module) -> list[str]:
+    """Each closed-form name read by a function of the literal side, or by
+    a module-level function it reaches through calls, as "function: name".
+    The literal sums are the closed forms' oracle: one that reads a closed
+    form, or the Legendre symbol the closed forms are written in, checks
+    nothing."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found, seen, todo = [], set(), [name for name in LITERAL_SIDE if name in functions]
+    while todo:
+        name = todo.pop(0)
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                used = node.id
+            elif isinstance(node, ast.Attribute):
+                used = node.attr
+            else:
+                continue
+            if _closed_form_name(used):
+                found.append(f"{name}: {used}")
+            elif used in functions and used not in seen:
+                todo.append(used)
+    return found
+
+
+def test_the_literal_side_of_charsums_reads_no_closed_form():
+    tree = ast.parse((PACKAGE / "charsums.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert set(LITERAL_SIDE) <= defined
+    assert literal_side_closed_form_uses(tree) == []
+
+
+def test_the_literal_side_rule_fails_on_a_planted_closed_form():
+    # F_direct returning the closed form, directly and through a helper
+    tree = ast.parse((PACKAGE / "charsums.py").read_text())
+    F_direct = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "F_direct")
+    F_direct.body[-1:] = ast.parse("return _closed(h, l, c, P)").body
+    tree.body += ast.parse("def _closed(h, l, c, P):\n    return F_h_chip(h, l, c, P)").body
+    assert literal_side_closed_form_uses(tree) == ["_closed: F_h_chip"]
+    F_direct.body[-1:] = ast.parse("return P.legendre(l) * RadicalValue(1)").body
+    assert literal_side_closed_form_uses(tree) == ["F_direct: legendre", "F_direct: RadicalValue"]
