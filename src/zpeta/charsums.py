@@ -126,9 +126,7 @@ def G_h_chip(h: int, l: int, p: int | OddPrime) -> RadicalValue:
     (2/p) ((2l+1)/p) delta(p) sqrt(p) (h=2).  Uniformly, as (l/p) =
     (2/p)(2l/p): (2/p) (u/p) delta(p) sqrt(p), u = 2l + [h=2]."""
     P = _prime(p, CHI0, h, l)
-    coeff = P.legendre(2) * P.legendre(2 * l + (h == 2))
-    # delta(p): 1 for p = 1 mod 4, i for p = 3 mod 4
-    return RadicalValue(Fraction(coeff), UNIT_ONE if P.p % 4 == 1 else UNIT_I, P.p)
+    return _closed_values(P.p)["gauss"][P.legendre(2) * P.legendre(2 * l + (h == 2)) + 2]
 
 
 def F_h_chi0(h: int, l: int, c: int, p: int | OddPrime) -> RadicalValue:
@@ -140,9 +138,9 @@ def F_h_chi0(h: int, l: int, c: int, p: int | OddPrime) -> RadicalValue:
         return RadicalValue.zero()
     m = 2 * c + (h == 2)
     if (2 * l - m) % P.p == 0:
-        return RadicalValue(Fraction(P.p, 2), UNIT_I, 1)
+        return _closed_values(P.p)["sine_chi0"][3]
     if (2 * l + m) % P.p == 0:
-        return RadicalValue(Fraction(-P.p, 2), UNIT_I, 1)
+        return _closed_values(P.p)["sine_chi0"][1]
     return RadicalValue.zero()
 
 
@@ -159,17 +157,32 @@ def F_h_chip(h: int, l: int, c: int, p: int | OddPrime) -> RadicalValue:
     P = _prime(p, CHI0, h, l, c)
     tab, m = P.legendre_table(), 2 * c + (h == 2)
     diff = tab[2] * (tab[(2 * l - m) % P.p] - tab[(2 * l + m) % P.p])
-    return _half_root_multiples(P.p)[diff + 2]
+    return _closed_values(P.p)["sine_chip"][diff + 2]
 
 
 @lru_cache(maxsize=4)
-def _half_root_multiples(p: int) -> tuple[RadicalValue, ...]:
-    """i delta(p) diff sqrt(p)/2 for diff = -2..2, the values of F_h_chip,
-    built once per prime: one RadicalValue per call made the appendix suite
-    about a quarter slower."""
-    if p % 4 == 1:
-        return tuple(RadicalValue(Fraction(diff, 2), UNIT_I, p) for diff in range(-2, 3))
-    return tuple(RadicalValue(Fraction(-diff, 2), UNIT_ONE, p) for diff in range(-2, 3))
+def _closed_values(p: int) -> dict[str, tuple[RadicalValue, ...]]:
+    """Per closed form, its values s * v at p for s = -2..2 (index s + 2),
+    built once per prime: the forms return these shared objects (the zero
+    among them), so the appendix suite embeds each value once, not once
+    per cell.  v is delta(p) sqrt(p) for G_h_chip, i p/2 for F_h_chi0,
+    i delta(p) sqrt(p)/2 for F_h_chip, 2^-q sqrt(p) and 2^-q for the sine
+    and cosine products, and 1 for the cosine product at p | k.  delta(p)
+    is 1 for p = 1 mod 4 and i for p = 3 mod 4, so i delta(p) is i or -1."""
+    q, one_mod_4 = (p - 1) // 2, p % 4 == 1
+    units = {
+        "gauss": (Fraction(1), UNIT_ONE if one_mod_4 else UNIT_I, p),
+        "sine_chi0": (Fraction(p, 2), UNIT_I, 1),
+        "sine_chip": (Fraction(1 if one_mod_4 else -1, 2), UNIT_I if one_mod_4 else UNIT_ONE, p),
+        "sin": (Fraction(1, 2**q), UNIT_ONE, p),
+        "cos": (Fraction(1, 2**q), UNIT_ONE, 1),
+        "one": (Fraction(1), UNIT_ONE, 1),
+    }
+    zero = RadicalValue.zero()
+    return {
+        name: tuple(RadicalValue(s * v, unit, r) if s else zero for s in range(-2, 3))
+        for name, (v, unit, r) in units.items()
+    }
 
 
 def F_direct(h: int, chi: CharacterChoice, l: int, c: int, p: int | OddPrime) -> int:
@@ -189,15 +202,12 @@ def trig_prod(kind: str, k: int, p: int | OddPrime) -> RadicalValue:
          (2/p)^{k/p} for p | k (k/p here the integer quotient).
     """
     P = _trig_prime(kind, k, p)
-    l2 = P.legendre(2)
+    l2, values = P.legendre(2), _closed_values(P.p)
     if kind == "sin":
-        sym = P.legendre(k)
-        if sym == 0:
-            return RadicalValue.zero()
-        return RadicalValue(Fraction(l2 ** (k - 1) * sym, 2**P.q), UNIT_ONE, P.p)
+        return values["sin"][l2 ** (k - 1) * P.legendre(k) + 2]
     if k % P.p == 0:
-        return RadicalValue(Fraction(l2 ** (k // P.p)), UNIT_ONE, 1)
-    return RadicalValue(Fraction(l2 ** (k - 1), 2**P.q), UNIT_ONE, 1)
+        return values["one"][l2 ** (k // P.p) + 2]
+    return values["cos"][l2 ** (k - 1) + 2]
 
 
 def half_period_product(kind: str, p: int | OddPrime) -> dict[int, int]:

@@ -111,7 +111,7 @@ def _appendix_charsum_checks(report: Report, p: int) -> None:
     """Every closed form of charsums against its literal sum at p, cell by
     cell.  Each cell calls its closed form, but a closed-form object is
     embedded once per (scale, i_pow): the forms return a few shared values
-    (``_half_root_multiples``, the zero).  The memo is keyed by identity,
+    per prime (``charsums._closed_values``).  The memo is keyed by identity,
     not equality (a RadicalValue hashes through Fraction), and holds the
     value so that its id is not reused; a refused embedding is not kept,
     so it fails at every cell.  The sine cells, 8p^2 of the 8p^2 + 10p,

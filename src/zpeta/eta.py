@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Real
 
-from .exact import ResidueModZ, reduce_mod_Z
+from .exact import Frozen, ResidueModZ, reduce_mod_Z
 from .manifold import EvenDimensionError, SpinStructure, ZpParams
-from .numtheory import S_split, check_ints, class_number
+from .numtheory import S_split, as_prime, check_ints, class_number
 from .spectrum import dim_ker, mult_diff_by_index
 
 
@@ -85,29 +84,46 @@ def hurwitz_zeta(s: float, alpha) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class EtaClosedForm:
+class EtaClosedForm(Frozen):
     """Finite Hurwitz-zeta combination representing one eta series.
 
     Value at s: scale * (2 pi p)^{-s} * sum coeff * zeta(s, alpha), with
-    each alpha a Fraction in (0, 1] whose denominator divides 2p and each
-    coeff an int.  The zero series has an empty term list.
+    p an odd prime, each alpha a Fraction in (0, 1] whose denominator
+    divides 2p and each coeff an int.  terms is a tuple of (alpha, coeff)
+    tuples; the zero series has an empty one.
     """
 
-    p: int
-    scale: int
-    terms: tuple[tuple[Fraction, int], ...]
-
-    def __post_init__(self) -> None:
-        check_ints("p scale", self.p, self.scale)
-        for alpha, coeff in self.terms:
+    def __init__(self, p: int, scale: int, terms: tuple[tuple[Fraction, int], ...]) -> None:
+        as_prime(p)  # raises ValueError / NotPrimeError / NotOddError
+        check_ints("scale", scale)
+        if type(terms) is not tuple:  # a list would leave the record unhashable
+            raise ValueError(f"terms must be a tuple, got {terms!r}")
+        for term in terms:
+            if type(term) is not tuple or len(term) != 2:
+                raise ValueError(f"each term must be an (alpha, coeff) tuple, got {term!r}")
+            alpha, coeff = term
             if not isinstance(alpha, Fraction):
                 raise ValueError(f"alpha must be a Fraction, got {alpha!r}")
             check_ints("coeff", coeff)
             if not 0 < alpha <= 1:
                 raise ValueError(f"alpha out of (0, 1]: {alpha}")
-            if (2 * self.p) % alpha.denominator != 0:
+            if (2 * p) % alpha.denominator != 0:
                 raise ValueError(f"alpha denominator must divide 2p: {alpha}")
+        set_field = object.__setattr__
+        set_field(self, "p", p)
+        set_field(self, "scale", scale)
+        set_field(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.scale, self.terms) == (other.p, other.scale, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.scale, self.terms))
+
+    def __repr__(self) -> str:
+        return f"EtaClosedForm(p={self.p!r}, scale={self.scale!r}, terms={self.terms!r})"
 
     @classmethod
     def zero(cls, p: int) -> "EtaClosedForm":
@@ -241,16 +257,45 @@ def eta_invariant_via_series(params: ZpParams, h: int, ell: int) -> Fraction:
     return eta_series_closed_form(params, h, ell).at_zero()
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
+class InvariantRecord(Frozen):
     """The invariants of one (structure, twist) pair.  The pair is where the
     record sits: at index ell of ``structure_records(params, structure)``."""
 
-    eta: Fraction
-    dim_ker: int
-    eta_bar: Fraction
-    eta_bar_mod_Z: ResidueModZ
-    relative_mod_Z: ResidueModZ
+    def __init__(
+        self,
+        eta: Fraction,
+        dim_ker: int,
+        eta_bar: Fraction,
+        eta_bar_mod_Z: ResidueModZ,
+        relative_mod_Z: ResidueModZ,
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "eta", eta)
+        set_field(self, "dim_ker", dim_ker)
+        set_field(self, "eta_bar", eta_bar)
+        set_field(self, "eta_bar_mod_Z", eta_bar_mod_Z)
+        set_field(self, "relative_mod_Z", relative_mod_Z)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.eta, self.dim_ker, self.eta_bar, self.eta_bar_mod_Z, self.relative_mod_Z
+        ) == (
+            other.eta, other.dim_ker, other.eta_bar, other.eta_bar_mod_Z, other.relative_mod_Z
+        )
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.eta, self.dim_ker, self.eta_bar, self.eta_bar_mod_Z, self.relative_mod_Z)
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"InvariantRecord(eta={self.eta!r}, dim_ker={self.dim_ker!r}, "
+            f"eta_bar={self.eta_bar!r}, eta_bar_mod_Z={self.eta_bar_mod_Z!r}, "
+            f"relative_mod_Z={self.relative_mod_Z!r})"
+        )
 
 
 def _half_sum(eta: Fraction, d: int) -> Fraction:
@@ -356,26 +401,69 @@ def untwisted_closed_form(params: ZpParams, structure: SpinStructure) -> Fractio
 # verification suites
 
 
-@dataclass(frozen=True)
-class FailureEntry:
-    params: str
-    structure: str
-    ell: int | None
-    expected: str
-    got: str
+_ENTRY_FIELDS = ("params", "structure", "ell", "expected", "got")  # of FailureEntry, in order
+
+
+class FailureEntry(Frozen):
+    """One failed comparison: where it was made and both sides as strings."""
+
+    def __init__(
+        self, params: str, structure: str, ell: int | None, expected: str, got: str
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "params", params)
+        set_field(self, "structure", structure)
+        set_field(self, "ell", ell)
+        set_field(self, "expected", expected)
+        set_field(self, "got", got)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in _ENTRY_FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        pairs = zip(_ENTRY_FIELDS, self._values())
+        return "FailureEntry(" + ", ".join(f"{name}={value!r}" for name, value in pairs) + ")"
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in _ENTRY_FIELDS}
 
 
-@dataclass
 class Report:
     """Certificate report for one verification suite."""
 
-    suite: str
-    cases: int = 0
-    failures: list[FailureEntry] = field(default_factory=list)
-    expected_exceptions: list[dict] = field(default_factory=list)
+    def __init__(
+        self,
+        suite: str,
+        cases: int = 0,
+        failures: list[FailureEntry] | None = None,
+        expected_exceptions: list[dict] | None = None,
+    ) -> None:
+        self.suite = suite
+        self.cases = cases
+        self.failures = [] if failures is None else failures
+        self.expected_exceptions = [] if expected_exceptions is None else expected_exceptions
+
+    # __eq__ without __hash__ leaves the class unhashable: a report grows in place
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.suite, self.cases, self.failures, self.expected_exceptions) == (
+            other.suite, other.cases, other.failures, other.expected_exceptions
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Report(suite={self.suite!r}, cases={self.cases!r}, failures={self.failures!r}, "
+            f"expected_exceptions={self.expected_exceptions!r})"
+        )
 
     @property
     def ok(self) -> bool:

@@ -16,7 +16,6 @@ holds that ring for one odd prime; a closed form enters it through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -42,20 +41,47 @@ def rational_str(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
-class ResidueModZ:
+class Frozen:
+    """Base of the immutable records: assigning or deleting an attribute
+    raises ``AttributeError``.
+
+    Each ``__init__`` writes its fields once, past this ``__setattr__``,
+    with ``object.__setattr__``: like plain assignment, that keeps them in
+    the instance's inline values, where touching ``self.__dict__`` would
+    build a dict per instance (on CPython 3.11 about twice the memory of a
+    small record, and slower attribute reads).
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ResidueModZ(Frozen):
     """A rational residue r with 0 <= r < 1."""
 
-    value: Fraction
-
-    def __post_init__(self) -> None:
-        value = self.value
+    def __init__(self, value: Fraction) -> None:
         if not isinstance(value, Fraction):
             value = _rational(value, "residue")
-            object.__setattr__(self, "value", value)
         # the denominator is positive, so this is 0 <= value < 1 on ints
         if not 0 <= value.numerator < value.denominator:
             raise ValueError(f"residue out of [0, 1): {value}")
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
+
+    def __repr__(self) -> str:
+        return f"ResidueModZ(value={self.value!r})"
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -71,27 +97,36 @@ def reduce_mod_Z(x: Fraction | int) -> ResidueModZ:
     return ResidueModZ(Fraction(x.numerator % den, den))
 
 
-@dataclass(frozen=True)
-class RadicalValue:
+class RadicalValue(Frozen):
     """coeff * unit * sqrt(radicand), with unit in {1, i}.
 
     Zero is normalized to coeff 0, unit 1, radicand 1.
     """
 
-    coeff: Fraction
-    unit: str = UNIT_ONE
-    radicand: int = 1
+    def __init__(self, coeff: Fraction, unit: str = UNIT_ONE, radicand: int = 1) -> None:
+        if unit not in (UNIT_ONE, UNIT_I):
+            raise ValueError(f"unit must be '1' or 'i', got {unit!r}")
+        if type(radicand) is not int or radicand < 1:  # bool refused too
+            raise ValueError(f"radicand must be a positive integer, got {radicand!r}")
+        if not isinstance(coeff, Fraction):
+            coeff = _rational(coeff, "coeff")
+        if coeff == 0:
+            unit, radicand = UNIT_ONE, 1
+        set_field = object.__setattr__
+        set_field(self, "coeff", coeff)
+        set_field(self, "unit", unit)
+        set_field(self, "radicand", radicand)
 
-    def __post_init__(self) -> None:
-        if self.unit not in (UNIT_ONE, UNIT_I):
-            raise ValueError(f"unit must be '1' or 'i', got {self.unit!r}")
-        if type(self.radicand) is not int or self.radicand < 1:  # bool refused too
-            raise ValueError(f"radicand must be a positive integer, got {self.radicand!r}")
-        if not isinstance(self.coeff, Fraction):
-            object.__setattr__(self, "coeff", _rational(self.coeff, "coeff"))
-        if self.coeff == 0:
-            object.__setattr__(self, "unit", UNIT_ONE)
-            object.__setattr__(self, "radicand", 1)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coeff, self.unit, self.radicand) == (other.coeff, other.unit, other.radicand)
+
+    def __hash__(self) -> int:
+        return hash((self.coeff, self.unit, self.radicand))
+
+    def __repr__(self) -> str:
+        return f"RadicalValue(coeff={self.coeff!r}, unit={self.unit!r}, radicand={self.radicand!r})"
 
     @classmethod
     def zero(cls) -> "RadicalValue":

@@ -536,12 +536,31 @@ def test_appendix_calls_every_closed_form_per_cell_and_embeds_each_object_once(m
     assert set(embedded) == {key for key, _ in returned}
 
 
+@pytest.mark.parametrize("p", (3, 5, 7, 13))
+def test_each_closed_form_returns_one_object_per_value_at_a_prime(p):
+    # the embed memo is keyed by identity: a new object per call (G_h_chip,
+    # F_h_chi0 and trig_prod did so) is embedded again at every cell
+    P = as_prime(p)
+    sine_cells = [(h, l, c) for h in (1, 2) for l in range(p) for c in range(1, 2 * p + 1)]
+    cells = {
+        "G_h_chip": [G_h_chip(h, l, P) for h in (1, 2) for l in range(p)],
+        "F_h_chi0": [F_h_chi0(*cell, P) for cell in sine_cells],
+        "F_h_chip": [F_h_chip(*cell, P) for cell in sine_cells],
+        "trig_prod": [trig_prod(kind, k, P) for kind in ("sin", "cos") for k in range(1, 3 * p + 1)],
+    }
+    for name, values in cells.items():
+        first = {}
+        for value in values:
+            assert first.setdefault(value, value) is value, (name, value)
+        assert len(first) > 1
+
+
 def test_a_wrong_shared_closed_form_object_fails_only_its_cell(monkeypatch):
     # F_h_chip returns one of five shared objects; at (h, l, c) = (2, 3, 4),
     # p = 5, it returns the negated one, after both were embedded at earlier
     # cells: the memo is keyed by the object, so only that cell fails
     right = charsums.F_h_chip
-    shared = charsums._half_root_multiples(5)
+    shared = charsums._closed_values(5)["sine_chip"]
     earlier = []
 
     def planted(h, l, c, p):
@@ -611,7 +630,7 @@ CHARSUM_ENTRY_POINTS = (
 )
 CHARSUM_CACHES = (
     charsums._gauss_terms,
-    charsums._half_root_multiples,
+    charsums._closed_values,
     charsums._trig_literals,
 )
 

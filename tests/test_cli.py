@@ -558,13 +558,13 @@ def test_a_sweep_sends_keys_and_the_parent_builds_no_record(monkeypatch, suite):
     work = _capture_work(monkeypatch)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)  # --jobs 2 runs two slices anywhere
     built = []
-    post_init = ZpParams.__post_init__
+    init = ZpParams.__init__
 
-    def counted(self):
+    def counted(self, *args):
+        init(self, *args)
         built.append(self.key())
-        post_init(self)
 
-    monkeypatch.setattr(ZpParams, "__post_init__", counted)
+    monkeypatch.setattr(ZpParams, "__init__", counted)
     run_suite(suite, 13, 40, jobs=2)
     assert built == []
     items = work[suite]

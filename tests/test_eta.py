@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -318,13 +317,27 @@ def test_structure_and_closed_form_refuse_values_that_are_not_ints(argument, bad
     (((0.5, 1),), "alpha must be a Fraction, got 0.5"),
     (((Fraction(1, 7), 1.5),), "coeff must be an int, got 1.5"),
     (((Fraction(1, 7), True),), "coeff must be an int, got True"),
-], ids=("float-alpha", "float-coeff", "bool-coeff"))
+    ([(Fraction(1, 7), 1)], "terms must be a tuple, got \\[\\(Fraction\\(1, 7\\), 1\\)\\]"),
+    (([Fraction(1, 7), 1],), "each term must be an \\(alpha, coeff\\) tuple"),
+], ids=("float-alpha", "float-coeff", "bool-coeff", "list-terms", "list-term"))
 def test_closed_form_refuses_terms_that_are_not_fraction_and_int(terms, message):
     # a float alpha raised AttributeError on .denominator, and a float or bool
-    # coefficient made at_zero inexact (1.5 gave 4825285315039817/9007199254740992)
+    # coefficient made at_zero inexact (1.5 gave 4825285315039817/9007199254740992);
+    # a list of terms, or a list as a term, made hash() of the record raise TypeError
     with pytest.raises(ValueError, match=message):
         EtaClosedForm(7, 1, terms)
     assert EtaClosedForm(7, 1, ((Fraction(1, 7), 3),)).at_zero() == Fraction(15, 14)
+
+
+@pytest.mark.parametrize("p, alpha, message", [
+    (-3, Fraction(1, 6), "p must be prime, got -3"),
+    (4, Fraction(1, 8), "p must be prime, got 4"),
+    (9, Fraction(1, 18), "p must be prime, got 9"),
+])
+def test_closed_form_refuses_a_p_that_is_not_an_odd_prime(p, alpha, message):
+    # each constructed, and eta_series_eval read the first two as 0.01027 at s = 4
+    with pytest.raises(NotPrimeError, match=message):
+        EtaClosedForm(p, 1, ((alpha, 1),))
 
 
 @pytest.mark.parametrize("alpha, message", [
@@ -548,9 +561,15 @@ def test_a_nonexceptional_manifold_builds_two_records_by_arithmetic(monkeypatch)
 
 def test_a_record_is_its_five_invariants():
     # the twist and the structure are where the record sits, not fields of it
-    assert [f.name for f in dataclasses.fields(eta.InvariantRecord)] == [
-        "eta", "dim_ker", "eta_bar", "eta_bar_mod_Z", "relative_mod_Z",
-    ]
+    fields = ["eta", "dim_ker", "eta_bar", "eta_bar_mod_Z", "relative_mod_Z"]
+    record = structure_records(validate(3, 1, 0, 1), SpinStructure((), 1))[1]
+    assert list(vars(record)) == fields
+    # == compares every field
+    for name in fields:
+        other = eta.InvariantRecord(*vars(record).values())
+        assert other == record
+        other.__dict__[name] = None
+        assert other != record
 
 
 def _bar_inputs(p):

@@ -299,15 +299,22 @@ def test_stream_uses_finds_each_form(source, found):
     assert stream_uses(ast.parse(source)) == found
 
 
-def outside_imports(tree: ast.Module) -> list[str]:
-    """Each top-level module this tree imports that is neither in the
-    standard library nor the package (relative imports are the package)."""
+def top_level_imports(tree: ast.Module) -> list[str]:
+    """Each top-level module this tree imports, but the package itself
+    through a relative import."""
     names = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names += [a.name.partition(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.append(node.module.partition(".")[0])
+    return names
+
+
+def outside_imports(tree: ast.Module) -> list[str]:
+    """Each top-level module this tree imports that is neither in the
+    standard library nor the package (relative imports are the package)."""
+    names = top_level_imports(tree)
     return [n for n in names if n not in sys.stdlib_module_names and n != "zpeta"]
 
 
@@ -331,21 +338,51 @@ def test_outside_imports_finds_each_form(source, found):
     assert outside_imports(ast.parse(source)) == found
 
 
-def test_importing_zpeta_loads_no_numpy():
+def _fresh_interpreter(code: str) -> str:
+    """The stdout of code run by a new interpreter that imports this package."""
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, zpeta, zpeta.cli; print('numpy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout == "False\n"
+    return out.stdout
+
+
+def test_importing_zpeta_loads_no_numpy():
+    assert _fresh_interpreter("import sys, zpeta, zpeta.cli; print('numpy' in sys.modules)") == (
+        "False\n"
+    )
+
+
+# dataclasses, with inspect, ast and dis that it imports, took about a sixth of
+# the start-up of a zpeta command, and generating its methods as much again
+SLOW_IMPORTS = ("dataclasses", "inspect", "ast", "dis")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_dataclasses(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert set(top_level_imports(tree)).isdisjoint(SLOW_IMPORTS)
+
+
+def test_top_level_imports_finds_each_form():
+    source = "import dataclasses\nfrom inspect import signature\nfrom . import eta\nimport os.path"
+    assert top_level_imports(ast.parse(source)) == ["dataclasses", "inspect", "os"]
+
+
+def test_importing_zpeta_and_its_cli_loads_no_dataclasses_inspect_ast_or_dis():
+    code = (
+        "import sys, zpeta\n"
+        f"print(sorted(set({SLOW_IMPORTS!r}) & set(sys.modules)))\n"
+        "import zpeta.cli\n"
+        f"print(sorted(set({SLOW_IMPORTS!r}) & set(sys.modules)))\n"
+    )
+    assert _fresh_interpreter(code) == "[]\n[]\n"
 
 
 def test_importing_zpeta_loads_no_cli_and_importing_the_cli_builds_no_parser():
     # a one-shot process and the import timed as set-up pay for no parser;
     # the first main call builds it
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     code = (
         "import argparse, contextlib, io, sys\n"
         "built = []\n"
@@ -362,10 +399,7 @@ def test_importing_zpeta_loads_no_cli_and_importing_the_cli_builds_no_parser():
         "    zpeta.cli.main(['classnumber', '--p', '23'])\n"
         "print(len(built) > 0, zpeta.cli._parser is built[0])\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout == "False\n0 None\nTrue True\n"
+    assert _fresh_interpreter(code) == "False\n0 None\nTrue True\n"
 
 
 PYTHON_FLOOR = (3, 10)
@@ -409,7 +443,7 @@ LITERAL_SIDE = (
 def _closed_form_name(name: str) -> bool:
     return name.startswith(("G_h_", "F_h_")) or name in (
         "trig_prod",
-        "_half_root_multiples",
+        "_closed_values",
         "RadicalValue",
         "legendre",  # OddPrime.legendre, the symbol the closed forms read
     )

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -50,9 +49,10 @@ class _Claimed(ZpParams):
     refusals: it may have a + b = 0 or c = 0, as a matrix of 1 blocks or of
     C_p blocks does."""
 
-    def __post_init__(self) -> None:
-        p, a, b, c = self.p, self.a, self.b, self.c
-        self.__dict__.update(n=a * (p - 1) + b * p + c, beta1=b + c)  # the record is frozen
+    def __init__(self, p: int, a: int, b: int, c: int) -> None:
+        self.__dict__.update(  # the record is frozen
+            p=p, a=a, b=b, c=c, ideal_label="principal", n=a * (p - 1) + b * p + c, beta1=b + c
+        )
 
 def test_validate_examples():
     tri = validate(3, 1, 0, 1)
@@ -106,11 +106,23 @@ def test_derived_params_are_the_formulas_and_stay_out_of_eq_hash_repr():
         assert (back.n, back.beta1, back.exceptional, back.n_odd) == (
             params.n, params.beta1, params.exceptional, params.n_odd
         )
-    assert [f.name for f in dataclasses.fields(ZpParams) if f.compare] == [
-        "p", "a", "b", "c", "ideal_label"
+    # the five fields come first and in order; ==, hash and repr read them alone
+    params = validate(3, 1, 0, 1)
+    assert list(vars(params)) == [
+        "p", "a", "b", "c", "ideal_label", "prime", "n", "beta1", "exceptional", "n_odd"
     ]
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        validate(3, 1, 0, 1).n = 4
+    twin = validate(3, 1, 0, 1)
+    twin.__dict__.update(prime=None, n=4, beta1=0, exceptional=False, n_odd=False)
+    assert twin == params and hash(twin) == hash(params) and repr(twin) == repr(params)
+    for name in ("p", "a", "b", "c", "ideal_label"):
+        other = validate(3, 1, 0, 1)
+        other.__dict__[name] = 5
+        assert other != params
+    with pytest.raises(AttributeError, match="cannot assign to field 'n'"):
+        params.n = 4
+    with pytest.raises(AttributeError, match="cannot delete field 'p'"):
+        del params.p
+    assert (params.n, params.p) == (3, 3)
 
 
 @pytest.mark.parametrize(
@@ -1002,7 +1014,9 @@ def test_holonomy_failures_are_the_false_checks_in_field_order(case):
 
 
 def test_holonomy_report_stores_no_failure_list():
-    assert [f.name for f in dataclasses.fields(manifold.HolonomyReport)] == REPORT_KEYS[:-1]
+    params = validate(5, 1, 1, 2)
+    report = holonomy_checks(build_holonomy(params), params)
+    assert list(vars(report)) == REPORT_KEYS[:-1]
 
 
 def test_charpoly_of_merged_blocks_and_of_the_identity():
