@@ -215,11 +215,11 @@ def half_period_product(kind: str, p: int | OddPrime) -> dict[int, int]:
     coefficients {e: c}: (2i)^q times the sine product at k = 1, or 2^q
     times the cosine one.  Its image under z -> z^k is the product at k."""
     P = _trig_prime(kind, 1, p)
-    sign, n = _KINDS[kind], 4 * P.p
-    vec = [1] + [0] * (n - 1)
-    for j in range(1, P.q + 1):
-        vec = [vec[(e - 2 * j) % n] + sign * vec[(e + 2 * j) % n] for e in range(n)]
-    return {e: c for e, c in enumerate(vec) if c}
+    sign, n = _KINDS[kind], 2 * P.p
+    vec = [1] + [0] * (n - 1)  # every exponent is even: slot v holds z^{2v}
+    for j in range(1, P.q + 1):  # times z^{2j} -+ z^{-2j}: slot v takes slots v - j and v + j
+        vec = [x + sign * y for x, y in zip(vec[-j:] + vec[:-j], vec[j:] + vec[:j])]
+    return {2 * v: c for v, c in enumerate(vec) if c}
 
 
 @lru_cache(maxsize=4)

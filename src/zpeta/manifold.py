@@ -16,8 +16,6 @@ with an asymmetric twisted Dirac spectrum.
 from __future__ import annotations
 
 import itertools
-import math
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -414,27 +412,46 @@ def build_holonomy(params: ZpParams) -> IntMatrix:
     return IntMatrix._from_entries(c_rows * params.a + j_rows * params.b + (_ONE,) * params.c)
 
 
-def _diagonal_blocks(entries: tuple[tuple[tuple[int, int], ...], ...]) -> list[tuple[int, int]]:
-    """(start, stop) of each block of the finest contiguous block-diagonal split
-    of the matrix with these ``IntMatrix.entries``.
+def _diagonal_blocks(
+    entries: tuple[tuple[tuple[int, int], ...], ...],
+) -> list[tuple[int, int, int]]:
+    """The finest contiguous block-diagonal split of the matrix with these
+    ``IntMatrix.entries``, as runs (start, stop, repeats): the block
+    ``entries[start:stop]`` and repeats - 1 equal blocks right after it.
 
     A nonzero (i, j) spans every k with min(i, j) <= k < max(i, j), and the
     split cuts after each k that no nonzero spans.  Of row i only the first
     nonzero j_0 and the last j_1 are read: they span [j_0, i) and [i, j_1),
-    and every other nonzero of the row spans a part of one of them.
+    and every other nonzero of the row spans a part of one of them.  A block
+    closes once no j_1 reaches past its last row; its pairs are relative to
+    the diagonal, so each equal slice after it is a copy, found by one tuple
+    comparison.  A later row with j_0 before the open block reopens the copy
+    or block that holds j_0 and joins everything after it.
     """
     n = len(entries)
-    reach = list(range(n))  # reach[k]: the furthest index a nonzero spans from k
-    for i, pairs in enumerate(entries):
+    runs = []
+    start = end = i = 0  # the open block starts at start; its rows reach to end
+    while i < n:
+        pairs = entries[i]
         if pairs:  # a zero row spans nothing
             j = i + pairs[0][0]  # j_0
-            if i > reach[j]:
-                reach[j] = i
+            while j < start:  # reopen the copy or block that holds column j
+                first, stop, _ = runs.pop()
+                copy = max(j - first, 0) // (stop - first)
+                if copy:  # the copies before it stay a run
+                    runs.append((first, stop, copy))
+                start = first + copy * (stop - first)
             j = i + pairs[-1][0]  # j_1
-            if j > reach[i]:
-                reach[i] = j
-    stops = [k + 1 for k, end in enumerate(itertools.accumulate(reach, max)) if end == k]
-    return list(zip([0] + stops[:-1], stops))
+            if j > end:
+                end = j
+        i += 1
+        if end < i:  # nothing spans i - 1: the block [start, i) closes
+            block, size = entries[start:i], i - start
+            while entries[i : i + size] == block:
+                i += size
+            runs.append((start, start + size, (i - start) // size))
+            start = end = i
+    return runs
 
 
 def _divide_monic(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -558,8 +575,9 @@ def holonomy_checks(m: IntMatrix, params: ZpParams) -> HolonomyReport:
     """Verify order, determinant, fixed space, and characteristic polynomial.
 
     The matrix is cut into its finest contiguous diagonal blocks (exact by
-    block multiplicativity); each distinct block is analysed once, through a
-    cache, and weighted by its count.  All arithmetic is exact.
+    block multiplicativity) and read as runs of equal blocks: each run's block
+    is analysed once, through a cache, and counted per copy.  All arithmetic
+    is exact.
     """
     if not isinstance(m, IntMatrix):
         raise ValueError(f"m must be an IntMatrix, got {type(m).__name__}")
@@ -568,36 +586,34 @@ def holonomy_checks(m: IntMatrix, params: ZpParams) -> HolonomyReport:
     if m.n != params.n:
         raise ValueError(f"matrix is {m.n}x{m.n}, but {params} has n = {params.n}")
     p, entries = params.p, m.entries
-    # a block's rows are a slice of entries: its pairs are relative to the diagonal
-    blocks = Counter([entries[start:stop] for start, stop in _diagonal_blocks(entries)])
-    analyses = [(_component_analysis(IntMatrix._from_entries(b), p), k) for b, k in blocks.items()]
-
     # each block's order is 1, p or 0 (not dividing p)
-    orders = [a[0] for a, _ in analyses]
-    power_identity = 0 not in orders
-    order_exact = power_identity and p in orders
-
-    det = math.prod(a[1] ** k for a, k in analyses)
-    ker = sum(a[2] * k for a, k in analyses)
-
+    power_identity, order_p, det, ker = True, False, 1, 0
     # Phi_p and x - 1 are distinct irreducibles of Z[x], so by unique
     # factorisation the product of the block charpolys is
     # Phi_p^a (x^p - 1)^b (x - 1)^c = Phi_p^(a+b) (x - 1)^(b+c) exactly
     # when no block has another factor and the exponents add up.
-    exponents = [a[3] for a, _ in analyses]
-    charpoly_ok = None not in exponents and (
-        sum(a[3][0] * k for a, k in analyses) == params.a + params.b
-        and sum(a[3][1] * k for a, k in analyses) == params.b + params.c
-    )
+    factored, e_sum, f_sum = True, 0, 0
+    for start, stop, k in _diagonal_blocks(entries):
+        block = IntMatrix._from_entries(entries[start:stop])  # pairs relative to the diagonal
+        order, d, z, exponents = _component_analysis(block, p)
+        power_identity = power_identity and order != 0
+        order_p = order_p or order == p
+        det *= d**k
+        ker += z * k
+        if exponents is None:
+            factored = False
+        else:
+            e_sum += exponents[0] * k
+            f_sum += exponents[1] * k
 
     return HolonomyReport(
         params=params,
         power_identity=power_identity,
-        order_exact=order_exact,
+        order_exact=power_identity and order_p,
         det_one=det == 1,
         fixed_space_dim=ker,
         fixed_space_ok=ker == params.beta1,
-        charpoly_ok=charpoly_ok,
+        charpoly_ok=factored and e_sum == params.a + params.b and f_sum == params.b + params.c,
     )
 
 

@@ -679,6 +679,23 @@ def test_half_period_product_takes_a_prime_as_an_int():
     )
 
 
+def _half_period_product_over_4p(kind, p):
+    """The product with every one of the 4p exponents updated by each factor."""
+    sign, n = {"sin": -1, "cos": 1}[kind], 4 * p
+    vec = [1] + [0] * (n - 1)
+    for j in range(1, (p - 1) // 2 + 1):
+        vec = [vec[(e - 2 * j) % n] + sign * vec[(e + 2 * j) % n] for e in range(n)]
+    return {e: c for e, c in enumerate(vec) if c}
+
+
+@pytest.mark.parametrize("kind", ["sin", "cos"])
+def test_half_period_product_on_the_even_slots_is_the_literal_loop(kind):
+    for p in odd_primes_upto(131):
+        literal = _half_period_product_over_4p(kind, p)
+        got = charsums.half_period_product(kind, p)
+        assert list(got.items()) == list(literal.items()), p
+
+
 def test_charsums_wrong_types_that_used_to_pass():
     with pytest.raises(ValueError, match="chi must be a CharacterChoice, got 'chi0'"):
         gauss_direct(1, "chi0", 0, 7)

@@ -403,6 +403,17 @@ def test_holonomy_checks_sweep_is_byte_identical():
     assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == CHECKS_13_40_SHA256
 
 
+# SHA-256 of json.dumps of the 12,859 reports, recorded while every block of
+# the split was still read row by row and counted in a Counter
+CHECKS_31_80_SHA256 = "8f86c48aa7ad214ba6b4b670209d5fbd388597acdae1fdcd4b5fc9fbb26c33da"
+
+
+def test_holonomy_checks_of_every_manifold_to_p_31_n_80_are_pinned():
+    reports = [holonomy_checks(build_holonomy(q), q).to_dict() for q in enumerate_params(31, 80)]
+    assert len(reports) == 12859
+    assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == CHECKS_31_80_SHA256
+
+
 def test_intmatrix_det_rank_charpoly():
     m = IntMatrix(((2, 1), (1, 1)))
     assert m.rank() == 2
@@ -561,18 +572,28 @@ def test_a_block_of_build_holonomy_is_the_block_built_dense(key):
     # must equal, and hash like, the same block validated from its dense rows
     m = build_holonomy(validate(*key))
     dense = m.rows
-    for start, stop in manifold._diagonal_blocks(m.entries):
+    for start, stop in _expanded_blocks(m.entries):
         sliced = IntMatrix._from_entries(m.entries[start:stop])
         built = IntMatrix([r[start:stop] for r in dense[start:stop]])
         assert sliced == built and hash(sliced) == hash(built)
         assert sliced.rows == built.rows
 
 
+def _expanded_blocks(entries):
+    """The (start, stop) of every block of the runs of manifold._diagonal_blocks."""
+    return [
+        (start + r * (stop - start), stop + r * (stop - start))
+        for start, stop, repeats in manifold._diagonal_blocks(entries)
+        for r in range(repeats)
+    ]
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_the_zero_matrix_splits_into_one_block_per_index(n):
     zero = IntMatrix([[0] * n for _ in range(n)])
     assert zero.entries == ((),) * n
-    assert manifold._diagonal_blocks(zero.entries) == [(k, k + 1) for k in range(n)]
+    assert _expanded_blocks(zero.entries) == [(k, k + 1) for k in range(n)]
+    assert manifold._diagonal_blocks(zero.entries) == [(0, 1, n)]  # one run of zero rows
 
 
 def _triple_loop_product(x, y):
@@ -774,7 +795,7 @@ def test_charpoly_factor_count_matches_the_full_product(case):
     rows, p, (a, b, c), _ = case
     subs = [
         IntMatrix(r[start:stop] for r in rows[start:stop])
-        for start, stop in manifold._diagonal_blocks(IntMatrix(rows).entries)
+        for start, stop in _expanded_blocks(IntMatrix(rows).entries)
     ]
     charpolys = [sub.charpoly() for sub in subs]
     exponents = [manifold._component_analysis(sub, p)[3] for sub in subs]
@@ -816,7 +837,7 @@ def test_holonomy_checks_of_repeated_blocks_match_the_whole_matrix(case):
 def test_diagonal_blocks_match_their_definition(rows):
     # the sparse strategy often leaves a nonzero in one direction only
     n = len(rows)
-    blocks = manifold._diagonal_blocks(IntMatrix(rows).entries)
+    blocks = _expanded_blocks(IntMatrix(rows).entries)
     # the blocks tile 0..n in order
     assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
     assert blocks[-1][1] == n and all(start < stop for start, stop in blocks)
@@ -852,7 +873,113 @@ def _blocks_from_every_nonzero(rows):
 @example([[0, 0, 0, 0], [0, 1, -1, 0], [0, 0, 0, 0], [0, 0, 0, 0]])  # zero rows around one span
 def test_diagonal_blocks_read_first_and_last_nonzero_like_every_nonzero(rows):
     # each row's inner nonzeros span parts of its first's and last's spans
-    assert manifold._diagonal_blocks(IntMatrix(rows).entries) == _blocks_from_every_nonzero(rows)
+    assert _expanded_blocks(IntMatrix(rows).entries) == _blocks_from_every_nonzero(rows)
+
+
+def _with_entry(blocks, i, j):
+    """The block-diagonal rows of the given blocks with a 1 planted at (i, j)."""
+    rows = _block_diagonal_rows(blocks)[0]
+    rows[i][j] = 1
+    return rows
+
+
+_ZERO, _ONE_BLOCK, _C3_BLOCK = [[0]], [[1]], _block_rows("C", 3)
+_THREE_C3_AND_1 = [_C3_BLOCK] * 3 + [_ONE_BLOCK]
+# (rows, runs): how a run of equal blocks ends; rows 0..5 are three C_3, row 6 the 1
+RUN_CASES = {
+    "runs of equal blocks": (
+        _block_diagonal_rows(_THREE_C3_AND_1 + [_ONE_BLOCK])[0], [(0, 2, 3), (6, 7, 2)]
+    ),
+    "runs of zero rows": (
+        _block_diagonal_rows([_ZERO] * 3 + [_C3_BLOCK] * 2 + [_ZERO] * 2)[0],
+        [(0, 1, 3), (3, 5, 2), (7, 8, 2)],
+    ),
+    "a row reaching into the last copy": (_with_entry(_THREE_C3_AND_1, 6, 5), [(0, 2, 2), (4, 7, 1)]),
+    "a row reaching into the middle copy": (_with_entry(_THREE_C3_AND_1, 6, 2), [(0, 2, 1), (2, 7, 1)]),
+    "a row reaching past several copies": (_with_entry(_THREE_C3_AND_1, 6, 1), [(0, 7, 1)]),
+    "a row reaching back to a zero row": (
+        _with_entry([_ZERO] * 3 + [_ONE_BLOCK], 3, 1), [(0, 1, 1), (1, 4, 1)]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_diagonal_blocks_are_runs_of_equal_blocks(case):
+    rows, runs = RUN_CASES[case]
+    assert manifold._diagonal_blocks(IntMatrix(rows).entries) == runs
+    assert _expanded_blocks(IntMatrix(rows).entries) == _blocks_from_every_nonzero(rows)
+
+
+@st.composite
+def _repeated_blocks(draw):
+    """Rows assembled from runs of one random block each (zero blocks and
+    blocks that split further among them), then up to two entries below the
+    diagonal: a later row reaching back into the last copy of a run, into
+    an earlier copy or past several runs."""
+    runs = draw(
+        st.lists(
+            st.tuples(st.integers(1, 3).flatmap(_kernel_matrices), st.integers(1, 4)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    rows = _block_diagonal_rows([block for block, repeats in runs for _ in range(repeats)])[0]
+    n = len(rows)
+    for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+        i = draw(st.integers(1, n - 1))
+        rows[i][draw(st.integers(0, i - 1))] = draw(st.sampled_from((1, -2)))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_repeated_blocks())
+@example(RUN_CASES["runs of zero rows"][0])
+@example(RUN_CASES["a row reaching into the last copy"][0])
+@example(RUN_CASES["a row reaching past several copies"][0])
+def test_runs_of_repeated_blocks_expand_to_the_finest_split(rows):
+    entries = IntMatrix(rows).entries
+    runs = manifold._diagonal_blocks(entries)
+    assert _expanded_blocks(entries) == _blocks_from_every_nonzero(rows)
+    for start, stop, repeats in runs:
+        size = stop - start
+        assert repeats >= 1
+        # every copy of a run is the same slice of entries
+        for r in range(1, repeats):
+            assert entries[start + r * size : stop + r * size] == entries[start:stop]
+    # a run is maximal: the next run holds another block
+    blocks = [entries[start:stop] for start, stop, _ in runs]
+    assert all(x != y for x, y in zip(blocks, blocks[1:]))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_a_fault_in_the_middle_copy_fails_what_the_dense_definitions_fail(p):
+    # diag(C_p, C_p', C_p, 1) with C_p' one entry off C_p: the faulty copy
+    # must be analysed on its own, never counted as a third C_p.  Adding p
+    # to the last column makes 1 an eigenvalue, so fixed_space can fail too.
+    c_rows, size = _block_rows("C", p), p - 1
+    params = validate(p, 3, 0, 1)
+    seen = set()
+    for i, j, delta in itertools.product(range(size), range(size), (1, -1, p)):
+        rows = _block_diagonal_rows([c_rows] * 3 + [_ONE_BLOCK])[0]
+        rows[size + i][size + j] += delta
+        m = IntMatrix(rows)
+        identity = IntMatrix.identity(m.n)
+        power_identity = m.power(p) == identity
+        ker = m.n - m.add_scalar_identity(-1).rank()
+        dense = {
+            "power_identity": power_identity,
+            "order_exact": power_identity and m != identity,
+            "det_one": (-1) ** m.n * m.charpoly()[0] == 1,
+            "fixed_space": ker == params.beta1,
+            "charpoly": _full_product_test([m.charpoly()], p, 3, 0, 1),
+        }
+        report = holonomy_checks(m, params)
+        assert report.fixed_space_dim == ker
+        assert report.failures == tuple(name for name, ok in dense.items() if not ok), (i, j, delta)
+        seen.add(report.failures)
+    # every fault is caught, and each of the five checks fails on some fault
+    assert () not in seen
+    assert {name for failures in seen for name in failures} == set(dense)
 
 
 @settings(max_examples=100, deadline=None)
@@ -883,7 +1010,7 @@ def test_component_order_matches_the_literal_power(case, rnd):
     rnd.shuffle(sigma)
     permuted = [[rows[i][j] for j in sigma] for i in sigma]
     for m in (rows, permuted):
-        for start, stop in manifold._diagonal_blocks(IntMatrix(m).entries):
+        for start, stop in _expanded_blocks(IntMatrix(m).entries):
             block = [r[start:stop] for r in m[start:stop]]
             got = manifold._component_analysis(IntMatrix(block), p)[0]
             assert got == _literal_order(block, p), block
