@@ -88,14 +88,19 @@ class EtaClosedForm(Frozen):
     """Finite Hurwitz-zeta combination representing one eta series.
 
     Value at s: scale * (2 pi p)^{-s} * sum coeff * zeta(s, alpha), with
-    p an odd prime, each alpha a Fraction in (0, 1] whose denominator
-    divides 2p and each coeff an int.  terms is a tuple of (alpha, coeff)
-    tuples; the zero series has an empty one.
+    p an odd prime, scale a positive int, each alpha a Fraction in (0, 1]
+    whose denominator divides 2p and each coeff a nonzero int.  terms is a
+    tuple of (alpha, coeff) tuples with distinct alphas, so a form is zero
+    exactly when terms is empty.
     """
+
+    _fields = ("p", "scale", "terms")
 
     def __init__(self, p: int, scale: int, terms: tuple[tuple[Fraction, int], ...]) -> None:
         as_prime(p)  # raises ValueError / NotPrimeError / NotOddError
         check_ints("scale", scale)
+        if scale < 1:
+            raise ValueError(f"scale must be positive, got {scale}")
         if type(terms) is not tuple:  # a list would leave the record unhashable
             raise ValueError(f"terms must be a tuple, got {terms!r}")
         for term in terms:
@@ -105,25 +110,15 @@ class EtaClosedForm(Frozen):
             if not isinstance(alpha, Fraction):
                 raise ValueError(f"alpha must be a Fraction, got {alpha!r}")
             check_ints("coeff", coeff)
+            if coeff == 0:
+                raise ValueError(f"coeff must be nonzero, got {term!r}")
             if not 0 < alpha <= 1:
                 raise ValueError(f"alpha out of (0, 1]: {alpha}")
             if (2 * p) % alpha.denominator != 0:
                 raise ValueError(f"alpha denominator must divide 2p: {alpha}")
-        set_field = object.__setattr__
-        set_field(self, "p", p)
-        set_field(self, "scale", scale)
-        set_field(self, "terms", terms)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.scale, self.terms) == (other.p, other.scale, other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.scale, self.terms))
-
-    def __repr__(self) -> str:
-        return f"EtaClosedForm(p={self.p!r}, scale={self.scale!r}, terms={self.terms!r})"
+        if len({alpha for alpha, _ in terms}) != len(terms):
+            raise ValueError(f"each alpha must appear once, got {terms!r}")
+        super().__init__(p, scale, terms)
 
     @classmethod
     def zero(cls, p: int) -> "EtaClosedForm":
@@ -261,41 +256,7 @@ class InvariantRecord(Frozen):
     """The invariants of one (structure, twist) pair.  The pair is where the
     record sits: at index ell of ``structure_records(params, structure)``."""
 
-    def __init__(
-        self,
-        eta: Fraction,
-        dim_ker: int,
-        eta_bar: Fraction,
-        eta_bar_mod_Z: ResidueModZ,
-        relative_mod_Z: ResidueModZ,
-    ) -> None:
-        set_field = object.__setattr__
-        set_field(self, "eta", eta)
-        set_field(self, "dim_ker", dim_ker)
-        set_field(self, "eta_bar", eta_bar)
-        set_field(self, "eta_bar_mod_Z", eta_bar_mod_Z)
-        set_field(self, "relative_mod_Z", relative_mod_Z)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.eta, self.dim_ker, self.eta_bar, self.eta_bar_mod_Z, self.relative_mod_Z
-        ) == (
-            other.eta, other.dim_ker, other.eta_bar, other.eta_bar_mod_Z, other.relative_mod_Z
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.eta, self.dim_ker, self.eta_bar, self.eta_bar_mod_Z, self.relative_mod_Z)
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"InvariantRecord(eta={self.eta!r}, dim_ker={self.dim_ker!r}, "
-            f"eta_bar={self.eta_bar!r}, eta_bar_mod_Z={self.eta_bar_mod_Z!r}, "
-            f"relative_mod_Z={self.relative_mod_Z!r})"
-        )
+    _fields = ("eta", "dim_ker", "eta_bar", "eta_bar_mod_Z", "relative_mod_Z")
 
 
 def _half_sum(eta: Fraction, d: int) -> Fraction:
@@ -401,39 +362,13 @@ def untwisted_closed_form(params: ZpParams, structure: SpinStructure) -> Fractio
 # verification suites
 
 
-_ENTRY_FIELDS = ("params", "structure", "ell", "expected", "got")  # of FailureEntry, in order
-
-
 class FailureEntry(Frozen):
     """One failed comparison: where it was made and both sides as strings."""
 
-    def __init__(
-        self, params: str, structure: str, ell: int | None, expected: str, got: str
-    ) -> None:
-        set_field = object.__setattr__
-        set_field(self, "params", params)
-        set_field(self, "structure", structure)
-        set_field(self, "ell", ell)
-        set_field(self, "expected", expected)
-        set_field(self, "got", got)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in _ENTRY_FIELDS)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        pairs = zip(_ENTRY_FIELDS, self._values())
-        return "FailureEntry(" + ", ".join(f"{name}={value!r}" for name, value in pairs) + ")"
+    _fields = ("params", "structure", "ell", "expected", "got")
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _ENTRY_FIELDS}
+        return dict(zip(self._fields, self._values()))
 
 
 class Report:

@@ -53,9 +53,12 @@ class ZpParams(Frozen):
 
     Beside its five fields it keeps ``prime``, ``n``, ``beta1`` (the first
     Betti number b + c), ``exceptional`` and ``n_odd``, derived once per
-    instance (a sweep reads them ~10^5 times); ==, hash and repr read the
-    five fields only.
+    instance (a sweep reads them ~10^5 times); ==, hash, repr and pickling
+    read the five fields only, so a process that unpickles a record
+    resolves p from its own cache.
     """
+
+    _fields = ("p", "a", "b", "c", "ideal_label")
 
     def __init__(self, p: int, a: int, b: int, c: int, ideal_label: str = "principal") -> None:
         # one test on the valid path: a sweep builds ~10^4 records
@@ -77,22 +80,6 @@ class ZpParams(Frozen):
             prime=prime, n=n, beta1=b + c, exceptional=(b, c) == (0, 1), n_odd=n % 2 == 1,
         )
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.a, self.b, self.c, self.ideal_label) == (
-            other.p, other.a, other.b, other.c, other.ideal_label
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.a, self.b, self.c, self.ideal_label))
-
-    def __repr__(self) -> str:
-        return (
-            f"ZpParams(p={self.p!r}, a={self.a!r}, b={self.b!r}, c={self.c!r}, "
-            f"ideal_label={self.ideal_label!r})"
-        )
-
     def check_structure(self, structure: SpinStructure) -> None:
         """Refuse a spin structure whose b + c - 1 delta signs are not this
         record's: the one test every consumer of a structure goes through."""
@@ -103,10 +90,6 @@ class ZpParams(Frozen):
 
     def key(self) -> tuple[int, int, int, int]:
         return (self.p, self.a, self.b, self.c)
-
-    def __reduce__(self):
-        # the five fields only: the unpickling process resolves p from its own cache
-        return ZpParams, (self.p, self.a, self.b, self.c, self.ideal_label)
 
     def __str__(self) -> str:
         return f"({self.p},{self.a},{self.b},{self.c})"
@@ -125,27 +108,7 @@ def validate(p: int, a: int, b: int, c: int, ideal_label: str = "principal") -> 
 class HomologyH1(Frozen):
     """H_1 = (Z_p)^torsion_copies + Z^free_rank."""
 
-    def __init__(self, p: int, torsion_copies: int, free_rank: int) -> None:
-        set_field = object.__setattr__
-        set_field(self, "p", p)
-        set_field(self, "torsion_copies", torsion_copies)
-        set_field(self, "free_rank", free_rank)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.torsion_copies, self.free_rank) == (
-            other.p, other.torsion_copies, other.free_rank
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.torsion_copies, self.free_rank))
-
-    def __repr__(self) -> str:
-        return (
-            f"HomologyH1(p={self.p!r}, torsion_copies={self.torsion_copies!r}, "
-            f"free_rank={self.free_rank!r})"
-        )
+    _fields = ("p", "torsion_copies", "free_rank")
 
 
 def homology_h1(params: ZpParams) -> HomologyH1:
@@ -160,6 +123,8 @@ class SpinStructure(Frozen):
     the unique structure whose restriction to the lattice is trivial.
     """
 
+    _fields = ("deltas", "h")
+
     def __init__(self, deltas: tuple[int, ...], h: int) -> None:
         if type(deltas) is not tuple:  # a list would leave the record unhashable
             raise ValueError(f"deltas must be a tuple, got {deltas!r}")
@@ -169,20 +134,7 @@ class SpinStructure(Frozen):
             raise ValueError(f"deltas must be +-1, got {deltas}")
         if h not in (1, 2):
             raise ValueError(f"h must be 1 or 2, got {h}")
-        set_field = object.__setattr__
-        set_field(self, "deltas", deltas)
-        set_field(self, "h", h)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.deltas, self.h) == (other.deltas, other.h)
-
-    def __hash__(self) -> int:
-        return hash((self.deltas, self.h))
-
-    def __repr__(self) -> str:
-        return f"SpinStructure(deltas={self.deltas!r}, h={self.h!r})"
+        super().__init__(deltas, h)
 
     @property
     def trivial_type(self) -> bool:
@@ -511,55 +463,20 @@ def _component_analysis(block: IntMatrix, p: int):
     return order, det, ker, (tuple(exponents) if cp == (1,) else None)
 
 
-# the fields of HolonomyReport in order; all but params and fixed_space_dim are checks
-_FIELDS = (
-    "params", "power_identity", "order_exact", "det_one",
-    "fixed_space_dim", "fixed_space_ok", "charpoly_ok",
-)
-_CHECKS = tuple(name for name in _FIELDS if name not in ("params", "fixed_space_dim"))
-
-
 class HolonomyReport(Frozen):
-    """Outcome of the five structural checks on a holonomy matrix."""
+    """Outcome of the five structural checks on a holonomy matrix: every
+    field but params and fixed_space_dim is one check's bool."""
 
-    def __init__(
-        self,
-        params: ZpParams,
-        power_identity: bool,
-        order_exact: bool,
-        det_one: bool,
-        fixed_space_dim: int,
-        fixed_space_ok: bool,
-        charpoly_ok: bool,
-    ) -> None:
-        set_field = object.__setattr__
-        set_field(self, "params", params)
-        set_field(self, "power_identity", power_identity)
-        set_field(self, "order_exact", order_exact)
-        set_field(self, "det_one", det_one)
-        set_field(self, "fixed_space_dim", fixed_space_dim)
-        set_field(self, "fixed_space_ok", fixed_space_ok)
-        set_field(self, "charpoly_ok", charpoly_ok)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in _FIELDS)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        pairs = zip(_FIELDS, self._values())
-        return "HolonomyReport(" + ", ".join(f"{name}={value!r}" for name, value in pairs) + ")"
+    _fields = (
+        "params", "power_identity", "order_exact", "det_one",
+        "fixed_space_dim", "fixed_space_ok", "charpoly_ok",
+    )
 
     @property
     def failures(self) -> tuple[str, ...]:
         """The false checks in field order, each named without its "_ok"."""
-        return tuple(name.removesuffix("_ok") for name in _CHECKS if not getattr(self, name))
+        pairs = zip(self._fields, self._values())
+        return tuple(name.removesuffix("_ok") for name, value in pairs if value is False)
 
     @property
     def all_ok(self) -> bool:
@@ -567,7 +484,7 @@ class HolonomyReport(Frozen):
 
     def to_dict(self) -> dict:
         """Every field in order, params as its string, then the failure names."""
-        out = {name: getattr(self, name) for name in _FIELDS}
+        out = dict(zip(self._fields, self._values()))
         return out | {"params": str(self.params), "failures": list(self.failures)}
 
 
@@ -607,13 +524,13 @@ def holonomy_checks(m: IntMatrix, params: ZpParams) -> HolonomyReport:
             f_sum += exponents[1] * k
 
     return HolonomyReport(
-        params=params,
-        power_identity=power_identity,
-        order_exact=power_identity and order_p,
-        det_one=det == 1,
-        fixed_space_dim=ker,
-        fixed_space_ok=ker == params.beta1,
-        charpoly_ok=factored and e_sum == params.a + params.b and f_sum == params.b + params.c,
+        params,
+        power_identity,
+        power_identity and order_p,
+        det == 1,
+        ker,
+        ker == params.beta1,
+        factored and e_sum == params.a + params.b and f_sum == params.b + params.c,
     )
 
 

@@ -172,6 +172,9 @@ def test_closed_form_alpha_denominators_divide_2p():
                 for alpha, coeff in form.terms:
                     assert (2 * p) % alpha.denominator == 0
                     assert coeff != 0
+                # what EtaClosedForm refuses never comes out of the closed form
+                alphas = [alpha for alpha, _ in form.terms]
+                assert form.scale >= 1 and len(set(alphas)) == len(alphas)
 
 
 def test_series_eval_frozen_values():
@@ -352,6 +355,21 @@ def test_closed_form_refuses_an_alpha_off_the_grid_of_2p_in_0_1(alpha, message):
         EtaClosedForm(7, 1, ((alpha, 1),))
     # both ends of the grid are accepted
     assert EtaClosedForm(7, 1, ((Fraction(1), 1), (Fraction(1, 14), 1))).at_zero() == Fraction(-1, 14)
+
+
+@pytest.mark.parametrize("scale, terms, message", [
+    (1, ((Fraction(1, 2), 0),), "coeff must be nonzero, got \\(Fraction\\(1, 2\\), 0\\)"),
+    (0, ((Fraction(1, 3), 1),), "scale must be positive, got 0"),
+    (-1, ((Fraction(1, 3), 1),), "scale must be positive, got -1"),
+    (1, ((Fraction(1, 3), 1), (Fraction(1, 3), -1)), "each alpha must appear once"),
+], ids=("zero-coeff", "zero-scale", "negative-scale", "repeated-alpha"))
+def test_closed_form_refuses_a_form_that_looks_nonzero_but_is_not(scale, terms, message):
+    # the zero coeff, the zero scale and the repeated alpha were each accepted
+    # with is_zero False and at_zero() 0, and eta_series_eval(form, 4.0) raised
+    # a spurious DomainError ("underflows a double"); a negative scale, which
+    # the closed form (scale p^[a/2]) never builds, flipped the form's sign
+    with pytest.raises(ValueError, match=message):
+        EtaClosedForm(3, scale, terms)
 
 
 def test_closed_form_terms_depend_on_a_only_through_its_parity():

@@ -13,8 +13,9 @@ no module resolves a record's p again through ``as_prime``.  The command
 line has one exit path: only ``cli._emit`` and ``cli.main`` touch the
 standard streams.  The literal side of ``charsums`` (its tables and the
 sums read from them) reads no closed form, so each side stays the other's
-oracle.  Every module parses with the grammar of the oldest Python that
-``pyproject.toml`` admits.
+oracle.  No record hand-writes the ==, hash, repr or pickling that
+``exact.Frozen`` derives from its field tuple.  Every module parses with
+the grammar of the oldest Python that ``pyproject.toml`` admits.
 """
 
 import ast
@@ -378,6 +379,82 @@ def test_importing_zpeta_and_its_cli_loads_no_dataclasses_inspect_ast_or_dis():
         f"print(sorted(set({SLOW_IMPORTS!r}) & set(sys.modules)))\n"
     )
     assert _fresh_interpreter(code) == "[]\n[]\n"
+
+
+# what exact.Frozen derives from a record's field tuple
+RECORD_METHODS = ("__eq__", "__hash__", "__repr__", "__reduce__")
+
+
+def hand_written_record_methods(tree: ast.Module) -> list[str]:
+    """Each ``Class.method`` of RECORD_METHODS that a subclass of ``Frozen``
+    (named plainly or as ``exact.Frozen``, directly or through another class
+    of the tree) defines or assigns in its body."""
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    records, grown = {"Frozen"}, True
+    while grown:
+        grown = False
+        for cls in classes:
+            bases = {getattr(base, "id", None) or getattr(base, "attr", None) for base in cls.bases}
+            if cls.name not in records and bases & records:
+                records.add(cls.name)
+                grown = True
+    found = []
+    for cls in classes:
+        if cls.name == "Frozen" or cls.name not in records:
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{cls.name}.{name}" for name in names if name in RECORD_METHODS]
+    return found
+
+
+def _package_tree() -> ast.Module:
+    """Every module of the package as one tree, so a record may subclass one
+    defined in another module."""
+    body = [node for m in MODULES for node in ast.parse((PACKAGE / f"{m}.py").read_text()).body]
+    return ast.Module(body=body, type_ignores=[])
+
+
+def test_no_record_hand_writes_what_frozen_derives():
+    assert hand_written_record_methods(_package_tree()) == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("class R(Frozen):\n    def __eq__(self, other):\n        return True", ["R.__eq__"]),
+        ("class R(exact.Frozen):\n    def __repr__(self):\n        return ''", ["R.__repr__"]),
+        ("class R(Frozen):\n    __hash__ = None", ["R.__hash__"]),
+        (
+            "class R(Frozen):\n    _fields = ('x',)\nclass S(R):\n    def __reduce__(self): ...",
+            ["S.__reduce__"],
+        ),
+        ("class Frozen:\n    def __eq__(self, other):\n        return True", []),
+        ("class Report:\n    def __eq__(self, other):\n        return True", []),
+        ("class R(Frozen):\n    def __str__(self):\n        return ''", []),
+    ],
+)
+def test_hand_written_record_methods_finds_each_form(source, found):
+    assert hand_written_record_methods(ast.parse(source)) == found
+
+
+def test_the_record_rule_fails_on_a_planted_triple():
+    # the triple planted back into a record of exact and one of manifold
+    tree = _package_tree()
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    classes["ResidueModZ"].body += ast.parse(
+        "def __eq__(self, other):\n    return self.value == other.value\n"
+        "def __hash__(self):\n    return hash((self.value,))"
+    ).body
+    classes["ZpParams"].body += ast.parse("def __reduce__(self):\n    return ZpParams, ()").body
+    assert hand_written_record_methods(tree) == [
+        "ResidueModZ.__eq__", "ResidueModZ.__hash__", "ZpParams.__reduce__",
+    ]
 
 
 def test_importing_zpeta_loads_no_cli_and_importing_the_cli_builds_no_parser():

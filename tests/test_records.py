@@ -8,11 +8,15 @@ record refuses assignment and deletion.  ``Report`` is the one mutable
 record: it is unhashable, and its counters and lists grow in place.
 """
 
+import importlib
+import inspect
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import zpeta
 from zpeta import eta, exact, manifold
 
 TRICOSM = manifold.validate(3, 1, 0, 1)
@@ -160,3 +164,45 @@ def test_a_report_grows_in_place_and_starts_with_lists_of_its_own():
     first.expected_exceptions.append({"a": 1})
     assert first.cases == 1 and first.failures == [_entry(None)]
     assert second.failures == [] and second.expected_exceptions == []
+
+
+def _frozen_records() -> list[type]:
+    """Every subclass of ``exact.Frozen`` that a module of the package defines."""
+    for module in pkgutil.iter_modules(zpeta.__path__):
+        if module.name != "__main__":  # importing it would run the command line
+            importlib.import_module(f"zpeta.{module.name}")
+    found, todo = [], [exact.Frozen]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("zpeta."):
+                found.append(cls)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+def test_every_frozen_record_of_the_package_is_pinned():
+    # a new record without an entry here would have no pinned ==, hash, repr or pickle
+    names = [cls.__name__ for cls in _frozen_records()]
+    assert len(names) == 9 and set(names) <= set(RECORDS)
+
+
+@pytest.mark.parametrize("cls", _frozen_records(), ids=lambda cls: cls.__name__)
+def test_a_record_is_built_from_its_field_tuple_in_order(cls):
+    # a record pickles as its class called on its field tuple, so a constructor
+    # whose parameters are not the fields in order would rebuild another record
+    if cls.__init__ is exact.Frozen.__init__:
+        assert list(inspect.signature(cls.__init__).parameters) == ["self", "values"]
+    else:
+        assert tuple(inspect.signature(cls.__init__).parameters)[1:] == cls._fields
+    pinned = [entry for name, entry in RECORDS.items() if name.partition("-")[0] == cls.__name__]
+    for make, _, fields, _, _ in pinned:
+        record = make()
+        assert cls(*fields) == record and vars(cls(*fields)) == vars(record)
+
+
+def test_the_base_constructor_refuses_a_wrong_number_of_fields():
+    # zip would drop a missing field and leave the record without it
+    with pytest.raises(TypeError, match="HomologyH1 takes 3 fields, got 2"):
+        manifold.HomologyH1(5, 2)
+    with pytest.raises(TypeError, match="FailureEntry takes 5 fields, got 6"):
+        eta.FailureEntry("(3,1,0,1)", "trivial,h=1", 2, "1/3", "2/3", "extra")
