@@ -16,25 +16,31 @@ literal sum, evaluated term by term in the oracle ring Z[z], z = zeta_4p
 sides are kept strictly separate so each can serve as the other's oracle,
 and they are compared with ``==`` after ``CyclotomicRing.embed``.
 
-Both sums are read from one table per (chi, p),
+Both sums are read from one table per (chi, p).  With
 
     D(u) = sum_{k=1}^{p-1} chi(k) z^{2ku},   u mod 2p,
 
-built as sums of packed monomials.  The h = 2 weight (-1)^k is z^{2pk},
-so an h = 2 sum reads D at u + p: G_h(l) = D(2l + [h=2] + p[h=2]), and,
-since sin x = (e^{ix} - e^{-ix}) / 2i,
+the h = 2 weight (-1)^k is z^{2pk}, so an h = 2 sum reads D at u + p:
+G_h(l) = D(2l + [h=2] + p[h=2]), and, since sin x = (e^{ix} - e^{-ix}) / 2i,
 2i F_h(l, c) = D(2l + m + p[h=2]) - D(2l - m + p[h=2]) with m = 2c + [h=2].
+Every one of those indices is even, so the table is
+
+    E(v) = D(2v) = sum_{k=1}^{p-1} chi(k) z^{4kv},   v mod p,
+
+built as sums of packed monomials: G_h(l) = E(s) and
+2i F_h(l, c) = E(s + c) - E(s - c - [h=2]), s = l + [h=2] (q + 1).
 The trig products are literal products of z^{2jk} -+ z^{-2jk} (2i sin and
-2 cos of j k pi / p).
+2 cos of j k pi / p); ``product_weights`` holds the k = 1 product, and its
+powers, as coefficients of x = z^2.
 
 Each table is summed on one orbit of the root-of-unity identities its
 literal terms obey, and filled from it by those identities:
 
-    D(2p - u) = chi(-1) (-1)^u D(u)          (k -> p - k),
+    E(p - v) = chi(-1) E(v)          (k -> p - k),
     T(-k) = s^q T(k),  T(k + p) = (-1)^{q(q+1)/2} T(k)
 
 for the product T(k) of z^{2jk} + s z^{-2jk}, s = -1 (sin) or +1 (cos).
-So only u = 0..p and k = 0..q are summed.  The identities hold in Z[z]
+So only v = 0..q and k = 0..q are summed.  The identities hold in Z[z]
 itself, term by term (a reindexing of the sum, a sign per factor of the
 product), so a filled entry is still the literal sum.  No closed form
 enters a table: a table built from one would check it against itself.
@@ -91,8 +97,8 @@ def _trig_prime(kind: str, k: int, p: int | OddPrime) -> OddPrime:
 
 @lru_cache(maxsize=4)
 def _gauss_terms(quadratic: bool, p: int) -> tuple[int, ...]:
-    """D(u) for u = 0..2p-1, packed: u = 0..p each the sum of its p - 1
-    monomials, the rest D(2p - u) = chi(-1) (-1)^u D(u)."""
+    """E(v) = D(2v) for v = 0..p-1, packed: v = 0..q each the sum of its
+    p - 1 monomials, the rest E(p - v) = chi(-1) E(v)."""
     P = as_prime(p)
     mono = cyclotomic_ring(P).mono
     chars = P.legendre_table() if quadratic else [1] * p  # k = 1..p-1 are read
@@ -100,18 +106,16 @@ def _gauss_terms(quadratic: bool, p: int) -> tuple[int, ...]:
     minus = [k for k in range(1, p) if chars[k] == -1]
     n = 4 * p
     low = [
-        sum([mono[2 * k * u % n] for k in plus]) - sum([mono[2 * k * u % n] for k in minus])
-        for u in range(p + 1)
+        sum([mono[4 * k * v % n] for k in plus]) - sum([mono[4 * k * v % n] for k in minus])
+        for v in range(P.q + 1)
     ]
-    odd = -chars[p - 1]  # chi(-1) (-1)^u at odd u
-    high = [low[2 * p - u] * (odd if u % 2 else -odd) for u in range(p + 1, 2 * p)]
-    return tuple(low + high)
+    return tuple(low + [low[p - v] * chars[p - 1] for v in range(P.q + 1, p)])  # chi(-1)
 
 
 def gauss_direct(h: int, chi: CharacterChoice, l: int, p: int | OddPrime) -> int:
     """The literal sum G_h(l), packed in the ring of p."""
     P = _prime(p, chi, h, l)
-    return _gauss_terms(chi is CHIP, P.p)[(2 * l + (h == 2) * (P.p + 1)) % (2 * P.p)]
+    return _gauss_terms(chi is CHIP, P.p)[(l + (h == 2) * (P.q + 1)) % P.p]
 
 
 def G_h_chi0(h: int, l: int, p: int | OddPrime) -> int:
@@ -188,10 +192,9 @@ def _closed_values(p: int) -> dict[str, tuple[RadicalValue, ...]]:
 def F_direct(h: int, chi: CharacterChoice, l: int, c: int, p: int | OddPrime) -> int:
     """The literal sum 2i F_h(l, c), packed in the ring of p, for any l and c >= 1."""
     P = _prime(p, chi, h, l, c)
-    terms = _gauss_terms(chi is CHIP, P.p)
-    m, n = 2 * c + (h == 2), 2 * P.p
-    u = 2 * l + (h == 2) * P.p
-    return terms[(u + m) % n] - terms[(u - m) % n]
+    terms, delta = _gauss_terms(chi is CHIP, P.p), h == 2
+    s = l + delta * (P.q + 1)
+    return terms[(s + c) % P.p] - terms[(s - c - delta) % P.p]
 
 
 def trig_prod(kind: str, k: int, p: int | OddPrime) -> RadicalValue:
@@ -213,13 +216,30 @@ def trig_prod(kind: str, k: int, p: int | OddPrime) -> RadicalValue:
 def half_period_product(kind: str, p: int | OddPrime) -> dict[int, int]:
     """prod_{j=1}^{q} (z^{2j} -+ z^{-2j}) modulo z^{4p} - 1, as its nonzero
     coefficients {e: c}: (2i)^q times the sine product at k = 1, or 2^q
-    times the cosine one.  Its image under z -> z^k is the product at k."""
+    times the cosine one.  Its image under z -> z^k is the product at k.
+    Every exponent is even: it is ``product_weights(kind, p, 1)`` at x = z^2."""
     P = _trig_prime(kind, 1, p)
-    sign, n = _KINDS[kind], 2 * P.p
-    vec = [1] + [0] * (n - 1)  # every exponent is even: slot v holds z^{2v}
-    for j in range(1, P.q + 1):  # times z^{2j} -+ z^{-2j}: slot v takes slots v - j and v + j
-        vec = [x + sign * y for x, y in zip(vec[-j:] + vec[:-j], vec[j:] + vec[:j])]
-    return {2 * v: c for v, c in enumerate(vec) if c}
+    return {2 * v: c for v, c in enumerate(product_weights(kind, P.p, 1)) if c}
+
+
+@lru_cache(maxsize=None, typed=True)  # so 1.0 or True is checked, not read as 1
+def product_weights(kind: str, p: int, blocks: int) -> tuple[int, ...]:
+    """The coefficients of (prod_{j=1}^{q} (x^j -+ x^{-j}))^blocks in
+    Z[x]/(x^{2p} - 1), slot v holding x^v: W_blocks for kind "sin", U_blocks
+    for "cos".  A coefficient counts the sign vectors e, one sign per
+    factor, whose signed exponents sum to v (mod 2p), each weighted by
+    (-1)^{number of -1 signs} for "sin".  Kept for every (kind, p, blocks)
+    asked for, each a tuple of 2p ints."""
+    P = _trig_prime(kind, 1, p)
+    check_ints("blocks", blocks)
+    if blocks < 0:
+        raise ValueError(f"blocks must be >= 0, got {blocks}")
+    sign = _KINDS[kind]
+    vec = [1] + [0] * (2 * P.p - 1)
+    for _ in range(blocks):
+        for j in range(1, P.q + 1):  # times x^j -+ x^{-j}: slot v takes slots v - j and v + j
+            vec = [x + sign * y for x, y in zip(vec[-j:] + vec[:-j], vec[j:] + vec[:j])]
+    return tuple(vec)
 
 
 @lru_cache(maxsize=4)

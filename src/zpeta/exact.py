@@ -6,11 +6,14 @@ Every quantity of interest is either rational or of the form
 integer (an odd prime or 1 in practice).  Rationals are stdlib Fractions:
 always in lowest terms with a positive denominator.
 
-Every brute-force oracle is a finite sum of roots of unity, so it is an
-exact element of Z[z], z = zeta_4p = e^{i pi / 2p}: e^{i pi m / p} = z^{2m},
-i = z^p, and sin and cos expand by their definitions.  ``CyclotomicRing``
-holds that ring for one odd prime; a closed form enters it through
+The ring serves the appendix identities only.  Each literal sum there
+(a twisted Gauss sum, a sine-weighted one, a half-period trig product) is
+a finite sum of roots of unity, so it is an exact element of Z[z],
+z = zeta_4p = e^{i pi / 2p}: e^{i pi m / p} = z^{2m}, i = z^p, and sin
+and cos expand by their definitions.  ``CyclotomicRing`` holds that ring
+for one odd prime; a closed form enters it through
 ``CyclotomicRing.embed`` and is compared with the literal sum by ``==``.
+The spectral oracles read integer weights instead (``spectrum``).
 """
 
 from __future__ import annotations
@@ -185,7 +188,7 @@ class CyclotomicRing:
     inside the slots, so the literal sums are sums of monomials.
     """
 
-    __slots__ = ("p", "dim", "bits", "bound", "mono", "_units", "_multiples")
+    __slots__ = ("p", "dim", "bits", "bound", "mono", "_units")
 
     def __init__(self, P):
         p = self.p = P.p
@@ -207,16 +210,13 @@ class CyclotomicRing:
         ):
             raise ArithmeticError(f"no sqrt({p}) in Z[zeta_{4 * p}]: {root}")
         # the units i^j (index j) and i^j sqrt(p) (index 4 + j) of the closed
-        # forms, with their first nonzero slot, its coordinate and their
-        # largest |coordinate|
+        # forms, with their largest |coordinate|
         self._units = []
         for vec in [{j * p: 1} for j in range(4)] + [
             {e + j * p: c for e, c in root.items()} for j in range(4)
         ]:
             coords = self.reduce(vec)
-            slot = next(i for i, c in enumerate(coords) if c)
-            self._units.append((self.pack(coords), slot, coords[slot], max(map(abs, coords))))
-        self._multiples = {}
+            self._units.append((self.pack(coords), max(map(abs, coords))))
 
     def pack(self, coords: list[int]) -> int:
         """sum_i c_i 2^{bits i}: the coordinates in signed slots.  While every
@@ -277,36 +277,13 @@ class CyclotomicRing:
         if isinstance(value, RadicalValue):
             coeff, radicand = value.coeff, value.radicand
             i_pow += value.unit == UNIT_I
-        unit, _, _, largest = self._unit(i_pow, radicand)
+        unit, largest = self._unit(i_pow, radicand)
         coeff, rem = divmod(coeff.numerator * scale, coeff.denominator)
         if rem:
             raise ValueError(f"{scale} * {value} is not in Z[zeta_{4 * self.p}]")
         if abs(coeff) * largest >= self.bound:
             raise OverflowError(f"{scale} * {value} does not fit a {self.bits}-bit slot")
         return coeff * unit
-
-    def multiple(self, x: int, i_pow: int, radicand: int = 1) -> int | None:
-        """The integer t with x = t i^i_pow sqrt(radicand), read off one
-        coordinate and confirmed by one packed comparison; None if there is
-        none.  x must be packed, its coordinates inside the slots.
-
-        The answer, None included, is kept on the ring by (x, i_pow mod 4,
-        radicand): an oracle sweep asks for the same few values many times.
-        An invalid radicand is never kept, so it raises on every call."""
-        key = (x, i_pow % 4, radicand)
-        t = self._multiples.get(key, self)  # the ring itself marks a miss
-        if t is self:
-            t = self._multiples[key] = self._extract(x, i_pow, radicand)
-        return t
-
-    def _extract(self, x: int, i_pow: int, radicand: int) -> int | None:
-        unit, slot, lead, largest = self._unit(i_pow, radicand)
-        # a multiple of the unit is zero in the slots below the unit's first
-        t, rem = divmod(self.unpack(x >> (self.bits * slot), 1)[0], lead)
-        # a t * unit with a coordinate past the slots is not the packed x
-        if rem or abs(t) * largest >= self.bound or t * unit != x:
-            return None
-        return t
 
 
 @lru_cache(maxsize=4)

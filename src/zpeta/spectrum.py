@@ -16,24 +16,39 @@ spin structure, where
 
     dim ker = 2^{(b+c-1)/2} ( 2^{(a+b)q} + (2/p)^{a+b} (p [ell=0] - 1) ) / p,
 
-and the division by p is always exact.  Each exact formula is paired
-with a literal character-sum oracle, evaluated exactly in the oracle ring
-Z[zeta_4p] (``exact.CyclotomicRing``) and returned as an int once the ring
-value is confirmed to be the integer it must be.
+and the division by p is always exact.
+
+Each exact formula has one oracle, read from the weights of the spin lift
+of the holonomy.  Only the spinors that are constant along the fiber
+torus carry the multiplicities that the oracles count: a Fourier mode
+that the holonomy moves pairs with its images into a symmetric part of
+the spectrum (Miatello and Podesta, "The spectrum of twisted Dirac
+operators on compact flat manifolds", Trans. AMS 358, 2006).  That
+reduction is the analytic input; it is cited here, not computed.  Each
+C_p block turns q planes by 2 pi j / p, j = 1..q, and the lift acts on a
+constant spinor of weight e (one sign e_t per turned plane t, turned by
+j_t) by e^{i pi sum_t e_t j_t / p}.  So over k blocks the count of the
+weights by sum_t e_t j_t mod 2p is a coefficient of
+
+    W_k = (prod_{j=1}^q (x^j - x^{-j}))^k,  U_k = (prod_{j=1}^q (x^j + x^{-j}))^k
+
+in Z[x]/(x^{2p} - 1) (``charsums.product_weights``): W weighs each weight
+by its chirality, U counts it.  The twist ell and the spin structure shift
+the circle phase by 2 ell + sigma p slots, where sigma = 1 exactly when
+the lift of the generator has p-th power -1 on the constant spinors:
+
+    sigma = (a q(q+1)/2 + [h=2]) mod 2   (mult_diff_oracle, k = a),
+    sigma = (a + b) q(q+1)/2 mod 2       (dim_ker_oracle, k = a + b).
+
+No Legendre symbol, Gauss sum or root of unity enters an oracle, so
+neither shares anything with the closed forms it checks.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .charsums import CHI0, CHIP, F_direct, half_period_product
-from .exact import cyclotomic_ring
+from .charsums import product_weights
 from .manifold import EvenDimensionError, SpinStructure, ZpParams
-from .numtheory import as_prime, check_ints
-
-
-class OracleResidualError(ArithmeticError):
-    """A character-sum oracle's ring value is not the integer it must be."""
+from .numtheory import check_ints
 
 
 class NonIntegerKernelError(ArithmeticError):
@@ -77,32 +92,26 @@ def mult_diff_by_index(params: ZpParams, h: int, ell: int, c: int) -> int:
 
 
 def mult_diff_oracle(params: ZpParams, h: int, ell: int, c: int) -> int:
-    """Literal character-sum evaluation of mult_diff_by_index, exactly.
+    """d+ - d- at the c-th admissible mu, from the chirality-weighted weights.
 
-    prefactor (-1)^{((p^2-1)/8) a + 1} i^{m+1} 2 p^{a/2 - 1} against
-    sum_k (-1)^{k(h+1)} (k/p)^a e^{2 pi i k ell / p} sin(2 pi mu k / p).
-    Term for term that sum is the direct sine-weighted Gauss sum
-    F_h(ell, c'), 2 mu = 2c' + [h=2], so it is read from charsums.F_direct
-    (which gives 2i F) at c' = c - h + 1 (mod p).  The value is then
-    (-1)^eps i^m p^{a/2 - 1} 2iF, an integer only if 2iF = t i^{-m} (a even)
-    or t i^{-m} sqrt(p) (a odd) for an integer t; it is (-1)^eps t
-    p^{(a-1)//2}.  Any other ring value raises OracleResidualError.
+    With delta = [h=2], 2 mu = T = 2c - delta and the phase o = 2 ell +
+    sigma p, sigma = (a q(q+1)/2 + delta) mod 2, the constant spinors at
+    eigenvalue +2 pi mu are the weights at slot T - o of W_a, those at
+    -2 pi mu the weights at slot -T - o, so
+
+        d = W_a[(T - o) mod 2p] - W_a[(-T - o) mod 2p].
+
+    0 for non-exceptional params, as mult_diff_by_index.
     """
     _check_index(h, ell, c)
     if not params.exceptional:
         return 0
-    P = params.prime
-    p, a = P.p, params.a
-    m = (params.n - 1) // 2
-    # F is p-periodic in c', so c' is taken in 1..p
-    total = F_direct(h, CHIP if a % 2 == 1 else CHI0, ell, (c - h) % p + 1, P)
-    t = cyclotomic_ring(P).multiple(total, -m, p if a % 2 else 1)
-    if t is None:
-        raise OracleResidualError(
-            f"multiplicity oracle for {params}, h={h}, ell={ell}, c={c} is not an integer"
-        )
-    eps = ((p * p - 1) // 8) * a + 1
-    return (-1) ** (eps % 2) * t * p ** ((a - 1) // 2)
+    P, a = params.prime, params.a
+    p, q, delta = P.p, P.q, h - 1
+    weights = product_weights("sin", p, a)
+    two_mu = 2 * c - delta
+    phase = 2 * ell + (a * q * (q + 1) // 2 + delta) % 2 * p
+    return weights[(two_mu - phase) % (2 * p)] - weights[(-two_mu - phase) % (2 * p)]
 
 
 def dim_ker(params: ZpParams, structure: SpinStructure, ell: int) -> int:
@@ -128,56 +137,21 @@ def dim_ker(params: ZpParams, structure: SpinStructure, ell: int) -> int:
     return d
 
 
-@lru_cache(maxsize=None)
-def _kernel_sums(ab: int, p: int) -> tuple[int | None, ...]:
-    """sum_{k=0}^{p-1} eps_k (2^q C(k))^{ab} z^{4k ell} for ell = 0..p-1, with
-    eps_k = (-1)^{k [(q+1)/2] ab} and C(k) = prod_{j=1}^q cos(jk pi/p).
-
-    2^q C(k) is the image of the product at k = 1 under z -> z^k, so its
-    power is the image of one power modulo z^{4p} - 1, taken by repeated
-    squaring.  A sum that is not a rational integer is None, so the table
-    is cached either way and ``dim_ker_oracle`` refuses it at its own ell.
-    """
-    P = as_prime(p)
-    ring, n = cyclotomic_ring(P), 4 * p
-    base, power = half_period_product("cos", P), {0: 1}
-    for bit in bin(ab)[2:]:
-        power = ring.times(power, power)
-        if bit == "1":
-            power = ring.times(power, base)
-    flip = (P.q + 1) // 2 * ab % 2
-    sums = []
-    for ell in range(p):
-        total = [0] * n
-        for e, w in power.items():
-            e = (e + 4 * ell) % n  # times z^{4 ell}, before the map z -> z^k
-            for k in range(p):
-                total[e * k % n] += -w if flip and k % 2 else w
-        coords = ring.reduce(total)
-        sums.append(None if any(coords[1:]) else coords[0])
-    return tuple(sums)
-
-
 def dim_ker_oracle(params: ZpParams, ell: int) -> int:
-    """Spin-character oracle for the trivial-structure kernel dimension.
+    """The trivial-structure kernel dimension, from the weights.
 
-    (2^m / p) sum_{k=0}^{p-1} (-1)^{k [(q+1)/2] (a+b)}
-        (prod_{j=1}^q cos(jk pi/p))^{a+b} e^{2 pi i k ell / p},
-    m = (n-1)/2, evaluated exactly: 2^{m - q(a+b)} = 2^{(b+c-1)/2} times the
-    ring sum of _kernel_sums, over p.  OracleResidualError unless that sum
-    is a rational integer and the quotient an integer.
+    A harmonic spinor of the twist ell is a constant spinor whose weight
+    sits at the phase slot -(2 ell + sigma p) of U_{a+b}, sigma =
+    (a + b) q(q+1)/2 mod 2, and each such weight carries the
+    2^{(b+c-1)/2} spinors of the b + c - 1 flat directions besides the
+    circle:
+
+        dim ker = 2^{(b+c-1)/2} U_{a+b}[(-2 ell - sigma p) mod 2p].
     """
     check_ints("ell", ell)
     if not params.n_odd:
         raise EvenDimensionError(f"kernel oracle needs odd n, got n = {params.n}")
-    P = params.prime
-    ab = params.a + params.b
-    total = _kernel_sums(ab, P.p)[ell % P.p]
-    if total is None:
-        raise OracleResidualError(
-            f"kernel oracle sum at p={P.p}, a+b={ab}, ell={ell % P.p} is not an integer"
-        )
-    d, rem = divmod(total << ((params.n - 1) // 2 - P.q * ab), P.p)
-    if rem:
-        raise OracleResidualError(f"kernel oracle for {params}, ell={ell} is not an integer")
-    return d
+    P, ab = params.prime, params.a + params.b
+    sigma = ab * P.q * (P.q + 1) // 2 % 2
+    count = product_weights("cos", P.p, ab)[(-2 * ell - sigma * P.p) % (2 * P.p)]
+    return count << (params.beta1 - 1) // 2

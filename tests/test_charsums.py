@@ -129,21 +129,26 @@ def test_F_direct_is_bitwise_the_ascending_k_loop(h, chi):
 
 @pytest.mark.parametrize("p", odd_primes_upto(131))  # 64-bit slots to p = 113, then 128
 def test_tables_match_an_entry_by_entry_build_at_every_index(p):
-    # D_h(u) = sum_k (-1)^{k(h+1)} chi(k) z^{2ku} at every u mod 2p, read
-    # from the one table of chi at u + p [h=2]; the product T(k) = prod_j
-    # (z^{2jk} + s z^{-2jk}) at every k mod 2p, as the image of T(1) under
-    # the ring map z -> z^k (x -> x^k maps Z[x]/(x^{4p} - 1) to itself).
-    # Each entry is summed here on its own: only the ring's canonical form
-    # (``literal``) is shared with the tables, none of their orbit fill
+    # E(v) = sum_k chi(k) z^{4kv} at every v mod p, and through it
+    # D_h(u) = sum_k (-1)^{k(h+1)} chi(k) z^{2ku} at every u mod 2p that the
+    # sums read: the one table of chi at v = (u + p [h=2]) / 2, for u + p [h=2]
+    # even; the product T(k) = prod_j (z^{2jk} + s z^{-2jk}) at every k mod 2p,
+    # as the image of T(1) under the ring map z -> z^k (x -> x^k maps
+    # Z[x]/(x^{4p} - 1) to itself).  Each entry is summed here on its own:
+    # only the ring's canonical form (``literal``) is shared with the tables,
+    # none of their orbit fill
     P, n = as_prime(p), 4 * p
     for chi in (CHI0, CHIP):
         table = charsums._gauss_terms(chi is CHIP, p)
-        assert len(table) == 2 * p
+        assert len(table) == p
         chars = [0] + [1 if chi is CHI0 else P.legendre(k) for k in range(1, p)]
+        for v in range(p):
+            assert table[v] == literal([(4 * k * v, chars[k]) for k in range(1, p)], p), (chi, v)
         for h in (1, 2):
-            for u in range(2 * p):
+            for u in range(h - 1, 2 * p, 2):  # u + p [h=2] even
                 terms = [(2 * k * u, (-1) ** (k * (h + 1)) * chars[k]) for k in range(1, p)]
-                assert table[(u + p * (h == 2)) % (2 * p)] == literal(terms, p), (chi, h, u)
+                v = (u + p * (h == 2)) // 2 % p
+                assert table[v] == literal(terms, p), (chi, h, u)
     for kind, s in (("sin", -1), ("cos", 1)):
         table = charsums._trig_literals(p)[kind]
         assert len(table) == 2 * p
@@ -632,6 +637,7 @@ CHARSUM_CACHES = (
     charsums._gauss_terms,
     charsums._closed_values,
     charsums._trig_literals,
+    charsums.product_weights,
 )
 
 
@@ -694,6 +700,42 @@ def test_half_period_product_on_the_even_slots_is_the_literal_loop(kind):
         literal = _half_period_product_over_4p(kind, p)
         got = charsums.half_period_product(kind, p)
         assert list(got.items()) == list(literal.items()), p
+
+
+def _literal_blocks(kind, p, blocks):
+    """(prod_{j=1}^q (x^j -+ x^{-j}))^blocks mod x^{2p} - 1, one factor and
+    one term at a time."""
+    sign, n = {"sin": -1, "cos": 1}[kind], 2 * p
+    vec = {0: 1}
+    for _ in range(blocks):
+        for j in range(1, (p - 1) // 2 + 1):
+            step = {}
+            for v, c in vec.items():
+                for e, w in (((v + j) % n, c), ((v - j) % n, sign * c)):
+                    step[e] = step.get(e, 0) + w
+            vec = step
+    return tuple(vec.get(v, 0) for v in range(n))
+
+
+@pytest.mark.parametrize("kind", ["sin", "cos"])
+def test_product_weights_are_the_literal_product_of_the_blocks(kind):
+    for p in odd_primes_upto(23):
+        for blocks in range(5):
+            assert charsums.product_weights(kind, p, blocks) == _literal_blocks(kind, p, blocks)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("tan", 7, 1), "kind must be 'sin' or 'cos', got 'tan'"),
+        (("cos", 9, 1), "p must be prime, got 9"),
+        (("cos", 7, 1.0), "blocks must be an int, got 1.0"),
+        (("sin", 7, -1), "blocks must be >= 0, got -1"),
+    ],
+)
+def test_product_weights_refuse_a_bad_kind_prime_or_block_count(args, message):
+    with pytest.raises(ValueError, match=message):
+        charsums.product_weights(*args)
 
 
 def test_charsums_wrong_types_that_used_to_pass():

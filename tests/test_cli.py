@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -350,84 +351,106 @@ def _verify(capsys, suite, p_max, jobs, *more):
     return code, json.loads(out)
 
 
-@pytest.mark.parametrize("jobs", (1, 2))
-def test_a_multiplicity_oracle_off_the_integers_is_a_failed_case(capsys, monkeypatch, jobs):
-    # F_direct one z off at (l, c) = (1, 1): the oracle's ring value is no
-    # integer there, a failure entry with the error text as got, not an escape
-    cases = run_suite("oracles", 7, 10).cases
-    right = spectrum.F_direct
-
-    def one_z_off(h, chi, l, c, p):
-        value = right(h, chi, l, c, p)
-        return value + (1 << cyclotomic_ring(as_prime(p)).bits) if (l, c) == (1, 1) else value
-
-    monkeypatch.setattr(spectrum, "F_direct", one_z_off)
-    code, report = _verify(capsys, "oracles", 7, jobs, "--n-max", "10")
-    # the oracle reads F at c' = (c - h) mod p + 1
-    cells = [
-        (validate(p, a, 0, 1), h, c)
-        for p in (3, 5, 7)
-        for a in range(1, 6)
-        for h in (1, 2)
-        for c in range(1, 3 * p + 1)
-        if (c - h) % p == 0
-    ]
-    assert code == 1 and report["cases"] == cases
-    assert report["failures"] == [
-        {
-            "params": str(q),
-            "structure": f"mult-diff(h={h},c={c})",
-            "ell": 1,
-            "expected": str(spectrum.mult_diff_by_index(q, h, 1, c)),
-            "got": f"multiplicity oracle for {q}, h={h}, ell=1, c={c} is not an integer",
-        }
-        for q, h, c in cells
-    ]
+def _weights_one_exponent_off(kind, p, blocks):
+    """The literal product of ``charsums.product_weights``, summed here
+    term by term, with one exponent off: the first block's factor
+    x^1 -+ x^{-1} is x^2 -+ x^{-1}."""
+    sign, n = {"sin": -1, "cos": 1}[kind], 2 * p
+    vec = {0: 1}
+    for block in range(blocks):
+        for j in range(1, (p - 1) // 2 + 1):
+            up = j + 1 if (block, j) == (0, 1) else j
+            step = {}
+            for v, c in vec.items():
+                for e, w in (((v + up) % n, c), ((v - j) % n, sign * c)):
+                    step[e] = step.get(e, 0) + w
+            vec = step
+    return tuple(vec.get(v, 0) for v in range(n))
 
 
-def _plant_kernel_fault(monkeypatch) -> None:
-    """The cosine product one z off at p = 3: every kernel sum there is no
-    integer.  Clears the kernel table, which would skip the product."""
-    right = spectrum.half_period_product
+def _plant_weights_fault(monkeypatch, faulty_kind: str) -> None:
+    """The oracles read ``faulty_kind``'s weights at p = 7 one exponent off."""
+    right = spectrum.product_weights
 
-    def one_z_off(kind, p):
-        value = dict(right(kind, p))
-        if as_prime(p).p == 3:
-            value[1] = value.get(1, 0) + 1
-        return value
+    def planted(kind, p, blocks):
+        if (kind, p) == (faulty_kind, 7):
+            return _weights_one_exponent_off(kind, p, blocks)
+        return right(kind, p, blocks)
 
-    spectrum._kernel_sums.cache_clear()
-    monkeypatch.setattr(spectrum, "half_period_product", one_z_off)
+    monkeypatch.setattr(spectrum, "product_weights", planted)
+
+
+ORACLE_CASES_11_30 = 9071
 
 
 @pytest.mark.parametrize("jobs", (1, 2))
-def test_a_kernel_oracle_off_the_integers_is_a_failed_case(capsys, monkeypatch, jobs):
-    _plant_kernel_fault(monkeypatch)
-    try:
-        code, report = _verify(capsys, "oracles", 5, jobs, "--n-max", "10")
-    finally:
-        spectrum._kernel_sums.cache_clear()
-    cells = [(q, ell) for q in prime_sweep(3, 10) for ell in range(3)]
-    assert code == 1
-    assert [(f["params"], f["structure"], f["ell"]) for f in report["failures"]] == [
-        (str(q), "dim-ker", ell) for q, ell in cells
+@pytest.mark.parametrize(
+    "kind, family, failed", [("cos", "dim-ker", 470), ("sin", "mult-diff", 1080)], ids=("U", "W")
+)
+def test_a_fault_in_the_weights_fails_only_the_cells_that_read_them(
+    capsys, monkeypatch, jobs, kind, family, failed
+):
+    # U is read by the kernel cells only, W by the multiplicity cells only,
+    # and only at the prime of the fault; each failure names the closed
+    # form and the oracle's value on the faulty weights
+    assert run_suite("oracles", 11, 30).cases == ORACLE_CASES_11_30
+    _plant_weights_fault(monkeypatch, kind)
+    code, report = _verify(capsys, "oracles", 11, jobs, "--n-max", "30")
+    if family == "dim-ker":
+        cells = [
+            (q, "dim-ker", ell, spectrum.dim_ker(q, eta.structure_classes(q)[0], ell),
+             spectrum.dim_ker_oracle(q, ell))
+            for q in prime_sweep(7, 30)
+            for ell in range(7)
+        ]
+    else:
+        cells = [
+            (q, f"mult-diff(h={h},c={c})", ell, spectrum.mult_diff_by_index(q, h, ell, c),
+             spectrum.mult_diff_oracle(q, h, ell, c))
+            for q in (validate(7, a, 0, 1) for a in range(1, 6))
+            for h in (1, 2)
+            for ell in range(7)
+            for c in range(1, 22)
+        ]
+    want = [
+        {"params": str(q), "structure": name, "ell": ell, "expected": str(e), "got": str(g)}
+        for q, name, ell, e, g in cells
+        if e != g
     ]
-    for entry, (q, ell) in zip(report["failures"], cells):
-        assert entry["expected"] == str(spectrum.dim_ker(q, eta.structure_classes(q)[0], ell))
-        assert entry["got"] == f"kernel oracle sum at p=3, a+b={q.a + q.b}, ell={ell} is not an integer"
+    assert code == 1 and report["cases"] == ORACLE_CASES_11_30
+    assert report["failures"] == want and len(want) == failed
 
 
-def test_a_kernel_oracle_off_the_integers_builds_each_table_once(capsys, monkeypatch):
-    # serially, so the table is this process's: a failing one is cached too
-    _plant_kernel_fault(monkeypatch)
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_a_phase_without_the_structure_fails_only_the_h_2_cells(capsys, monkeypatch, jobs):
+    # sigma read without [h=2]: the h = 2 structure's circle phase loses its
+    # half turn, and every failure is an h = 2 multiplicity cell
+    source = inspect.getsource(spectrum.mult_diff_oracle)
+    planted = source.replace("// 2 + delta) % 2 * p", "// 2) % 2 * p")
+    assert planted != source
+    namespace = dict(vars(spectrum))
+    exec(planted, namespace)
+    monkeypatch.setattr(spectrum, "mult_diff_oracle", namespace["mult_diff_oracle"])
+    code, report = _verify(capsys, "oracles", 13, jobs, "--n-max", "20")
+    assert code == 1 and report["cases"] == run_suite("oracles", 13, 20).cases
+    assert len(report["failures"]) == 2370
+    assert all(f["structure"].startswith("mult-diff(h=2,") for f in report["failures"])
+
+
+def test_each_weights_key_is_built_once_per_cold_cache():
+    # serially, so the cache is this process's; a second run builds nothing
+    keys = set()
+    for p in odd_primes_upto(11):
+        keys |= {("sin", p, a) for a in range(1, 6)}
+        keys |= {("cos", p, q.a + q.b) for q in prime_sweep(p, 30)}
+    charsums.product_weights.cache_clear()
     try:
-        code, report = _verify(capsys, "oracles", 3, 1, "--n-max", "10")
-        misses = spectrum._kernel_sums.cache_info().misses
+        for _ in range(2):
+            assert run_suite("oracles", 11, 30).ok
+            info = charsums.product_weights.cache_info()
+            assert info.misses == info.currsize == len(keys)
     finally:
-        spectrum._kernel_sums.cache_clear()
-    sweep = prime_sweep(3, 10)
-    assert code == 1 and len(report["failures"]) == 3 * len(sweep)
-    assert misses == len({q.a + q.b for q in sweep}) < len(report["failures"])
+        charsums.product_weights.cache_clear()
 
 
 @pytest.mark.parametrize("jobs", (1, 2))

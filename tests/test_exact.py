@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zpeta.charsums import CHI0, CHIP, F_direct
 from zpeta.exact import (
     UNIT_I,
     UNIT_ONE,
-    CyclotomicRing,
     RadicalValue,
     cyclotomic_ring,
     rational_str,
@@ -206,46 +204,6 @@ def test_pack_is_linear_and_injective(p, data):
     if max(map(abs, doubled)) < ring.bound:
         assert ring.pack(coords) + ring.pack(coords) == ring.pack(doubled)
     assert ring.pack(coords) - ring.pack(coords) == 0
-
-
-def test_ring_multiple_reads_one_coordinate_and_confirms_it():
-    ring = cyclotomic_ring(as_prime(7))
-    root = ring.embed(RadicalValue(Fraction(1), UNIT_ONE, 7))
-    assert ring.multiple(-3 * ring.embed(RadicalValue(Fraction(1), UNIT_I, 7)), 1, 7) == -3
-    assert ring.multiple(root, 0, 7) == 1
-    assert ring.multiple(root + 1, 0, 7) is None  # the read coordinate alone would say 2
-    assert ring.multiple(4, 0) == 4 and ring.multiple(4, 2) == -4
-    assert ring.multiple(ring.mono[1], 0) is None
-
-
-@pytest.mark.parametrize("p", odd_primes_upto(13))
-def test_the_multiple_memo_is_the_extraction(p):
-    # every F_direct value (both h, both characters), every power of i and
-    # both radicands: the memoised answer, None included, is a fresh ring's
-    P = as_prime(p)
-    values = {
-        F_direct(h, chi, ell, c, P)
-        for h in (1, 2)
-        for chi in (CHI0, CHIP)
-        for ell in range(p)
-        for c in range(1, p + 1)
-    }
-    ring, fresh, answers = cyclotomic_ring(P), CyclotomicRing(P), set()
-    for x in values:
-        for i_pow in range(8):
-            for radicand in (1, p):
-                want = fresh._extract(x, i_pow, radicand)  # reads no memo
-                answers.add(want)
-                assert ring.multiple(x, i_pow, radicand) == want
-                assert ring.multiple(x, i_pow, radicand) == want  # now from the memo
-    assert None in answers and len(answers) > 1
-
-
-def test_the_multiple_memo_keeps_no_invalid_radicand():
-    ring = cyclotomic_ring(as_prime(7))
-    for _ in range(2):
-        with pytest.raises(ValueError, match=r"sqrt\(5\) is not in Z\[zeta_28\]"):
-            ring.multiple(4, 0, 5)
 
 
 def test_radical_zero_is_normalized():

@@ -16,6 +16,8 @@ sums read from them) reads no closed form, so each side stays the other's
 oracle.  No record hand-writes the ==, hash, repr or pickling that
 ``exact.Frozen`` derives from its field tuple.  Every module parses with
 the grammar of the oldest Python that ``pyproject.toml`` admits.
+``spectrum`` reads nothing of ``exact`` and, of ``charsums``, only the
+literal product its oracles count.
 """
 
 import ast
@@ -38,10 +40,11 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def private_sibling_uses(tree: ast.Module) -> list[str]:
-    """Each `module._name` this tree imports or reads from a sibling module."""
+def sibling_reads(tree: ast.Module) -> list[tuple[str, str]]:
+    """Each (sibling module, name) this tree imports by name or reads as an
+    attribute of the module, imports first."""
     siblings = {}  # local name -> sibling module name
-    uses = []
+    reads = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             relative = node.level == 1
@@ -59,7 +62,7 @@ def private_sibling_uses(tree: ast.Module) -> list[str]:
                 continue
             else:
                 continue
-            uses += [f"{source}.{a.name}" for a in node.names if _private(a.name)]
+            reads += [(source, a.name) for a in node.names]
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.startswith("zpeta.") and alias.asname:
@@ -69,10 +72,14 @@ def private_sibling_uses(tree: ast.Module) -> list[str]:
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
             and node.value.id in siblings
-            and _private(node.attr)
         ):
-            uses.append(f"{siblings[node.value.id]}.{node.attr}")
-    return uses
+            reads.append((siblings[node.value.id], node.attr))
+    return reads
+
+
+def private_sibling_uses(tree: ast.Module) -> list[str]:
+    """Each `module._name` this tree imports or reads from a sibling module."""
+    return [f"{module}.{name}" for module, name in sibling_reads(tree) if _private(name)]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -511,6 +518,7 @@ LITERAL_SIDE = (
     "_gauss_terms",
     "_trig_literals",
     "half_period_product",
+    "product_weights",
     "gauss_direct",
     "F_direct",
     "trig_prod_direct",
@@ -569,3 +577,40 @@ def test_the_literal_side_rule_fails_on_a_planted_closed_form():
     assert literal_side_closed_form_uses(tree) == ["_closed: F_h_chip"]
     F_direct.body[-1:] = ast.parse("return P.legendre(l) * RadicalValue(1)").body
     assert literal_side_closed_form_uses(tree) == ["F_direct: legendre", "F_direct: RadicalValue"]
+
+
+# all that spectrum reads of charsums: the literal product of the lift's weights
+SPECTRUM_FROM_CHARSUMS = ("product_weights",)
+
+
+def spectrum_layer_uses(tree: ast.Module) -> list[str]:
+    """Each name this tree takes from ``exact``, and each it takes from
+    ``charsums`` beside the literal product.  The spectral oracles count
+    the spin lift's weights: a read of the ring or of a character sum
+    would tie them to the appendix side they share nothing with."""
+    return [
+        f"{module}.{name}"
+        for module, name in sibling_reads(tree)
+        if module == "exact" or (module == "charsums" and name not in SPECTRUM_FROM_CHARSUMS)
+    ]
+
+
+def test_spectrum_reads_no_ring_and_of_charsums_only_the_literal_product():
+    tree = ast.parse((PACKAGE / "spectrum.py").read_text())
+    assert ("charsums", "product_weights") in sibling_reads(tree)
+    assert spectrum_layer_uses(tree) == []
+
+
+def test_the_spectrum_layer_rule_fails_on_planted_reads():
+    # the imports of the ring oracles planted back, and a read through the module
+    tree = ast.parse((PACKAGE / "spectrum.py").read_text())
+    tree.body[2:2] = ast.parse(
+        "from .charsums import CHI0, CHIP, F_direct, product_weights\n"
+        "from .exact import cyclotomic_ring\n"
+        "from . import charsums as cs\n"
+        "x = cs.half_period_product('cos', 3), cs.product_weights('cos', 3, 1)"
+    ).body
+    assert spectrum_layer_uses(tree) == [
+        "charsums.CHI0", "charsums.CHIP", "charsums.F_direct", "exact.cyclotomic_ring",
+        "charsums.half_period_product",
+    ]

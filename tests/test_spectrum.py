@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zpeta import spectrum
-from zpeta.exact import UNIT_ONE, CyclotomicRing, RadicalValue, cyclotomic_ring
+from zpeta import charsums
+from zpeta.exact import UNIT_ONE, RadicalValue, cyclotomic_ring
 from zpeta.manifold import EvenDimensionError, SpinStructure, ZpParams, enumerate_params, validate
 from zpeta.eta import structure_classes
 from zpeta.numtheory import NotPrimeError, OddPrime, as_prime, odd_primes_upto
@@ -293,66 +293,47 @@ def test_dim_ker_of_a_nonprime_manifold_is_refused():
         dim_ker(ZpParams(9, 1, 1, 2), SpinStructure((1, 1), 2), 1)
 
 
-def test_the_oracle_extracts_each_ring_value_once(monkeypatch):
-    # the 1,470 cells of a <= 5, c <= 3p at p = 7 ask the ring for 16 distinct
-    # values; each is extracted once
-    keys = []
-    extract = CyclotomicRing._extract
-
-    def counted(ring, x, i_pow, radicand):
-        keys.append((ring.p, x, i_pow % 4, radicand))
-        return extract(ring, x, i_pow, radicand)
-
-    monkeypatch.setattr(CyclotomicRing, "_extract", counted)
-    cyclotomic_ring.cache_clear()
-    cells = 0
-    for a in range(1, 6):
-        params = validate(7, a, 0, 1)
-        for h in (1, 2):
-            for ell in range(7):
-                for c in range(1, 22):
-                    assert mult_diff_oracle(params, h, ell, c) == mult_diff_by_index(params, h, ell, c)
-                    cells += 1
-    assert len(keys) == len(set(keys)) == 16 and cells == 1470
-    cyclotomic_ring.cache_clear()
-
-
-def test_oracles_raise_on_a_ring_value_that_is_not_their_integer(monkeypatch):
-    # 2i F that is not an integer multiple of the unit i^{-m} (sqrt p)
-    monkeypatch.setattr(spectrum, "F_direct", lambda *args: 1 << 64)
-    with pytest.raises(spectrum.OracleResidualError, match="is not an integer"):
-        mult_diff_oracle(TRICOSM, 1, 0, 1)
-    monkeypatch.setattr(spectrum, "_kernel_sums", lambda ab, p: (1, 1, 1))
-    with pytest.raises(spectrum.OracleResidualError, match="is not an integer"):
-        dim_ker_oracle(TRICOSM, 1)
+@lru_cache(maxsize=None)
+def _kernel_character_sums(ab: int, p: int) -> tuple[int, ...]:
+    # the paper's spin-character formula for the kernel, one k at a time in
+    # the ring: sum_{k=0}^{p-1} eps_k (prod_j 2 cos(jk pi/p))^{ab} e^{2 pi i k ell/p},
+    # eps_k = (-1)^{k [(q+1)/2] ab}, with 2 cos(jk pi/p) = z^{2jk} + z^{-2jk} and
+    # e^{2 pi i k ell/p} = z^{4k ell}; each sum must be a rational integer
+    P, n = as_prime(p), 4 * p
+    ring, flip = cyclotomic_ring(P), (P.q + 1) // 2 * ab % 2
+    powers = []
+    for k in range(p):
+        power = {0: -1 if flip and k % 2 else 1}
+        for _ in range(ab):
+            for j in range(1, P.q + 1):
+                factor = {2 * j * k % n: 1}
+                factor[-2 * j * k % n] = factor.get(-2 * j * k % n, 0) + 1  # 2 at k = 0
+                power = ring.times(power, factor)
+        powers.append(power)
+    sums = []
+    for ell in range(p):
+        total = {}
+        for k, power in enumerate(powers):
+            for e, w in power.items():
+                e = (e + 4 * k * ell) % n
+                total[e] = total.get(e, 0) + w
+        coords = ring.reduce(total)
+        assert not any(coords[1:]), (ab, p, ell)
+        sums.append(coords[0])
+    return tuple(sums)
 
 
-def test_kernel_oracle_raises_on_a_sum_that_is_not_rational(monkeypatch):
-    # z in place of the cosine product at p = 3: the sum is 1 - z + z^2 at
-    # ell = 0, and no sum is rational; each call names its own ell
-    monkeypatch.setattr(spectrum, "half_period_product", lambda kind, P: {1: 1})
-    spectrum._kernel_sums.cache_clear()
-    try:
-        for ell in (0, 1, 2, 4):
-            with pytest.raises(spectrum.OracleResidualError) as err:
-                dim_ker_oracle(TRICOSM, ell)
-            want = f"kernel oracle sum at p=3, a+b=1, ell={ell % 3} is not an integer"
-            assert str(err.value) == want
-        assert spectrum._kernel_sums.cache_info().misses == 1  # the table is built once
-    finally:
-        spectrum._kernel_sums.cache_clear()
-
-
-def test_kernel_sums_keep_every_table_they_built():
-    # bounded at 64 tables, the cache missed 230 times on the 99 keys of the p = 3 oracle sweep
-    spectrum._kernel_sums.cache_clear()
-    try:
-        for _ in range(2):
-            for ab in range(1, 71):
-                spectrum._kernel_sums(ab, 3)
-        assert spectrum._kernel_sums.cache_info().misses == 70
-    finally:
-        spectrum._kernel_sums.cache_clear()
+def test_dim_ker_oracle_is_the_spin_character_formula():
+    # dim ker = (2^m / p) times the character sum, m = (n-1)/2 = q(a+b) + (b+c-1)/2
+    cases = 0
+    for params in enumerate_params(13, 36):
+        p, ab = params.p, params.a + params.b
+        for ell in range(p):
+            total = _kernel_character_sums(ab, p)[ell] << (params.n - 1) // 2 - params.prime.q * ab
+            d, rem = divmod(total, p)
+            assert rem == 0 and dim_ker_oracle(params, ell) == d, (params, ell)
+            cases += 1
+    assert cases > 1000
 
 
 NOT_AN_INT = st.one_of(
@@ -369,7 +350,7 @@ SPECTRUM_ENTRY_POINTS = (
     (lambda params, ell: dim_ker(params, structure_classes(params)[0], ell), ("ell",), (1,)),
     (dim_ker_oracle, ("ell",), (1,)),
 )
-SPECTRUM_CACHES = (spectrum._kernel_sums,)
+SPECTRUM_CACHES = (charsums.product_weights,)
 
 
 @settings(deadline=None, max_examples=60)
