@@ -437,20 +437,24 @@ def test_a_phase_without_the_structure_fails_only_the_h_2_cells(capsys, monkeypa
     assert all(f["structure"].startswith("mult-diff(h=2,") for f in report["failures"])
 
 
-def test_each_weights_key_is_built_once_per_cold_cache():
-    # serially, so the cache is this process's; a second run builds nothing
-    keys = set()
-    for p in odd_primes_upto(11):
-        keys |= {("sin", p, a) for a in range(1, 6)}
-        keys |= {("cos", p, q.a + q.b) for q in prime_sweep(p, 30)}
+def test_a_kernel_oracle_off_the_integers_builds_each_table_once(capsys, monkeypatch):
+    # serially, so the weights cache is this process's: the planted oracle
+    # reads the real weights, so every cell fails and each key is built once
+    right = spectrum.dim_ker_oracle
+    monkeypatch.setattr(
+        spectrum, "dim_ker_oracle", lambda params, ell: right(params, ell) + Fraction(1, 2)
+    )
     charsums.product_weights.cache_clear()
     try:
-        for _ in range(2):
-            assert run_suite("oracles", 11, 30).ok
-            info = charsums.product_weights.cache_info()
-            assert info.misses == info.currsize == len(keys)
+        code, report = _verify(capsys, "oracles", 3, 1, "--n-max", "10")
+        misses = charsums.product_weights.cache_info().misses
     finally:
         charsums.product_weights.cache_clear()
+    sweep = prime_sweep(3, 10)
+    keys = {("cos", q.a + q.b) for q in sweep} | {("sin", a) for a in range(1, 6)}
+    assert code == 1 and len(report["failures"]) == 3 * len(sweep)
+    assert all(f["structure"] == "dim-ker" for f in report["failures"])
+    assert misses == len(keys) < len(report["failures"])
 
 
 @pytest.mark.parametrize("jobs", (1, 2))

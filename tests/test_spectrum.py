@@ -336,6 +336,18 @@ def test_dim_ker_oracle_is_the_spin_character_formula():
     assert cases > 1000
 
 
+def test_kernel_sums_keep_every_table_they_built():
+    # the weights cache is unbounded: a second pass over 70 keys builds none
+    charsums.product_weights.cache_clear()
+    try:
+        for _ in range(2):
+            for ab in range(1, 71):
+                charsums.product_weights("cos", 3, ab)
+        assert charsums.product_weights.cache_info().misses == 70
+    finally:
+        charsums.product_weights.cache_clear()
+
+
 NOT_AN_INT = st.one_of(
     st.sampled_from((1.0, 0.5, True, False, Fraction(1), "1", None)),
     st.floats(allow_nan=True),
